@@ -60,19 +60,23 @@ class _Group(click.Group):
         try:
             rv = super().main(*args, standalone_mode=False, **kwargs)
         except click.UsageError as exc:
-            exc.show()
+            exc.show(file=sys.stderr)
             sys.exit(1)
         except click.ClickException as exc:
-            exc.show()
+            exc.show(file=sys.stderr)
             sys.exit(exc.exit_code)
         except click.exceptions.Abort:
-            click.echo("Aborted!", err=True)
+            click.echo("Aborted!", file=sys.stderr)
             sys.exit(130)
         sys.exit(rv if isinstance(rv, int) else 0)
 
 
+# Every echo names its stream.  Without ``file``, click caches a wrapper of
+# sys.stdout/sys.stderr per stream in a WeakKeyDictionary; for a redirected
+# StringIO the wrapper is the stream itself, so the entry never dies and each
+# in-process response buffer would be kept for the life of the process.
 def _fail(message: str) -> None:
-    click.echo(f"error: {message}", err=True)
+    click.echo(f"error: {message}", file=sys.stderr)
     sys.exit(1)
 
 
@@ -127,7 +131,7 @@ def _emit(text: str, out: str | None) -> None:
     if out:
         Path(out).write_text(text + "\n")
     else:
-        click.echo(text)
+        click.echo(text, file=sys.stdout)
 
 
 _AFFINE_ITEM = re.compile(r"\s*(?:(?P<int>\d+)|(?P<var>[a-z][a-z0-9_]*))")
@@ -400,7 +404,7 @@ def check(ctx, formula, point, declared, **_ignored):
     missing = free_vars(qf) - set(assigns)
     if missing:
         _fail(f"point does not assign {sorted(missing)}")
-    click.echo("true" if membership(qf, assigns) else "false")
+    click.echo("true" if membership(qf, assigns) else "false", file=sys.stdout)
 
 
 # ---------------------------------------------------------------------------
@@ -462,9 +466,9 @@ def verify(ctx, plan_path, out, fmt):
     if out:
         Path(out).write_text(_dump_json(verdict.to_json()) + "\n")
     if fmt == "json":
-        click.echo(_dump_json(verdict.to_json()))
+        click.echo(_dump_json(verdict.to_json()), file=sys.stdout)
     else:
-        click.echo(verdict.to_text().rstrip("\n"))
+        click.echo(verdict.to_text().rstrip("\n"), file=sys.stdout)
     sys.exit(_EXIT_FOR_SUMMARY[verdict.summary])
 
 

@@ -2,9 +2,10 @@
 
 Elements of F_{p^d} are coefficient tuples (c_0, ..., c_{d-1}) of residues mod
 p, the coordinates with respect to the basis 1, u, ..., u^{d-1} where u is a
-root of the table modulus.  The moduli are pinned data (not searched at run
-time) so that element encodings, and therefore every enumeration and report
-downstream, are stable across runs and machines.
+root of the table modulus.  Prime fields (d = 1) need no modulus and exist for
+every prime p; extensions need a table entry.  The moduli are pinned data (not
+searched at run time) so that element encodings, and therefore every
+enumeration and report downstream, are stable across runs and machines.
 
 :class:`TruncPow` is the scalar model of F_q[t]/t^{n+1} used by small paths
 and reference computations; bulk enumeration vectorizes the same arithmetic
@@ -134,10 +135,16 @@ class Fq:
             raise ValueError(f"p = {p} is not prime")
         if d < 1:
             raise ValueError("extension degree must be >= 1")
-        try:
-            self.modulus = IRREDUCIBLE[(p, d)]
-        except KeyError:
-            raise ValueError(f"no modulus tabulated for p={p}, d={d} (have p <= 13, d <= 12)") from None
+        if d == 1:
+            # F_p needs no modulus; (1,) is the table's entry for every tabulated p
+            self.modulus: tuple[int, ...] = (1,)
+        else:
+            try:
+                self.modulus = IRREDUCIBLE[(p, d)]
+            except KeyError:
+                raise ValueError(
+                    f"no modulus tabulated for p={p}, d={d} (have p <= 13, d <= 12)"
+                ) from None
         self.p = p
         self.d = d
         self.q = p**d

@@ -14,6 +14,14 @@ L -> q into a reduced rational function over Q (`rs_specialize`), pole
 location in the T = L^alpha scale (`rs_poles_in_L`), and recovery of a
 rational form from initial coefficients against a known denominator
 (`rs_fit`).
+
+Specialization never takes a gcd against the expanded denominator: every
+geometric factor becomes a binomial (1 - q^a T^b), and the numerator N is
+reduced against one binomial at a time, using
+gcd(N, A B) = gcd(N, A) * gcd(N / gcd(N, A), B).  Each gcd has degree at
+most b, which keeps the rational coefficients small; the result is the same
+reduced, normalized pair a full Euclidean gcd gives (`RatFunc.from_binomials`
+against `RatFunc.from_polys`).
 """
 
 from __future__ import annotations
@@ -370,11 +378,12 @@ def _qdivmod(a: Sequence[Fraction], b: Sequence[Fraction]) -> tuple[list[Fractio
         raise ZeroDivisionError("division by zero polynomial")
     r = list(a)
     q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
+    support = [(j, bv) for j, bv in enumerate(b) if bv]
     for i in range(len(a) - len(b), -1, -1):
         c = r[i + len(b) - 1] / b[-1]
         if c:
             q[i] = c
-            for j, bv in enumerate(b):
+            for j, bv in support:
                 r[i + j] -= c * bv
     return q, _qtrim(r)
 
@@ -390,13 +399,46 @@ def _qgcd(a: Sequence[Fraction], b: Sequence[Fraction]) -> list[Fraction]:
     return a
 
 
+def _binomial(c: Fraction, b: int) -> list[Fraction]:
+    """Coefficients of 1 - c T^b."""
+    factor = [Fraction(0)] * (b + 1)
+    factor[0] = Fraction(1)
+    factor[b] = -c
+    return factor
+
+
+def _binomial_rem(num: Sequence[Fraction], c: Fraction, b: int) -> list[Fraction]:
+    """Remainder of num modulo 1 - c T^b (c != 0), folding T^b -> 1/c."""
+    inv = 1 / c
+    powers = [Fraction(1)]
+    rem = [Fraction(0)] * b
+    for n, v in enumerate(num):
+        k, j = divmod(n, b)
+        if k == len(powers):
+            powers.append(powers[-1] * inv)
+        if v:
+            rem[j] += v * powers[k]
+    return _qtrim(rem)
+
+
 @dataclass
 class RatFunc:
     """Reduced rational function num/den in Q(T), den normalized to den(0)=1
-    when possible (else monic)."""
+    when possible (else monic).
+
+    The reduced pair is unique up to a scalar, and the normalization fixes
+    that scalar, so every constructor that reduces fully returns the same
+    tuples for the same function: `from_polys` for an arbitrary denominator,
+    `from_binomials` for a product of factors (1 - c T^b).
+    """
 
     num: tuple[Fraction, ...]
     den: tuple[Fraction, ...]
+
+    @classmethod
+    def _normalized(cls, num: Sequence[Fraction], den: Sequence[Fraction]) -> RatFunc:
+        scale = den[0] if den[0] else den[-1]
+        return cls(tuple(v / scale for v in num), tuple(v / scale for v in den))
 
     @classmethod
     def from_polys(cls, num: Sequence[Fraction], den: Sequence[Fraction]) -> RatFunc:
@@ -409,10 +451,39 @@ class RatFunc:
         if len(g) > 1:
             num, _ = _qdivmod(num, g)
             den, _ = _qdivmod(den, g)
-        scale = den[0] if den[0] else den[-1]
-        num = [v / scale for v in num]
-        den = [v / scale for v in den]
-        return cls(tuple(num), tuple(den))
+        return cls._normalized(num, den)
+
+    @classmethod
+    def from_binomials(
+        cls, num: Sequence[Fraction], factors: Iterable[tuple[Fraction, int]]
+    ) -> RatFunc:
+        """num / prod (1 - c T^b) over `factors` = [(c, b), ...], reduced.
+
+        Equal, tuple for tuple, to `from_polys(num, prod of the factors)`,
+        without a gcd against the expanded product.  Since
+        gcd(N, A B) = gcd(N, A) * gcd(N / gcd(N, A), B), the numerator is
+        reduced against one factor at a time: each gcd has degree <= b and
+        starts from the remainder of N modulo the binomial, which costs one
+        pass over N, and the denominator is the product of the reduced
+        factors.
+        """
+        num = _qtrim(num)
+        if not num:
+            return cls((), (Fraction(1),))
+        den: list[Fraction] = [Fraction(1)]
+        for c, b in factors:
+            if b < 1:
+                raise ValueError(f"binomial factor needs b >= 1, got b = {b}")
+            if not c:  # c = 0 makes the factor 1
+                continue
+            c = Fraction(c)
+            factor = _binomial(c, b)
+            g = _qgcd(factor, _binomial_rem(num, c, b))
+            if len(g) > 1:
+                num, _ = _qdivmod(num, g)
+                factor, _ = _qdivmod(factor, g)
+            den = _qmul(den, factor)
+        return cls._normalized(num, den)
 
     def taylor(self, order: int) -> list[Fraction]:
         """Series coefficients c_0..c_order (requires den(0) != 0)."""
@@ -454,6 +525,10 @@ def _qpoly_text(p: Sequence[Fraction]) -> str:
 def rs_specialize(x: RatSeries, q: Scalar) -> RatFunc:
     """Counting specialization L -> q, as a reduced rational function of T.
 
+    Each geometric factor (1 - L^a T^b) becomes the binomial (1 - q^a T^b),
+    and `RatFunc.from_binomials` cancels the numerator against them one
+    factor at a time; the expanded product denominator never enters a gcd.
+
     Requires q not in {0, 1, -1}: those values kill a cyclotomic factor
     (q^i - 1) or the locus L = 0, and the specialization is not defined.
     """
@@ -470,13 +545,7 @@ def rs_specialize(x: RatSeries, q: Scalar) -> RatFunc:
     num = [Fraction(0)] * (deg + 1)
     for n, c in x.num.items():
         num[n] = tate_eval(c, q) / scalar
-    den: list[Fraction] = [Fraction(1)]
-    for a, b in x.geom:
-        factor = [Fraction(0)] * (b + 1)
-        factor[0] = Fraction(1)
-        factor[b] = -(q**a)
-        den = _qmul(den, factor)
-    return RatFunc.from_polys(num, den)
+    return RatFunc.from_binomials(num, [(q**a, b) for a, b in x.geom])
 
 
 # ---------------------------------------------------------------------------
@@ -542,10 +611,7 @@ def rs_fit(
     for c, b in denom_hint:
         if b < 1:
             raise ValueError(f"hint factor needs b >= 1, got {b}")
-        factor = [Fraction(0)] * (b + 1)
-        factor[0] = Fraction(1)
-        factor[b] = -Fraction(c)
-        den = _qmul(den, factor)
+        den = _qmul(den, _binomial(Fraction(c), b))
     degd = len(den) - 1
     if order < degd:
         raise InsufficientData(f"need at least {degd + 1} coefficients, got {order + 1}")

@@ -471,14 +471,7 @@ def verify_rational_shape(plan: VerificationPlan) -> Verdict:
         except NoRationalFit as exc:
             forced = f"p={p}: no rational fit: {exc}"
             continue
-        den: list[Fraction] = [Fraction(1)]
-        for c, bb in hint:
-            new = [Fraction(0)] * (len(den) + bb)
-            for i, v in enumerate(den):
-                new[i] += v
-                new[i + bb] -= c * v
-            den = new
-        if RatFunc.from_polys(num, den).taylor(order) != specialized.taylor(order):
+        if RatFunc.from_binomials(num, hint).taylor(order) != specialized.taylor(order):
             forced = f"p={p}: fitted rational function differs from the specialized series"
     return Verdict.from_rows("branch-par", rows, assumptions=assumptions, forced_fail=forced)
 

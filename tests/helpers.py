@@ -8,8 +8,10 @@ easy to audit.
 
 from __future__ import annotations
 
+import functools
 from itertools import product
 from math import lcm
+from typing import Callable
 
 from arczeta import presburger as pb
 
@@ -46,28 +48,90 @@ def quantifier_window(f: pb.Formula, free_box: int = 30) -> int:
 
 
 def brute_eval(f: pb.Formula, point: dict[str, int], window: int) -> bool:
-    """Evaluate with quantified variables ranging over [-window, window]."""
+    """Evaluate with quantified variables ranging over [-window, window].
+
+    The formula is compiled to closures once per (formula, window); each
+    quantifier binds its variable in one environment dict that is reused
+    across the whole evaluation and restored when the quantifier returns.
+    """
+    return _compiled(f, window)(dict(point))
+
+
+_Eval = Callable[[dict[str, int]], bool]
+# v REL 0, as C-level tests of v: v <= 0 is 0 >= v, and so on
+_REL = {"<=": (0).__ge__, "<": (0).__gt__, "=": (0).__eq__, ">=": (0).__le__, ">": (0).__lt__}
+_UNBOUND = object()
+
+
+def _atom(t: pb.LinTerm, test: Callable[[int], bool]) -> _Eval:
+    """test(value of t), with the term unrolled for up to three variables."""
+    const, coeffs = t.const, t.coeffs
+    if not coeffs:
+        value = test(const)
+        return lambda env: value
+    if len(coeffs) == 1:
+        ((x, a),) = coeffs
+        return lambda env: test(const + a * env[x])
+    if len(coeffs) == 2:
+        (x, a), (y, b) = coeffs
+        return lambda env: test(const + a * env[x] + b * env[y])
+    if len(coeffs) == 3:
+        (x, a), (y, b), (z, c) = coeffs
+        return lambda env: test(const + a * env[x] + b * env[y] + c * env[z])
+    return lambda env: test(const + sum(c * env[v] for v, c in coeffs))
+
+
+def _quantifier(var: str, body: _Eval, values: range, want: bool) -> _Eval:
+    """Exists (want=True) or Forall (want=False) over `values`."""
+
+    def ev(env: dict[str, int]) -> bool:
+        saved = env.get(var, _UNBOUND)
+        try:
+            for v in values:
+                env[var] = v
+                if body(env) == want:
+                    return want
+            return not want
+        finally:
+            if saved is _UNBOUND:
+                del env[var]
+            else:
+                env[var] = saved
+
+    return ev
+
+
+@functools.lru_cache(maxsize=64)
+def _compiled(f: pb.Formula, window: int) -> _Eval:
     if isinstance(f, pb.BoolConst):
-        return f.value
+        value = f.value
+        return lambda env: value
     if isinstance(f, pb.Cmp):
-        v = f.term.eval(point)
-        return {"<=": v <= 0, "<": v < 0, "=": v == 0, ">=": v >= 0, ">": v > 0}[f.rel]
+        return _atom(f.term, _REL[f.rel])
     if isinstance(f, pb.Cong):
-        return f.term.eval(point) % f.modulus == 0
+        modulus = f.modulus
+        return _atom(f.term, lambda v: v % modulus == 0)
     if isinstance(f, pb.Not):
-        return not brute_eval(f.arg, point, window)
+        arg = _compiled(f.arg, window)
+        return lambda env: not arg(env)
     if isinstance(f, pb.And):
-        return all(brute_eval(a, point, window) for a in f.args)
+        args = [_compiled(a, window) for a in f.args]
+        if len(args) == 2:
+            a, b = args
+            return lambda env: a(env) and b(env)
+        if len(args) == 3:
+            a, b, c = args
+            return lambda env: a(env) and b(env) and c(env)
+        return lambda env: all(a(env) for a in args)
     if isinstance(f, pb.Or):
-        return any(brute_eval(a, point, window) for a in f.args)
-    if isinstance(f, pb.Exists):
-        return any(
-            brute_eval(f.body, {**point, f.var: v}, window) for v in range(-window, window + 1)
-        )
-    if isinstance(f, pb.Forall):
-        return all(
-            brute_eval(f.body, {**point, f.var: v}, window) for v in range(-window, window + 1)
-        )
+        args = [_compiled(a, window) for a in f.args]
+        if len(args) == 2:
+            a, b = args
+            return lambda env: a(env) or b(env)
+        return lambda env: any(a(env) for a in args)
+    if isinstance(f, (pb.Exists, pb.Forall)):
+        body = _compiled(f.body, window)
+        return _quantifier(f.var, body, range(-window, window + 1), isinstance(f, pb.Exists))
     raise TypeError(f"not a formula: {f!r}")
 
 

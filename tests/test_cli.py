@@ -1,6 +1,10 @@
 """Command-line behaviour: outputs, formats, exit codes, configuration."""
 
+import gc
+import io
 import json
+import weakref
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 from click.testing import CliRunner
@@ -88,6 +92,11 @@ class TestCountCommand:
         assert len(lines) == 10
         counts = [int(line.split(",")[1]) for line in lines[1:]]
         assert counts == [1, 1, 1, 1, 2, 6, 51, 501, 2502]
+
+    def test_prime_beyond_modulus_table(self, runner, files):
+        r = runner.invoke(main, ["count", "--branch", files["std4"], "-p", "17", "--n-max", "5", "--format", "csv"])
+        assert r.exit_code == 0, message(r)
+        assert [int(line.split(",")[1]) for line in r.output.strip().splitlines()[1:]] == [1, 1, 1, 1, 5, 69]
 
     def test_n_max_zero_single_row(self, runner, files):
         r = runner.invoke(main, ["count", "--branch", files["line"], "-p", "3", "--n-max", "0", "--format", "csv"])
@@ -287,3 +296,21 @@ class TestConfiguration:
     def test_unknown_option_is_usage_error(self, runner):
         r = runner.invoke(main, ["igusa", "--bogus"])
         assert r.exit_code != 0
+
+
+def test_in_process_requests_release_their_buffers(files):
+    """A caller that redirects the standard streams per request must get the
+    buffers back: the CLI may keep no reference to them."""
+    refs = []
+    for args in (["branch", "--input", files["cusp"]], ["branch", "--input", files["dir"] / "absent.json"]):
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            try:
+                main.main([str(a) for a in args], prog_name="arczeta", standalone_mode=False)
+            except SystemExit:
+                pass
+        assert out.getvalue() or err.getvalue()
+        refs += [weakref.ref(out), weakref.ref(err)]
+        del out, err
+    gc.collect()
+    assert [r() for r in refs] == [None] * len(refs)

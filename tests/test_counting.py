@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from arczeta.branch import BranchSpec, characteristic_sequence, p_geom
+from arczeta.branch import BranchSpec, characteristic_sequence, chi_c_arc_class, p_geom
 from arczeta.counting import (
     BadPrime,
     BudgetExceeded,
@@ -23,7 +23,7 @@ from arczeta.counting import (
 )
 from arczeta.fq import Fq, TruncPow
 from arczeta.ratseries import rs_expand, rs_specialize
-from arczeta.tate import TatePoly
+from arczeta.tate import TatePoly, tate_eval
 
 SMOOTH = BranchSpec.make(1, {})
 LINE2 = BranchSpec.make(1, {2: Fraction(1, 3), 3: 2})
@@ -127,6 +127,13 @@ class TestFiberIdentity:
             i = max(k for k in range(c.g + 1) if ell * c.beta[k] <= n)
             expect = c.N[i] * (p - 1) * p ** (n - ell * c.m) // c.m
             assert got == expect, (ell, got, expect)
+
+    def test_prime_beyond_modulus_table(self):
+        # F_17 has no table entry: a prime field needs no modulus
+        c = characteristic_sequence(STD4)
+        for n in range(8):
+            strata = sum(tate_eval(chi_c_arc_class(c, n, ell)[1], 17) for ell in range(1, n // c.m + 1))
+            assert count_branch_image(STD4, 17, 1, n) == 1 + strata, n
 
     def test_strata_cover_image(self):
         for n in range(7):

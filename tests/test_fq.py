@@ -45,7 +45,7 @@ class TestModulusTable:
 
 
 class TestFieldArithmetic:
-    @pytest.mark.parametrize("p,d", [(2, 1), (2, 3), (3, 2), (5, 2), (7, 1), (13, 2), (3, 4)])
+    @pytest.mark.parametrize("p,d", [(2, 1), (2, 3), (3, 2), (5, 2), (7, 1), (13, 2), (3, 4), (17, 1)])
     def test_axioms_exhaustive_or_sampled(self, p, d):
         F = Fq(p, d)
         els = list(F.elements())

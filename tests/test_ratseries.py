@@ -24,7 +24,8 @@ from arczeta.ratseries import (
     rs_text,
     rs_to_json,
 )
-from arczeta.tate import NonPolynomialCoefficient, TatePoly
+from arczeta.branch import BranchSpec, characteristic_sequence, chi_c_arc_class, p_ar
+from arczeta.tate import NonPolynomialCoefficient, TatePoly, tate_eval
 
 L = TatePoly.L
 ONE = TatePoly.one()
@@ -121,6 +122,99 @@ def test_specialize_guard():
     for q in (0, 1, -1):
         with pytest.raises(SpecializationPole):
             rs_specialize(x, q)
+
+
+def _binomial_product(factors):
+    den = [Fraction(1)]
+    for c, b in factors:
+        den = _qmul(den, [Fraction(1)] + [Fraction(0)] * (b - 1) + [-Fraction(c)])
+    return den
+
+
+def _reduced_both_ways(num, factors):
+    """from_binomials, checked field for field against the full-gcd route."""
+    got = RatFunc.from_binomials(num, factors)
+    want = RatFunc.from_polys(num, _binomial_product(factors))
+    assert (got.num, got.den) == (want.num, want.den)
+    return got
+
+
+def test_binomials_partial_cancellation():
+    # (1 + 3T) / (1 - 9T^2) = 1 / (1 - 3T): the gcd is a proper factor of the binomial
+    f = _reduced_both_ways([1, 3], [(9, 2)])
+    assert f.num == (Fraction(1),)
+    assert f.den == (Fraction(1), Fraction(-3))
+    # (1 + T^2) against (1 - T^4)(1 - T): one quadratic factor cancels
+    f = _reduced_both_ways([1, 0, 1], [(1, 4), (1, 1)])
+    assert len(f.den) - 1 == 3
+
+
+def test_binomials_repeated_factors():
+    # (1 - 2T)^2 / [(1 - 2T)^3 (1 - 4T^2)] = 1 / [(1 - 2T)^2 (1 + 2T)]
+    f = _reduced_both_ways([1, -4, 4], [(2, 1)] * 3 + [(4, 2)])
+    assert f.num == (Fraction(1),)
+    assert f.den == tuple(_qmul(_binomial_product([(2, 1), (2, 1)]), [Fraction(1), Fraction(2)]))
+
+
+def test_binomials_zero_numerator_and_unit_factor():
+    assert _reduced_both_ways([], [(2, 1)]) == RatFunc((), (Fraction(1),))
+    assert _reduced_both_ways([0, 0], [(3, 2), (3, 2)]) == RatFunc((), (Fraction(1),))
+    # c = 0 makes the factor 1
+    assert _reduced_both_ways([5, 1], [(0, 3)]) == RatFunc((Fraction(5), Fraction(1)), (Fraction(1),))
+
+
+def test_binomials_reject_degree_zero():
+    with pytest.raises(ValueError):
+        RatFunc.from_binomials([1], [(2, 0)])
+
+
+def test_specialize_cyclotomic_scalars_match_full_gcd():
+    # rational numerator coefficients from 1/[(q - 1)(q^2 - 1)^2], with cancellation
+    x = rs_mul(
+        RatSeries({0: ONE, 1: L(1), 2: L(2) - 1}, geom=[(1, 1), (2, 2), (0, 3)], cyclo=[1, 2, 2]),
+        RatSeries({0: ONE, 1: -1 * L(1)}),
+    )
+    for q in (2, 3, Fraction(1, 3), 7):
+        f = rs_specialize(x, q)
+        scalar = (Fraction(q) - 1) * (Fraction(q) ** 2 - 1) ** 2
+        num = [tate_eval(x.num.get(n, TatePoly.zero()), q) / scalar for n in range(max(x.num) + 1)]
+        assert f == _reduced_both_ways(num, [(Fraction(q) ** a, b) for a, b in x.geom])
+        assert len(f.den) - 1 == 5  # the (1 - L T) factor cancels
+
+
+binomial_factors = st.lists(
+    st.tuples(st.sampled_from([1, -1, 2, -2, 3, 4, 9, Fraction(1, 2), Fraction(1, 3), 8]), st.integers(1, 4)),
+    max_size=5,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    binomial_factors,
+    binomial_factors,
+    st.lists(st.fractions(min_value=-5, max_value=5, max_denominator=4), max_size=4),
+)
+def test_binomials_equal_full_gcd(shared, den_only, cofactor):
+    # numerator = cofactor * (some binomials that may also sit in the denominator)
+    num = [Fraction(v) for v in cofactor]
+    for c, b in shared:
+        num = _qmul(num, [Fraction(1)] + [Fraction(0)] * (b - 1) + [-Fraction(c)])
+    _reduced_both_ways(num, den_only + shared[::2])
+
+
+def test_p_ar_large_denominator_at_17():
+    # P_ar of (8; 12, 14, 15): product denominator of T-degree 51, the gcd removes one degree
+    c = characteristic_sequence(BranchSpec.make(8, {12: 1, 14: 1, 15: 1}))
+    assert (c.beta, c.e) == ((8, 12, 14, 15), (8, 4, 2, 1))
+    series = p_ar(c)
+    assert sum(b for _, b in series.geom) == 51
+    f = rs_specialize(series, 17)
+    assert len(f.den) - 1 == 50
+    strata = [
+        1 + sum(tate_eval(chi_c_arc_class(c, n, ell)[1], 17) for ell in range(1, n // c.m + 1))
+        for n in range(25)
+    ]
+    assert f.taylor(24) == strata
 
 
 def test_poles_candidate_filtering():
