@@ -99,12 +99,27 @@ class CountReport:
 # ---------------------------------------------------------------------------
 
 
+def _int_dtype(bound: int, floor: type) -> np.dtype:
+    """Narrowest signed integer dtype, at least `floor`, that holds 0..bound."""
+    dtype = np.promote_types(np.min_scalar_type(-bound - 1), floor)
+    if dtype.kind != "i":
+        raise ValueError(f"values up to {bound} do not fit a 64-bit integer")
+    return dtype
+
+
+def _arc_dtype(p: int) -> np.dtype:
+    """Dtype of arc and power digit arrays (int16 for p <= 2^15)."""
+    return _int_dtype(p - 1, np.int16)
+
+
 def _series_mul(A: np.ndarray, B: np.ndarray, p: int, reduction: np.ndarray) -> np.ndarray:
     """Truncated product of digit arrays of shape (rows, L, d)."""
     rows, L, d = A.shape
-    acc = np.zeros((rows, L, 2 * d - 1), dtype=np.int32)
-    Aw = A.astype(np.int32, copy=False)
-    Bw = B.astype(np.int32, copy=False)
+    # each entry sums at most L*d products of two digits, plus d reduction terms
+    work = _int_dtype((L + 1) * d * (p - 1) ** 2, np.int32)
+    acc = np.zeros((rows, L, 2 * d - 1), dtype=work)
+    Aw = A.astype(work, copy=False)
+    Bw = B.astype(work, copy=False)
     for i in range(L):
         for j in range(L - i):
             for a in range(d):
@@ -116,7 +131,7 @@ def _series_mul(A: np.ndarray, B: np.ndarray, p: int, reduction: np.ndarray) -> 
         for jj in range(d):
             if reduction[k - d, jj]:
                 out[:, :, jj] += extra * int(reduction[k - d, jj])
-    return (out % p).astype(np.int16)
+    return (out % p).astype(_arc_dtype(p))
 
 
 def _branch_images(w: np.ndarray, b: BranchSpec, fld: Fq, reduction: np.ndarray) -> np.ndarray:
@@ -137,11 +152,11 @@ def _branch_images(w: np.ndarray, b: BranchSpec, fld: Fq, reduction: np.ndarray)
             x = power
         c = coeff_mod.get(target)
         if c:
-            y = (y + c * power.astype(np.int32)) % p
-            y = y.astype(np.int16)
+            y = (y + c * power.astype(_int_dtype(p * (p - 1), np.int32))) % p
+            y = y.astype(_arc_dtype(p))
     assert x is not None
     centred = (x[:, 0, :] == 0).all(axis=1) & (y[:, 0, :] == 0).all(axis=1)
-    flat = np.concatenate([x.reshape(rows, L * d), y.reshape(rows, L * d)], axis=1).astype(np.int8)
+    flat = np.concatenate([x.reshape(rows, L * d), y.reshape(rows, L * d)], axis=1).astype(_int_dtype(p - 1, np.int8))
     return flat[centred]
 
 
@@ -155,11 +170,11 @@ def _coeff_mod_p(b: BranchSpec, j: int, p: int) -> int:
 def _decode_arcs(codes: np.ndarray, positions: Sequence[int], L: int, fld: Fq) -> np.ndarray:
     """Base-q digit expansion of arc codes into a (rows, L, d) digit array."""
     q, p, d = fld.q, fld.p, fld.d
-    w = np.zeros((codes.shape[0], L, d), dtype=np.int16)
+    w = np.zeros((codes.shape[0], L, d), dtype=_arc_dtype(p))
     for k, pos in enumerate(positions):
         digit_q = (codes // q**k) % q
         for e in range(d):
-            w[:, pos, e] = ((digit_q // p**e) % p).astype(np.int16)
+            w[:, pos, e] = (digit_q // p**e) % p
     return w
 
 
@@ -344,7 +359,7 @@ def count_branch_image_geometric(
                 L = n + 1
                 digits = rows.reshape(rows.shape[0], 2, L, d)
                 rational = (digits[:, :, :, 1:] == 0).all(axis=(1, 2, 3))
-                per_d.append(np.ascontiguousarray(digits[rational][:, :, :, 0].reshape(-1, 2 * L)).astype(np.int8))
+                per_d.append(np.ascontiguousarray(digits[rational][:, :, :, 0].reshape(-1, 2 * L)))
         if b.m > 1:
             merged = _unique_rows(per_d)
             total += int(merged.shape[0])

@@ -407,20 +407,6 @@ def _binomial(c: Fraction, b: int) -> list[Fraction]:
     return factor
 
 
-def _binomial_rem(num: Sequence[Fraction], c: Fraction, b: int) -> list[Fraction]:
-    """Remainder of num modulo 1 - c T^b (c != 0), folding T^b -> 1/c."""
-    inv = 1 / c
-    powers = [Fraction(1)]
-    rem = [Fraction(0)] * b
-    for n, v in enumerate(num):
-        k, j = divmod(n, b)
-        if k == len(powers):
-            powers.append(powers[-1] * inv)
-        if v:
-            rem[j] += v * powers[k]
-    return _qtrim(rem)
-
-
 @dataclass
 class RatFunc:
     """Reduced rational function num/den in Q(T), den normalized to den(0)=1
@@ -462,10 +448,9 @@ class RatFunc:
         Equal, tuple for tuple, to `from_polys(num, prod of the factors)`,
         without a gcd against the expanded product.  Since
         gcd(N, A B) = gcd(N, A) * gcd(N / gcd(N, A), B), the numerator is
-        reduced against one factor at a time: each gcd has degree <= b and
-        starts from the remainder of N modulo the binomial, which costs one
-        pass over N, and the denominator is the product of the reduced
-        factors.
+        reduced against one factor at a time: each gcd has degree <= b, its
+        first Euclid step (N modulo the two-term binomial) costs one pass
+        over N, and the denominator is the product of the reduced factors.
         """
         num = _qtrim(num)
         if not num:
@@ -478,7 +463,7 @@ class RatFunc:
                 continue
             c = Fraction(c)
             factor = _binomial(c, b)
-            g = _qgcd(factor, _binomial_rem(num, c, b))
+            g = _qgcd(num, factor)
             if len(g) > 1:
                 num, _ = _qdivmod(num, g)
                 factor, _ = _qdivmod(factor, g)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import functools
 from itertools import product
 from math import lcm
+from operator import mul
 from typing import Callable
 
 from arczeta import presburger as pb
@@ -64,21 +65,19 @@ _UNBOUND = object()
 
 
 def _atom(t: pb.LinTerm, test: Callable[[int], bool]) -> _Eval:
-    """test(value of t), with the term unrolled for up to three variables."""
-    const, coeffs = t.const, t.coeffs
-    if not coeffs:
-        value = test(const)
-        return lambda env: value
-    if len(coeffs) == 1:
-        ((x, a),) = coeffs
-        return lambda env: test(const + a * env[x])
-    if len(coeffs) == 2:
-        (x, a), (y, b) = coeffs
-        return lambda env: test(const + a * env[x] + b * env[y])
-    if len(coeffs) == 3:
-        (x, a), (y, b), (z, c) = coeffs
-        return lambda env: test(const + a * env[x] + b * env[y] + c * env[z])
-    return lambda env: test(const + sum(c * env[v] for v, c in coeffs))
+    """test(value of t) under the env."""
+    const = t.const
+    names = [v for v, _ in t.coeffs]
+    coeffs = [c for _, c in t.coeffs]
+    return lambda env: test(const + sum(map(mul, coeffs, map(env.__getitem__, names))))
+
+
+def _both(a: _Eval, b: _Eval) -> _Eval:
+    return lambda env: a(env) and b(env)
+
+
+def _either(a: _Eval, b: _Eval) -> _Eval:
+    return lambda env: a(env) or b(env)
 
 
 def _quantifier(var: str, body: _Eval, values: range, want: bool) -> _Eval:
@@ -114,21 +113,11 @@ def _compiled(f: pb.Formula, window: int) -> _Eval:
     if isinstance(f, pb.Not):
         arg = _compiled(f.arg, window)
         return lambda env: not arg(env)
-    if isinstance(f, pb.And):
-        args = [_compiled(a, window) for a in f.args]
-        if len(args) == 2:
-            a, b = args
-            return lambda env: a(env) and b(env)
-        if len(args) == 3:
-            a, b, c = args
-            return lambda env: a(env) and b(env) and c(env)
-        return lambda env: all(a(env) for a in args)
-    if isinstance(f, pb.Or):
-        args = [_compiled(a, window) for a in f.args]
-        if len(args) == 2:
-            a, b = args
-            return lambda env: a(env) or b(env)
-        return lambda env: any(a(env) for a in args)
+    if isinstance(f, (pb.And, pb.Or)):
+        is_and = isinstance(f, pb.And)
+        # an empty And is true and an empty Or false, as all() and any() say
+        args = [_compiled(a, window) for a in f.args] or [lambda env: is_and]
+        return functools.reduce(_both if is_and else _either, args)
     if isinstance(f, (pb.Exists, pb.Forall)):
         body = _compiled(f.body, window)
         return _quantifier(f.var, body, range(-window, window + 1), isinstance(f, pb.Exists))

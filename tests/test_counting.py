@@ -128,12 +128,18 @@ class TestFiberIdentity:
             expect = c.N[i] * (p - 1) * p ** (n - ell * c.m) // c.m
             assert got == expect, (ell, got, expect)
 
-    def test_prime_beyond_modulus_table(self):
-        # F_17 has no table entry: a prime field needs no modulus
-        c = characteristic_sequence(STD4)
-        for n in range(8):
-            strata = sum(tate_eval(chi_c_arc_class(c, n, ell)[1], 17) for ell in range(1, n // c.m + 1))
-            assert count_branch_image(STD4, 17, 1, n) == 1 + strata, n
+    @pytest.mark.parametrize(
+        "b,p,n_max",
+        [
+            (STD4, 17, 7),  # F_17 has no table entry: a prime field needs no modulus
+            (CUSP, 257, 3),  # digit 256 does not fit int8: image rows must widen
+        ],
+    )
+    def test_prime_beyond_modulus_table(self, b, p, n_max):
+        c = characteristic_sequence(b)
+        for n in range(n_max + 1):
+            strata = sum(tate_eval(chi_c_arc_class(c, n, ell)[1], p) for ell in range(1, n // c.m + 1))
+            assert count_branch_image(b, p, 1, n) == 1 + strata, n
 
     def test_strata_cover_image(self):
         for n in range(7):
