@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
+from .fq import is_prime
 from .ratseries import RatSeries, rs_add, rs_mul, rs_scale
 from .tate import TatePoly
 
@@ -234,7 +235,7 @@ def order_gap(b: BranchSpec, p: int, zeta: int) -> int | float:
     with a_j (1 - zeta^j) nonzero mod p.  Requires p prime with all m-th roots
     of unity rational (p = 1 mod m) and zeta an explicit such root.
     """
-    if p < 2 or any(p % d == 0 for d in range(2, int(p**0.5) + 1)):
+    if not is_prime(p):
         raise ValueError(f"p = {p} is not prime")
     if p % b.m != 1 % b.m:
         raise ValueError(f"p = {p} is not 1 mod m = {b.m}")

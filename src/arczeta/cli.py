@@ -51,8 +51,36 @@ from .verifier import VerificationPlan, run_plan, verify_igusa
 _EXIT_FOR_SUMMARY = {"pass": 0, "fail": 2, "uncertified": 3}
 
 
-class _Group(click.Group):
+# Every echo names its stream.  Without ``file``, click caches a wrapper of
+# sys.stdout/sys.stderr per stream in a WeakKeyDictionary; for a redirected
+# StringIO the wrapper is the stream itself, so the entry never dies and each
+# in-process response buffer would be kept for the life of the process.
+# click's own --help callback echoes without ``file``, so it is replaced.
+def _show_help(ctx: click.Context, param: click.Parameter, value: bool) -> None:
+    if value and not ctx.resilient_parsing:
+        click.echo(ctx.get_help(), color=ctx.color, file=sys.stdout)
+        ctx.exit()
+
+
+class _NamedHelp:
+    """Mixin: the --help option echoes to the named stdout."""
+
+    def get_help_option(self, ctx):
+        option = super().get_help_option(ctx)
+        if option is not None:
+            option.callback = _show_help
+        return option
+
+
+class _Command(_NamedHelp, click.Command):
+    pass
+
+
+class _Group(_NamedHelp, click.Group):
     """Group whose standalone mode maps usage errors to exit code 1."""
+
+    command_class = _Command
+    group_class = type  # subgroups are _Group too
 
     def main(self, *args, standalone_mode=True, **kwargs):
         if not standalone_mode:
@@ -71,10 +99,6 @@ class _Group(click.Group):
         sys.exit(rv if isinstance(rv, int) else 0)
 
 
-# Every echo names its stream.  Without ``file``, click caches a wrapper of
-# sys.stdout/sys.stderr per stream in a WeakKeyDictionary; for a redirected
-# StringIO the wrapper is the stream itself, so the entry never dies and each
-# in-process response buffer would be kept for the life of the process.
 def _fail(message: str) -> None:
     click.echo(f"error: {message}", file=sys.stderr)
     sys.exit(1)

@@ -7,17 +7,27 @@ residues.  The symbolic layer is checked against them, never the reverse.
 Enumeration layout: a batch of arcs w = w_0 + w_1 t + ... + w_n t^n over
 F_{p^d} is a numpy array of shape (rows, n+1, d) holding base-p coordinate
 digits.  Truncated series multiplication is a (t, u)-convolution followed by
-reduction of the u-powers via the fixed modulus of :class:`~arczeta.fq.Fq`.
+reduction of the u-powers via the fixed modulus of :class:`~arczeta.fq.Fq`;
+the images (x, y) = (w^m, sum a_j w^j) of a batch are a (rows, 2, n+1, d)
+digit array.
+
+Every counting mode runs one enumerator, `_stratum_keys`, over the arcs
+t^ell (w_ell + ... + w_{ell+c} t^c) with w_ell != 0; the modes differ only in
+ell, c and whether images must lie over F_p.  Such an arc has w_0 = 0, so x
+and y vanish below t^m, and an image is keyed by the base-p digits of x and
+y at t-positions m..n, packed as many per int64 word as fit (wider keys take
+several words).  Distinct images are distinct key rows (`_distinct`).
 """
 
 from __future__ import annotations
 
 import json
+import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -112,8 +122,9 @@ def _arc_dtype(p: int) -> np.dtype:
     return _int_dtype(p - 1, np.int16)
 
 
-def _series_mul(A: np.ndarray, B: np.ndarray, p: int, reduction: np.ndarray) -> np.ndarray:
+def _series_mul(A: np.ndarray, B: np.ndarray, fld: Fq) -> np.ndarray:
     """Truncated product of digit arrays of shape (rows, L, d)."""
+    p = fld.p
     rows, L, d = A.shape
     # each entry sums at most L*d products of two digits, plus d reduction terms
     work = _int_dtype((L + 1) * d * (p - 1) ** 2, np.int32)
@@ -128,25 +139,23 @@ def _series_mul(A: np.ndarray, B: np.ndarray, p: int, reduction: np.ndarray) -> 
     out = acc[:, :, :d]
     for k in range(d, 2 * d - 1):
         extra = acc[:, :, k] % p
-        for jj in range(d):
-            if reduction[k - d, jj]:
-                out[:, :, jj] += extra * int(reduction[k - d, jj])
+        for jj, r in enumerate(fld.reduction[k - d]):
+            if r:
+                out[:, :, jj] += extra * r
     return (out % p).astype(_arc_dtype(p))
 
 
-def _branch_images(w: np.ndarray, b: BranchSpec, fld: Fq, reduction: np.ndarray) -> np.ndarray:
-    """Image rows (x digits | y digits) for a batch of arcs, origin-centred only."""
+def _branch_images(w: np.ndarray, b: BranchSpec, fld: Fq) -> np.ndarray:
+    """Digits of the images (w^m, sum a_j w^j) of a (rows, L, d) arc batch, shape (rows, 2, L, d)."""
     p = fld.p
-    rows, L, d = w.shape
     coeff_mod = {j: _coeff_mod_p(b, j, p) for j in sorted(b.coeffs)}
-    need = sorted({b.m, *coeff_mod})
     x = None
     y = np.zeros_like(w)
     power = w
     e = 1
-    for target in need:
+    for target in sorted({b.m, *coeff_mod}):
         while e < target:
-            power = _series_mul(power, w, p, reduction)
+            power = _series_mul(power, w, fld)
             e += 1
         if target == b.m:
             x = power
@@ -155,9 +164,7 @@ def _branch_images(w: np.ndarray, b: BranchSpec, fld: Fq, reduction: np.ndarray)
             y = (y + c * power.astype(_int_dtype(p * (p - 1), np.int32))) % p
             y = y.astype(_arc_dtype(p))
     assert x is not None
-    centred = (x[:, 0, :] == 0).all(axis=1) & (y[:, 0, :] == 0).all(axis=1)
-    flat = np.concatenate([x.reshape(rows, L * d), y.reshape(rows, L * d)], axis=1).astype(_int_dtype(p - 1, np.int8))
-    return flat[centred]
+    return np.stack([x, y], axis=1)
 
 
 def _coeff_mod_p(b: BranchSpec, j: int, p: int) -> int:
@@ -167,51 +174,85 @@ def _coeff_mod_p(b: BranchSpec, j: int, p: int) -> int:
     return a.numerator * pow(a.denominator, -1, p) % p
 
 
-def _decode_arcs(codes: np.ndarray, positions: Sequence[int], L: int, fld: Fq) -> np.ndarray:
-    """Base-q digit expansion of arc codes into a (rows, L, d) digit array."""
+def _decode_arcs(idx: np.ndarray, ell: int, c: int, L: int, fld: Fq) -> np.ndarray:
+    """Digit array (rows, L, d) of the arcs t^ell (w_ell + ... + w_{ell+c} t^c) numbered idx.
+
+    w_ell = 1 + idx // q^c is never zero; the base-q digits of idx mod q^c are
+    w_{ell+1}, ..., w_{ell+c}.
+    """
     q, p, d = fld.q, fld.p, fld.d
-    w = np.zeros((codes.shape[0], L, d), dtype=_arc_dtype(p))
-    for k, pos in enumerate(positions):
-        digit_q = (codes // q**k) % q
+    w = np.zeros((idx.shape[0], L, d), dtype=_arc_dtype(p))
+    lead, rest = np.divmod(idx, q**c)
+    for k, digit_q in enumerate([lead + 1] + [rest // q**i % q for i in range(c)]):
         for e in range(d):
-            w[:, pos, e] = (digit_q // p**e) % p
+            w[:, ell + k, e] = digit_q // p**e % p
     return w
 
 
-def _unique_rows(parts: list[np.ndarray]) -> np.ndarray:
-    stacked = np.concatenate([x for x in parts if x.shape[0]], axis=0) if any(x.shape[0] for x in parts) else None
-    if stacked is None:
-        return np.zeros((0, 0), dtype=np.int8)
-    return np.unique(stacked, axis=0)
+# ---------------------------------------------------------------------------
+# image keys
+# ---------------------------------------------------------------------------
 
 
-def _image_set(
+def _pack(digits: np.ndarray, p: int) -> np.ndarray:
+    """Pack rows of base-p digits into int64 key words, as many digits per word as fit."""
+    per = 1
+    while p ** (per + 1) <= 2**63:
+        per += 1
+    rows, width = digits.shape
+    keys = np.zeros((rows, max(1, -(-width // per))), dtype=np.int64)
+    for i in range(width):
+        keys[:, i // per] *= p
+        keys[:, i // per] += digits[:, i]
+    return keys
+
+
+def _distinct(parts: list[np.ndarray]) -> np.ndarray:
+    """Distinct rows of the stacked (rows, words) key arrays, in sorted order."""
+    keys = np.concatenate(parts)
+    keys = keys[np.lexsort(keys.T[::-1])]
+    fresh = np.ones(keys.shape[0], dtype=bool)
+    fresh[1:] = (keys[1:] != keys[:-1]).any(axis=1)
+    return keys[fresh]
+
+
+def _stratum_keys(
     b: BranchSpec,
     fld: Fq,
     n: int,
-    positions: Sequence[int],
-    code_lo: int,
-    code_hi: int,
-    stride_rule,
+    ell: int,
+    c: int,
+    budget: int,
+    threads: int,
+    rational: bool = False,
 ) -> np.ndarray:
-    """Unique origin-centred image rows for arc codes in [code_lo, code_hi)."""
-    reduction = np.array(fld.reduction, dtype=np.int32).reshape(max(fld.d - 1, 0), fld.d) if fld.d > 1 else np.zeros((0, 1), np.int32)
-    parts = []
-    for lo in range(code_lo, code_hi, _CHUNK_ROWS):
-        hi = min(lo + _CHUNK_ROWS, code_hi)
-        codes = stride_rule(np.arange(lo, hi, dtype=np.int64))
-        w = _decode_arcs(codes, positions, n + 1, fld)
-        img = _branch_images(w, b, fld, reduction)
-        if img.shape[0]:
-            parts.append(np.unique(img, axis=0))
-    return _unique_rows(parts)
+    """Distinct image keys of the arcs t^ell (w_ell + ... + w_{ell+c} t^c), w_ell != 0.
 
+    Such an arc has w_0 = 0, so x and y vanish below t^m: a key packs the
+    base-p digits of x and y at t-positions m..n.  With ``rational`` only
+    images whose digits all lie in F_p are kept, keyed by their F_p digits.
+    """
+    total = (fld.q - 1) * fld.q**c
+    if total > budget:
+        raise BudgetExceeded(f"stratum ell={ell} needs {total} arcs > budget {budget}")
 
-def _run_partitions(tasks: list, threads: int) -> list[np.ndarray]:
-    if threads > 1 and len(tasks) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(lambda f: f(), tasks))
-    return [f() for f in tasks]
+    def keys(lo: int, hi: int) -> np.ndarray:
+        parts = []
+        for start in range(lo, hi, _CHUNK_ROWS):
+            idx = np.arange(start, min(start + _CHUNK_ROWS, hi), dtype=np.int64)
+            img = _branch_images(_decode_arcs(idx, ell, c, n + 1, fld), b, fld)[:, :, b.m :]
+            if rational:
+                img = img[(img[..., 1:] == 0).all(axis=(1, 2, 3))][..., :1]
+            digits = img.reshape(img.shape[0], math.prod(img.shape[1:]))
+            parts.append(_distinct([_pack(digits, fld.p)]))
+        return _distinct(parts)
+
+    workers = max(1, min(threads, total))
+    if workers == 1:
+        return keys(0, total)
+    bounds = [k * total // workers for k in range(workers + 1)]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return _distinct(list(pool.map(keys, bounds, bounds[1:])))
 
 
 # ---------------------------------------------------------------------------
@@ -230,10 +271,12 @@ def count_branch_image(
 ) -> int:
     """Number of distinct origin-centred pairs (w^m, sum a_j w^j) in (F_q[t]/t^{n+1})^2.
 
-    Exhaustive mode ranges w over all of F_q[t]/t^{n+1}; window mode enumerates
-    each contact order ell separately over the coefficients w_ell .. w_{ell+c},
-    c = max(0, n - ell*m), which provably determine the truncated image, and
-    adds the zero arc.
+    In a field x_0 = w_0^m vanishes exactly when w_0 = 0, so the centred
+    images are those of the q^n arcs with w_0 = 0.  Exhaustive mode
+    enumerates all of them, contact order ell = 1..n in turn, plus the zero
+    arc; window mode enumerates each contact order ell <= n/m only over the
+    coefficients w_ell .. w_{ell+c}, c = n - ell*m, which provably determine
+    the truncated image, and adds the zero arc.
     """
     fld = Fq(p, d)
     for j in b.coeffs:
@@ -242,17 +285,12 @@ def count_branch_image(
         raise ValueError("n must be >= 0")
     if window:
         return 1 + sum(count_branch_strata(b, p, d, n, budget, threads).values())
-    total = fld.q ** (n + 1)
+    total = fld.q**n
     if total > budget:
         raise BudgetExceeded(f"exhaustive enumeration needs {total} arcs > budget {budget}")
-    positions = list(range(n + 1))
-    bounds = [(k * total) // max(threads, 1) for k in range(max(threads, 1) + 1)]
-    tasks = [
-        (lambda lo=lo, hi=hi: _image_set(b, fld, n, positions, lo, hi, lambda idx: idx))
-        for lo, hi in zip(bounds, bounds[1:])
-        if lo < hi
-    ]
-    return int(_unique_rows(_run_partitions(tasks, threads)).shape[0])
+    zero = _pack(np.zeros((1, 2 * max(0, n + 1 - b.m) * d), dtype=np.int64), p)
+    strata = [_stratum_keys(b, fld, n, ell, n - ell, budget, threads) for ell in range(1, n + 1)]
+    return len(_distinct([zero, *strata]))
 
 
 def count_branch_strata(
@@ -269,32 +307,13 @@ def count_branch_strata(
     together with the zero arc exhaust the image.
     """
     fld = Fq(p, d)
-    q = fld.q
     out: dict[int, int] = {}
     for ell in range(1, n // b.m + 1):
         if b.m == 1:
             # x = w recovers the arc, so the stratum maps injectively
-            out[ell] = (q - 1) * q ** (n - ell)
-            continue
-        c = n - ell * b.m
-        total = (q - 1) * q**c
-        if total > budget:
-            raise BudgetExceeded(f"stratum ell={ell} needs {total} arcs > budget {budget}")
-        # high digit (nonzero by the stride) is w_ell, lower digits fill w_{ell+1}..
-        positions = list(range(ell + c, ell - 1, -1))
-
-        def stride(idx: np.ndarray, c=c) -> np.ndarray:
-            return (idx // q**c + 1) * q**c + idx % q**c
-
-        bounds = [(k * total) // max(threads, 1) for k in range(max(threads, 1) + 1)]
-        tasks = [
-            (lambda lo=lo, hi=hi, positions=tuple(positions), stride=stride: _image_set(
-                b, fld, n, positions, lo, hi, stride
-            ))
-            for lo, hi in zip(bounds, bounds[1:])
-            if lo < hi
-        ]
-        out[ell] = int(_unique_rows(_run_partitions(tasks, threads)).shape[0])
+            out[ell] = (fld.q - 1) * fld.q ** (n - ell)
+        else:
+            out[ell] = len(_stratum_keys(b, fld, n, ell, n - ell * b.m, budget, threads))
     return out
 
 
@@ -333,36 +352,14 @@ def count_branch_image_geometric(
     satisfies w^m = x over F_p((t)) up to truncation); callers should label
     results accordingly.
     """
+    if b.m == 1:
+        # x = w, so an image over F_p comes from an arc over F_p
+        return count_branch_image(b, p, 1, n, budget=budget, threads=threads)
     total = 1  # zero arc
     for ell in range(1, n // b.m + 1):
-        per_d: list[np.ndarray] = []
-        for d in range(1, b.m + 1):
-            fld = Fq(p, d)
-            for j in b.coeffs:
-                _coeff_mod_p(b, j, p)
-            q = fld.q
-            if b.m == 1:
-                per_d.append(np.zeros((0, 0), np.int8))
-                total += (q - 1) * q ** (n - ell) if d == 1 else 0
-                continue
-            c = n - ell * b.m
-            work = (q - 1) * q**c
-            if work > budget:
-                raise BudgetExceeded(f"geometric stratum ell={ell}, d={d} needs {work} arcs > budget {budget}")
-            positions = list(range(ell + c, ell - 1, -1))
-
-            def stride(idx: np.ndarray, c=c, q=q) -> np.ndarray:
-                return (idx // q**c + 1) * q**c + idx % q**c
-
-            rows = _image_set(b, fld, n, positions, 0, work, stride)
-            if rows.shape[0]:
-                L = n + 1
-                digits = rows.reshape(rows.shape[0], 2, L, d)
-                rational = (digits[:, :, :, 1:] == 0).all(axis=(1, 2, 3))
-                per_d.append(np.ascontiguousarray(digits[rational][:, :, :, 0].reshape(-1, 2 * L)))
-        if b.m > 1:
-            merged = _unique_rows(per_d)
-            total += int(merged.shape[0])
+        c = n - ell * b.m
+        keys = [_stratum_keys(b, Fq(p, d), n, ell, c, budget, threads, rational=True) for d in range(1, b.m + 1)]
+        total += len(_distinct(keys))
     return total
 
 

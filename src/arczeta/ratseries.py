@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence, Union
 
-from .tate import NonPolynomialCoefficient, Scalar, TatePoly, cyclotomic_unit, tate_eval
+from .tate import NonPolynomialCoefficient, Scalar, TatePoly, _qdivmod, _qtrim, cyclotomic_unit, tate_eval
 
 
 class SpecializationPole(ZeroDivisionError):
@@ -353,13 +353,6 @@ def rs_expand(x: RatSeries, order: int) -> TruncatedSeries:
 # rational functions over Q (the specialized side)
 
 
-def _qtrim(p: Sequence[Fraction]) -> list[Fraction]:
-    p = list(p)
-    while p and not p[-1]:
-        p.pop()
-    return p
-
-
 def _qmul(a: Sequence[Fraction], b: Sequence[Fraction]) -> list[Fraction]:
     if not a or not b:
         return []
@@ -370,22 +363,6 @@ def _qmul(a: Sequence[Fraction], b: Sequence[Fraction]) -> list[Fraction]:
         for j, bv in enumerate(b):
             out[i + j] += av * bv
     return out
-
-
-def _qdivmod(a: Sequence[Fraction], b: Sequence[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
-    a, b = _qtrim(a), _qtrim(b)
-    if not b:
-        raise ZeroDivisionError("division by zero polynomial")
-    r = list(a)
-    q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
-    support = [(j, bv) for j, bv in enumerate(b) if bv]
-    for i in range(len(a) - len(b), -1, -1):
-        c = r[i + len(b) - 1] / b[-1]
-        if c:
-            q[i] = c
-            for j, bv in support:
-                r[i + j] -= c * bv
-    return q, _qtrim(r)
 
 
 def _qgcd(a: Sequence[Fraction], b: Sequence[Fraction]) -> list[Fraction]:

@@ -14,7 +14,7 @@ Exact division, used when cancelling denominator factors, raises
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Union
+from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 Scalar = Union[int, Fraction]
 
@@ -186,8 +186,8 @@ class TatePoly:
         # dense coefficient lists of the shifted (ordinary) polynomials
         a = _dense(self, sv)
         b = _dense(other, ov)
-        q, r = _polydivmod(a, b)
-        if any(r):
+        q, r = _qdivmod(a, b)
+        if r:
             raise NonPolynomialCoefficient(f"{other} does not divide {self}")
         return TatePoly((i + sv - ov, v) for i, v in enumerate(q) if v)
 
@@ -252,22 +252,28 @@ def _dense(p: TatePoly, base: int) -> list[Fraction]:
     return out
 
 
-def _polydivmod(a: list[Fraction], b: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
-    """Quotient and remainder of dense Q[x] polynomials (ascending coefficients)."""
-    while b and not b[-1]:
-        b = b[:-1]
+def _qtrim(p: Sequence[Fraction]) -> list[Fraction]:
+    p = list(p)
+    while p and not p[-1]:
+        p.pop()
+    return p
+
+
+def _qdivmod(a: Sequence[Fraction], b: Sequence[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
+    """Quotient and trimmed remainder of dense Q[x] polynomials (ascending coefficients)."""
+    a, b = _qtrim(a), _qtrim(b)
     if not b:
-        raise ZeroDivisionError("polynomial division by zero")
+        raise ZeroDivisionError("division by zero polynomial")
     r = list(a)
     q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
-    lead = b[-1]
+    support = [(j, bv) for j, bv in enumerate(b) if bv]
     for i in range(len(a) - len(b), -1, -1):
-        coeff = r[i + len(b) - 1] / lead
-        if coeff:
-            q[i] = coeff
-            for j, bv in enumerate(b):
-                r[i + j] -= coeff * bv
-    return q, r
+        c = r[i + len(b) - 1] / b[-1]
+        if c:
+            q[i] = c
+            for j, bv in support:
+                r[i + j] -= c * bv
+    return q, _qtrim(r)
 
 
 def cyclotomic_unit(i: int) -> TatePoly:

@@ -152,7 +152,7 @@ def test_criterion_2_specialization_matches_enumeration(capsys):
         assert counted[(5, 6)] == 51
         assert window_elapsed <= 10.0
 
-        # exhaustive mode at the largest point: all 5^9 arcs, no windowing
+        # exhaustive mode at the largest point: all 5^8 arcs with w_0 = 0, no windowing
         exhaustive = count_branch_image(STD4, 5, 1, 8, window=False)
         assert exhaustive == counted[(5, 8)] == 2502
         assert time.perf_counter() - start <= 60.0

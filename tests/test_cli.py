@@ -302,7 +302,13 @@ def test_in_process_requests_release_their_buffers(files):
     """A caller that redirects the standard streams per request must get the
     buffers back: the CLI may keep no reference to them."""
     refs = []
-    for args in (["branch", "--input", files["cusp"]], ["branch", "--input", files["dir"] / "absent.json"]):
+    for args in (
+        ["branch", "--input", files["cusp"]],
+        ["branch", "--input", files["dir"] / "absent.json"],
+        ["--help"],
+        ["count", "--help"],
+        ["presburger", "qe", "--help"],
+    ):
         out, err = io.StringIO(), io.StringIO()
         with redirect_stdout(out), redirect_stderr(err):
             try:

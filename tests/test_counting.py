@@ -4,6 +4,7 @@ import itertools
 import json
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,6 +22,7 @@ from arczeta.counting import (
     igusa_monomial,
     measure_ord_locus,
 )
+from arczeta.counting import _branch_images, _distinct, _pack
 from arczeta.fq import Fq, TruncPow
 from arczeta.ratseries import rs_expand, rs_specialize
 from arczeta.tate import TatePoly, tate_eval
@@ -75,6 +77,57 @@ class TestAgainstNaiveOracle:
         expect = naive_image_count(b, p, d, n)
         assert count_branch_image(b, p, d, n, window=False) == expect
         assert count_branch_image(b, p, d, n, window=True) == expect
+
+
+class TestKernelAgainstTruncPow:
+    """The vectorized kernel digit for digit against scalar TruncPow arithmetic."""
+
+    @pytest.mark.parametrize(
+        "b,p,d,n",
+        [
+            (STD4, 5, 1, 7),
+            (LINE2, 5, 1, 5),
+            (M3, 3, 2, 6),
+            (CUSP, 3, 2, 5),
+            (STD4, 5, 3, 5),
+            (M3, 5, 3, 4),
+            (CUSP, 257, 1, 5),
+            (STD4, 257, 1, 6),
+        ],
+    )
+    def test_branch_images_match_truncpow(self, b, p, d, n):
+        F = Fq(p, d)
+        amod = {j: F.scalar(a.numerator * pow(a.denominator, -1, p) % p) for j, a in b.coeffs.items()}
+        rng = np.random.default_rng(p * 1000 + d * 100 + n)
+        w = rng.integers(0, p, size=(12, n + 1, d))
+        w[:4, 0] = 0  # some arcs through the origin, the rest not
+        images = _branch_images(w, b, F)
+        assert images.shape == (12, 2, n + 1, d)
+        for row, arc in zip(images, w):
+            series = TruncPow(F, tuple(tuple(int(v) for v in c) for c in arc))
+            y = TruncPow.zero(F, n)
+            for j, aj in amod.items():
+                y = y + (series**j).scale(aj)
+            assert [tuple(int(v) for v in c) for c in row[0]] == list((series**b.m).coeffs)
+            assert [tuple(int(v) for v in c) for c in row[1]] == list(y.coeffs)
+
+
+class TestImageKeys:
+    @settings(max_examples=60, deadline=None)
+    @given(p=st.sampled_from([2, 5, 257]), words=st.integers(1, 3), data=st.data())
+    def test_packed_keys_dedupe_like_rows(self, p, words, data):
+        per = max(k for k in range(1, 64) if p**k <= 2**63)
+        width = data.draw(st.integers((words - 1) * per + 1, words * per))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        # rows near one base row, so many differ in a single digit of a single word
+        pool = np.tile(rng.integers(0, p, width), (8, 1))
+        for row in pool[1:]:
+            row[rng.integers(0, width, rng.integers(1, 3))] = rng.integers(0, p)
+        rows = pool[rng.integers(0, len(pool), data.draw(st.integers(1, 40)))]
+        keys = _pack(rows, p)
+        assert keys.shape == (len(rows), words)
+        halves = [keys[: len(keys) // 2], keys[len(keys) // 2 :]]
+        assert len(_distinct([keys])) == len(_distinct(halves)) == len(np.unique(rows, axis=0))
 
 
 class TestFrozenValues:
