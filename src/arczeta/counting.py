@@ -4,12 +4,14 @@ These counters are the experimental side of the project: they know nothing
 about closed-form series and obtain every number by enumerating or summing
 residues.  The symbolic layer is checked against them, never the reverse.
 
-Enumeration layout: a batch of arcs w = w_0 + w_1 t + ... + w_n t^n over
-F_{p^d} is a numpy array of shape (rows, n+1, d) holding base-p coordinate
-digits.  Truncated series multiplication is a (t, u)-convolution followed by
-reduction of the u-powers via the fixed modulus of :class:`~arczeta.fq.Fq`;
-the images (x, y) = (w^m, sum a_j w^j) of a batch are a (rows, 2, n+1, d)
-digit array.
+Enumeration layout: a batch of arcs w = t^ell u over F_{p^d} is given by
+its units u = w_ell + ... + w_{ell+c} t^c, a numpy array of shape
+(rows, c+1, d) holding base-p coordinate digits.  Truncated series
+multiplication is a (t, u)-convolution followed by reduction of the
+u-powers via the fixed modulus of :class:`~arczeta.fq.Fq`.  The term
+w^j = t^{j*ell} u^j only needs u^j mod t^{n+1-j*ell}, so every product is
+truncated to those n+1-j*ell positions; the images (x, y) = (w^m,
+sum a_j w^j) of a batch are a (rows, 2, n+1, d) digit array.
 
 Every counting mode runs one enumerator, `_stratum_keys`, over the arcs
 t^ell (w_ell + ... + w_{ell+c} t^c) with w_ell != 0; the modes differ only in
@@ -122,17 +124,21 @@ def _arc_dtype(p: int) -> np.dtype:
     return _int_dtype(p - 1, np.int16)
 
 
-def _series_mul(A: np.ndarray, B: np.ndarray, fld: Fq) -> np.ndarray:
-    """Truncated product of digit arrays of shape (rows, L, d)."""
+def _series_mul(A: np.ndarray, B: np.ndarray, fld: Fq, L: int) -> np.ndarray:
+    """Product of digit arrays (rows, *, d) truncated to L positions, shape (rows, L, d).
+
+    Only the first L positions of each operand are read; shorter operands
+    count as zero above their last position.
+    """
     p = fld.p
-    rows, L, d = A.shape
+    rows, _, d = A.shape
     # each entry sums at most L*d products of two digits, plus d reduction terms
     work = _int_dtype((L + 1) * d * (p - 1) ** 2, np.int32)
     acc = np.zeros((rows, L, 2 * d - 1), dtype=work)
-    Aw = A.astype(work, copy=False)
-    Bw = B.astype(work, copy=False)
-    for i in range(L):
-        for j in range(L - i):
+    Aw = A[:, :L].astype(work, copy=False)
+    Bw = B[:, :L].astype(work, copy=False)
+    for i in range(Aw.shape[1]):
+        for j in range(min(L - i, Bw.shape[1])):
             for a in range(d):
                 for b in range(d):
                     acc[:, i + j, a + b] += Aw[:, i, a] * Bw[:, j, b]
@@ -145,26 +151,34 @@ def _series_mul(A: np.ndarray, B: np.ndarray, fld: Fq) -> np.ndarray:
     return (out % p).astype(_arc_dtype(p))
 
 
-def _branch_images(w: np.ndarray, b: BranchSpec, fld: Fq) -> np.ndarray:
-    """Digits of the images (w^m, sum a_j w^j) of a (rows, L, d) arc batch, shape (rows, 2, L, d)."""
+def _branch_images(u: np.ndarray, ell: int, n: int, b: BranchSpec, fld: Fq) -> np.ndarray:
+    """Digits of the images (w^m, sum a_j w^j) of the arcs w = t^ell u, shape (rows, 2, n+1, d).
+
+    u is a (rows, *, d) batch of units.  The term w^j = t^(j*ell) u^j needs
+    only u^j mod t^(n+1-j*ell); that length falls as j grows, so every power
+    on the way to j is truncated to it, and terms from j*ell > n on vanish.
+    """
     p = fld.p
     coeff_mod = {j: _coeff_mod_p(b, j, p) for j in sorted(b.coeffs)}
-    x = None
-    y = np.zeros_like(w)
-    power = w
+    out = np.zeros((u.shape[0], 2, n + 1, u.shape[2]), dtype=_arc_dtype(p))
+    power = u
     e = 1
     for target in sorted({b.m, *coeff_mod}):
+        L = n + 1 - target * ell
+        if L <= 0:
+            break
         while e < target:
-            power = _series_mul(power, w, fld)
+            power = _series_mul(power, u, fld, L)
             e += 1
+        term = power[:, :L]
+        at = slice(target * ell, target * ell + term.shape[1])
         if target == b.m:
-            x = power
+            out[:, 0, at] = term
         c = coeff_mod.get(target)
         if c:
-            y = (y + c * power.astype(_int_dtype(p * (p - 1), np.int32))) % p
-            y = y.astype(_arc_dtype(p))
-    assert x is not None
-    return np.stack([x, y], axis=1)
+            y = out[:, 1, at] + c * term.astype(_int_dtype(p * (p - 1), np.int32))
+            out[:, 1, at] = y % p
+    return out
 
 
 def _coeff_mod_p(b: BranchSpec, j: int, p: int) -> int:
@@ -174,19 +188,19 @@ def _coeff_mod_p(b: BranchSpec, j: int, p: int) -> int:
     return a.numerator * pow(a.denominator, -1, p) % p
 
 
-def _decode_arcs(idx: np.ndarray, ell: int, c: int, L: int, fld: Fq) -> np.ndarray:
-    """Digit array (rows, L, d) of the arcs t^ell (w_ell + ... + w_{ell+c} t^c) numbered idx.
+def _decode_arcs(idx: np.ndarray, c: int, fld: Fq) -> np.ndarray:
+    """Digit array (rows, c+1, d) of the units u = w_ell + ... + w_{ell+c} t^c numbered idx.
 
     w_ell = 1 + idx // q^c is never zero; the base-q digits of idx mod q^c are
     w_{ell+1}, ..., w_{ell+c}.
     """
     q, p, d = fld.q, fld.p, fld.d
-    w = np.zeros((idx.shape[0], L, d), dtype=_arc_dtype(p))
+    u = np.zeros((idx.shape[0], c + 1, d), dtype=_arc_dtype(p))
     lead, rest = np.divmod(idx, q**c)
     for k, digit_q in enumerate([lead + 1] + [rest // q**i % q for i in range(c)]):
         for e in range(d):
-            w[:, ell + k, e] = digit_q // p**e % p
-    return w
+            u[:, k, e] = digit_q // p**e % p
+    return u
 
 
 # ---------------------------------------------------------------------------
@@ -240,7 +254,7 @@ def _stratum_keys(
         parts = []
         for start in range(lo, hi, _CHUNK_ROWS):
             idx = np.arange(start, min(start + _CHUNK_ROWS, hi), dtype=np.int64)
-            img = _branch_images(_decode_arcs(idx, ell, c, n + 1, fld), b, fld)[:, :, b.m :]
+            img = _branch_images(_decode_arcs(idx, c, fld), ell, n, b, fld)[:, :, b.m :]
             if rational:
                 img = img[(img[..., 1:] == 0).all(axis=(1, 2, 3))][..., :1]
             digits = img.reshape(img.shape[0], math.prod(img.shape[1:]))

@@ -1,4 +1,4 @@
-"""Finite fields F_{p^d} with a fixed modulus table, and truncated power series.
+"""Finite fields F_{p^d} with a fixed modulus table.
 
 Elements of F_{p^d} are coefficient tuples (c_0, ..., c_{d-1}) of residues mod
 p, the coordinates with respect to the basis 1, u, ..., u^{d-1} where u is a
@@ -7,17 +7,15 @@ every prime p; extensions need a table entry.  The moduli are pinned data (not
 searched at run time) so that element encodings, and therefore every
 enumeration and report downstream, are stable across runs and machines.
 
-:class:`TruncPow` is the scalar model of F_q[t]/t^{n+1} used by small paths
-and reference computations; bulk enumeration vectorizes the same arithmetic
-over numpy arrays instead (see :mod:`arczeta.counting`).
+Bulk enumeration vectorizes the same arithmetic over numpy arrays (see
+:mod:`arczeta.counting`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator
 
-__all__ = ["is_prime", "Fq", "TruncPow", "IRREDUCIBLE"]
+__all__ = ["is_prime", "Fq", "IRREDUCIBLE"]
 
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -234,67 +232,3 @@ class Fq:
 
     def in_prime_field(self, a: Elem) -> bool:
         return all(c == 0 for c in a[1:])
-
-
-@dataclass(frozen=True)
-class TruncPow:
-    """An element of F_q[t]/t^{n+1}: coefficient tuple of length n+1 over Fq."""
-
-    field: Fq
-    coeffs: tuple[Elem, ...]
-
-    @property
-    def n(self) -> int:
-        return len(self.coeffs) - 1
-
-    @classmethod
-    def zero(cls, field: Fq, n: int) -> TruncPow:
-        return cls(field, (field.zero,) * (n + 1))
-
-    @classmethod
-    def from_scalars(cls, field: Fq, scalars: list[int], n: int) -> TruncPow:
-        cs = [field.scalar(c) for c in scalars[: n + 1]]
-        cs += [field.zero] * (n + 1 - len(cs))
-        return cls(field, tuple(cs))
-
-    def __add__(self, other: TruncPow) -> TruncPow:
-        self._check(other)
-        return TruncPow(self.field, tuple(self.field.add(a, b) for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __mul__(self, other: TruncPow) -> TruncPow:
-        self._check(other)
-        F, n = self.field, self.n
-        out = [F.zero] * (n + 1)
-        for i, a in enumerate(self.coeffs):
-            if a == F.zero:
-                continue
-            for j in range(n + 1 - i):
-                b = other.coeffs[j]
-                if b != F.zero:
-                    out[i + j] = F.add(out[i + j], F.mul(a, b))
-        return TruncPow(F, tuple(out))
-
-    def scale(self, c: Elem) -> TruncPow:
-        return TruncPow(self.field, tuple(self.field.mul(c, a) for a in self.coeffs))
-
-    def __pow__(self, e: int) -> TruncPow:
-        if e < 0:
-            raise ValueError("negative power of a truncated series")
-        result = TruncPow.from_scalars(self.field, [1], self.n)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
-
-    def order(self) -> int | float:
-        for i, c in enumerate(self.coeffs):
-            if c != self.field.zero:
-                return i
-        return float("inf")
-
-    def _check(self, other: TruncPow) -> None:
-        if self.field.p != other.field.p or self.field.d != other.field.d or self.n != other.n:
-            raise ValueError("mixed truncation orders or fields")

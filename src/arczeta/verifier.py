@@ -303,34 +303,36 @@ class Verdict:
 # ---------------------------------------------------------------------------
 
 
-def admissible_primes(plan: VerificationPlan) -> list[int]:
-    """Filter plan.primes for the branch hypotheses; exact reasons on failure.
+def admissible_primes(plan: VerificationPlan) -> tuple[list[int], list[str]]:
+    """Filter plan.primes for the branch hypotheses: (kept primes, exclusion notes).
 
     Excluded (unless ``plan.force_primes``): primes dividing a coefficient
-    denominator, primes <= m, and primes != 1 mod m.  Non-primes are an input
+    denominator, primes <= m, and primes != 1 mod m.  Each excluded prime gets
+    one note with its reason, such as ``p=7 excluded: 7 != 1 mod 4``, which
+    the verdicts list among their assumptions.  Non-primes are an input
     error, not a filter case.
     """
     for p in plan.primes:
         if not is_prime(p):
             raise ValueError(f"{p} is not prime")
     if plan.target == "igusa-monomial" or plan.force_primes:
-        return list(plan.primes)
+        return list(plan.primes), []
     b = plan.branch
     assert b is not None
     denoms = {a.denominator for a in b.coeffs.values()}
     kept, reasons = [], []
     for p in plan.primes:
         if any(d % p == 0 for d in denoms):
-            reasons.append(f"{p} divides a coefficient denominator")
+            reasons.append((p, f"{p} divides a coefficient denominator"))
         elif p <= b.m:
-            reasons.append(f"{p} <= multiplicity {b.m}")
+            reasons.append((p, f"{p} <= multiplicity {b.m}"))
         elif (p - 1) % b.m != 0:
-            reasons.append(f"{p} != 1 mod {b.m}")
+            reasons.append((p, f"{p} != 1 mod {b.m}"))
         else:
             kept.append(p)
     if not kept:
-        raise NoAdmissiblePrime("; ".join(reasons) if reasons else "prime list empty")
-    return kept
+        raise NoAdmissiblePrime("; ".join(r for _, r in reasons) if reasons else "prime list empty")
+    return kept, [f"p={p} excluded: {r}" for p, r in reasons]
 
 
 # ---------------------------------------------------------------------------
@@ -354,12 +356,13 @@ def verify_branch_par(plan: VerificationPlan) -> Verdict:
         if not rs_equal(series, rs_from_json(plan.expect_series)):
             forced = "computed symbolic series differs from the plan's expected series"
     rows = []
-    for p in admissible_primes(plan):
+    primes, excluded = admissible_primes(plan)
+    for p in primes:
         coeffs = _specialized_coeffs(series, p, plan.n_max + 1)
         for n in range(plan.n_max + 1):
             counted = count_branch_image(b, p, 1, n, window=plan.window, budget=plan.budget)
             rows.append(CompRow(p, n, coeffs[n], Fraction(counted)))
-    return Verdict.from_rows("branch-par", rows, forced_fail=forced)
+    return Verdict.from_rows("branch-par", rows, assumptions=excluded, forced_fail=forced)
 
 
 def verify_branch_pgeom(plan: VerificationPlan) -> Verdict:
@@ -370,12 +373,13 @@ def verify_branch_pgeom(plan: VerificationPlan) -> Verdict:
     assert b is not None
     series = p_geom(characteristic_sequence(b))
     rows = []
-    for p in admissible_primes(plan):
+    primes, excluded = admissible_primes(plan)
+    for p in primes:
         coeffs = _specialized_coeffs(series, p, plan.n_max + 1)
         for n in range(plan.n_max + 1):
             counted = count_branch_image_geometric(b, p, n, budget=plan.budget)
             rows.append(CompRow(p, n, coeffs[n], Fraction(counted), certified=False))
-    return Verdict.from_rows("branch-pgeom", rows, assumptions=[GEOM_ASSUMPTION])
+    return Verdict.from_rows("branch-pgeom", rows, assumptions=[*excluded, GEOM_ASSUMPTION])
 
 
 def verify_igusa(plan: VerificationPlan) -> Verdict:
@@ -386,11 +390,12 @@ def verify_igusa(plan: VerificationPlan) -> Verdict:
     assert ks is not None
     series = igusa_monomial(ks)
     rows = []
-    for p in admissible_primes(plan):
+    primes, excluded = admissible_primes(plan)
+    for p in primes:
         coeffs = _specialized_coeffs(series, p, plan.n_max + 1)
         for n in range(plan.n_max + 1):
             rows.append(CompRow(p, n, coeffs[n], measure_ord_locus(ks, p, n)))
-    return Verdict.from_rows("igusa-monomial", rows)
+    return Verdict.from_rows("igusa-monomial", rows, assumptions=excluded)
 
 
 def verify_cross_method(plan: VerificationPlan) -> Verdict:
@@ -407,7 +412,8 @@ def verify_cross_method(plan: VerificationPlan) -> Verdict:
     W = plan.locus or ("x", "y")
     series = p_ar(characteristic_sequence(b))
     rows = []
-    for p in admissible_primes(plan):
+    primes, excluded = admissible_primes(plan)
+    for p in primes:
         coeffs = _specialized_coeffs(series, p, plan.n_max + 1)
         for n in range(plan.n_max + 1):
             depth = plan.depth if plan.depth is not None else max(6, 2 * n)
@@ -423,7 +429,7 @@ def verify_cross_method(plan: VerificationPlan) -> Verdict:
                     certified=lifted.certified,
                 )
             )
-    return Verdict.from_rows("cusp-cross-method", rows)
+    return Verdict.from_rows("cusp-cross-method", rows, assumptions=excluded)
 
 
 def verify_rational_shape(plan: VerificationPlan) -> Verdict:
@@ -443,9 +449,9 @@ def verify_rational_shape(plan: VerificationPlan) -> Verdict:
     series = p_ar(characteristic_sequence(b))
     order = plan.n_max + 1
     rows: list[CompRow] = []
-    assumptions: list[str] = []
+    primes, assumptions = admissible_primes(plan)
     forced: str | None = None
-    for p in admissible_primes(plan):
+    for p in primes:
         specialized = rs_specialize(series, p)
         coeffs = specialized.taylor(order)
         data = list(coeffs)

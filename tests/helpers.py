@@ -4,17 +4,22 @@ These deliberately avoid the library's own fast paths: quantifiers are
 evaluated by windowed enumeration, sums by direct truncated accumulation,
 and image counts by plain python sets over all arcs.  Slower, independent,
 easy to audit.
+
+:class:`TruncPow` is the scalar reference model of F_q[t]/t^{n+1}; the
+vectorized counting kernel is checked against it digit by digit.
 """
 
 from __future__ import annotations
 
 import functools
+from dataclasses import dataclass
 from itertools import product
 from math import lcm
 from operator import mul
 from typing import Callable
 
 from arczeta import presburger as pb
+from arczeta.fq import Elem, Fq
 
 
 def quantifier_window(f: pb.Formula, free_box: int = 30) -> int:
@@ -149,3 +154,67 @@ def direct_weighted_sum(sys, lweight, tweight, tmax: int, clip: int = 400):
             e = lweight.eval_int(pt)
             coeffs[n] = coeffs[n] + TatePoly.L(-e)
     return coeffs
+
+
+@dataclass(frozen=True)
+class TruncPow:
+    """An element of F_q[t]/t^{n+1}: coefficient tuple of length n+1 over Fq."""
+
+    field: Fq
+    coeffs: tuple[Elem, ...]
+
+    @property
+    def n(self) -> int:
+        return len(self.coeffs) - 1
+
+    @classmethod
+    def zero(cls, field: Fq, n: int) -> TruncPow:
+        return cls(field, (field.zero,) * (n + 1))
+
+    @classmethod
+    def from_scalars(cls, field: Fq, scalars: list[int], n: int) -> TruncPow:
+        cs = [field.scalar(c) for c in scalars[: n + 1]]
+        cs += [field.zero] * (n + 1 - len(cs))
+        return cls(field, tuple(cs))
+
+    def __add__(self, other: TruncPow) -> TruncPow:
+        self._check(other)
+        return TruncPow(self.field, tuple(self.field.add(a, b) for a, b in zip(self.coeffs, other.coeffs)))
+
+    def __mul__(self, other: TruncPow) -> TruncPow:
+        self._check(other)
+        F, n = self.field, self.n
+        out = [F.zero] * (n + 1)
+        for i, a in enumerate(self.coeffs):
+            if a == F.zero:
+                continue
+            for j in range(n + 1 - i):
+                b = other.coeffs[j]
+                if b != F.zero:
+                    out[i + j] = F.add(out[i + j], F.mul(a, b))
+        return TruncPow(F, tuple(out))
+
+    def scale(self, c: Elem) -> TruncPow:
+        return TruncPow(self.field, tuple(self.field.mul(c, a) for a in self.coeffs))
+
+    def __pow__(self, e: int) -> TruncPow:
+        if e < 0:
+            raise ValueError("negative power of a truncated series")
+        result = TruncPow.from_scalars(self.field, [1], self.n)
+        base = self
+        while e:
+            if e & 1:
+                result = result * base
+            base = base * base
+            e >>= 1
+        return result
+
+    def order(self) -> int | float:
+        for i, c in enumerate(self.coeffs):
+            if c != self.field.zero:
+                return i
+        return float("inf")
+
+    def _check(self, other: TruncPow) -> None:
+        if self.field.p != other.field.p or self.field.d != other.field.d or self.n != other.n:
+            raise ValueError("mixed truncation orders or fields")

@@ -22,10 +22,11 @@ from arczeta.counting import (
     igusa_monomial,
     measure_ord_locus,
 )
-from arczeta.counting import _branch_images, _distinct, _pack
-from arczeta.fq import Fq, TruncPow
+from arczeta.counting import _branch_images, _distinct, _pack, _series_mul
+from arczeta.fq import Fq
 from arczeta.ratseries import rs_expand, rs_specialize
 from arczeta.tate import TatePoly, tate_eval
+from helpers import TruncPow
 
 SMOOTH = BranchSpec.make(1, {})
 LINE2 = BranchSpec.make(1, {2: Fraction(1, 3), 3: 2})
@@ -79,37 +80,64 @@ class TestAgainstNaiveOracle:
         assert count_branch_image(b, p, d, n, window=True) == expect
 
 
-class TestKernelAgainstTruncPow:
-    """The vectorized kernel digit for digit against scalar TruncPow arithmetic."""
+def _series(F: Fq, digits, n: int) -> TruncPow:
+    """The (positions, d) digit array as an element of F_q[t]/t^{n+1}."""
+    coeffs = [tuple(int(v) for v in c) for c in digits[: n + 1]]
+    return TruncPow(F, tuple(coeffs) + (F.zero,) * (n + 1 - len(coeffs)))
 
-    @pytest.mark.parametrize(
-        "b,p,d,n",
-        [
-            (STD4, 5, 1, 7),
-            (LINE2, 5, 1, 5),
-            (M3, 3, 2, 6),
-            (CUSP, 3, 2, 5),
-            (STD4, 5, 3, 5),
-            (M3, 5, 3, 4),
-            (CUSP, 257, 1, 5),
-            (STD4, 257, 1, 6),
-        ],
-    )
+
+class TestKernelAgainstTruncPow:
+    """The vectorized kernel digit for digit against scalar TruncPow arithmetic.
+
+    The kernel only sees arcs w = t^ell u with u_0 != 0 (every arc the
+    stratum enumerator builds), so the inputs are such arcs, for every
+    ell = 1..n: large ell leaves x = 0 (m*ell > n) or only the lower y terms
+    in range.
+    """
+
+    ROWS = [
+        (STD4, 5, 1, 7),
+        (LINE2, 5, 1, 5),
+        (M3, 3, 2, 6),
+        (CUSP, 3, 2, 5),
+        (STD4, 5, 3, 5),
+        (M3, 5, 3, 4),
+        (CUSP, 257, 1, 5),
+        (STD4, 257, 1, 6),
+    ]
+
+    @pytest.mark.parametrize("b,p,d,n", ROWS)
     def test_branch_images_match_truncpow(self, b, p, d, n):
         F = Fq(p, d)
         amod = {j: F.scalar(a.numerator * pow(a.denominator, -1, p) % p) for j, a in b.coeffs.items()}
         rng = np.random.default_rng(p * 1000 + d * 100 + n)
-        w = rng.integers(0, p, size=(12, n + 1, d))
-        w[:4, 0] = 0  # some arcs through the origin, the rest not
-        images = _branch_images(w, b, F)
-        assert images.shape == (12, 2, n + 1, d)
-        for row, arc in zip(images, w):
-            series = TruncPow(F, tuple(tuple(int(v) for v in c) for c in arc))
-            y = TruncPow.zero(F, n)
-            for j, aj in amod.items():
-                y = y + (series**j).scale(aj)
-            assert [tuple(int(v) for v in c) for c in row[0]] == list((series**b.m).coeffs)
-            assert [tuple(int(v) for v in c) for c in row[1]] == list(y.coeffs)
+        for ell in range(1, n + 1):
+            c = int(rng.integers(0, n + 1))
+            u = rng.integers(0, p, size=(6, c + 1, d))
+            u[:, 0, 0] = rng.integers(1, p, size=6)  # u_0 != 0
+            images = _branch_images(u, ell, n, b, F)
+            assert images.shape == (6, 2, n + 1, d)
+            for row, unit in zip(images, u):
+                w = _series(F, [(0,) * d] * ell + list(unit), n)
+                y = TruncPow.zero(F, n)
+                for j, aj in amod.items():
+                    y = y + (w**j).scale(aj)
+                assert _series(F, row[0], n) == w**b.m, (ell, c)
+                assert _series(F, row[1], n) == y, (ell, c)
+
+    @pytest.mark.parametrize("p,d", sorted({(p, d) for _, p, d, _ in ROWS}))
+    def test_series_mul_matches_truncpow(self, p, d):
+        F = Fq(p, d)
+        rng = np.random.default_rng(p * 10 + d)
+        for la, lb, L in [(4, 4, 7), (3, 6, 5), (6, 2, 3), (5, 5, 9), (1, 4, 4), (4, 4, 1)]:
+            A = rng.integers(0, p, size=(5, la, d))
+            B = rng.integers(0, p, size=(5, lb, d))
+            prod = _series_mul(A, B, F, L)
+            assert prod.shape == (5, L, d)
+            N = max(la, lb, L) - 1
+            for row, a, bb in zip(prod, A, B):
+                expect = (_series(F, a, N) * _series(F, bb, N)).coeffs[:L]
+                assert _series(F, row, L - 1).coeffs == expect, (la, lb, L)
 
 
 class TestImageKeys:

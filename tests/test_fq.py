@@ -8,7 +8,8 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from arczeta.fq import IRREDUCIBLE, Fq, TruncPow, is_prime
+from arczeta.fq import IRREDUCIBLE, Fq, is_prime
+from helpers import TruncPow
 
 
 class TestIsPrime:

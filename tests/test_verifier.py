@@ -66,19 +66,26 @@ class TestPlan:
 class TestAdmissiblePrimes:
     def test_congruence_and_size_filter(self):
         plan = VerificationPlan(target="branch-par", branch=STD4, primes=(2, 3, 5, 7, 13))
-        assert admissible_primes(plan) == [5, 13]
+        assert admissible_primes(plan) == (
+            [5, 13],
+            [
+                "p=2 excluded: 2 <= multiplicity 4",
+                "p=3 excluded: 3 <= multiplicity 4",
+                "p=7 excluded: 7 != 1 mod 4",
+            ],
+        )
 
     def test_denominator_filter(self):
         plan = VerificationPlan(target="branch-par", branch=THIRD, primes=(2, 3, 5))
-        assert admissible_primes(plan) == [2, 5]
+        assert admissible_primes(plan) == ([2, 5], ["p=3 excluded: 3 divides a coefficient denominator"])
 
     def test_m1_accepts_all_primes(self):
         plan = VerificationPlan(target="branch-par", branch=SMOOTH, primes=(2, 3, 5, 7, 11, 13))
-        assert admissible_primes(plan) == [2, 3, 5, 7, 11, 13]
+        assert admissible_primes(plan) == ([2, 3, 5, 7, 11, 13], [])
 
     def test_force_skips_filter(self):
         plan = VerificationPlan(target="branch-par", branch=STD4, primes=(7,), force_primes=True)
-        assert admissible_primes(plan) == [7]
+        assert admissible_primes(plan) == ([7], [])
 
     def test_nonprime_is_input_error(self):
         plan = VerificationPlan(target="branch-par", branch=STD4, primes=(9,))
@@ -99,6 +106,23 @@ class TestBranchPar:
         vals = {r.n: r.counted for r in v.rows}
         assert (vals[3], vals[4], vals[6]) == (1, 2, 51)
         assert all(r.certified for r in v.rows)
+
+    def test_excluded_prime_is_named_in_the_verdict(self):
+        plan = VerificationPlan(target="branch-par", branch=STD4, primes=(5, 7, 13), n_max=4)
+        v = verify_branch_par(plan)
+        assert v.summary == "pass"
+        assert sorted({r.p for r in v.rows}) == [5, 13]
+        assert v.assumptions == ("p=7 excluded: 7 != 1 mod 4",)
+        assert "assumption: p=7 excluded: 7 != 1 mod 4" in v.to_text()
+
+    def test_every_verification_names_excluded_primes(self):
+        note = "p=2 excluded: 2 <= multiplicity 2"
+        plan = VerificationPlan(target="branch-par", branch=CUSP, primes=(2, 7), n_max=39)
+        assert note in verify_rational_shape(plan).assumptions
+        plan = VerificationPlan(target="branch-pgeom", branch=CUSP, primes=(2, 7), n_max=3)
+        assert note in verify_branch_pgeom(plan).assumptions
+        plan = VerificationPlan(target="cusp-cross-method", branch=CUSP, primes=(2, 7), n_max=2)
+        assert verify_cross_method(plan).assumptions == (note,)
 
     def test_smooth_counts_are_powers(self):
         plan = VerificationPlan(target="branch-par", branch=SMOOTH, primes=(2, 13), n_max=10)
