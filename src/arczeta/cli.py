@@ -25,10 +25,8 @@ from __future__ import annotations
 import functools
 import json
 import os
-import re
 import sys
 import time
-from fractions import Fraction
 from pathlib import Path
 
 import click
@@ -40,11 +38,12 @@ from .presburger import (
     eliminate_quantifiers,
     free_vars,
     membership,
+    parse_linear,
     parse_presburger,
     simplify,
     to_text,
 )
-from .ranges import AffineForm, to_iterated_ranges, weighted_sum
+from .ranges import to_iterated_ranges, weighted_sum
 from .ratseries import rs_latex, rs_normalize, rs_poles_in_L, rs_text, rs_to_json
 from .verifier import VerificationPlan, run_plan, verify_igusa
 
@@ -156,55 +155,6 @@ def _emit(text: str, out: str | None) -> None:
         Path(out).write_text(text + "\n")
     else:
         click.echo(text, file=sys.stdout)
-
-
-_AFFINE_ITEM = re.compile(r"\s*(?:(?P<int>\d+)|(?P<var>[a-z][a-z0-9_]*))")
-
-
-def _parse_affine(text: str) -> AffineForm:
-    """Integer affine combinations: '0', 'n', '2*n + 3*l - 1'."""
-    coeffs: dict[str, int] = {}
-    const = 0
-    pos, sign = 0, 1
-    first = True
-    while True:
-        stripped = text[pos:].lstrip()
-        if not stripped and not first:
-            break
-        if not first:
-            op = stripped[:1]
-            if op not in "+-":
-                raise ValueError(f"expected + or - at {stripped!r} in affine form {text!r}")
-            sign = 1 if op == "+" else -1
-            pos = len(text) - len(stripped) + 1
-        elif stripped[:1] == "-":
-            sign = -1
-            pos = len(text) - len(stripped) + 1
-        first = False
-        coeff, var = 1, None
-        while True:
-            m = _AFFINE_ITEM.match(text, pos)
-            if not m:
-                raise ValueError(f"expected term at position {pos} in affine form {text!r}")
-            if m.group("int"):
-                coeff *= int(m.group("int"))
-            else:
-                if var is not None:
-                    raise ValueError(f"nonlinear product in affine form {text!r}")
-                var = m.group("var")
-            pos = m.end()
-            rest = text[pos:].lstrip()
-            if rest[:1] == "*":
-                pos = len(text) - len(rest) + 1
-                continue
-            break
-        if var is None:
-            const += sign * coeff
-        else:
-            coeffs[var] = coeffs.get(var, 0) + sign * coeff
-        if not text[pos:].strip():
-            break
-    return AffineForm.make(coeffs, const)
 
 
 def _zero_timings(report: CountReport) -> CountReport:
@@ -342,7 +292,7 @@ def count_cmd(ctx, branch_path, polys, locus, origin, prime, ext_degree, n_max, 
         for n in range(n_max + 1):
             dep = int(depth_cfg) if depth_cfg is not None else max(6, 2 * n)
             t0 = time.perf_counter()
-            res = count_liftable(list(polys), w, int(prime), n, dep, budget=budget_v)
+            res = count_liftable(parsed, w, int(prime), n, dep, budget=budget_v)
             report.rows.append(CountRow(n, res.count, res.method, time.perf_counter() - t0))
         report.assumptions.append(
             "depth policy: max(6, 2n) unless --depth is given; uncertified rows mean the tree stabilized without certificates"
@@ -400,7 +350,7 @@ def sum_cmd(ctx, set_text, tweight, lweight, order, fmt, out):
     f = parse_presburger(set_text)
     names = [v.strip() for v in order.split(",")] if order else sorted(free_vars(f))
     system = to_iterated_ranges(f, names)
-    series = weighted_sum(system, _parse_affine(lweight), _parse_affine(tweight))
+    series = weighted_sum(system, parse_linear(lweight), parse_linear(tweight))
     if fmt == "json":
         _emit(_dump_json(rs_to_json(series)), out)
     elif fmt == "latex":

@@ -1,19 +1,18 @@
 """Finite fields F_{p^d} with a fixed modulus table.
 
-Elements of F_{p^d} are coefficient tuples (c_0, ..., c_{d-1}) of residues mod
-p, the coordinates with respect to the basis 1, u, ..., u^{d-1} where u is a
-root of the table modulus.  Prime fields (d = 1) need no modulus and exist for
-every prime p; extensions need a table entry.  The moduli are pinned data (not
-searched at run time) so that element encodings, and therefore every
+Elements of F_{p^d} are coefficient vectors (c_0, ..., c_{d-1}) of residues
+mod p, the coordinates with respect to the basis 1, u, ..., u^{d-1} where u is
+a root of the table modulus.  Prime fields (d = 1) need no modulus and exist
+for every prime p; extensions need a table entry.  The moduli are pinned data
+(not searched at run time) so that element encodings, and therefore every
 enumeration and report downstream, are stable across runs and machines.
 
-Bulk enumeration vectorizes the same arithmetic over numpy arrays (see
-:mod:`arczeta.counting`).
+`Fq` holds the field's parameters and the reduction table of u^d, ...,
+u^{2d-2}; the arithmetic itself runs vectorized over numpy arrays of such
+vectors (see :mod:`arczeta.counting`).
 """
 
 from __future__ import annotations
-
-from typing import Iterator
 
 __all__ = ["is_prime", "Fq", "IRREDUCIBLE"]
 
@@ -122,11 +121,9 @@ IRREDUCIBLE: dict[tuple[int, int], tuple[int, ...]] = {
     (13, 12): (2, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0),
 }
 
-Elem = tuple[int, ...]
-
 
 class Fq:
-    """F_{p^d} = F_p[u]/(modulus) with elements as length-d coefficient tuples."""
+    """F_{p^d} = F_p[u]/(modulus): p, d, q = p^d, the modulus and its reduction table."""
 
     def __init__(self, p: int, d: int = 1):
         if not is_prime(p):
@@ -159,76 +156,3 @@ class Fq:
 
     def __repr__(self) -> str:
         return f"Fq({self.p}, {self.d})"
-
-    @property
-    def zero(self) -> Elem:
-        return (0,) * self.d
-
-    @property
-    def one(self) -> Elem:
-        return (1,) + (0,) * (self.d - 1)
-
-    def scalar(self, c: int) -> Elem:
-        return (c % self.p,) + (0,) * (self.d - 1)
-
-    def elements(self) -> Iterator[Elem]:
-        """All q elements, in base-p counting order of the coefficient vector."""
-        for code in range(self.q):
-            yield self.decode(code)
-
-    def encode(self, a: Elem) -> int:
-        code = 0
-        for c in reversed(a):
-            code = code * self.p + c
-        return code
-
-    def decode(self, code: int) -> Elem:
-        out = []
-        for _ in range(self.d):
-            out.append(code % self.p)
-            code //= self.p
-        return tuple(out)
-
-    def add(self, a: Elem, b: Elem) -> Elem:
-        return tuple((x + y) % self.p for x, y in zip(a, b))
-
-    def sub(self, a: Elem, b: Elem) -> Elem:
-        return tuple((x - y) % self.p for x, y in zip(a, b))
-
-    def neg(self, a: Elem) -> Elem:
-        return tuple((-x) % self.p for x in a)
-
-    def mul(self, a: Elem, b: Elem) -> Elem:
-        d, p = self.d, self.p
-        full = [0] * (2 * d - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    full[i + j] += x * y
-        out = [c % p for c in full[:d]]
-        for k in range(d, 2 * d - 1):
-            c = full[k] % p
-            if c:
-                row = self.reduction[k - d]
-                for j in range(d):
-                    out[j] = (out[j] + c * row[j]) % p
-        return tuple(out)
-
-    def pow(self, a: Elem, e: int) -> Elem:
-        if e < 0:
-            return self.pow(self.inv(a), -e)
-        result, base = self.one, a
-        while e:
-            if e & 1:
-                result = self.mul(result, base)
-            base = self.mul(base, base)
-            e >>= 1
-        return result
-
-    def inv(self, a: Elem) -> Elem:
-        if a == self.zero:
-            raise ZeroDivisionError("inverse of zero in Fq")
-        return self.pow(a, self.q - 2)
-
-    def in_prime_field(self, a: Elem) -> bool:
-        return all(c == 0 for c in a[1:])

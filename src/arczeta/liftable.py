@@ -408,14 +408,9 @@ def count_liftable(
     """Count residues mod p^{n+1} solving f, inside W mod p, liftable to depth max_depth."""
     if n < 0 or max_depth < 0:
         raise ValueError("n and max_depth must be >= 0")
-    nvars = max(
-        [poly.nvars for poly in f if isinstance(poly, IntPoly)]
-        + [poly.nvars for poly in W if isinstance(poly, IntPoly)]
-        + [1],
-    )
     fp = [poly if isinstance(poly, IntPoly) else IntPoly.parse(poly) for poly in f]
     wp = [poly if isinstance(poly, IntPoly) else IntPoly.parse(poly) for poly in W]
-    nvars = max([poly.nvars for poly in fp + wp] + [nvars])
+    nvars = max([poly.nvars for poly in fp + wp] + [1])
     fp = [_widen(poly, nvars) for poly in fp]
     wp = [_widen(poly, nvars) for poly in wp]
 

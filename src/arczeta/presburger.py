@@ -10,9 +10,14 @@ integer variables.  The surface grammar:
     atom     := linear REL linear | linear ("==" | "≡") linear "mod" INT
     REL      := "<=" | "<" | "=" | ">=" | ">"
     linear   := integer-linear combinations with "+", "-", "*", parentheses
+                (juxtaposition "2n" reads as "2*n")
 
 Variables match [a-z][a-z0-9_]*.  Quantifiers scope to the end of the
-enclosing formula or parenthesized group.
+enclosing formula or parenthesized group.  `parse_linear` reads a lone
+`linear` (the weights of ``arczeta presburger sum``).
+
+`LinTerm` is the one affine-term type of the package: formula atoms, the
+range bounds of `arczeta.ranges` (rational coefficients) and the weights.
 
 Quantifier elimination is Cooper's algorithm: divisibility-aware, works
 directly on the boolean structure without a prior disjunctive normal form.
@@ -20,8 +25,10 @@ directly on the boolean structure without a prior disjunctive normal form.
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
+from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterator, Mapping, Sequence, Union
 
@@ -43,33 +50,59 @@ class ArityMismatch(ValueError):
 
 
 # ---------------------------------------------------------------------------
+# relations: every atom reads  term REL 0
+
+# -t FLIP[REL] 0 says what t REL 0 says
+_FLIP = {"<=": ">=", "<": ">", "=": "=", ">=": "<=", ">": "<"}
+# t NEGATE[REL] 0 is the negation of t REL 0
+_NEGATE = {"<=": ">", "<": ">=", "=": "!=", ">=": "<", ">": "<="}
+_COMPARE = {"<=": operator.le, "<": operator.lt, "=": operator.eq, ">=": operator.ge, ">": operator.gt}
+
+
+def _holds(v: int, rel: str) -> bool:
+    """Truth of v REL 0."""
+    return _COMPARE[rel](v, 0)
+
+
+# ---------------------------------------------------------------------------
 # linear terms: sum of c_i * x_i plus a constant
+
+Coeff = Union[int, Fraction]
 
 
 @dataclass(frozen=True)
 class LinTerm:
-    coeffs: tuple[tuple[str, int], ...]  # sorted by variable, zero coeffs dropped
-    const: int
+    """sum c_i * x_i + const over named integer variables.
+
+    Formula atoms keep integer coefficients; the range bounds of
+    `arczeta.ranges` carry rational ones.
+    """
+
+    coeffs: tuple[tuple[str, Coeff], ...]  # sorted by variable, zero coeffs dropped
+    const: Coeff
 
     @classmethod
-    def make(cls, coeffs: Mapping[str, int], const: int) -> LinTerm:
+    def make(cls, coeffs: Mapping[str, Coeff], const: Coeff = 0) -> LinTerm:
         return cls(tuple(sorted((v, c) for v, c in coeffs.items() if c)), const)
 
     @classmethod
-    def of_const(cls, c: int) -> LinTerm:
+    def of_const(cls, c: Coeff) -> LinTerm:
         return cls((), c)
 
     @classmethod
     def of_var(cls, v: str) -> LinTerm:
         return cls(((v, 1),), 0)
 
-    def as_dict(self) -> dict[str, int]:
+    def as_dict(self) -> dict[str, Coeff]:
         return dict(self.coeffs)
 
     def vars(self) -> set[str]:
         return {v for v, _ in self.coeffs}
 
-    def coeff(self, var: str) -> int:
+    def is_const(self) -> bool:
+        return not self.coeffs
+
+    def coeff(self, var: str) -> Coeff:
         return self.as_dict().get(var, 0)
 
     def add(self, other: LinTerm) -> LinTerm:
@@ -78,23 +111,31 @@ class LinTerm:
             d[v] = d.get(v, 0) + c
         return LinTerm.make(d, self.const + other.const)
 
-    def scale(self, k: int) -> LinTerm:
+    def scale(self, k: Coeff) -> LinTerm:
         return LinTerm.make({v: k * c for v, c in self.coeffs}, k * self.const)
 
     def sub(self, other: LinTerm) -> LinTerm:
         return self.add(other.scale(-1))
 
+    def shift(self, c: Coeff) -> LinTerm:
+        return LinTerm(self.coeffs, self.const + c)
+
     def drop_var(self, var: str) -> LinTerm:
         return LinTerm.make({v: c for v, c in self.coeffs if v != var}, self.const)
 
-    def subst(self, var: str, replacement: LinTerm) -> LinTerm:
-        """Substitute var := replacement (coefficient times replacement)."""
-        c = self.coeff(var)
-        if not c:
-            return self
-        return self.drop_var(var).add(replacement.scale(c))
+    def subst(self, env: Mapping[str, LinTerm]) -> LinTerm:
+        """Replace every variable that env names by its term."""
+        out = LinTerm.of_const(self.const)
+        for v, c in self.coeffs:
+            repl = env.get(v)
+            out = out.add(repl.scale(c) if repl is not None else LinTerm(((v, c),), 0))
+        return out
 
-    def eval(self, point: Mapping[str, int]) -> int:
+    def denominator_lcm(self) -> int:
+        """Least k > 0 that makes every coefficient and the constant of k * self integral."""
+        return lcm(self.const.denominator, *(c.denominator for _, c in self.coeffs))
+
+    def eval(self, point: Mapping[str, int]) -> Coeff:
         return self.const + sum(c * point[v] for v, c in self.coeffs)
 
     def __str__(self) -> str:
@@ -302,20 +343,17 @@ def _parse_factor(ts: _Tokens) -> LinTerm:
     raise FormulaSyntaxError(f"expected a term, found {v or 'end of input'!r}", pos)
 
 
-_RELS = {"<=", "<", "=", ">=", ">"}
-
-
 def _parse_atom(ts: _Tokens) -> Formula:
     lhs = _parse_linear(ts)
     k, v, pos = ts.peek()
-    if k == "op" and v in _RELS:
+    if k == "op" and v in _FLIP:
         ts.next()
         rhs = _parse_linear(ts)
         term = lhs.sub(rhs)
         # orient so that not every coefficient is negative (matches printing)
         if term.coeffs and all(c < 0 for _, c in term.coeffs):
             term = term.scale(-1)
-            v = {"<=": ">=", "<": ">", "=": "=", ">=": "<=", ">": "<"}[v]
+            v = _FLIP[v]
         return Cmp(term, v)
     if k == "op" and v in ("==", "≡"):
         ts.next()
@@ -379,13 +417,25 @@ def _parse_formula(ts: _Tokens) -> Formula:
     return args[0] if len(args) == 1 else Or(tuple(args))
 
 
+def _expect_end(ts: _Tokens) -> None:
+    k, v, pos = ts.peek()
+    if k != "eof":
+        raise FormulaSyntaxError(f"trailing input {v!r}", pos)
+
+
+def parse_linear(text: str) -> LinTerm:
+    """Parse a linear term of the formula grammar, e.g. '2*n - l + 3' or '2n'."""
+    ts = _Tokens(text)
+    term = _parse_linear(ts)
+    _expect_end(ts)
+    return term
+
+
 def parse_presburger(text: str, declared: Sequence[str] | None = None) -> Formula:
     """Parse formula text; optionally check free variables against `declared`."""
     ts = _Tokens(text)
     f = _parse_formula(ts)
-    k, v, pos = ts.peek()
-    if k != "eof":
-        raise FormulaSyntaxError(f"trailing input {v!r}", pos)
+    _expect_end(ts)
     if declared is not None:
         extra = free_vars(f) - set(declared)
         if extra:
@@ -411,8 +461,7 @@ def to_text(f: Formula, parent: str = "") -> str:
         lhs = LinTerm(f.term.coeffs, 0)
         rhs = -f.term.const
         if f.term.coeffs and all(c < 0 for _, c in f.term.coeffs):
-            flipped = {"<=": ">=", "<": ">", "=": "=", ">=": "<=", ">": "<"}[f.rel]
-            return f"{lhs.scale(-1)} {flipped} {-rhs}"
+            return f"{lhs.scale(-1)} {_FLIP[f.rel]} {-rhs}"
         return f"{lhs} {f.rel} {rhs}"
     if isinstance(f, Cong):
         return _cong_str(f)
@@ -455,8 +504,7 @@ def membership(f: Formula, point: Mapping[str, int] | Sequence[int]) -> bool:
         if isinstance(g, BoolConst):
             return g.value
         if isinstance(g, Cmp):
-            v = g.term.eval(point)
-            return {"<=": v <= 0, "<": v < 0, "=": v == 0, ">=": v >= 0, ">": v > 0}[g.rel]
+            return _holds(g.term.eval(point), g.rel)
         if isinstance(g, Cong):
             return g.term.eval(point) % g.modulus == 0
         if isinstance(g, Not):
@@ -495,8 +543,7 @@ def _make_cong(term: LinTerm, modulus: int) -> Formula:
 
 def _make_cmp(term: LinTerm, rel: str) -> Formula:
     if not term.coeffs:
-        v = term.const
-        return BoolConst({"<=": v <= 0, "<": v < 0, "=": v == 0, ">=": v >= 0, ">": v > 0}[rel])
+        return BoolConst(_holds(term.const, rel))
     if rel == "=":
         g = gcd(*(abs(c) for _, c in term.coeffs))
         if term.const % g:
@@ -507,7 +554,7 @@ def _make_cmp(term: LinTerm, rel: str) -> Formula:
     r, s = flip[rel]
     t = term.scale(s)
     if r == "<":
-        t = LinTerm(t.coeffs, t.const + 1)  # t < 0 over Z means t + 1 <= 0
+        t = t.shift(1)  # t < 0 over Z means t + 1 <= 0
     g = gcd(*(abs(c) for _, c in t.coeffs))
     if g > 1:
         # sum(g b_i x_i) <= -c  =>  sum(b_i x_i) <= floor(-c/g)
@@ -574,11 +621,11 @@ def _strictify(term: LinTerm, rel: str) -> Formula:
     if rel == "<":
         return Cmp(term, "<")
     if rel == "<=":
-        return Cmp(LinTerm(term.coeffs, term.const - 1), "<")
+        return Cmp(term.shift(-1), "<")
     if rel == ">":
         return Cmp(term.scale(-1), "<")
     if rel == ">=":
-        return Cmp(LinTerm(term.scale(-1).coeffs, -term.const - 1), "<")
+        return Cmp(term.scale(-1).shift(-1), "<")
     if rel == "=":
         return And((_strictify(term, "<="), _strictify(term, ">=")))
     if rel == "!=":
@@ -688,14 +735,14 @@ def _eliminate_exists(var: str, body: Formula) -> Formula:
             disjuncts.append(simplify(subst_y(minus_inf, LinTerm.of_const(j))))
             for b in lowers:
                 # y := b + j  (b is the value y must exceed)
-                disjuncts.append(simplify(subst_y(body, LinTerm(b.coeffs, b.const + j))))
+                disjuncts.append(simplify(subst_y(body, b.shift(j))))
     else:
         plus_inf = limit_version(body, low=False)
         for j in range(1, bigd + 1):
             disjuncts.append(simplify(subst_y(plus_inf, LinTerm.of_const(-j))))
             for b in uppers:
                 # upper stored as -t where atom was y < -t: y := (-t) - j
-                disjuncts.append(simplify(subst_y(body, LinTerm(b.coeffs, b.const - j))))
+                disjuncts.append(simplify(subst_y(body, b.shift(-j))))
     return simplify(Or(tuple(disjuncts)))
 
 
@@ -743,10 +790,9 @@ def _nnf_neg(f: Formula) -> Formula:
     if isinstance(f, BoolConst):
         return BoolConst(not f.value)
     if isinstance(f, Cmp):
-        neg_rel = {"<=": ">", "<": ">=", "=": "!=", ">=": "<", ">": "<="}[f.rel]
-        return _strictify(f.term, neg_rel)
+        return _strictify(f.term, _NEGATE[f.rel])
     if isinstance(f, Cong):
-        return Or(tuple(_make_cong(LinTerm(f.term.coeffs, f.term.const + r), f.modulus)
+        return Or(tuple(_make_cong(f.term.shift(r), f.modulus)
                         for r in range(1, f.modulus)))
     if isinstance(f, Not):
         return _nnf_strict(f.arg)

@@ -3,12 +3,16 @@
 `to_iterated_ranges` rewrites a quantifier-free formula into finitely many
 disjoint pieces; in a piece, each variable (in a fixed elimination order)
 ranges over an arithmetic progression {base + step*s : s >= 0}, optionally
-capped, whose base/cap are affine in the outer variables.  Bases and caps may
-carry rational coefficients but are integer-valued on every admissible outer
-point (the decomposition introduces the congruences that guarantee it).
+capped, whose base/cap are affine in the outer variables.  Bases and caps are
+`presburger.LinTerm`s that may carry rational coefficients but are
+integer-valued on every admissible outer point (the decomposition introduces
+the congruences that guarantee it).  `_lin_from_affine` and
+`_affine_congruence` are the one place that scales such a term back to
+integer coefficients.
 
 `weighted_sum` then evaluates sum over all points of L^(-lweight) T^tweight
-in closed form, one variable at a time, using the geometric identity
+(LinTerm weights over the variables of the order) in closed form, one
+variable at a time, using the geometric identity
 sum_{s>=0} x^(A+sB) = x^A/(1-x^B) and its polynomial-weight refinements
 (finite differences for sum s^g y^s, binomial reindexing for capped tails).
 The result is a RatSeries; factors (1 - L^a) without T become (L^a - 1)
@@ -21,10 +25,10 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, lcm
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from . import presburger as pb
-from .presburger import LinTerm
+from .presburger import _NEGATE, LinTerm
 from .ratseries import RatSeries, rs_add
 from .tate import TatePoly
 
@@ -38,107 +42,6 @@ class DivergentSum(ArithmeticError):
 
 
 # ---------------------------------------------------------------------------
-# affine forms with rational coefficients (integer-valued on admissible points)
-
-
-@dataclass(frozen=True)
-class AffineForm:
-    coeffs: tuple[tuple[str, Fraction], ...]
-    const: Fraction
-
-    @classmethod
-    def make(cls, coeffs: Mapping[str, Fraction | int], const: Fraction | int = 0) -> AffineForm:
-        items = tuple(
-            sorted((v, Fraction(c)) for v, c in coeffs.items() if Fraction(c) != 0)
-        )
-        return cls(items, Fraction(const))
-
-    @classmethod
-    def const_form(cls, c: Fraction | int) -> AffineForm:
-        return cls((), Fraction(c))
-
-    @classmethod
-    def var(cls, name: str) -> AffineForm:
-        return cls(((name, Fraction(1)),), Fraction(0))
-
-    @classmethod
-    def from_linterm(cls, t: LinTerm) -> AffineForm:
-        return cls.make({v: Fraction(c) for v, c in t.coeffs}, Fraction(t.const))
-
-    def as_dict(self) -> dict[str, Fraction]:
-        return dict(self.coeffs)
-
-    def coeff(self, var: str) -> Fraction:
-        return self.as_dict().get(var, Fraction(0))
-
-    def drop(self, var: str) -> AffineForm:
-        return AffineForm.make({v: c for v, c in self.coeffs if v != var}, self.const)
-
-    def add(self, other: AffineForm) -> AffineForm:
-        d = self.as_dict()
-        for v, c in other.coeffs:
-            d[v] = d.get(v, Fraction(0)) + c
-        return AffineForm.make(d, self.const + other.const)
-
-    def sub(self, other: AffineForm) -> AffineForm:
-        return self.add(other.scale(-1))
-
-    def scale(self, k: Fraction | int) -> AffineForm:
-        k = Fraction(k)
-        return AffineForm.make({v: c * k for v, c in self.coeffs}, self.const * k)
-
-    def shift(self, c: Fraction | int) -> AffineForm:
-        return AffineForm(self.coeffs, self.const + Fraction(c))
-
-    def subst(self, env: Mapping[str, AffineForm]) -> AffineForm:
-        out = AffineForm.const_form(self.const)
-        for v, c in self.coeffs:
-            repl = env.get(v)
-            out = out.add(repl.scale(c) if repl is not None else AffineForm.make({v: c}))
-        return out
-
-    def eval(self, env: Mapping[str, int]) -> Fraction:
-        return self.const + sum((c * env[v] for v, c in self.coeffs), Fraction(0))
-
-    def eval_int(self, env: Mapping[str, int]) -> int:
-        v = self.eval(env)
-        if v.denominator != 1:
-            raise ValueError(f"form {self} is not integral at {env}")
-        return v.numerator
-
-    def is_const(self) -> bool:
-        return not self.coeffs
-
-    def vars(self) -> set[str]:
-        return {v for v, _ in self.coeffs}
-
-    def denominator_lcm(self) -> int:
-        return lcm(self.const.denominator, *(c.denominator for _, c in self.coeffs)) \
-            if self.coeffs else self.const.denominator
-
-    def __str__(self) -> str:
-        parts: list[str] = []
-        for v, c in self.coeffs:
-            if not parts:
-                if c == 1:
-                    parts.append(v)
-                elif c == -1:
-                    parts.append(f"-{v}")
-                else:
-                    parts.append(f"{c}*{v}")
-            else:
-                sign, mag = ("+", c) if c > 0 else ("-", -c)
-                parts.append(f"{sign} {v}" if mag == 1 else f"{sign} {mag}*{v}")
-        if self.const or not parts:
-            if not parts:
-                parts.append(str(self.const))
-            else:
-                sign, mag = ("+", self.const) if self.const > 0 else ("-", -self.const)
-                parts.append(f"{sign} {mag}")
-        return " ".join(parts)
-
-
-# ---------------------------------------------------------------------------
 # the range system
 
 
@@ -147,9 +50,9 @@ class RangeVar:
     """var runs over {base + step*s : s >= 0}, optionally capped above."""
 
     var: str
-    base: AffineForm  # over outer variables
+    base: LinTerm  # over outer variables
     step: int
-    cap: AffineForm | None = None  # aligned: cap - base == 0 mod step on the piece
+    cap: LinTerm | None = None  # aligned: cap - base == 0 mod step on the piece
 
 
 @dataclass(frozen=True)
@@ -291,31 +194,23 @@ def _atom_constraints(atom: pb.Formula, value: bool) -> list[list[_Ineq | _Congr
     if isinstance(atom, pb.Cong):
         if value:
             return [[_Congr(atom.term, atom.modulus)]]
-        return [
-            [_Congr(LinTerm(atom.term.coeffs, atom.term.const + r), atom.modulus)]
-            for r in range(1, atom.modulus)
-        ]
+        return [[_Congr(atom.term.shift(r), atom.modulus)] for r in range(1, atom.modulus)]
     assert isinstance(atom, pb.Cmp)
     t, rel = atom.term, atom.rel
     if not value:
-        rel = {"<=": ">", "<": ">=", "=": "!=", ">=": "<", ">": "<="}[rel]
+        rel = _NEGATE[rel]
     if rel == "<=":
         return [[_Ineq(t)]]
     if rel == "<":
-        return [[_Ineq(LinTerm(t.coeffs, t.const + 1))]]
+        return [[_Ineq(t.shift(1))]]
     if rel == ">=":
         return [[_Ineq(t.scale(-1))]]
     if rel == ">":
-        s = t.scale(-1)
-        return [[_Ineq(LinTerm(s.coeffs, s.const + 1))]]
+        return [[_Ineq(t.scale(-1).shift(1))]]
     if rel == "=":
         return [[_Ineq(t), _Ineq(t.scale(-1))]]
     # rel == "!=": two disjoint strict sides
-    s = t.scale(-1)
-    return [
-        [_Ineq(LinTerm(t.coeffs, t.const + 1))],
-        [_Ineq(LinTerm(s.coeffs, s.const + 1))],
-    ]
+    return [[_Ineq(t.shift(1))], [_Ineq(t.scale(-1).shift(1))]]
 
 
 def _disjoint_conjunctions(f: pb.Formula) -> Iterator[list[_Ineq | _Congr]]:
@@ -341,22 +236,19 @@ def _disjoint_conjunctions(f: pb.Formula) -> Iterator[list[_Ineq | _Congr]]:
     yield from go(f, {}, [])
 
 
-def _lin_from_affine(form: AffineForm, shift: Fraction | int = 0) -> LinTerm:
-    """Integer LinTerm equal to a positive multiple of (form + shift)."""
+def _lin_from_affine(form: LinTerm, shift: int = 0) -> LinTerm:
+    """Integer LinTerm equal to a positive multiple of (form + shift).
+
+    The multiple is form.denominator_lcm(), which an integer shift keeps.
+    """
     form = form.shift(shift)
-    scale = form.denominator_lcm()
-    scaled = form.scale(scale)
-    return LinTerm.make(
-        {v: c.numerator for v, c in scaled.coeffs}, scaled.const.numerator
-    )
+    scaled = form.scale(form.denominator_lcm())
+    return LinTerm.make({v: c.numerator for v, c in scaled.coeffs}, scaled.const.numerator)
 
 
-def _affine_congruence(form: AffineForm, residue: int, modulus: int) -> _Congr:
+def _affine_congruence(form: LinTerm, residue: int, modulus: int) -> _Congr:
     """Constraint: form == residue (mod modulus), scaled to integer coeffs."""
-    scale = form.denominator_lcm()
-    scaled = form.shift(-residue).scale(scale)
-    t = LinTerm.make({v: c.numerator for v, c in scaled.coeffs}, scaled.const.numerator)
-    return _Congr(t, modulus * scale)
+    return _Congr(_lin_from_affine(form, -residue), modulus * form.denominator_lcm())
 
 
 def to_iterated_ranges(f: pb.Formula, order: Sequence[str]) -> IteratedRangeSystem:
@@ -440,8 +332,7 @@ def _congruence_split(
         ok = True
         for c in congs:
             coef = c.t.coeff(var)
-            t = c.t.drop_var(var)
-            shifted = LinTerm(t.coeffs, t.const + coef * rho)
+            shifted = c.t.drop_var(var).shift(coef * rho)
             if not shifted.coeffs:
                 if shifted.const % c.n:
                     ok = False
@@ -454,16 +345,16 @@ def _congruence_split(
 
 def _bound_split(
     ineqs: list[_Ineq], var: str
-) -> Iterator[tuple[list[AffineForm], list[AffineForm], list[_Congr]]]:
+) -> Iterator[tuple[list[LinTerm], list[LinTerm], list[_Congr]]]:
     """Turn c*var + t <= 0 atoms into exact affine lower/upper bounds.
 
     Non-unit |c| needs the value of t mod |c|; each residue choice adds a
     congruence condition on the outer variables (disjoint alternatives).
     """
-    bounds: list[tuple[str, AffineForm, int]] = []  # (kind, u, d): var <=/>= u/d
+    bounds: list[tuple[str, LinTerm, int]] = []  # (kind, u, d): var <=/>= u/d
     for c in ineqs:
         coef = c.t.coeff(var)
-        t = AffineForm.from_linterm(c.t.drop_var(var))
+        t = c.t.drop_var(var)
         if coef > 0:
             bounds.append(("upper", t.scale(-1), coef))
         else:
@@ -493,8 +384,8 @@ def _bound_split(
 
 
 def _pick_base(
-    lowers: list[AffineForm], step: int, residue: int
-) -> Iterator[tuple[AffineForm, list[_Ineq | _Congr]]]:
+    lowers: list[LinTerm], step: int, residue: int
+) -> Iterator[tuple[LinTerm, list[_Ineq | _Congr]]]:
     """Choose the max lower bound (disjoint case split), then align it to the
     residue class; alignment needs the bound's value mod step."""
     if not lowers:
@@ -517,8 +408,8 @@ def _pick_base(
 
 
 def _pick_cap(
-    uppers: list[AffineForm], base: AffineForm, step: int
-) -> Iterator[tuple[AffineForm | None, list[_Ineq | _Congr]]]:
+    uppers: list[LinTerm], base: LinTerm, step: int
+) -> Iterator[tuple[LinTerm | None, list[_Ineq | _Congr]]]:
     """Choose the min upper bound (disjoint split), align to the progression,
     and keep only the branch where the range is nonempty."""
     if not uppers:
@@ -550,8 +441,8 @@ def _pick_cap(
 class _Term:
     coef: Fraction
     mono: dict[str, int]  # powers of progression indices still to be summed
-    lexp: AffineForm
-    texp: AffineForm
+    lexp: LinTerm
+    texp: LinTerm
     denom: Counter = field(default_factory=Counter)  # (a, b) -> mult of (1 - L^a T^b)
 
 
@@ -569,7 +460,7 @@ def _finite_diffs(gamma: int) -> list[int]:
 _Poly = dict[tuple[tuple[str, int], ...], Fraction]  # monomials in index vars
 
 
-def _poly_from_affine(form: AffineForm) -> _Poly:
+def _poly_from_affine(form: LinTerm) -> _Poly:
     out: _Poly = {}
     if form.const:
         out[()] = form.const
@@ -599,7 +490,7 @@ def _poly_pow(a: _Poly, e: int) -> _Poly:
     return out
 
 
-def _binom_poly(form: AffineForm, k: int) -> _Poly:
+def _binom_poly(form: LinTerm, k: int) -> _Poly:
     """C(form, k) = form (form-1) ... (form-k+1) / k! as a polynomial."""
     out: _Poly = {(): Fraction(1)}
     for j in range(k):
@@ -620,7 +511,7 @@ def _int_coeff(x: Fraction, what: str) -> int:
     return x.numerator
 
 
-def _sum_one_var(terms: list[_Term], s: str, cnt: AffineForm | None) -> list[_Term]:
+def _sum_one_var(terms: list[_Term], s: str, cnt: LinTerm | None) -> list[_Term]:
     """Replace each term by its closed-form sum over s = 0..(cnt-1) (or all
     s >= 0 when cnt is None)."""
     out: list[_Term] = []
@@ -628,7 +519,7 @@ def _sum_one_var(terms: list[_Term], s: str, cnt: AffineForm | None) -> list[_Te
         gamma = t.mono.pop(s, 0)
         bl = _int_coeff(t.lexp.coeff(s), "L-exponent")
         bt = _int_coeff(t.texp.coeff(s), "T-exponent")
-        al, at = t.lexp.drop(s), t.texp.drop(s)
+        al, at = t.lexp.drop_var(s), t.texp.drop_var(s)
         base = _Term(t.coef, dict(t.mono), al, at, Counter(t.denom))
         if bl == 0 and bt == 0:
             if cnt is None:
@@ -665,8 +556,8 @@ def _sum_one_var(terms: list[_Term], s: str, cnt: AffineForm | None) -> list[_Te
                         c,
                     )
                     nt.mono[s] = nt.mono.get(s, 0) + j
-                    nt.lexp = nt.lexp.add(AffineForm.make({s: -bl}))
-                    nt.texp = nt.texp.add(AffineForm.make({s: -bt}))
+                    nt.lexp = nt.lexp.add(LinTerm.make({s: -bl}))
+                    nt.texp = nt.texp.add(LinTerm.make({s: -bt}))
                     rev.append(nt)
             out.extend(_sum_one_var(rev, s, cnt))
             continue
@@ -699,7 +590,7 @@ def _with_poly(t: _Term, mono: tuple[tuple[str, int], ...], c: Fraction) -> _Ter
     return nt
 
 
-def _power_sum_poly(gamma: int, cnt: AffineForm) -> _Poly:
+def _power_sum_poly(gamma: int, cnt: LinTerm) -> _Poly:
     """sum_{s=0}^{cnt-1} s^gamma as a polynomial in the outer indices."""
     out: _Poly = {}
     for i, a in enumerate(_finite_diffs(gamma)):
@@ -732,23 +623,28 @@ def _open_sum(t: _Term, gamma: int, bl: int, bt: int) -> list[_Term]:
 
 
 def weighted_sum(
-    sys: IteratedRangeSystem, lweight: AffineForm, tweight: AffineForm
+    sys: IteratedRangeSystem, lweight: LinTerm, tweight: LinTerm
 ) -> RatSeries:
     """Closed form of sum over sys of L^(-lweight(x)) * T^(tweight(x)).
 
     Convergence: along every uncapped direction the T-weight must strictly
     increase, or failing that the L-weight must strictly increase (the sum
     then converges through (L^i - 1)^-1 denominators); otherwise DivergentSum.
+    The weights may use only the variables of sys.order; others raise
+    ValueError.
     """
+    stray = (lweight.vars() | tweight.vars()) - set(sys.order)
+    if stray:
+        raise ValueError(f"weights use variables outside the order: {sorted(stray)}")
     total = RatSeries.zero()
     for piece in sys.pieces:
         # express each original variable affinely in the progression indices
-        env: dict[str, AffineForm] = {}
-        caps: list[tuple[str, AffineForm | None]] = []
+        env: dict[str, LinTerm] = {}
+        caps: list[tuple[str, LinTerm | None]] = []
         for r in piece.ranges:
             idx = f"s_{r.var}"
             base = r.base.subst(env)
-            env[r.var] = base.add(AffineForm.make({idx: r.step}))
+            env[r.var] = base.add(LinTerm.make({idx: r.step}))
             for v, c in env[r.var].coeffs:
                 _int_coeff(c, f"progression for {r.var}")
             if r.cap is None:

@@ -20,8 +20,8 @@ geometric factor becomes a binomial (1 - q^a T^b), and the numerator N is
 reduced against one binomial at a time, using
 gcd(N, A B) = gcd(N, A) * gcd(N / gcd(N, A), B).  Each gcd has degree at
 most b, which keeps the rational coefficients small; the result is the same
-reduced, normalized pair a full Euclidean gcd gives (`RatFunc.from_binomials`
-against `RatFunc.from_polys`).
+reduced, normalized pair a full Euclidean gcd gives (`RatFunc.from_binomials`;
+the tests hold the full-gcd reference).
 """
 
 from __future__ import annotations
@@ -390,9 +390,8 @@ class RatFunc:
     when possible (else monic).
 
     The reduced pair is unique up to a scalar, and the normalization fixes
-    that scalar, so every constructor that reduces fully returns the same
-    tuples for the same function: `from_polys` for an arbitrary denominator,
-    `from_binomials` for a product of factors (1 - c T^b).
+    that scalar, so `from_binomials` returns the same tuples as a full
+    Euclidean gcd of num against the expanded denominator would.
     """
 
     num: tuple[Fraction, ...]
@@ -404,26 +403,13 @@ class RatFunc:
         return cls(tuple(v / scale for v in num), tuple(v / scale for v in den))
 
     @classmethod
-    def from_polys(cls, num: Sequence[Fraction], den: Sequence[Fraction]) -> RatFunc:
-        num, den = _qtrim(num), _qtrim(den)
-        if not den:
-            raise ZeroDivisionError("zero denominator")
-        if not num:
-            return cls((), (Fraction(1),))
-        g = _qgcd(num, den)
-        if len(g) > 1:
-            num, _ = _qdivmod(num, g)
-            den, _ = _qdivmod(den, g)
-        return cls._normalized(num, den)
-
-    @classmethod
     def from_binomials(
         cls, num: Sequence[Fraction], factors: Iterable[tuple[Fraction, int]]
     ) -> RatFunc:
         """num / prod (1 - c T^b) over `factors` = [(c, b), ...], reduced.
 
-        Equal, tuple for tuple, to `from_polys(num, prod of the factors)`,
-        without a gcd against the expanded product.  Since
+        Equal, tuple for tuple, to num / (prod of the factors) reduced by a
+        full Euclidean gcd, without a gcd against the expanded product.  Since
         gcd(N, A B) = gcd(N, A) * gcd(N / gcd(N, A), B), the numerator is
         reduced against one factor at a time: each gcd has degree <= b, its
         first Euclid step (N modulo the two-term binomial) costs one pass

@@ -5,21 +5,28 @@ evaluated by windowed enumeration, sums by direct truncated accumulation,
 and image counts by plain python sets over all arcs.  Slower, independent,
 easy to audit.
 
-:class:`TruncPow` is the scalar reference model of F_q[t]/t^{n+1}; the
-vectorized counting kernel is checked against it digit by digit.
+Reference models of code the library only runs vectorized or specialised:
+:class:`RefFq` is scalar element arithmetic of F_q over the library's own
+modulus and reduction table, :class:`TruncPow` builds F_q[t]/t^{n+1} on it
+(the vectorized counting kernel is checked against it digit by digit), and
+:func:`ratfunc_from_polys` reduces num/den by a full Euclidean gcd over Q
+(the reference for `RatFunc.from_binomials`).
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import product
 from math import lcm
 from operator import mul
-from typing import Callable
+from typing import Callable, Iterator, Sequence
 
 from arczeta import presburger as pb
-from arczeta.fq import Elem, Fq
+from arczeta.fq import Fq
+from arczeta.ratseries import RatFunc, _qgcd
+from arczeta.tate import _qdivmod, _qtrim
 
 
 def quantifier_window(f: pb.Formula, free_box: int = 30) -> int:
@@ -143,24 +150,126 @@ def direct_weighted_sum(sys, lweight, tweight, tmax: int, clip: int = 400):
 
     Only valid when every point with tweight <= tmax has coordinates <= clip;
     pick corpora accordingly (tweight coefficient >= 1 on unbounded
-    variables).
+    variables).  A weight that is not an integer at a point raises
+    ValueError.
     """
     from arczeta.tate import TatePoly
 
     coeffs = [TatePoly.zero() for _ in range(tmax + 1)]
     for pt in sys.iter_points({v: clip for v in sys.order}):
-        n = tweight.eval_int(pt)
+        n = _int_value(tweight, pt)
         if 0 <= n <= tmax:
-            e = lweight.eval_int(pt)
+            e = _int_value(lweight, pt)
             coeffs[n] = coeffs[n] + TatePoly.L(-e)
     return coeffs
+
+
+def _int_value(term: pb.LinTerm, pt: dict[str, int]) -> int:
+    value = term.eval(pt)
+    if value.denominator != 1:
+        raise ValueError(f"weight {term} is not integral at {pt}")
+    return value.numerator
+
+
+def ratfunc_from_polys(num: Sequence[Fraction], den: Sequence[Fraction]) -> RatFunc:
+    """num/den reduced by one Euclidean gcd against the whole denominator."""
+    num, den = _qtrim(num), _qtrim(den)
+    if not den:
+        raise ZeroDivisionError("zero denominator")
+    if not num:
+        return RatFunc((), (Fraction(1),))
+    g = _qgcd(num, den)
+    if len(g) > 1:
+        num, _ = _qdivmod(num, g)
+        den, _ = _qdivmod(den, g)
+    return RatFunc._normalized(num, den)
+
+
+Elem = tuple[int, ...]
+
+
+class RefFq(Fq):
+    """An `Fq` with scalar element arithmetic on length-d coefficient tuples."""
+
+    @property
+    def zero(self) -> Elem:
+        return (0,) * self.d
+
+    @property
+    def one(self) -> Elem:
+        return (1,) + (0,) * (self.d - 1)
+
+    def scalar(self, c: int) -> Elem:
+        return (c % self.p,) + (0,) * (self.d - 1)
+
+    def elements(self) -> Iterator[Elem]:
+        """All q elements, in base-p counting order of the coefficient vector."""
+        for code in range(self.q):
+            yield self.decode(code)
+
+    def encode(self, a: Elem) -> int:
+        code = 0
+        for c in reversed(a):
+            code = code * self.p + c
+        return code
+
+    def decode(self, code: int) -> Elem:
+        out = []
+        for _ in range(self.d):
+            out.append(code % self.p)
+            code //= self.p
+        return tuple(out)
+
+    def add(self, a: Elem, b: Elem) -> Elem:
+        return tuple((x + y) % self.p for x, y in zip(a, b))
+
+    def sub(self, a: Elem, b: Elem) -> Elem:
+        return tuple((x - y) % self.p for x, y in zip(a, b))
+
+    def neg(self, a: Elem) -> Elem:
+        return tuple((-x) % self.p for x in a)
+
+    def mul(self, a: Elem, b: Elem) -> Elem:
+        d, p = self.d, self.p
+        full = [0] * (2 * d - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b):
+                    full[i + j] += x * y
+        out = [c % p for c in full[:d]]
+        for k in range(d, 2 * d - 1):
+            c = full[k] % p
+            if c:
+                row = self.reduction[k - d]
+                for j in range(d):
+                    out[j] = (out[j] + c * row[j]) % p
+        return tuple(out)
+
+    def pow(self, a: Elem, e: int) -> Elem:
+        if e < 0:
+            return self.pow(self.inv(a), -e)
+        result, base = self.one, a
+        while e:
+            if e & 1:
+                result = self.mul(result, base)
+            base = self.mul(base, base)
+            e >>= 1
+        return result
+
+    def inv(self, a: Elem) -> Elem:
+        if a == self.zero:
+            raise ZeroDivisionError("inverse of zero in Fq")
+        return self.pow(a, self.q - 2)
+
+    def in_prime_field(self, a: Elem) -> bool:
+        return all(c == 0 for c in a[1:])
 
 
 @dataclass(frozen=True)
 class TruncPow:
     """An element of F_q[t]/t^{n+1}: coefficient tuple of length n+1 over Fq."""
 
-    field: Fq
+    field: RefFq
     coeffs: tuple[Elem, ...]
 
     @property
@@ -168,11 +277,11 @@ class TruncPow:
         return len(self.coeffs) - 1
 
     @classmethod
-    def zero(cls, field: Fq, n: int) -> TruncPow:
+    def zero(cls, field: RefFq, n: int) -> TruncPow:
         return cls(field, (field.zero,) * (n + 1))
 
     @classmethod
-    def from_scalars(cls, field: Fq, scalars: list[int], n: int) -> TruncPow:
+    def from_scalars(cls, field: RefFq, scalars: list[int], n: int) -> TruncPow:
         cs = [field.scalar(c) for c in scalars[: n + 1]]
         cs += [field.zero] * (n + 1 - len(cs))
         return cls(field, tuple(cs))

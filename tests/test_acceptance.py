@@ -29,13 +29,14 @@ from arczeta.branch import (
 )
 from arczeta.counting import count_branch_image, measure_ord_locus
 from arczeta.presburger import (
+    LinTerm,
     eliminate_quantifiers,
     free_vars,
     is_quantifier_free,
     membership,
     parse_presburger,
 )
-from arczeta.ranges import AffineForm, to_iterated_ranges, weighted_sum
+from arczeta.ranges import to_iterated_ranges, weighted_sum
 from arczeta.ratseries import (
     RatSeries,
     rs_add,
@@ -241,7 +242,7 @@ def test_criterion_6_formula_suite_against_brute_force(capsys):
                 assert membership(g, env) == brute_eval(f, env, window), (text, env)
         for text, order, lw, tw in SUM_CORPUS:
             system = to_iterated_ranges(parse_presburger(text), order)
-            lweight, tweight = AffineForm.make(lw), AffineForm.make(tw)
+            lweight, tweight = LinTerm.make(lw), LinTerm.make(tw)
             expanded = rs_expand(weighted_sum(system, lweight, tweight), 40)
             assert expanded.coeffs == direct_weighted_sum(system, lweight, tweight, 40), text
         assert time.perf_counter() - start <= 30.0

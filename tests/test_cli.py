@@ -184,6 +184,29 @@ class TestPresburgerCommand:
         r = runner.invoke(main, ["presburger", "sum", "--set", "n >= 0", "--tweight", "0"])
         assert r.exit_code == 1
 
+    @pytest.mark.parametrize("weight", ["n*n", "n n", "", "n@", "n mod 2"])
+    def test_sum_malformed_weight_exits_1(self, runner, weight):
+        for flag in ("--tweight", "--lweight"):
+            args = ["presburger", "sum", "--set", "n >= 1", "--tweight", "n", flag, weight]
+            r = runner.invoke(main, args)
+            assert r.exit_code == 1
+            assert r.stdout == ""
+            assert r.stderr.startswith("error: ") and "(at position " in r.stderr
+
+    def test_sum_weights_use_the_formula_grammar(self, runner):
+        def out(tweight):
+            r = runner.invoke(main, ["presburger", "sum", "--set", "n >= 1", "--tweight", tweight])
+            assert r.exit_code == 0
+            return r.stdout
+
+        assert out("2n") == out("2*n") == out("(n) + n") == "T^2 / [(1 - T^2)]\n"
+
+    def test_sum_weight_variable_outside_the_set_exits_1(self, runner):
+        for tweight in ("n + m", "m"):
+            r = runner.invoke(main, ["presburger", "sum", "--set", "n >= 1", "--tweight", tweight])
+            assert r.exit_code == 1 and r.stdout == ""
+            assert r.stderr == "error: weights use variables outside the order: ['m']\n"
+
     def test_check(self, runner):
         assert runner.invoke(main, ["presburger", "check", "E y. x = 2*y", "--point", "x=6"]).output.strip() == "true"
         assert runner.invoke(main, ["presburger", "check", "E y. x = 2*y", "--point", "x=7"]).output.strip() == "false"

@@ -23,10 +23,9 @@ from arczeta.counting import (
     measure_ord_locus,
 )
 from arczeta.counting import _branch_images, _distinct, _pack, _series_mul
-from arczeta.fq import Fq
 from arczeta.ratseries import rs_expand, rs_specialize
 from arczeta.tate import TatePoly, tate_eval
-from helpers import TruncPow
+from helpers import RefFq, TruncPow
 
 SMOOTH = BranchSpec.make(1, {})
 LINE2 = BranchSpec.make(1, {2: Fraction(1, 3), 3: 2})
@@ -37,7 +36,7 @@ M3 = BranchSpec.make(3, {4: 2, 5: 1})
 
 def naive_image_count(b: BranchSpec, p: int, d: int, n: int) -> int:
     """Reference count: scalar TruncPow arithmetic over every arc, no numpy."""
-    F = Fq(p, d)
+    F = RefFq(p, d)
     amod = {
         j: F.scalar(a.numerator * pow(a.denominator, -1, p) % p)
         for j, a in b.coeffs.items()
@@ -80,7 +79,7 @@ class TestAgainstNaiveOracle:
         assert count_branch_image(b, p, d, n, window=True) == expect
 
 
-def _series(F: Fq, digits, n: int) -> TruncPow:
+def _series(F: RefFq, digits, n: int) -> TruncPow:
     """The (positions, d) digit array as an element of F_q[t]/t^{n+1}."""
     coeffs = [tuple(int(v) for v in c) for c in digits[: n + 1]]
     return TruncPow(F, tuple(coeffs) + (F.zero,) * (n + 1 - len(coeffs)))
@@ -108,7 +107,7 @@ class TestKernelAgainstTruncPow:
 
     @pytest.mark.parametrize("b,p,d,n", ROWS)
     def test_branch_images_match_truncpow(self, b, p, d, n):
-        F = Fq(p, d)
+        F = RefFq(p, d)
         amod = {j: F.scalar(a.numerator * pow(a.denominator, -1, p) % p) for j, a in b.coeffs.items()}
         rng = np.random.default_rng(p * 1000 + d * 100 + n)
         for ell in range(1, n + 1):
@@ -127,7 +126,7 @@ class TestKernelAgainstTruncPow:
 
     @pytest.mark.parametrize("p,d", sorted({(p, d) for _, p, d, _ in ROWS}))
     def test_series_mul_matches_truncpow(self, p, d):
-        F = Fq(p, d)
+        F = RefFq(p, d)
         rng = np.random.default_rng(p * 10 + d)
         for la, lb, L in [(4, 4, 7), (3, 6, 5), (6, 2, 3), (5, 5, 9), (1, 4, 4), (4, 4, 1)]:
             A = rng.integers(0, p, size=(5, la, d))

@@ -17,6 +17,7 @@ from arczeta.presburger import (
     free_vars,
     is_quantifier_free,
     membership,
+    parse_linear,
     parse_presburger,
     to_text,
 )
@@ -94,6 +95,29 @@ def test_negative_and_juxtaposed_coefficients():
     assert f.term == LinTerm.make({"x": 2}, -3) and f.rel == "<"
     g = parse_presburger("2*(x + y) - (x - y) = 0")
     assert g.term == LinTerm.make({"x": 1, "y": 3}, 0)
+
+
+def test_parse_linear_uses_the_formula_grammar():
+    assert parse_linear("2*n - l + 3") == LinTerm.make({"n": 2, "l": -1}, 3)
+    assert parse_linear(" 0 ") == LinTerm.of_const(0)
+    # every spelling the formula grammar takes for a linear term
+    for text in ("2n", "n*2", "2 * n", "(n) + n", "+2n", "3n - -(-n) + 0", "2*(n - 1) + 2"):
+        assert parse_linear(text) == LinTerm.make({"n": 2}), text
+
+
+@pytest.mark.parametrize(
+    "text,position",
+    [("n n", 2), ("2*n 3", 4), ("n mod 2", 2), ("n >= 0", 2), ("n)", 1), ("n*n", 1), ("", 0), ("n +", 3), ("n@", 1)],
+)
+def test_parse_linear_rejects_malformed_terms(text, position):
+    with pytest.raises(FormulaSyntaxError) as err:
+        parse_linear(text)
+    assert err.value.position == position
+
+
+def test_parse_linear_reports_trailing_input():
+    with pytest.raises(FormulaSyntaxError, match=r"trailing input 'mod' \(at position 2\)"):
+        parse_linear("n mod 2")
 
 
 def test_membership_basics():

@@ -3,9 +3,8 @@ from itertools import product
 
 import pytest
 
-from arczeta.presburger import parse_presburger
+from arczeta.presburger import LinTerm, parse_presburger
 from arczeta.ranges import (
-    AffineForm,
     DivergentSum,
     IteratedRangeSystem,
     Piece,
@@ -19,7 +18,7 @@ from arczeta.tate import TatePoly
 from helpers import direct_weighted_sum, enumerate_solutions
 
 L = TatePoly.L
-A = AffineForm.make
+A = LinTerm.make
 
 
 def ranges_of(text, order):
@@ -53,7 +52,7 @@ def test_single_progression():
     assert len(sys.pieces) == 1
     (rv,) = sys.pieces[0].ranges
     assert rv.step == 4 and rv.cap is None
-    assert rv.base == AffineForm.const_form(4)
+    assert rv.base == LinTerm.of_const(4)
 
 
 def test_stratum_shape():
@@ -62,7 +61,7 @@ def test_stratum_shape():
     assert len(sys.pieces) == 1
     rl, rn = sys.pieces[0].ranges
     assert (rl.var, rn.var) == ("l", "n")
-    assert rl.base == AffineForm.const_form(1) and rl.step == 1
+    assert rl.base == LinTerm.of_const(1) and rl.step == 1
     assert rn.base == A({"l": 4}) and rn.step == 1
 
 
@@ -219,15 +218,31 @@ def test_sum_matches_direct_enumeration(text, order, lw, tw):
 def test_affine_form_string_and_eval():
     form = A({"x": Fraction(1, 2), "y": -1}, Fraction(3, 2))
     assert str(form) == "1/2*x - y + 3/2"
-    assert form.eval({"x": 3, "y": 1}) == Fraction(2)
-    assert form.eval_int({"x": 3, "y": 1}) == 2
-    with pytest.raises(ValueError):
-        form.eval_int({"x": 2, "y": 1})
+    assert form.eval({"x": 3, "y": 1}) == 2
+    assert form.eval({"x": 2, "y": 1}) == Fraction(3, 2)
+    assert form.denominator_lcm() == 2 and A({"x": 3}, -1).denominator_lcm() == 1
+    assert form.shift(Fraction(-3, 2)) == A({"x": Fraction(1, 2), "y": -1})
+    assert LinTerm.of_const(Fraction(5, 3)).is_const() and not form.is_const()
+    # subst replaces the variables env names and keeps the others
+    assert form.subst({"x": A({"s": 2}, 1)}) == A({"s": 1, "y": -1}, 2)
+    # rational and integer coefficients of equal value make equal terms
+    assert A({"x": Fraction(4, 2)}, Fraction(0)) == A({"x": 2})
+
+
+def test_weights_outside_the_order_are_rejected():
+    sys = ranges_of("n >= 1", ["n"])
+    with pytest.raises(ValueError, match=r"outside the order: \['m'\]"):
+        weighted_sum(sys, A({}), A({"n": 1, "m": 1}))
+    with pytest.raises(ValueError, match=r"outside the order: \['k', 'm'\]"):
+        weighted_sum(sys, A({"k": 1}), A({"m": 1}))
+    # an empty system does not excuse a stray weight variable
+    with pytest.raises(ValueError, match="outside the order"):
+        weighted_sum(IteratedRangeSystem(("n",), ()), A({}), A({"m": 1}))
 
 
 def test_hand_built_piece_sum():
     # a hand-built capped piece: n in {0 + 1*s} up to 5, weight T^n
-    piece = Piece((RangeVar("n", AffineForm.const_form(0), 1, AffineForm.const_form(5)),))
+    piece = Piece((RangeVar("n", LinTerm.of_const(0), 1, LinTerm.of_const(5)),))
     sys = IteratedRangeSystem(("n",), (piece,))
     got = weighted_sum(sys, A({}), A({"n": 1}))
     coeffs = rs_expand(got, 8).coeffs
