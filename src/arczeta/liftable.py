@@ -11,10 +11,15 @@ decides whole cells at once:
   F0 -- the cell is dead past level F0 and all residues inside are excluded
   with proof.  If min(F0, H) >= K = n+1+maxDepth, every point of the cell
   solves f mod p^K and all residues inside are counted.
-* Otherwise the cell splits into p^m children at scale S+1.  A child whose
-  values have order < H+1 is dead outright, because child jets always gain at
-  least one order per scale (D^[a]f(b+u) expands in parent jets of index
-  >= a, each scaled by p^{|a|} more).
+* Otherwise F0 >= H and H < K, and the cell splits into p^m children
+  b + p^S v at scale S+1.  A child where some f_i has order exactly H is dead
+  outright, because child jets always gain at least one order per scale
+  (D^[a]f(b+u) expands in parent jets of index >= a, each scaled by p^{|a|}
+  more); so the child threshold min(H+1, K) is always H+1.  Every Taylor term
+  f_i(b) and jet_a * v^a has order >= H, so f_i(b + p^S v) / p^H mod p is a
+  polynomial over F_p in v with coefficients f_i(b) / p^H and jet_a / p^H
+  mod p: one product with the table of monomials v^a mod p decides all p^m
+  children at once.
 
 Certificates upgrade counted residues to proven members of the projection of
 the exact solution set: an exact integer zero, or Hensel's criterion on a
@@ -35,6 +40,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .counting import BudgetExceeded
+from .fq import is_prime
 
 __all__ = ["IntPoly", "LiftResult", "count_liftable", "DEFAULT_NODE_BUDGET"]
 
@@ -259,35 +265,6 @@ def _ordp(value: int, p: int) -> float | int:
     return k
 
 
-def _mulmod_vec(a: np.ndarray, b: np.ndarray, modulus: int) -> np.ndarray:
-    """a*b mod modulus for int64 arrays, safe for modulus < 2^61.
-
-    Shift-and-add over width-w limbs of b: with r, a < modulus < 2^bits and
-    w <= 62 - bits, both r << w and a*limb stay below 2^62.
-    """
-    if modulus <= 1 << 31:
-        return (a * b) % modulus
-    bits = modulus.bit_length()
-    w = max(1, 62 - bits)
-    steps = -(-bits // w)
-    mask = (1 << w) - 1
-    r = np.zeros_like(a)
-    for k in range(steps - 1, -1, -1):
-        limb = (b >> (k * w)) & mask
-        r = ((r << w) + a * limb) % modulus
-    return r
-
-
-def _ord_vec(vals: np.ndarray, p: int, cap: int) -> np.ndarray:
-    ords = np.full(vals.shape, cap, dtype=np.int64)
-    cur = vals.copy()
-    for t in range(cap):
-        hit = (ords == cap) & (cur != 0) & (cur % p != 0)
-        ords[hit] = t
-        cur //= p
-    return ords
-
-
 # ---------------------------------------------------------------------------
 # the cell tree
 # ---------------------------------------------------------------------------
@@ -303,48 +280,58 @@ class LiftResult:
     def method(self) -> str:
         return "hensel-certified" if self.certified else "stabilized-uncertified"
 
-    def __iter__(self):
-        yield self.count
-        yield self.certified
-
 
 class _System:
-    def __init__(self, polys: list[IntPoly], p: int, K: int, n: int, nvars: int):
+    def __init__(self, polys: list[IntPoly], p: int, K: int, nvars: int):
         self.polys = polys
         self.p = p
         self.K = K
-        self.n = n
-        self.modulus = p**K
         self.nvars = nvars
-        # nonzero Hasse derivatives, shared across all cells
-        self.jets: list[tuple[tuple[int, ...], int, IntPoly]] = []
+        # nonzero Hasse derivatives D^[a]f_i, a != 0, grouped by f_i, as
+        # (column of v^a in the monomial table, |a|, D^[a]f_i)
+        columns: dict[tuple[int, ...], int] = {}
+        self.jets: list[list[tuple[int, int, IntPoly]]] = []
         for poly in polys:
-            hull = poly.max_exponents()
-            for alpha in itertools.product(*(range(e + 1) for e in hull)):
+            group = []
+            for alpha in itertools.product(*(range(e + 1) for e in poly.max_exponents())):
                 if sum(alpha) == 0:
                     continue
                 dp = poly.hasse_deriv(alpha)
                 if not dp.is_zero():
-                    self.jets.append((alpha, sum(alpha), dp))
+                    col = columns.setdefault(alpha, len(columns) + 1)
+                    group.append((col, sum(alpha), dp))
+            self.jets.append(group)
         self.jacobian = [poly.gradient() for poly in polys]
-        self.vectorized = self.modulus < 1 << 61
+        # a row of the child test sums len(columns) + 1 products of residues mod p
+        if (len(columns) + 1) * (p - 1) ** 2 >= 1 << 63:
+            raise ValueError(f"{len(columns)} jets at p = {p} overflow the int64 child test")
         self.offsets = np.array(
             list(itertools.product(range(p), repeat=self.nvars)), dtype=np.int64
         )
+        # monomials v^a mod p of every child offset v; column 0 is v^0 = 1
+        self.monomials = np.ones((len(self.offsets), len(columns) + 1), dtype=np.int64)
+        for alpha, col in columns.items():
+            for i, e in enumerate(alpha):
+                powers = np.array([pow(x, e, p) for x in range(p)], dtype=np.int64)
+                self.monomials[:, col] = self.monomials[:, col] * powers[self.offsets[:, i]] % p
 
-    def f_order(self, b: tuple[int, ...]) -> float | int:
-        return min((_ordp(poly.eval(b), self.p) for poly in self.polys), default=_INF)
+    def values(self, b: tuple[int, ...]) -> list[int]:
+        return [poly.eval(b) for poly in self.polys]
 
-    def horizon(self, b: tuple[int, ...], S: int) -> float | int:
+    def horizon(self, b: tuple[int, ...], S: int) -> tuple[float | int, list[list[int]]]:
+        """H = min p-order of the scaled jets D^[a]f_i(b) * p^{S|a|}, and those jets by f_i."""
         h: float | int = _INF
-        for _, weight, dp in self.jets:
-            o = _ordp(dp.eval(b), self.p)
-            if o + S * weight < h:
-                h = o + S * weight
-        return h
-
-    def exact_zero(self, b: tuple[int, ...]) -> bool:
-        return all(poly.eval(b) == 0 for poly in self.polys)
+        scaled = []
+        for group in self.jets:
+            row = []
+            for _, weight, dp in group:
+                value = dp.eval(b)
+                o = _ordp(value, self.p) + S * weight
+                if o < h:
+                    h = o
+                row.append(value * self.p ** (S * weight))
+            scaled.append(row)
+        return h, scaled
 
     def hensel_bound(self, b: tuple[int, ...]) -> float | int:
         """Minimal p-order over maximal minors of the Jacobian at b (r = #polys)."""
@@ -371,30 +358,27 @@ class _System:
         return best
 
     def surviving_children(
-        self, b: tuple[int, ...], S: int, threshold: int
+        self, b: tuple[int, ...], S: int, values: list[int], H: int, jets: list[list[int]]
     ) -> list[tuple[int, ...]]:
-        """Children b + p^S v whose min_i ord f_i (capped at K) reaches threshold."""
-        step = self.p**S
-        if self.vectorized:
-            pts = np.array(b, dtype=np.int64)[None, :] + step * self.offsets
-            pts %= self.modulus
-            best = np.full(pts.shape[0], self.K, dtype=np.int64)
-            for poly in self.polys:
-                acc = np.zeros(pts.shape[0], dtype=np.int64)
-                for expo, coeff in poly.terms:
-                    t = np.full(pts.shape[0], coeff % self.modulus, dtype=np.int64)
-                    for i, e in enumerate(expo):
-                        for _ in range(e):
-                            t = _mulmod_vec(t, pts[:, i], self.modulus)
-                    acc = (acc + t) % self.modulus
-                best = np.minimum(best, _ord_vec(acc, self.p, self.K))
-            return [tuple(row) for row in pts[best >= threshold].tolist()]
-        out = []
-        for off in self.offsets.tolist():
-            pt = tuple(x + step * v for x, v in zip(b, off))
-            if min(self.f_order(pt), self.K) >= threshold:
-                out.append(pt)
-        return out
+        """Children b + p^S v of a branching cell (F0 >= H, H < K) where every f_i has order > H.
+
+        ``values`` are the f_i(b) and ``jets`` the scaled jets of ``horizon``.
+        Every Taylor term of f_i(b + p^S v) = f_i(b) + sum_a jet_a v^a has
+        order >= H, so f_i(b + p^S v) / p^H mod p is the F_p polynomial in v
+        with coefficients f_i(b) / p^H and jet_a / p^H mod p.
+        """
+        p, scale = self.p, self.p**H
+        coeffs = [[0] * len(self.polys) for _ in range(self.monomials.shape[1])]
+        for i, (value, group, scaled) in enumerate(zip(values, self.jets, jets)):
+            coeffs[0][i] = value // scale % p
+            for (col, _, _), jet in zip(group, scaled):
+                coeffs[col][i] = jet // scale % p
+        forms = self.monomials @ np.array(coeffs, dtype=np.int64) % p
+        step = p**S
+        return [
+            tuple(x + step * v for x, v in zip(b, off))
+            for off in self.offsets[~forms.any(axis=1)].tolist()
+        ]
 
 
 def count_liftable(
@@ -406,6 +390,8 @@ def count_liftable(
     budget: int = DEFAULT_NODE_BUDGET,
 ) -> LiftResult:
     """Count residues mod p^{n+1} solving f, inside W mod p, liftable to depth max_depth."""
+    if not is_prime(p):
+        raise ValueError(f"p = {p} is not prime")
     if n < 0 or max_depth < 0:
         raise ValueError("n and max_depth must be >= 0")
     fp = [poly if isinstance(poly, IntPoly) else IntPoly.parse(poly) for poly in f]
@@ -414,12 +400,11 @@ def count_liftable(
     fp = [_widen(poly, nvars) for poly in fp]
     wp = [_widen(poly, nvars) for poly in wp]
 
-    K = n + 1 + max_depth
-    sys = _System(fp, p, K, n, nvars)
-    owner_mod = p ** (n + 1)
-
     if p**nvars > budget:
         raise BudgetExceeded(f"root enumeration p^m = {p**nvars} exceeds budget {budget}")
+    K = n + 1 + max_depth
+    sys = _System(fp, p, K, nvars)
+    owner_mod = p ** (n + 1)
     roots = [
         b
         for b in itertools.product(range(p), repeat=nvars)
@@ -437,18 +422,19 @@ def count_liftable(
         charge += 1
         if charge > budget:
             raise BudgetExceeded(f"cell tree exceeded budget of {budget} nodes")
-        F0 = sys.f_order(b)
+        values = sys.values(b)
+        F0 = min((_ordp(value, p) for value in values), default=_INF)
         single = S >= n + 1
         if single:
             owner = tuple(x % owner_mod for x in b)
-            if F0 == _INF and sys.exact_zero(b):
+            if F0 == _INF:  # every f_i(b) == 0: an exact integer zero
                 owners[owner] = True
                 continue
             v = sys.hensel_bound(b)
             if v != _INF and F0 > 2 * v and F0 - v >= n + 1:
                 owners[owner] = True
                 continue
-        H = sys.horizon(b, S)
+        H, jets = sys.horizon(b, S)
         effective = min(F0, H)
         if effective >= K:
             if single:
@@ -460,11 +446,11 @@ def count_liftable(
             continue
         if F0 < H:
             continue  # f has order exactly F0 < K on the whole cell: dead
-        # branch, discarding children whose order cannot reach the child horizon
+        # branch (F0 >= H, H < K), keeping the children where every f_i has order > H
         charge += p**nvars
         if charge > budget:
             raise BudgetExceeded(f"cell tree exceeded budget of {budget} nodes")
-        for child in sys.surviving_children(b, S, min(H + 1, K)):
+        for child in sys.surviving_children(b, S, values, H, jets):
             stack.append((child, S + 1))
 
     count = bulk_count + len(owners)

@@ -8,9 +8,11 @@ easy to audit.
 Reference models of code the library only runs vectorized or specialised:
 :class:`RefFq` is scalar element arithmetic of F_q over the library's own
 modulus and reduction table, :class:`TruncPow` builds F_q[t]/t^{n+1} on it
-(the vectorized counting kernel is checked against it digit by digit), and
+(the vectorized counting kernel is checked against it digit by digit),
 :func:`ratfunc_from_polys` reduces num/den by a full Euclidean gcd over Q
-(the reference for `RatFunc.from_binomials`).
+(the reference for `RatFunc.from_binomials`), and :func:`ref_cell_horizon`
+with :func:`ref_surviving_children` filter the children of a lifting cell
+point by point over Z (the reference for the F_p child test of `liftable`).
 """
 
 from __future__ import annotations
@@ -19,12 +21,13 @@ import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import lcm
+from math import inf, lcm
 from operator import mul
 from typing import Callable, Iterator, Sequence
 
 from arczeta import presburger as pb
 from arczeta.fq import Fq
+from arczeta.liftable import IntPoly
 from arczeta.ratseries import RatFunc, _qgcd
 from arczeta.tate import _qdivmod, _qtrim
 
@@ -327,3 +330,38 @@ class TruncPow:
     def _check(self, other: TruncPow) -> None:
         if self.field.p != other.field.p or self.field.d != other.field.d or self.n != other.n:
             raise ValueError("mixed truncation orders or fields")
+
+
+def _ref_ordp(value: int, p: int) -> int | float:
+    if value == 0:
+        return inf
+    k = 0
+    while value % p == 0:
+        value //= p
+        k += 1
+    return k
+
+
+def ref_cell_horizon(polys: Sequence[IntPoly], p: int, b: tuple[int, ...], S: int) -> int | float:
+    """H: min over f_i and a != 0 of ord D^[a]f_i(b) + S|a| on the cell b + p^S Z^m."""
+    best: int | float = inf
+    for poly in polys:
+        for alpha in product(*(range(e + 1) for e in poly.max_exponents())):
+            if any(alpha):
+                order = _ref_ordp(poly.hasse_deriv(alpha).eval(b), p) + S * sum(alpha)
+                best = min(best, order)
+    return best
+
+
+def ref_surviving_children(
+    polys: Sequence[IntPoly], p: int, K: int, b: tuple[int, ...], S: int
+) -> list[tuple[int, ...]]:
+    """Children b + p^S v, v in [0, p)^m in lexicographic order, whose values
+    reach the child threshold: min_i min(ord f_i, K) >= min(H + 1, K)."""
+    threshold = min(ref_cell_horizon(polys, p, b, S) + 1, K)
+    out = []
+    for v in product(range(p), repeat=len(b)):
+        child = tuple(x + p**S * d for x, d in zip(b, v))
+        if min([min(_ref_ordp(poly.eval(child), p), K) for poly in polys] + [K]) >= threshold:
+            out.append(child)
+    return out

@@ -129,6 +129,13 @@ class TestCountCommand:
         assert [int(line.split(",")[1]) for line in lines] == [1, 1, 4, 43, 298]
         assert all(line.split(",")[2] == "hensel-certified" for line in lines)
 
+    @pytest.mark.parametrize("prime", ["0", "1", "4", "-3"])
+    def test_poly_mode_non_prime_exits_1(self, runner, prime):
+        r = runner.invoke(main, ["count", "--poly", "x^2 - y^3", "--origin", "-p", prime, "--n-max", "2"])
+        assert r.exit_code == 1
+        assert r.stdout == ""
+        assert r.stderr == f"error: p = {prime} is not prime\n"
+
     def test_deterministic_output(self, runner, files):
         args = ["count", "--branch", files["cusp"], "-p", "7", "--n-max", "4", "--format", "json"]
         assert runner.invoke(main, args).output == runner.invoke(main, args).output

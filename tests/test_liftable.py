@@ -1,16 +1,17 @@
 """Cell-tree lifting counter against exhaustive enumeration and cross-method oracles."""
 
 import itertools
-import random
+import math
 
-import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from arczeta.branch import BranchSpec
 from arczeta.counting import BudgetExceeded, count_branch_image
-from arczeta.liftable import IntPoly, LiftResult, _mulmod_vec, count_liftable
+from arczeta.liftable import IntPoly, _ordp, _System, count_liftable
+
+from helpers import ref_cell_horizon, ref_surviving_children
 
 
 class TestPolyParser:
@@ -80,27 +81,6 @@ class TestHasseDerivatives:
         assert gy.eval((3, 2)) == 9 + 60  # x^2 + 15y^2
 
 
-class TestMulmod:
-    def test_against_python_integers(self):
-        rng = random.Random(7)
-        for bits in (20, 31, 40, 49, 53, 58, 60):
-            M = rng.randrange(1 << (bits - 1), 1 << bits)
-            a = np.array([rng.randrange(M) for _ in range(50)], dtype=np.int64)
-            b = np.array([rng.randrange(M) for _ in range(50)], dtype=np.int64)
-            got = _mulmod_vec(a, b, M)
-            for x, y, g in zip(a.tolist(), b.tolist(), got.tolist()):
-                assert g == (x * y) % M, (bits, x, y)
-
-    def test_prime_power_moduli(self):
-        for p, k in [(7, 13), (11, 16), (13, 16)]:
-            M = p**k
-            a = np.array([M - 1, M // 2, 12345678901], dtype=np.int64)
-            b = np.array([M - 1, M // 3, 98765432109], dtype=np.int64)
-            got = _mulmod_vec(a % M, b % M, M)
-            for x, y, g in zip(a.tolist(), b.tolist(), got.tolist()):
-                assert g == ((x % M) * (y % M)) % M
-
-
 def naive_liftable(f, W, p, n, depth):
     """Exhaustive reference: all residues mod p^K, project owners mod p^{n+1}."""
     fp = [IntPoly.parse(s) if isinstance(s, str) else s for s in f]
@@ -156,9 +136,9 @@ class TestSpecialSystems:
             r = count_liftable([], [], p, 2, 3)
             assert (r.count, r.certified) == (p**3, True)
 
-    def test_result_unpacks_as_tuple(self):
-        count, certified = count_liftable(["x1"], [], 5, 1, 3)
-        assert count == 1 and certified is True
+    def test_result_fields(self):
+        r = count_liftable(["x1"], [], 5, 1, 3)
+        assert r.count == 1 and r.certified is True
 
     def test_smooth_point_certifies_immediately(self):
         # unit derivative at the root: Hensel applies at once
@@ -169,6 +149,20 @@ class TestSpecialSystems:
 
 class TestCuspCrossMethod:
     CUSP = BranchSpec.make(2, {3: 1})
+
+    # (count, certified, nodes) of x^2 = y^3 at depth 12, the cusp-cross-method plans
+    TREE = {
+        7: [(1, True, 1), (1, True, 57), (4, True, 449), (43, True, 841), (298, True, 5937), (2080, True, 25145)],
+        11: [(1, True, 1), (1, True, 133), (6, True, 1585), (111, True, 3037), (1216, True, 33529)],
+    }
+
+    @pytest.mark.parametrize("p", [7, 11])
+    def test_depth_12_tree_is_pinned(self, p):
+        got = []
+        for n in range(len(self.TREE[p])):
+            r = count_liftable(["x^2 - y^3"], ["x", "y"], p, n, 12)
+            got.append((r.count, r.certified, r.nodes))
+        assert got == self.TREE[p]
 
     @pytest.mark.parametrize("p", [7, 11])
     def test_matches_branch_image_certified(self, p):
@@ -210,3 +204,51 @@ class TestBudget:
             count_liftable(["x"], [], 5, -1, 3)
         with pytest.raises(ValueError):
             count_liftable(["x"], [], 5, 1, -1)
+
+    def test_child_test_overflow_is_rejected(self):
+        # (1 + 2 jets) * (p - 1)^2 >= 2^63 for this prime above 2^32: refused before any table is built
+        with pytest.raises(ValueError, match="overflow the int64 child test"):
+            count_liftable(["x^2"], [], 4294967311, 0, 1, budget=10**11)
+
+    @pytest.mark.parametrize("p", [0, 1, 4, -3])
+    def test_non_prime_is_rejected(self, p):
+        with pytest.raises(ValueError, match=f"^p = {p} is not prime$"):
+            count_liftable(["x^2 - y^3"], ["x", "y"], p, 2, 3)
+
+
+class TestChildTest:
+    """The F_p child test of a branching cell against the point-by-point filter over Z."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_matches_pointwise_filter(self, data):
+        p = data.draw(st.sampled_from([2, 3, 5, 7, 13]), label="p")
+        nvars = data.draw(st.integers(1, 3), label="nvars")
+        if data.draw(st.booleans(), label="p^K >= 2^61"):
+            K = data.draw(st.integers(math.ceil(61 / math.log2(p)), 70), label="K")
+        else:
+            K = data.draw(st.integers(2, 10), label="K")
+        S = data.draw(st.integers(1, min(K - 1, 4)), label="S")
+        b = tuple(data.draw(st.integers(0, p**S - 1)) for _ in range(nvars))
+        polys = []
+        for _ in range(data.draw(st.integers(1, 3))):
+            terms = {}
+            for _ in range(data.draw(st.integers(1, 4))):
+                expo = tuple(data.draw(st.integers(0, 3)) for _ in range(nvars))
+                coeff = data.draw(st.integers(-6, 6)) * p ** data.draw(st.integers(0, 3))
+                terms[expo] = coeff
+            # the constant term puts f(b) at a drawn order (or makes it 0) so the cell can branch
+            origin = (0,) * nvars
+            terms.pop(origin, None)
+            rest = IntPoly.make(nvars, terms).eval(b)
+            e = data.draw(st.one_of(st.none(), st.integers(S, K + 1)))
+            target = 0 if e is None else data.draw(st.sampled_from([-1, 1, 2, p - 1])) * p**e
+            terms[origin] = target - rest
+            polys.append(IntPoly.make(nvars, terms))
+        system = _System(polys, p, K, nvars)
+        values = system.values(b)
+        H, jets = system.horizon(b, S)
+        assert H == ref_cell_horizon(polys, p, b, S)
+        assume(H <= min(_ordp(v, p) for v in values) and H < K)  # the cell branches
+        got = system.surviving_children(b, S, values, H, jets)
+        assert got == ref_surviving_children(polys, p, K, b, S)
