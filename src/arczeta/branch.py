@@ -108,9 +108,6 @@ class BranchSpec:
         coeffs = [[j, str(self.coeffs[j])] for j in sorted(self.coeffs)]
         return {"m": self.m, "coeffs": coeffs, "truncation": self.truncation}
 
-    def y_coeff(self, j: int) -> Fraction:
-        return self.coeffs.get(j, Fraction(0))
-
 
 @dataclass(frozen=True)
 class CharSeq:

@@ -14,9 +14,8 @@ Exit codes: 0 success / verification pass, 1 usage or input error,
 2 verification failure, 3 verification uncertified.
 
 Configuration precedence: command-line flags, then the ``--config`` JSON
-file, then built-in defaults.  The only environment variable consulted is
-``THREADS`` (worker count for counting operations).  Outputs are
-deterministic byte-for-byte; wall-clock timings appear only with
+file, then built-in defaults; no environment variable is consulted.  Outputs
+are deterministic byte-for-byte; wall-clock timings appear only with
 ``--timings``.
 """
 
@@ -24,7 +23,6 @@ from __future__ import annotations
 
 import functools
 import json
-import os
 import sys
 import time
 from pathlib import Path
@@ -121,15 +119,7 @@ def _cfg(ctx, key, value, default):
 
 
 def _threads(ctx, flag_value) -> int:
-    value = flag_value
-    if value is None and "THREADS" in os.environ:
-        try:
-            value = int(os.environ["THREADS"])
-        except ValueError:
-            _fail(f"THREADS must be an integer, got {os.environ['THREADS']!r}")
-    if value is None:
-        value = ctx.obj.get("threads", 1)
-    value = int(value)
+    value = int(_cfg(ctx, "threads", flag_value, 1))
     if value < 1:
         _fail("threads must be >= 1")
     return value

@@ -27,6 +27,19 @@ maximal minor of the Jacobian (order v): if ord f(b) > 2v and
 ord f(b) - v >= n+1, Newton iteration converges to a true zero agreeing with
 b mod p^{n+1}.  A run is certified when every counted residue carries a
 certificate; exclusions are always proof-backed.
+
+Two shortcuts keep the per-node work small without changing any count or
+certificate:
+
+* Owner prune.  Once S >= n+1 every point of a cell, and of every cell below
+  it, is b mod p^{n+1}: its owner.  A cell whose owner is already certified
+  is popped (and charged as a node) but not evaluated, since nothing below it
+  can change the count or the certificates.
+* Hensel as one divisibility test.  With F0 = ord f(b) finite, the criterion
+  reads v <= vmax = min((F0-1)//2, F0-n-1), which holds exactly when some
+  maximal minor is nonzero mod p^{vmax+1}; when vmax < 0 the Jacobian is not
+  evaluated at all.  Its entries are the first-order jets, which the horizon
+  H then reuses, so each Hasse derivative is evaluated at most once per node.
 """
 
 from __future__ import annotations
@@ -96,10 +109,6 @@ class IntPoly:
             key = tuple(e - a for a, e in zip(alpha, expo))
             out[key] = out.get(key, 0) + c
         return IntPoly.make(self.nvars, out)
-
-    def gradient(self) -> list[IntPoly]:
-        units = [tuple(1 if j == i else 0 for j in range(self.nvars)) for i in range(self.nvars)]
-        return [self.hasse_deriv(u) for u in units]
 
     def max_exponents(self) -> tuple[int, ...]:
         if not self.terms:
@@ -256,13 +265,34 @@ def _parse_poly(text: str, nvars: int | None) -> IntPoly:
 
 
 def _ordp(value: int, p: int) -> float | int:
+    if value % p:
+        return 0
     if value == 0:
         return _INF
-    v, k = abs(value), 0
-    while v % p == 0:
-        v //= p
+    k = 0
+    while value % p == 0:
+        value //= p
         k += 1
     return k
+
+
+# a polynomial as ((coeff, ((variable, exponent), ...)), ...), zero exponents left out
+_Sparse = tuple[tuple[int, tuple[tuple[int, int], ...]], ...]
+
+
+def _sparse(poly: IntPoly) -> _Sparse:
+    return tuple(
+        (coeff, tuple((i, e) for i, e in enumerate(expo) if e)) for expo, coeff in poly.terms
+    )
+
+
+def _eval(form: _Sparse, point: Sequence[int]) -> int:
+    total = 0
+    for coeff, factors in form:
+        for i, e in factors:
+            coeff *= point[i] ** e
+        total += coeff
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -282,15 +312,17 @@ class LiftResult:
 
 
 class _System:
-    def __init__(self, polys: list[IntPoly], p: int, K: int, nvars: int):
-        self.polys = polys
+    def __init__(self, polys: list[IntPoly], p: int, nvars: int):
         self.p = p
-        self.K = K
         self.nvars = nvars
-        # nonzero Hasse derivatives D^[a]f_i, a != 0, grouped by f_i, as
-        # (column of v^a in the monomial table, |a|, D^[a]f_i)
+        self.forms = [_sparse(poly) for poly in polys]
+        # nonzero Hasse derivatives D^[a]f_i, a != 0, grouped by f_i with the
+        # first-order ones (the gradient) leading, as (column of v^a in the
+        # monomial table, |a|, sparse form of D^[a]f_i)
         columns: dict[tuple[int, ...], int] = {}
-        self.jets: list[list[tuple[int, int, IntPoly]]] = []
+        self.jets: list[list[tuple[int, int, _Sparse]]] = []
+        # the variable of each first-order jet of f_i: its Jacobian column
+        self.gradient_vars: list[list[int]] = []
         for poly in polys:
             group = []
             for alpha in itertools.product(*(range(e + 1) for e in poly.max_exponents())):
@@ -299,9 +331,13 @@ class _System:
                 dp = poly.hasse_deriv(alpha)
                 if not dp.is_zero():
                     col = columns.setdefault(alpha, len(columns) + 1)
-                    group.append((col, sum(alpha), dp))
-            self.jets.append(group)
-        self.jacobian = [poly.gradient() for poly in polys]
+                    group.append((sum(alpha), alpha, col, _sparse(dp)))
+            group.sort(key=lambda jet: jet[0])
+            self.jets.append([(col, weight, form) for weight, _, col, form in group])
+            self.gradient_vars.append([alpha.index(1) for weight, alpha, _, _ in group if weight == 1])
+        # column sets of the maximal minors of the Jacobian; Hensel's test runs for r <= 3 polys
+        r = len(polys)
+        self.minors = list(itertools.combinations(range(nvars), r)) if r <= 3 else []
         # a row of the child test sums len(columns) + 1 products of residues mod p
         if (len(columns) + 1) * (p - 1) ** 2 >= 1 << 63:
             raise ValueError(f"{len(columns)} jets at p = {p} overflow the int64 child test")
@@ -316,35 +352,34 @@ class _System:
                 self.monomials[:, col] = self.monomials[:, col] * powers[self.offsets[:, i]] % p
 
     def values(self, b: tuple[int, ...]) -> list[int]:
-        return [poly.eval(b) for poly in self.polys]
+        return [_eval(form, b) for form in self.forms]
 
-    def horizon(self, b: tuple[int, ...], S: int) -> tuple[float | int, list[list[int]]]:
-        """H = min p-order of the scaled jets D^[a]f_i(b) * p^{S|a|}, and those jets by f_i."""
-        h: float | int = _INF
-        scaled = []
-        for group in self.jets:
-            row = []
-            for _, weight, dp in group:
-                value = dp.eval(b)
-                o = _ordp(value, self.p) + S * weight
-                if o < h:
-                    h = o
-                row.append(value * self.p ** (S * weight))
-            scaled.append(row)
-        return h, scaled
+    def hensel(self, b: tuple[int, ...], F0: int, n: int) -> tuple[bool, list[list[int]] | None]:
+        """Hensel's criterion at b, whose f_i(b) have minimal order F0 < inf.
 
-    def hensel_bound(self, b: tuple[int, ...]) -> float | int:
-        """Minimal p-order over maximal minors of the Jacobian at b (r = #polys)."""
-        r = len(self.polys)
-        if r == 0 or r > self.nvars or r > 3:
-            return _INF
-        rows = [[g.eval(b) for g in grad] for grad in self.jacobian]
-        best: float | int = _INF
-        for cols in itertools.combinations(range(self.nvars), r):
-            sub = [[rows[i][j] for j in cols] for i in range(r)]
-            if r == 1:
-                det = sub[0][0]
-            elif r == 2:
+        Some maximal minor of the Jacobian must have order v with F0 > 2v and
+        F0 - v >= n+1, that is v <= vmax = min((F0-1)//2, F0-n-1): a minor
+        nonzero mod p^{vmax+1}.  Also returns the Jacobian rows, the
+        first-order jets by f_i in the order of ``jets``, when they were
+        evaluated (None when vmax < 0 or there are no minors to test).
+        """
+        vmax = min((F0 - 1) // 2, F0 - n - 1)
+        if vmax < 0 or not self.minors:
+            return False, None
+        grad = [
+            [_eval(form, b) for _, _, form in group[: len(cols)]]
+            for group, cols in zip(self.jets, self.gradient_vars)
+        ]
+        modulus = self.p ** (vmax + 1)
+        if len(grad) == 1:  # the 1 x 1 minors are the gradient entries
+            return any(value % modulus for value in grad[0]), grad
+        rows = [[0] * self.nvars for _ in grad]
+        for row, cols, values in zip(rows, self.gradient_vars, grad):
+            for j, value in zip(cols, values):
+                row[j] = value
+        for cols in self.minors:
+            sub = [[row[j] for j in cols] for row in rows]
+            if len(cols) == 2:
                 det = sub[0][0] * sub[1][1] - sub[0][1] * sub[1][0]
             else:
                 det = (
@@ -352,27 +387,51 @@ class _System:
                     - sub[0][1] * (sub[1][0] * sub[2][2] - sub[1][2] * sub[2][0])
                     + sub[0][2] * (sub[1][0] * sub[2][1] - sub[1][1] * sub[2][0])
                 )
-            o = _ordp(det, self.p)
-            if o < best:
-                best = o
-        return best
+            if det % modulus:
+                return True, grad
+        return False, grad
+
+    def horizon(
+        self, b: tuple[int, ...], S: int, grad: list[list[int]] | None = None
+    ) -> tuple[float | int, list[list[int]]]:
+        """H = min p-order of the scaled jets D^[a]f_i(b) * p^{S|a|}, and the unscaled D^[a]f_i(b) by f_i.
+
+        ``grad`` holds the first-order jets that ``hensel`` already evaluated at b.
+        """
+        p = self.p
+        h: float | int = _INF
+        out = []
+        for i, group in enumerate(self.jets):
+            row = list(grad[i]) if grad else []
+            for _, _, form in group[len(row) :]:
+                row.append(_eval(form, b))
+            for (_, weight, _), value in zip(group, row):
+                o = S * weight
+                if o < h and value % p == 0:
+                    o += _ordp(value, p)
+                if o < h:
+                    h = o
+            out.append(row)
+        return h, out
 
     def surviving_children(
         self, b: tuple[int, ...], S: int, values: list[int], H: int, jets: list[list[int]]
     ) -> list[tuple[int, ...]]:
         """Children b + p^S v of a branching cell (F0 >= H, H < K) where every f_i has order > H.
 
-        ``values`` are the f_i(b) and ``jets`` the scaled jets of ``horizon``.
-        Every Taylor term of f_i(b + p^S v) = f_i(b) + sum_a jet_a v^a has
-        order >= H, so f_i(b + p^S v) / p^H mod p is the F_p polynomial in v
-        with coefficients f_i(b) / p^H and jet_a / p^H mod p.
+        ``values`` are the f_i(b) and ``jets`` the unscaled jets of ``horizon``.
+        Every Taylor term of f_i(b + p^S v) = f_i(b) + sum_a D^[a]f_i(b) p^{S|a|} v^a
+        has order >= H, so f_i(b + p^S v) / p^H mod p is the F_p polynomial in v
+        with coefficients f_i(b) / p^H and D^[a]f_i(b) / p^{H - S|a|} mod p,
+        the latter 0 when S|a| > H.
         """
-        p, scale = self.p, self.p**H
-        coeffs = [[0] * len(self.polys) for _ in range(self.monomials.shape[1])]
-        for i, (value, group, scaled) in enumerate(zip(values, self.jets, jets)):
-            coeffs[0][i] = value // scale % p
-            for (col, _, _), jet in zip(group, scaled):
-                coeffs[col][i] = jet // scale % p
+        p = self.p
+        coeffs = [[0] * len(values) for _ in range(self.monomials.shape[1])]
+        for i, (value, group, row) in enumerate(zip(values, self.jets, jets)):
+            coeffs[0][i] = value // p**H % p
+            for (col, weight, _), jet in zip(group, row):
+                if S * weight <= H:
+                    coeffs[col][i] = jet // p ** (H - S * weight) % p
         forms = self.monomials @ np.array(coeffs, dtype=np.int64) % p
         step = p**S
         return [
@@ -403,7 +462,7 @@ def count_liftable(
     if p**nvars > budget:
         raise BudgetExceeded(f"root enumeration p^m = {p**nvars} exceeds budget {budget}")
     K = n + 1 + max_depth
-    sys = _System(fp, p, K, nvars)
+    sys = _System(fp, p, nvars)
     owner_mod = p ** (n + 1)
     roots = [
         b
@@ -422,19 +481,24 @@ def count_liftable(
         charge += 1
         if charge > budget:
             raise BudgetExceeded(f"cell tree exceeded budget of {budget} nodes")
-        values = sys.values(b)
-        F0 = min((_ordp(value, p) for value in values), default=_INF)
         single = S >= n + 1
         if single:
-            owner = tuple(x % owner_mod for x in b)
+            # every point of the cell, and so of every descendant, is b mod p^{n+1}
+            owner = tuple([x % owner_mod for x in b])
+            if owners.get(owner):
+                continue
+        values = sys.values(b)
+        F0 = min([_ordp(value, p) for value in values], default=_INF)
+        grad = None
+        if single:
             if F0 == _INF:  # every f_i(b) == 0: an exact integer zero
                 owners[owner] = True
                 continue
-            v = sys.hensel_bound(b)
-            if v != _INF and F0 > 2 * v and F0 - v >= n + 1:
+            certified, grad = sys.hensel(b, F0, n)
+            if certified:
                 owners[owner] = True
                 continue
-        H, jets = sys.horizon(b, S)
+        H, jets = sys.horizon(b, S, grad)
         effective = min(F0, H)
         if effective >= K:
             if single:

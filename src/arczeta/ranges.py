@@ -25,7 +25,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, lcm
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Sequence
 
 from . import presburger as pb
 from .presburger import _NEGATE, LinTerm
@@ -76,53 +76,6 @@ class IteratedRangeSystem:
                 rs.append(body)
             lines.append(f"piece {i + 1}: " + "; ".join(rs))
         return "\n".join(lines) if lines else "(empty system)"
-
-    def contains(self, point: Mapping[str, int]) -> bool:
-        return any(_piece_contains(p, point) for p in self.pieces)
-
-    def iter_points(self, tmax: Mapping[str, int]) -> Iterator[dict[str, int]]:
-        """Enumerate points with each variable clipped to tmax[var]."""
-        for piece in self.pieces:
-            yield from _piece_points(piece, 0, {}, tmax)
-
-
-def _piece_contains(piece: Piece, point: Mapping[str, int]) -> bool:
-    env: dict[str, int] = {}
-    for r in piece.ranges:
-        v = point[r.var]
-        base = r.base.eval(env)
-        if base.denominator != 1:
-            return False
-        base = base.numerator
-        if v < base or (v - base) % r.step:
-            return False
-        if r.cap is not None:
-            cap = r.cap.eval(env)
-            if Fraction(v) > cap:
-                return False
-        env[r.var] = v
-    return True
-
-
-def _piece_points(
-    piece: Piece, i: int, env: dict[str, int], tmax: Mapping[str, int]
-) -> Iterator[dict[str, int]]:
-    if i == len(piece.ranges):
-        yield dict(env)
-        return
-    r = piece.ranges[i]
-    base = r.base.eval(env)
-    if base.denominator != 1:
-        raise ValueError(f"non-integral base {r.base} at {env}")
-    v = base.numerator
-    hi = Fraction(tmax[r.var])
-    if r.cap is not None:
-        hi = min(hi, r.cap.eval(env))
-    while v <= hi:
-        env[r.var] = v
-        yield from _piece_points(piece, i + 1, env, tmax)
-        del env[r.var]
-        v += r.step
 
 
 # ---------------------------------------------------------------------------

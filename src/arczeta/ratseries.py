@@ -317,9 +317,6 @@ class TruncatedSeries:
     def __getitem__(self, n: int) -> TatePoly:
         return self.coeffs[n]
 
-    def specialize(self, q: Scalar) -> list[Fraction]:
-        return [tate_eval(c, q) for c in self.coeffs]
-
 
 def rs_expand(x: RatSeries, order: int) -> TruncatedSeries:
     """Truncated expansion c_0..c_order with coefficients in Q[L, L^-1].

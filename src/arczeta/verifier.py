@@ -403,14 +403,22 @@ def verify_cross_method(plan: VerificationPlan) -> Verdict:
 
     The lifting depth defaults to max(6, 2n), enough for the cusp's tail
     zones to certify; an explicit shallow depth yields an uncertified verdict.
+    Without ``poly`` the lifted curve is the cusp x^2 - y^3, so a plan on any
+    other branch must name its equation.
     """
     if plan.target != "cusp-cross-method":
         raise ValueError(f"plan target {plan.target!r} is not cusp-cross-method")
     b = plan.branch
     assert b is not None
+    c = characteristic_sequence(b)
+    if not plan.poly and c.beta != (2, 3):
+        raise ValueError(
+            "cusp-cross-method plan needs poly: the default x^2 - y^3 is the cusp (2;3),"
+            f" not a branch with characteristic exponents {list(c.beta)}"
+        )
     f = plan.poly or ("x^2 - y^3",)
     W = plan.locus or ("x", "y")
-    series = p_ar(characteristic_sequence(b))
+    series = p_ar(c)
     rows = []
     primes, excluded = admissible_primes(plan)
     for p in primes:

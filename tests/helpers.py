@@ -10,9 +10,16 @@ Reference models of code the library only runs vectorized or specialised:
 modulus and reduction table, :class:`TruncPow` builds F_q[t]/t^{n+1} on it
 (the vectorized counting kernel is checked against it digit by digit),
 :func:`ratfunc_from_polys` reduces num/den by a full Euclidean gcd over Q
-(the reference for `RatFunc.from_binomials`), and :func:`ref_cell_horizon`
+(the reference for `RatFunc.from_binomials`), :func:`ref_cell_horizon`
 with :func:`ref_surviving_children` filter the children of a lifting cell
-point by point over Z (the reference for the F_p child test of `liftable`).
+point by point over Z (the reference for the F_p child test of `liftable`),
+and :func:`ref_count_liftable` walks the unpruned cell tree with direct
+`IntPoly.eval` and a Hensel bound from the p-orders of the Jacobian minors
+(the reference for `count_liftable`).
+
+Small readers of library objects that only tests need:
+:func:`ref_y_coeff`, :func:`ref_contains`, :func:`ref_iter_points` and
+:func:`ref_specialize_truncated`.
 """
 
 from __future__ import annotations
@@ -20,16 +27,19 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 from math import inf, lcm
 from operator import mul
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 from arczeta import presburger as pb
+from arczeta.branch import BranchSpec
+from arczeta.counting import BudgetExceeded
 from arczeta.fq import Fq
-from arczeta.liftable import IntPoly
-from arczeta.ratseries import RatFunc, _qgcd
-from arczeta.tate import _qdivmod, _qtrim
+from arczeta.liftable import IntPoly, LiftResult
+from arczeta.ranges import IteratedRangeSystem, Piece
+from arczeta.ratseries import RatFunc, TruncatedSeries, _qgcd
+from arczeta.tate import Scalar, _qdivmod, _qtrim, tate_eval
 
 
 def quantifier_window(f: pb.Formula, free_box: int = 30) -> int:
@@ -159,7 +169,7 @@ def direct_weighted_sum(sys, lweight, tweight, tmax: int, clip: int = 400):
     from arczeta.tate import TatePoly
 
     coeffs = [TatePoly.zero() for _ in range(tmax + 1)]
-    for pt in sys.iter_points({v: clip for v in sys.order}):
+    for pt in ref_iter_points(sys, {v: clip for v in sys.order}):
         n = _int_value(tweight, pt)
         if 0 <= n <= tmax:
             e = _int_value(lweight, pt)
@@ -365,3 +375,142 @@ def ref_surviving_children(
         if min([min(_ref_ordp(poly.eval(child), p), K) for poly in polys] + [K]) >= threshold:
             out.append(child)
     return out
+
+
+def ref_gradient(poly: IntPoly) -> list[IntPoly]:
+    """The first-order Hasse derivatives D^[e_j] poly, j = 1..nvars."""
+    units = [tuple(int(j == i) for j in range(poly.nvars)) for i in range(poly.nvars)]
+    return [poly.hasse_deriv(u) for u in units]
+
+
+def ref_hensel_bound(jacobian: Sequence[Sequence[IntPoly]], nvars: int, p: int, b: tuple[int, ...]) -> int | float:
+    """Minimal p-order over the maximal minors of the Jacobian at b (r = #polys <= 3, else inf)."""
+    r = len(jacobian)
+    if r == 0 or r > nvars or r > 3:
+        return inf
+    rows = [[g.eval(b) for g in grad] for grad in jacobian]
+    best: int | float = inf
+    for cols in combinations(range(nvars), r):
+        sub = [[rows[i][j] for j in cols] for i in range(r)]
+        if r == 1:
+            det = sub[0][0]
+        elif r == 2:
+            det = sub[0][0] * sub[1][1] - sub[0][1] * sub[1][0]
+        else:
+            det = (
+                sub[0][0] * (sub[1][1] * sub[2][2] - sub[1][2] * sub[2][1])
+                - sub[0][1] * (sub[1][0] * sub[2][2] - sub[1][2] * sub[2][0])
+                + sub[0][2] * (sub[1][0] * sub[2][1] - sub[1][1] * sub[2][0])
+            )
+        best = min(best, _ref_ordp(det, p))
+    return best
+
+
+def ref_count_liftable(
+    f: Sequence[IntPoly], W: Sequence[IntPoly], p: int, n: int, max_depth: int, budget: int
+) -> LiftResult:
+    """The cell tree of `count_liftable` without the owner prune, on polynomials of one width.
+
+    Every popped cell is evaluated in full: f_i(b) by `IntPoly.eval`, the
+    Hensel bound v from the p-orders of the Jacobian minors (certify when
+    ord f(b) > 2v and ord f(b) - v >= n+1), the horizon by
+    :func:`ref_cell_horizon` and the children by :func:`ref_surviving_children`.
+    """
+    nvars = max([poly.nvars for poly in [*f, *W]] + [1])
+    jacobian = [ref_gradient(poly) for poly in f]
+    K = n + 1 + max_depth
+    owner_mod = p ** (n + 1)
+    stack = [
+        (b, 1)
+        for b in product(range(p), repeat=nvars)
+        if all(poly.eval(b) % p == 0 for poly in [*W, *f])
+    ]
+    owners: dict[tuple[int, ...], bool] = {}
+    bulk_count, bulk_certified, charge = 0, True, 0
+    while stack:
+        b, S = stack.pop()
+        charge += 1
+        if charge > budget:
+            raise BudgetExceeded(f"cell tree exceeded budget of {budget} nodes")
+        F0 = min([_ref_ordp(poly.eval(b), p) for poly in f], default=inf)
+        single = S >= n + 1
+        if single:
+            owner = tuple(x % owner_mod for x in b)
+            v = ref_hensel_bound(jacobian, nvars, p, b)
+            if F0 == inf or (v != inf and F0 > 2 * v and F0 - v >= n + 1):
+                owners[owner] = True
+                continue
+        H = ref_cell_horizon(f, p, b, S)
+        if min(F0, H) >= K:
+            if single:
+                owners.setdefault(owner, False)
+            else:
+                bulk_count += p ** ((n + 1 - S) * nvars)
+                bulk_certified = bulk_certified and F0 == inf and H == inf
+            continue
+        if F0 < H:
+            continue
+        charge += p**nvars
+        if charge > budget:
+            raise BudgetExceeded(f"cell tree exceeded budget of {budget} nodes")
+        stack.extend((child, S + 1) for child in ref_surviving_children(f, p, K, b, S))
+    certified = (bulk_count == 0 or bulk_certified) and all(owners.values())
+    return LiftResult(count=bulk_count + len(owners), certified=certified, nodes=charge)
+
+
+def ref_y_coeff(b: BranchSpec, j: int) -> Fraction:
+    """The coefficient a_j of w^j in y, 0 when absent."""
+    return b.coeffs.get(j, Fraction(0))
+
+
+def ref_specialize_truncated(series: TruncatedSeries, q: Scalar) -> list[Fraction]:
+    """The coefficients c_0..c_order of a truncated expansion at L = q."""
+    return [tate_eval(c, q) for c in series.coeffs]
+
+
+def ref_contains(sys: IteratedRangeSystem, point: Mapping[str, int]) -> bool:
+    """Membership of an integer point in some piece of the system."""
+    return any(_ref_piece_contains(piece, point) for piece in sys.pieces)
+
+
+def _ref_piece_contains(piece: Piece, point: Mapping[str, int]) -> bool:
+    env: dict[str, int] = {}
+    for r in piece.ranges:
+        v = point[r.var]
+        base = r.base.eval(env)
+        if base.denominator != 1:
+            return False
+        base = base.numerator
+        if v < base or (v - base) % r.step:
+            return False
+        if r.cap is not None and Fraction(v) > r.cap.eval(env):
+            return False
+        env[r.var] = v
+    return True
+
+
+def ref_iter_points(sys: IteratedRangeSystem, tmax: Mapping[str, int]) -> Iterator[dict[str, int]]:
+    """The points of the system with each variable clipped to tmax[var]."""
+    for piece in sys.pieces:
+        yield from _ref_piece_points(piece, 0, {}, tmax)
+
+
+def _ref_piece_points(
+    piece: Piece, i: int, env: dict[str, int], tmax: Mapping[str, int]
+) -> Iterator[dict[str, int]]:
+    if i == len(piece.ranges):
+        yield dict(env)
+        return
+    r = piece.ranges[i]
+    base = r.base.eval(env)
+    if base.denominator != 1:
+        raise ValueError(f"non-integral base {r.base} at {env}")
+    v = base.numerator
+    hi = Fraction(tmax[r.var])
+    if r.cap is not None:
+        hi = min(hi, r.cap.eval(env))
+    while v <= hi:
+        env[r.var] = v
+        yield from _ref_piece_points(piece, i + 1, env, tmax)
+        del env[r.var]
+        v += r.step

@@ -281,6 +281,14 @@ class TestVerifyCommand:
         assert r.exit_code == 3
         assert "uncertified" in r.output
 
+    def test_non_cusp_plan_without_poly_exits_1(self, runner, tmp_path):
+        plan = VerificationPlan(
+            target="cusp-cross-method", branch=BranchSpec.make(3, {4: 1}), primes=(7,), n_max=2
+        )
+        r = runner.invoke(main, ["verify", "--plan", self.plan_file(tmp_path, plan)])
+        assert r.exit_code == 1
+        assert "needs poly" in message(r)
+
     def test_bad_plan_exits_1(self, runner, tmp_path):
         f = tmp_path / "plan.json"
         f.write_text(json.dumps({"target": "bogus"}))
@@ -302,20 +310,18 @@ class TestConfiguration:
         r = runner.invoke(main, ["--config", str(cfg), "count", "--branch", files["line"], "--n-max", "0"])
         assert len(r.output.strip().splitlines()) == 2
 
-    def test_threads_env_override(self, runner, files):
+    def test_threads_flag(self, runner, files):
         r = runner.invoke(
             main,
-            ["count", "--branch", files["std4"], "-p", "5", "--n-max", "6", "--format", "csv"],
-            env={"THREADS": "2"},
+            ["count", "--branch", files["std4"], "-p", "5", "--n-max", "6", "--format", "csv", "--threads", "2"],
         )
         assert r.exit_code == 0
         assert [int(line.split(",")[1]) for line in r.output.strip().splitlines()[1:]] == [1, 1, 1, 1, 2, 6, 51]
 
-    def test_bad_threads_env(self, runner, files):
-        r = runner.invoke(
-            main, ["count", "--branch", files["line"], "-p", "3"], env={"THREADS": "many"}
-        )
-        assert r.exit_code == 1
+    def test_bad_threads_flag(self, runner, files):
+        r = runner.invoke(main, ["count", "--branch", files["line"], "-p", "3", "--threads", "many"])
+        assert r.exit_code == 1  # a usage error: --threads takes an integer
+        assert "'many' is not a valid integer" in message(r)
 
     def test_bad_config_file(self, runner, files):
         cfg = files["dir"] / "config.json"

@@ -11,7 +11,13 @@ from arczeta.branch import BranchSpec
 from arczeta.counting import BudgetExceeded, count_branch_image
 from arczeta.liftable import IntPoly, _ordp, _System, count_liftable
 
-from helpers import ref_cell_horizon, ref_surviving_children
+from helpers import (
+    ref_cell_horizon,
+    ref_count_liftable,
+    ref_gradient,
+    ref_hensel_bound,
+    ref_surviving_children,
+)
 
 
 class TestPolyParser:
@@ -76,7 +82,7 @@ class TestHasseDerivatives:
 
     def test_gradient_is_first_order(self):
         f = IntPoly.parse("x^2*y + 5*y^3")
-        gx, gy = f.gradient()
+        gx, gy = ref_gradient(f)
         assert gx.eval((3, 2)) == 12  # 2xy
         assert gy.eval((3, 2)) == 9 + 60  # x^2 + 15y^2
 
@@ -147,13 +153,123 @@ class TestSpecialSystems:
         assert r.count == count_liftable(["x - y^2"], ["x", "y"], 5, 3, 10).count
 
 
+class TestOrdp:
+    @pytest.mark.parametrize(
+        "value,p,order",
+        [
+            (0, 2, math.inf),
+            (0, 7, math.inf),
+            (1, 2, 0),
+            (-1, 3, 0),
+            (12, 2, 2),
+            (-12, 2, 2),
+            (-12, 3, 1),
+            (-343, 7, 3),
+            (2**64, 2, 64),
+            (-(2**64), 2, 64),
+            (3 * 5**40, 5, 40),
+            (-(7**100) * 6, 7, 100),
+            (7**100 + 1, 7, 0),
+        ],
+    )
+    def test_values(self, value, p, order):
+        assert _ordp(value, p) == order
+
+
+class TestAgainstReferenceTree:
+    """`count_liftable` against the unpruned tree with direct evaluation and the p-order Hensel bound."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_matches_reference(self, data):
+        p = data.draw(st.sampled_from([2, 3, 5, 7]), label="p")
+        nvars = data.draw(st.integers(1, 3), label="nvars")
+        n = data.draw(st.integers(0, 3), label="n")
+        depth = data.draw(st.integers(0, 6), label="depth")
+        polys = []
+        for _ in range(data.draw(st.integers(1, 2), label="polys")):
+            terms = {}
+            if data.draw(st.booleans(), label="binomial"):
+                # c1 x_i^a + c2 x_j^b, singular at the origin, plus terms divisible by p
+                for c in (data.draw(st.sampled_from([1, -1, 2])), data.draw(st.sampled_from([1, -1, 3]))):
+                    expo = [0] * nvars
+                    expo[data.draw(st.integers(0, nvars - 1))] = data.draw(st.integers(2, 4))
+                    terms[tuple(expo)] = c
+            for _ in range(data.draw(st.integers(0 if terms else 1, 3))):
+                expo = tuple(data.draw(st.integers(0, 3)) for _ in range(nvars))
+                terms[expo] = data.draw(st.integers(-4, 4)) * p ** data.draw(st.integers(0, 2))
+            polys.append(IntPoly.make(nvars, terms))
+        locus = [IntPoly.make(nvars, {(1,) + (0,) * (nvars - 1): 1})] if data.draw(st.booleans()) else []
+        budget = 4000
+        try:
+            want = ref_count_liftable(polys, locus, p, n, depth, budget)
+        except BudgetExceeded:
+            assume(False)
+        got = count_liftable(polys, locus, p, n, depth, budget=budget)
+        assert (got.count, got.certified) == (want.count, want.certified)
+        assert got.nodes <= want.nodes
+
+    @pytest.mark.parametrize(
+        "f,p,n,depth",
+        [("x^2 - y^3", 3, 4, 10), ("y^3 - x^4", 2, 4, 10), ("y^3 - x^4", 5, 3, 10)],
+    )
+    def test_owner_prune_matches_reference(self, f, p, n, depth):
+        polys = [IntPoly.parse(f)]
+        want = ref_count_liftable(polys, [IntPoly.parse("x", 2), IntPoly.parse("y", 2)], p, n, depth, 10**5)
+        got = count_liftable(polys, ["x", "y"], p, n, depth)
+        assert (got.count, got.certified) == (want.count, want.certified)
+        assert got.nodes < want.nodes  # the prune skipped cells of certified owners
+
+    def test_uncertified_owner_is_not_pruned(self):
+        # a residue first reached by a stabilized, uncertified cell is certified by a later one
+        polys = [IntPoly.parse("-18*x2^2 - 18*x1^2*x2^3 + x1^3 + 3*x1^4")]
+        want = ref_count_liftable(polys, [], 3, 2, 5, 10**5)
+        got = count_liftable(polys, [], 3, 2, 5)
+        assert (got.count, got.certified) == (want.count, want.certified) == (3, True)
+
+
+class TestHensel:
+    """The divisibility form of Hensel's criterion against the p-orders of the Jacobian minors."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_matches_minor_orders(self, data):
+        p = data.draw(st.sampled_from([2, 3, 5, 7]), label="p")
+        nvars = data.draw(st.integers(1, 3), label="nvars")
+        n = data.draw(st.integers(0, 4), label="n")
+        b = tuple(data.draw(st.integers(0, p**4 - 1)) for _ in range(nvars))
+        polys = []
+        for _ in range(data.draw(st.integers(1, 4), label="polys")):
+            terms = {}
+            for _ in range(data.draw(st.integers(1, 3))):
+                expo = tuple(data.draw(st.integers(0, 2)) for _ in range(nvars))
+                terms[expo] = data.draw(st.sampled_from([1, -1, 2])) * p ** data.draw(st.integers(0, 3))
+            # the constant term puts f(b) at a drawn order
+            origin = (0,) * nvars
+            terms.pop(origin, None)
+            rest = IntPoly.make(nvars, terms).eval(b)
+            terms[origin] = data.draw(st.sampled_from([1, -1, 2])) * p ** data.draw(st.integers(0, 9)) - rest
+            polys.append(IntPoly.make(nvars, terms))
+        F0 = min(_ordp(poly.eval(b), p) for poly in polys)
+        v = ref_hensel_bound([ref_gradient(poly) for poly in polys], nvars, p, b)
+        system = _System(polys, p, nvars)
+        certified, grad = system.hensel(b, F0, n)
+        assert certified == (v != math.inf and F0 > 2 * v and F0 - v >= n + 1)
+        if grad is not None:  # the Jacobian at b, entry by entry
+            rows = [[0] * nvars for _ in polys]
+            for row, cols, values in zip(rows, system.gradient_vars, grad):
+                for j, value in zip(cols, values):
+                    row[j] = value
+            assert rows == [[d.eval(b) for d in ref_gradient(poly)] for poly in polys]
+
+
 class TestCuspCrossMethod:
     CUSP = BranchSpec.make(2, {3: 1})
 
     # (count, certified, nodes) of x^2 = y^3 at depth 12, the cusp-cross-method plans
     TREE = {
-        7: [(1, True, 1), (1, True, 57), (4, True, 449), (43, True, 841), (298, True, 5937), (2080, True, 25145)],
-        11: [(1, True, 1), (1, True, 133), (6, True, 1585), (111, True, 3037), (1216, True, 33529)],
+        7: [(1, True, 1), (1, True, 57), (4, True, 449), (43, True, 841), (298, True, 4803), (2080, True, 25145)],
+        11: [(1, True, 1), (1, True, 133), (6, True, 1585), (111, True, 3037), (1216, True, 26379)],
     }
 
     @pytest.mark.parametrize("p", [7, 11])
@@ -245,7 +361,7 @@ class TestChildTest:
             target = 0 if e is None else data.draw(st.sampled_from([-1, 1, 2, p - 1])) * p**e
             terms[origin] = target - rest
             polys.append(IntPoly.make(nvars, terms))
-        system = _System(polys, p, K, nvars)
+        system = _System(polys, p, nvars)
         values = system.values(b)
         H, jets = system.horizon(b, S)
         assert H == ref_cell_horizon(polys, p, b, S)

@@ -15,7 +15,7 @@ from arczeta.ranges import (
 )
 from arczeta.ratseries import RatSeries, rs_equal, rs_expand
 from arczeta.tate import TatePoly
-from helpers import direct_weighted_sum, enumerate_solutions
+from helpers import direct_weighted_sum, enumerate_solutions, ref_contains
 
 L = TatePoly.L
 A = LinTerm.make
@@ -41,7 +41,7 @@ def check_against_oracle(text, order, box):
 
 
 def _contains_one(piece, env):
-    return IteratedRangeSystem(tuple(env), (piece,)).contains(env)
+    return ref_contains(IteratedRangeSystem(tuple(env), (piece,)), env)
 
 
 # --- decomposition ----------------------------------------------------------

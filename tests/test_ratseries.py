@@ -26,7 +26,7 @@ from arczeta.ratseries import (
 )
 from arczeta.branch import BranchSpec, characteristic_sequence, chi_c_arc_class, p_ar
 from arczeta.tate import NonPolynomialCoefficient, TatePoly, tate_eval
-from helpers import ratfunc_from_polys
+from helpers import ratfunc_from_polys, ref_specialize_truncated
 
 L = TatePoly.L
 ONE = TatePoly.one()
@@ -335,7 +335,7 @@ def test_ring_ops_commute_with_specialization(x, y, q):
 @given(small_series, st.integers(min_value=2, max_value=5))
 def test_expand_commutes_with_specialization(x, q):
     n = 6
-    expanded = rs_expand(x, n).specialize(q)
+    expanded = ref_specialize_truncated(rs_expand(x, n), q)
     assert expanded == rs_specialize(x, q).taylor(n)
 
 

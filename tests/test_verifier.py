@@ -24,6 +24,7 @@ from arczeta.verifier import (
 STD4 = BranchSpec.make(4, {6: 1, 7: 1})
 SMOOTH = BranchSpec.make(1, {})
 CUSP = BranchSpec.make(2, {3: 1})
+Y3X4 = BranchSpec.make(3, {4: 1})  # x = w^3, y = w^4: y^3 = x^4
 THIRD = BranchSpec.make(1, {2: Fraction(1, 3)})
 
 
@@ -196,6 +197,20 @@ class TestCrossMethod:
         v = verify_cross_method(plan)
         assert v.summary == "pass"
         assert all(r.counted == r.p**r.n for r in v.rows)
+
+    def test_non_cusp_branch_needs_poly(self):
+        # the default poly x^2 - y^3 is not this branch's curve: a count would be a wrong fail
+        plan = VerificationPlan(target="cusp-cross-method", branch=Y3X4, primes=(7,), n_max=2)
+        with pytest.raises(ValueError, match=r"needs poly.*\[3, 4\]"):
+            verify_cross_method(plan)
+
+    def test_non_cusp_branch_with_its_poly(self):
+        plan = VerificationPlan(
+            target="cusp-cross-method", branch=Y3X4, poly=("y^3 - x^4",), primes=(7,), n_max=2
+        )
+        v = verify_cross_method(plan)
+        assert v.summary == "pass"
+        assert [(r.symbolic, r.counted, r.counted_alt, r.certified) for r in v.rows] == [(1, 1, 1, True)] * 3
 
 
 class TestPgeom:
