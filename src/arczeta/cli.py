@@ -25,13 +25,14 @@ import functools
 import json
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import click
 
 from .branch import BranchSpec, characteristic_sequence, p_ar, p_geom, puiseux_from_poles
 from .counting import CountReport, CountRow, count_branch_report, igusa_monomial
-from .liftable import IntPoly, count_liftable
+from .liftable import DEPTH_POLICY, IntPoly, count_liftable, default_depth
 from .presburger import (
     eliminate_quantifiers,
     free_vars,
@@ -147,24 +148,22 @@ def _emit(text: str, out: str | None) -> None:
         click.echo(text, file=sys.stdout)
 
 
+def _emit_series(series, fmt: str, out: str | None) -> None:
+    if fmt == "json":
+        _emit(_dump_json(rs_to_json(series)), out)
+    elif fmt == "latex":
+        _emit(rs_latex(series), out)
+    else:
+        _emit(rs_text(series), out)
+
+
 def _zero_timings(report: CountReport) -> CountReport:
-    return CountReport(
-        name=report.name,
-        p=report.p,
-        d=report.d,
-        rows=[CountRow(r.n, r.count, r.method, 0.0) for r in report.rows],
-        assumptions=list(report.assumptions),
-    )
+    return replace(report, rows=[replace(r, seconds=0.0) for r in report.rows])
 
 
 def _report_text(report: CountReport) -> str:
-    lines = [f"name: {report.name}  p={report.p}  d={report.d}"]
-    for a in report.assumptions:
-        lines.append(f"assumption: {a}")
-    lines.append("n,count,method,seconds")
-    for r in report.rows:
-        lines.append(f"{r.n},{r.count},{r.method},{r.seconds:.3f}")
-    return "\n".join(lines)
+    head = [f"name: {report.name}  p={report.p}  d={report.d}", *(f"assumption: {a}" for a in report.assumptions)]
+    return "\n".join([*head, report.to_csv().rstrip("\n")])
 
 
 @click.group(cls=_Group)
@@ -246,7 +245,7 @@ def branch(ctx, path, fmt, normalize, out):
 @click.option("--n-max", "n_max", type=int, default=None)
 @click.option("--window/--no-window", "window", default=None)
 @click.option("--budget", type=int, default=None)
-@click.option("--depth", type=int, default=None, help="Lifting depth (poly mode); default max(6, 2n).")
+@click.option("--depth", type=int, default=None, help=f"Lifting depth (poly mode); default {DEPTH_POLICY}.")
 @click.option("--threads", type=int, default=None)
 @click.option("--timings", is_flag=True, help="Include wall-clock timings (non-deterministic output).")
 @click.option("--format", "fmt", type=click.Choice(["csv", "json", "text"]), default=None)
@@ -280,12 +279,12 @@ def count_cmd(ctx, branch_path, polys, locus, origin, prime, ext_degree, n_max, 
         report = CountReport(name="liftable-residues", p=int(prime), d=1)
         depth_cfg = _cfg(ctx, "depth", depth, None)
         for n in range(n_max + 1):
-            dep = int(depth_cfg) if depth_cfg is not None else max(6, 2 * n)
+            dep = int(depth_cfg) if depth_cfg is not None else default_depth(n)
             t0 = time.perf_counter()
             res = count_liftable(parsed, w, int(prime), n, dep, budget=budget_v)
             report.rows.append(CountRow(n, res.count, res.method, time.perf_counter() - t0))
         report.assumptions.append(
-            "depth policy: max(6, 2n) unless --depth is given; uncertified rows mean the tree stabilized without certificates"
+            f"depth policy: {DEPTH_POLICY} unless --depth is given; uncertified rows mean the tree stabilized without certificates"
         )
     if not timings:
         report = _zero_timings(report)
@@ -340,13 +339,7 @@ def sum_cmd(ctx, set_text, tweight, lweight, order, fmt, out):
     f = parse_presburger(set_text)
     names = [v.strip() for v in order.split(",")] if order else sorted(free_vars(f))
     system = to_iterated_ranges(f, names)
-    series = weighted_sum(system, parse_linear(lweight), parse_linear(tweight))
-    if fmt == "json":
-        _emit(_dump_json(rs_to_json(series)), out)
-    elif fmt == "latex":
-        _emit(rs_latex(series), out)
-    else:
-        _emit(rs_text(series), out)
+    _emit_series(weighted_sum(system, parse_linear(lweight), parse_linear(tweight)), fmt, out)
 
 
 @presburger.command()
@@ -389,13 +382,7 @@ def igusa(ctx, ks, prime, n_max, fmt, out):
     fmt = _format(ctx, fmt, ("text", "json", "latex"))
     prime = _cfg(ctx, "prime", prime, None)
     if prime is None:
-        series = igusa_monomial(ks)
-        if fmt == "json":
-            _emit(_dump_json(rs_to_json(series)), out)
-        elif fmt == "latex":
-            _emit(rs_latex(series), out)
-        else:
-            _emit(rs_text(series), out)
+        _emit_series(igusa_monomial(ks), fmt, out)
         return
     plan = VerificationPlan(
         target="igusa-monomial",

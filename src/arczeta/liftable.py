@@ -55,7 +55,7 @@ import numpy as np
 from .counting import BudgetExceeded
 from .fq import is_prime
 
-__all__ = ["IntPoly", "LiftResult", "count_liftable", "DEFAULT_NODE_BUDGET"]
+__all__ = ["IntPoly", "LiftResult", "count_liftable", "default_depth", "DEFAULT_NODE_BUDGET", "DEPTH_POLICY"]
 
 DEFAULT_NODE_BUDGET = 10_000_000
 _INF = math.inf
@@ -438,6 +438,17 @@ class _System:
             tuple(x + step * v for x, v in zip(b, off))
             for off in self.offsets[~forms.any(axis=1)].tolist()
         ]
+
+
+DEPTH_POLICY = "max(6, 2n)"
+
+
+def default_depth(n: int) -> int:
+    """Lifting depth at level n when none is given (``DEPTH_POLICY``).
+
+    Deep enough for the tail zones of the cusp x^2 - y^3 to certify.
+    """
+    return max(6, 2 * n)
 
 
 def count_liftable(

@@ -24,7 +24,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb, lcm
+from math import comb, factorial, lcm
 from typing import Iterator, Sequence
 
 from . import presburger as pb
@@ -448,14 +448,7 @@ def _binom_poly(form: LinTerm, k: int) -> _Poly:
     out: _Poly = {(): Fraction(1)}
     for j in range(k):
         out = _poly_mul(out, _poly_from_affine(form.shift(-j)))
-    return {m: c / Fraction(_factorial(k)) for m, c in out.items()}
-
-
-def _factorial(k: int) -> int:
-    r = 1
-    for i in range(2, k + 1):
-        r *= i
-    return r
+    return {m: c / Fraction(factorial(k)) for m, c in out.items()}
 
 
 def _int_coeff(x: Fraction, what: str) -> int:

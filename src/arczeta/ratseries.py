@@ -602,7 +602,7 @@ def rs_text(x: RatSeries) -> str:
             parts.append(f"{_coeff_text(c)}*{tpow}")
     num_s = " + ".join(parts)
     dens = []
-    for (a, b), mult in sorted(Counter(x.geom).items(), key=lambda kv: (kv[0][1], kv[0][0])):
+    for (a, b), mult in Counter(x.geom).items():
         tpow = "T" if b == 1 else f"T^{b}"
         if a == 0:
             body = f"(1 - {tpow})"
@@ -610,7 +610,7 @@ def rs_text(x: RatSeries) -> str:
             lpow = "L" if a == 1 else f"L^{a}"
             body = f"(1 - {lpow}*{tpow})"
         dens.append(body if mult == 1 else f"{body}^{mult}")
-    for i, mult in sorted(Counter(x.cyclo).items()):
+    for i, mult in Counter(x.cyclo).items():
         lpow = "L" if i == 1 else f"L^{i}"
         body = f"({lpow} - 1)"
         dens.append(body if mult == 1 else f"{body}^{mult}")
@@ -664,7 +664,7 @@ def rs_latex(x: RatSeries) -> str:
             parts.append(f"\\left({_coeff_latex(c)}\\right) {tpow}")
     num_s = " + ".join(parts)
     dens = []
-    for (a, b), mult in sorted(Counter(x.geom).items(), key=lambda kv: (kv[0][1], kv[0][0])):
+    for (a, b), mult in Counter(x.geom).items():
         tpow = "T" if b == 1 else f"T^{{{b}}}"
         if a == 0:
             body = f"\\left(1 - {tpow}\\right)"
@@ -672,7 +672,7 @@ def rs_latex(x: RatSeries) -> str:
             lpow = "\\mathbb{L}" if a == 1 else f"\\mathbb{{L}}^{{{a}}}"
             body = f"\\left(1 - {lpow} {tpow}\\right)"
         dens.append(body if mult == 1 else f"{body}^{{{mult}}}")
-    for i, mult in sorted(Counter(x.cyclo).items()):
+    for i, mult in Counter(x.cyclo).items():
         lpow = "\\mathbb{L}" if i == 1 else f"\\mathbb{{L}}^{{{i}}}"
         body = f"\\left({lpow} - 1\\right)"
         dens.append(body if mult == 1 else f"{body}^{{{mult}}}")
@@ -685,11 +685,8 @@ def rs_to_json(x: RatSeries) -> dict:
     """JSON object with keys numerator, denomGeom, denomCyclo."""
     return {
         "numerator": [[n, x.num[n].to_json()] for n in sorted(x.num)],
-        "denomGeom": [
-            [a, b, mult]
-            for (a, b), mult in sorted(Counter(x.geom).items(), key=lambda kv: (kv[0][1], kv[0][0]))
-        ],
-        "denomCyclo": [[i, mult] for i, mult in sorted(Counter(x.cyclo).items())],
+        "denomGeom": [[a, b, mult] for (a, b), mult in Counter(x.geom).items()],
+        "denomCyclo": [[i, mult] for i, mult in Counter(x.cyclo).items()],
     }
 
 

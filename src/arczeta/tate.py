@@ -191,13 +191,6 @@ class TatePoly:
             raise NonPolynomialCoefficient(f"{other} does not divide {self}")
         return TatePoly((i + sv - ov, v) for i, v in enumerate(q) if v)
 
-    def divides(self, other: TatePoly) -> bool:
-        try:
-            other.exact_div(self)
-            return True
-        except NonPolynomialCoefficient:
-            return False
-
     # -- evaluation and rendering ---------------------------------------------
 
     def eval(self, q: Scalar) -> Fraction:

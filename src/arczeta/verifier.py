@@ -15,6 +15,14 @@ the closed form:
 * ``cusp-cross-method`` residue lifting counts, jet enumeration, and the
                         specialized series, all three required to agree.
 
+All four targets share one comparison loop (``_compare``): for each admissible
+prime it specializes the series once, expands it to ``T^{n_max}``, and pairs
+coefficient ``n`` with the target's counter at ``(p, n)``, which returns the
+count, an optional second count, and whether the count is certified.  A
+target supplies only its series, its counter and any extra assumptions; the
+table ``_TARGETS`` names its runner and the plan fields it reads, and a plan
+that sets any other field is rejected.
+
 Verdicts list every ``(p, n)`` comparison, carry a machine-checkable summary
 (``pass`` / ``fail`` / ``uncertified``), and serialize deterministically:
 running the same plan twice yields byte-identical JSON.
@@ -23,7 +31,7 @@ running the same plan twice yields byte-identical JSON.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Mapping, Sequence
 
@@ -36,7 +44,7 @@ from .counting import (
     measure_ord_locus,
 )
 from .fq import is_prime
-from .liftable import count_liftable
+from .liftable import count_liftable, default_depth
 from .ratseries import NoRationalFit, RatFunc, rs_equal, rs_fit, rs_from_json, rs_specialize
 
 __all__ = [
@@ -52,8 +60,6 @@ __all__ = [
     "verify_rational_shape",
     "run_plan",
 ]
-
-TARGETS = ("branch-par", "branch-pgeom", "cusp-cross-method", "igusa-monomial")
 
 # Enumeration cost grows like p^(n+1); past this bound the independent arc
 # count is out of desk reach and rational-shape fits fall back to the closed
@@ -91,8 +97,8 @@ class VerificationPlan:
     perturb: tuple[int, int] | None = None
 
     def __post_init__(self) -> None:
-        if self.target not in TARGETS:
-            raise ValueError(f"unknown target {self.target!r}; expected one of {TARGETS}")
+        if self.target not in _TARGETS:
+            raise ValueError(f"unknown target {self.target!r}; expected one of {tuple(_TARGETS)}")
         if self.n_max < 0:
             raise ValueError("n_max must be >= 0")
         if self.budget < 1:
@@ -106,6 +112,10 @@ class VerificationPlan:
                 raise ValueError("igusa-monomial plans need exponents")
         elif self.branch is None:
             raise ValueError(f"{self.target} plans need a branch")
+        reads = ("target", *_TARGETS[self.target][1])
+        unread = [f.name for f in fields(self) if f.name not in reads and getattr(self, f.name) != f.default]
+        if unread:
+            raise ValueError(f"{self.target} plans do not read {unread}")
 
     @classmethod
     def from_json(cls, obj: Mapping | str) -> VerificationPlan:
@@ -113,22 +123,7 @@ class VerificationPlan:
             obj = json.loads(obj)
         if not isinstance(obj, Mapping):
             raise ValueError("plan JSON must be an object")
-        known = {
-            "target",
-            "branch",
-            "exponents",
-            "poly",
-            "locus",
-            "primes",
-            "n_max",
-            "budget",
-            "depth",
-            "window",
-            "force_primes",
-            "expect_series",
-            "perturb",
-        }
-        extra = set(obj) - known
+        extra = set(obj) - {f.name for f in fields(cls)}
         if extra:
             raise ValueError(f"unknown plan fields: {sorted(extra)}")
         try:
@@ -318,7 +313,6 @@ def admissible_primes(plan: VerificationPlan) -> tuple[list[int], list[str]]:
     if plan.target == "igusa-monomial" or plan.force_primes:
         return list(plan.primes), []
     b = plan.branch
-    assert b is not None
     denoms = {a.denominator for a in b.coeffs.values()}
     kept, reasons = [], []
     for p in plan.primes:
@@ -340,76 +334,78 @@ def admissible_primes(plan: VerificationPlan) -> tuple[list[int], list[str]]:
 # ---------------------------------------------------------------------------
 
 
-def _specialized_coeffs(series, p: int, order: int) -> list[Fraction]:
-    return rs_specialize(series, p).taylor(order)
+def _check_target(plan: VerificationPlan, target: str) -> None:
+    if plan.target != target:
+        raise ValueError(f"plan target {plan.target!r} is not {target}")
+
+
+def _compare(
+    plan: VerificationPlan,
+    series,
+    count,
+    assumptions: Sequence[str] = (),
+    forced_fail: str | None = None,
+) -> Verdict:
+    """The one comparison loop: coefficient n of ``series`` at L := p against ``count(p, n)``.
+
+    ``count`` returns ``(counted, counted_alt, certified)``.  The excluded
+    primes lead the verdict's assumptions, followed by ``assumptions``.
+    """
+    primes, excluded = admissible_primes(plan)
+    rows = []
+    for p in primes:
+        coeffs = rs_specialize(series, p).taylor(plan.n_max + 1)
+        for n in range(plan.n_max + 1):
+            rows.append(CompRow(p, n, coeffs[n], *count(p, n)))
+    return Verdict.from_rows(plan.target, rows, assumptions=[*excluded, *assumptions], forced_fail=forced_fail)
 
 
 def verify_branch_par(plan: VerificationPlan) -> Verdict:
     """Image series at L := p vs. jet enumeration over F_p[t]/t^{n+1}."""
-    if plan.target != "branch-par":
-        raise ValueError(f"plan target {plan.target!r} is not branch-par")
+    _check_target(plan, "branch-par")
+    if plan.perturb is not None:
+        raise ValueError("perturb is read only by verify_rational_shape, not by verify_branch_par")
     b = plan.branch
-    assert b is not None
     series = p_ar(characteristic_sequence(b))
     forced = None
-    if plan.expect_series is not None:
-        if not rs_equal(series, rs_from_json(plan.expect_series)):
-            forced = "computed symbolic series differs from the plan's expected series"
-    rows = []
-    primes, excluded = admissible_primes(plan)
-    for p in primes:
-        coeffs = _specialized_coeffs(series, p, plan.n_max + 1)
-        for n in range(plan.n_max + 1):
-            counted = count_branch_image(b, p, 1, n, window=plan.window, budget=plan.budget)
-            rows.append(CompRow(p, n, coeffs[n], Fraction(counted)))
-    return Verdict.from_rows("branch-par", rows, assumptions=excluded, forced_fail=forced)
+    if plan.expect_series is not None and not rs_equal(series, rs_from_json(plan.expect_series)):
+        forced = "computed symbolic series differs from the plan's expected series"
+
+    def count(p: int, n: int):
+        return Fraction(count_branch_image(b, p, 1, n, window=plan.window, budget=plan.budget)), None, True
+
+    return _compare(plan, series, count, forced_fail=forced)
 
 
 def verify_branch_pgeom(plan: VerificationPlan) -> Verdict:
     """Geometric series vs. bounded extension search; heuristic, never passes."""
-    if plan.target != "branch-pgeom":
-        raise ValueError(f"plan target {plan.target!r} is not branch-pgeom")
+    _check_target(plan, "branch-pgeom")
     b = plan.branch
-    assert b is not None
     series = p_geom(characteristic_sequence(b))
-    rows = []
-    primes, excluded = admissible_primes(plan)
-    for p in primes:
-        coeffs = _specialized_coeffs(series, p, plan.n_max + 1)
-        for n in range(plan.n_max + 1):
-            counted = count_branch_image_geometric(b, p, n, budget=plan.budget)
-            rows.append(CompRow(p, n, coeffs[n], Fraction(counted), certified=False))
-    return Verdict.from_rows("branch-pgeom", rows, assumptions=[*excluded, GEOM_ASSUMPTION])
+
+    def count(p: int, n: int):
+        return Fraction(count_branch_image_geometric(b, p, n, budget=plan.budget)), None, False
+
+    return _compare(plan, series, count, [GEOM_ASSUMPTION])
 
 
 def verify_igusa(plan: VerificationPlan) -> Verdict:
     """Specialized monomial integral vs. exact Haar volumes, coefficientwise."""
-    if plan.target != "igusa-monomial":
-        raise ValueError(f"plan target {plan.target!r} is not igusa-monomial")
+    _check_target(plan, "igusa-monomial")
     ks = plan.exponents
-    assert ks is not None
-    series = igusa_monomial(ks)
-    rows = []
-    primes, excluded = admissible_primes(plan)
-    for p in primes:
-        coeffs = _specialized_coeffs(series, p, plan.n_max + 1)
-        for n in range(plan.n_max + 1):
-            rows.append(CompRow(p, n, coeffs[n], measure_ord_locus(ks, p, n)))
-    return Verdict.from_rows("igusa-monomial", rows, assumptions=excluded)
+    return _compare(plan, igusa_monomial(ks), lambda p, n: (measure_ord_locus(ks, p, n), None, True))
 
 
 def verify_cross_method(plan: VerificationPlan) -> Verdict:
     """Residue lifting, jet enumeration, and the specialized series agree.
 
-    The lifting depth defaults to max(6, 2n), enough for the cusp's tail
-    zones to certify; an explicit shallow depth yields an uncertified verdict.
-    Without ``poly`` the lifted curve is the cusp x^2 - y^3, so a plan on any
-    other branch must name its equation.
+    The lifting depth defaults to ``liftable.default_depth(n)``, enough for
+    the cusp's tail zones to certify; an explicit shallow depth yields an
+    uncertified verdict.  Without ``poly`` the lifted curve is the cusp
+    x^2 - y^3, so a plan on any other branch must name its equation.
     """
-    if plan.target != "cusp-cross-method":
-        raise ValueError(f"plan target {plan.target!r} is not cusp-cross-method")
+    _check_target(plan, "cusp-cross-method")
     b = plan.branch
-    assert b is not None
     c = characteristic_sequence(b)
     if not plan.poly and c.beta != (2, 3):
         raise ValueError(
@@ -418,26 +414,14 @@ def verify_cross_method(plan: VerificationPlan) -> Verdict:
         )
     f = plan.poly or ("x^2 - y^3",)
     W = plan.locus or ("x", "y")
-    series = p_ar(c)
-    rows = []
-    primes, excluded = admissible_primes(plan)
-    for p in primes:
-        coeffs = _specialized_coeffs(series, p, plan.n_max + 1)
-        for n in range(plan.n_max + 1):
-            depth = plan.depth if plan.depth is not None else max(6, 2 * n)
-            lifted = count_liftable(f, W, p, n, depth, budget=plan.budget)
-            image = count_branch_image(b, p, 1, n, window=plan.window, budget=plan.budget)
-            rows.append(
-                CompRow(
-                    p,
-                    n,
-                    coeffs[n],
-                    Fraction(lifted.count),
-                    counted_alt=Fraction(image),
-                    certified=lifted.certified,
-                )
-            )
-    return Verdict.from_rows("cusp-cross-method", rows, assumptions=excluded)
+
+    def count(p: int, n: int):
+        depth = plan.depth if plan.depth is not None else default_depth(n)
+        lifted = count_liftable(f, W, p, n, depth, budget=plan.budget)
+        image = count_branch_image(b, p, 1, n, window=plan.window, budget=plan.budget)
+        return Fraction(lifted.count), Fraction(image), lifted.certified
+
+    return _compare(plan, p_ar(c), count)
 
 
 def verify_rational_shape(plan: VerificationPlan) -> Verdict:
@@ -453,7 +437,6 @@ def verify_rational_shape(plan: VerificationPlan) -> Verdict:
     if plan.target != "branch-par":
         raise ValueError("rational-shape verification runs on a branch-par plan")
     b = plan.branch
-    assert b is not None
     series = p_ar(characteristic_sequence(b))
     order = plan.n_max + 1
     rows: list[CompRow] = []
@@ -490,11 +473,22 @@ def verify_rational_shape(plan: VerificationPlan) -> Verdict:
     return Verdict.from_rows("branch-par", rows, assumptions=assumptions, forced_fail=forced)
 
 
+# target -> (runner, the plan fields besides ``target`` that it reads).  A plan
+# may set only the fields its target reads; of a branch-par plan's fields,
+# ``perturb`` is read by verify_rational_shape alone.
+_TARGETS = {
+    "branch-par": (
+        verify_branch_par,
+        ("branch", "primes", "n_max", "budget", "window", "force_primes", "expect_series", "perturb"),
+    ),
+    "branch-pgeom": (verify_branch_pgeom, ("branch", "primes", "n_max", "budget", "force_primes")),
+    "cusp-cross-method": (
+        verify_cross_method,
+        ("branch", "poly", "locus", "primes", "n_max", "budget", "depth", "window", "force_primes"),
+    ),
+    "igusa-monomial": (verify_igusa, ("exponents", "primes", "n_max")),
+}
+
+
 def run_plan(plan: VerificationPlan) -> Verdict:
-    ops = {
-        "branch-par": verify_branch_par,
-        "branch-pgeom": verify_branch_pgeom,
-        "igusa-monomial": verify_igusa,
-        "cusp-cross-method": verify_cross_method,
-    }
-    return ops[plan.target](plan)
+    return _TARGETS[plan.target][0](plan)

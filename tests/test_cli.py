@@ -289,6 +289,22 @@ class TestVerifyCommand:
         assert r.exit_code == 1
         assert "needs poly" in message(r)
 
+    @pytest.mark.parametrize(
+        "plan,error",
+        [
+            ({"target": "branch-par", "perturb": [3, 1]}, "verify_rational_shape"),
+            ({"target": "branch-par", "depth": 4}, "branch-par plans do not read ['depth']"),
+            ({"target": "branch-pgeom", "window": False}, "branch-pgeom plans do not read ['window']"),
+        ],
+    )
+    def test_plan_field_its_target_never_reads_exits_1(self, runner, tmp_path, plan, error):
+        f = tmp_path / "plan.json"
+        f.write_text(json.dumps({**plan, "branch": BranchSpec.make(4, {6: 1, 7: 1}).to_json(), "primes": [5], "n_max": 3}))
+        r = runner.invoke(main, ["verify", "--plan", str(f)])
+        assert r.exit_code == 1
+        assert r.stdout == ""
+        assert error in r.stderr
+
     def test_bad_plan_exits_1(self, runner, tmp_path):
         f = tmp_path / "plan.json"
         f.write_text(json.dumps({"target": "bogus"}))

@@ -1,0 +1,85 @@
+"""Byte-exact CLI output against a recording.
+
+``golden_cli.json`` maps each case name to its exit code, its stdout and, for
+``verify --out``, the verdict file.  The bytes were recorded once, before the
+verifier's four comparison loops became one, and are not regenerated: a
+refactor of the front end must reproduce them exactly.
+"""
+
+import json
+from pathlib import Path
+
+import pytest
+from click.testing import CliRunner
+
+from arczeta.branch import BranchSpec
+from arczeta.cli import main
+
+GOLDEN = Path(__file__).with_name("golden_cli.json")
+
+CUSP = BranchSpec.make(2, {3: 1}).to_json()
+STD4 = BranchSpec.make(4, {6: 1, 7: 1}).to_json()
+
+PLANS = {
+    "branch-par": {"target": "branch-par", "branch": STD4, "primes": [3, 5, 7], "n_max": 4},
+    "branch-par-fail": {"target": "branch-par", "branch": STD4, "primes": [7], "n_max": 4, "force_primes": True},
+    "branch-pgeom": {"target": "branch-pgeom", "branch": CUSP, "primes": [3], "n_max": 3},
+    "igusa-monomial": {"target": "igusa-monomial", "exponents": [1, 2], "primes": [3], "n_max": 3},
+    "cusp-cross-method": {"target": "cusp-cross-method", "branch": CUSP, "primes": [5, 7], "n_max": 3},
+}
+
+POLY = ["--poly", "x^2 - y^3", "--origin", "-p", "5", "--n-max", "3"]
+
+# name -> (argv with {plan}/{branch}/{out} placeholders, writes --out)
+CASES = {
+    **{
+        f"verify-{name}-{fmt}": (["verify", "--plan", "{plan}", "--format", fmt, "--out", "{out}"], name)
+        for name in PLANS
+        for fmt in ("text", "json")
+    },
+    **{
+        f"count-branch-{fmt}": (["count", "--branch", "{branch}", "-p", "5", "--n-max", "4", "--format", fmt], None)
+        for fmt in ("csv", "json", "text")
+    },
+    **{f"count-poly-{fmt}": (["count", *POLY, "--format", fmt], None) for fmt in ("csv", "json", "text")},
+    **{
+        f"count-poly-shallow-{fmt}": (["count", *POLY, "--depth", "1", "--format", fmt], None)
+        for fmt in ("csv", "json", "text")
+    },
+    **{f"igusa-{fmt}": (["igusa", "-k", "1", "-k", "2", "--format", fmt], None) for fmt in ("text", "json", "latex")},
+    **{f"igusa-p-{fmt}": (["igusa", "-k", "2", "-p", "3", "--n-max", "3", "--format", fmt], None) for fmt in ("text", "json")},
+    **{
+        f"presburger-sum-{fmt}": (
+            ["presburger", "sum", "--set", "n >= 2 & n == 0 mod 2 & l <= n & l >= 0", "--tweight", "n", "--lweight", "l", "--format", fmt],
+            None,
+        )
+        for fmt in ("text", "json", "latex")
+    },
+}
+
+
+def run_case(name: str, tmp_path: Path) -> dict:
+    argv, plan_name = CASES[name]
+    branch = tmp_path / "branch.json"
+    branch.write_text(json.dumps(STD4))
+    plan = tmp_path / "plan.json"
+    out = tmp_path / "verdict.json"
+    if plan_name is not None:
+        plan.write_text(json.dumps(PLANS[plan_name]))
+    argv = [a.format(plan=plan, branch=branch, out=out) for a in argv]
+    r = CliRunner().invoke(main, argv)
+    return {
+        "exit": r.exit_code,
+        "stdout": r.stdout,
+        "out": out.read_text() if plan_name is not None else None,
+    }
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_output_matches_recording(name, tmp_path):
+    want = json.loads(GOLDEN.read_text())[name]
+    assert run_case(name, tmp_path) == want
+
+
+def test_every_recording_has_a_case():
+    assert sorted(json.loads(GOLDEN.read_text())) == sorted(CASES)

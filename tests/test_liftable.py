@@ -4,7 +4,7 @@ import itertools
 import math
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import Phase, assume, given, settings
 from hypothesis import strategies as st
 
 from arczeta.branch import BranchSpec
@@ -176,6 +176,40 @@ class TestOrdp:
         assert _ordp(value, p) == order
 
 
+def _shifted(nvars: int, terms: dict, s: tuple[int, ...]) -> IntPoly:
+    """The polynomial sum c * prod (x_i - s_i)^e_i over terms {e: c}, expanded."""
+    out: dict = {}
+    for e, c in terms.items():
+        for k in itertools.product(*(range(ei + 1) for ei in e)):
+            coeff = c
+            for ei, ki, si in zip(e, k, s):
+                coeff *= math.comb(ei, ki) * (-si) ** (ei - ki)
+            out[k] = out.get(k, 0) + coeff
+    return IntPoly.make(nvars, out)
+
+
+@st.composite
+def singular_points(draw):
+    """The curve u X^2 + v Y^5 at n = 2, its singular point moved to a drawn integer point.
+
+    X = x - s1 and Y = y - s2; u, v are units mod p, and an optional term
+    c X^i Y^j above the Newton edge (5i + 2j > 10) keeps the singularity's
+    type.  The locus is the singular point mod p.  At p = 3 and 5 the tree
+    splits the owners near the point below level n+1, and several of their
+    cells reach the Hensel test, so once one certifies the rest are pruned.
+    """
+    p = draw(st.sampled_from([3, 5]))
+    units = [c for c in (1, -1, 2, -2) if c % p]
+    terms = {(2, 0): draw(st.sampled_from(units)), (0, 5): draw(st.sampled_from(units))}
+    if draw(st.booleans()):
+        i, j = draw(st.sampled_from([(i, j) for i in range(4) for j in range(4) if 5 * i + 2 * j > 10]))
+        terms[(i, j)] = terms.get((i, j), 0) + draw(st.sampled_from([1, -1, p, -p]))
+    s = (draw(st.integers(-20, 20)), draw(st.integers(-20, 20)))
+    polys = [_shifted(2, terms, s)]
+    locus = [_shifted(2, {(1, 0): 1}, s), _shifted(2, {(0, 1): 1}, s)]
+    return polys, locus, p, 2, draw(st.integers(8, 10))
+
+
 class TestAgainstReferenceTree:
     """`count_liftable` against the unpruned tree with direct evaluation and the p-order Hensel bound."""
 
@@ -219,6 +253,18 @@ class TestAgainstReferenceTree:
         got = count_liftable(polys, ["x", "y"], p, n, depth)
         assert (got.count, got.certified) == (want.count, want.certified)
         assert got.nodes < want.nodes  # the prune skipped cells of certified owners
+
+    # no shrinking: each case of the batch costs up to a second
+    @settings(max_examples=2, deadline=None, phases=[Phase.explicit, Phase.reuse, Phase.generate])
+    @given(st.lists(singular_points(), min_size=10, max_size=10))
+    def test_owner_prune_at_singular_points(self, cases):
+        fewer = 0
+        for polys, locus, p, n, depth in cases:
+            want = ref_count_liftable(polys, locus, p, n, depth, 10**5)
+            got = count_liftable(polys, locus, p, n, depth)
+            assert (got.count, got.certified) == (want.count, want.certified)
+            fewer += got.nodes < want.nodes
+        assert 2 * fewer > len(cases)  # the prune fired on most of them
 
     def test_uncertified_owner_is_not_pruned(self):
         # a residue first reached by a stabilized, uncertified cell is certified by a later one

@@ -300,6 +300,15 @@ def test_json_round_trip():
     assert j["denomCyclo"] == [[2, 2], [5, 1]]
 
 
+def test_denominator_factors_render_in_stored_order():
+    # geom is stored sorted by (b, a) and cyclo ascending, whatever the input order
+    x = RatSeries({0: ONE}, geom=[(0, 2), (3, 1), (0, 1), (0, 2)], cyclo=[5, 2, 5])
+    assert rs_to_json(x)["denomGeom"] == [[0, 1, 1], [3, 1, 1], [0, 2, 2]]
+    assert rs_to_json(x)["denomCyclo"] == [[2, 1], [5, 2]]
+    assert rs_text(x) == "1 / [(1 - T) (1 - L^3*T) (1 - T^2)^2 (L^2 - 1) (L^5 - 1)^2]"
+    assert rs_latex(x).index("L}^{3}") < rs_latex(x).index("T^{2}")
+
+
 small_series = st.builds(
     RatSeries,
     st.dictionaries(

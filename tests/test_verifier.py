@@ -1,6 +1,7 @@
 """Verification plans, prime admissibility, and verdict semantics."""
 
 import json
+import re
 from fractions import Fraction
 
 import pytest
@@ -56,6 +57,30 @@ class TestPlan:
         again = VerificationPlan.from_json(plan.to_json())
         assert again == plan
         assert VerificationPlan.from_json(json.dumps(plan.to_json())) == plan
+
+    @pytest.mark.parametrize(
+        "target,extra,unread",
+        [
+            ("branch-par", {"depth": 3}, ["depth"]),
+            ("branch-par", {"poly": ("x^2 - y^3",), "locus": ("x",)}, ["poly", "locus"]),
+            ("branch-pgeom", {"depth": 3}, ["depth"]),
+            ("branch-pgeom", {"window": False, "perturb": (3, 1)}, ["window", "perturb"]),
+            ("cusp-cross-method", {"expect_series": {}}, ["expect_series"]),
+            ("igusa-monomial", {"branch": CUSP, "budget": 10, "force_primes": True}, ["branch", "budget", "force_primes"]),
+        ],
+    )
+    def test_unread_fields_rejected(self, target, extra, unread):
+        base = {"exponents": (1,)} if target == "igusa-monomial" else {"branch": CUSP}
+        fields = {"target": target, "primes": (7,), **base, **extra}
+        with pytest.raises(ValueError, match=re.escape(f"{target} plans do not read {unread}")):
+            VerificationPlan(**fields)
+        obj = {**fields, "branch": CUSP.to_json()} if "branch" in fields else fields
+        with pytest.raises(ValueError, match=re.escape(f"{target} plans do not read {unread}")):
+            VerificationPlan.from_json(json.loads(json.dumps(obj)))
+
+    def test_defaults_count_as_unset(self):
+        plan = VerificationPlan(target="igusa-monomial", exponents=(1,), primes=(3,), window=True, depth=None)
+        assert VerificationPlan.from_json(plan.to_json()) == plan
 
     def test_unknown_field_rejected(self):
         obj = VerificationPlan(target="igusa-monomial", exponents=(1,), primes=(3,)).to_json()
@@ -223,6 +248,12 @@ class TestPgeom:
 
 
 class TestRationalShape:
+    def test_perturb_is_rational_shape_only(self):
+        plan = VerificationPlan(target="branch-par", branch=STD4, primes=(5,), n_max=3, perturb=(3, 1))
+        for run in (verify_branch_par, run_plan):
+            with pytest.raises(ValueError, match="verify_rational_shape"):
+                run(plan)
+
     def test_fit_recovers_series(self):
         plan = VerificationPlan(target="branch-par", branch=STD4, primes=(5,), n_max=39)
         v = verify_rational_shape(plan)
