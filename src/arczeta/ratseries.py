@@ -18,10 +18,22 @@ rational form from initial coefficients against a known denominator
 Specialization never takes a gcd against the expanded denominator: every
 geometric factor becomes a binomial (1 - q^a T^b), and the numerator N is
 reduced against one binomial at a time, using
-gcd(N, A B) = gcd(N, A) * gcd(N / gcd(N, A), B).  Each gcd has degree at
-most b, which keeps the rational coefficients small; the result is the same
-reduced, normalized pair a full Euclidean gcd gives (`RatFunc.from_binomials`;
-the tests hold the full-gcd reference).
+gcd(N, A B) = gcd(N, A) * gcd(N / gcd(N, A), B).  The specialized side works
+in Z[T] (`RatFunc.from_binomials`):
+
+* N is scaled to integers once, and 1 - (u/v) T^b becomes v - u T^b;
+* a gcd of degree 0 modulo the prime P = 2^61 - 1, with P dividing neither u
+  nor v, proves the factor coprime to N over Q (Brown's modular gcd bound),
+  so no rational Euclid runs for it;
+* otherwise the Euclidean gcd over Q, made primitive, divides N and the
+  binomial exactly in Z[T] (Gauss's lemma).
+
+The result is the same reduced, normalized pair a full Euclidean gcd gives
+(the tests hold the full-gcd reference).  `RatFunc.taylor` expands by an
+integer recurrence with one division per coefficient.  `rs_normalize` skips
+the long division by (1 - L^a T^b) whenever the numerator at a fixed L = l,
+reduced mod P and mod (1 - l^a T^b), leaves a remainder, which proves the
+division inexact.
 """
 
 from __future__ import annotations
@@ -29,6 +41,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence, Union
 
 from .tate import NonPolynomialCoefficient, Scalar, TatePoly, _qdivmod, _qtrim, cyclotomic_unit, tate_eval
@@ -47,6 +60,11 @@ class NoRationalFit(ValueError):
 
 
 TNum = dict[int, TatePoly]  # numerator: T-exponent -> coefficient
+
+# Modular certificates work in F_P for the Mersenne prime P = 2^61 - 1;
+# `rs_normalize` evaluates numerators there at L = _ELL (any unit is sound).
+_P = (1 << 61) - 1
+_ELL = 1_000_003
 
 
 # ---------------------------------------------------------------------------
@@ -113,10 +131,9 @@ def _tnum_divmod_geom(x: TNum, a: int, b: int) -> tuple[TNum, bool]:
         n = max(r)
         if n < b:
             return q, False
-        qc = r[n].shift(-a) * -1
-        q[n - b] = qc
-        del r[n]
-        s = r.get(n - b, TatePoly.zero()) - qc
+        shifted = r.pop(n).shift(-a)
+        q[n - b] = -shifted
+        s = r.get(n - b, TatePoly.zero()) + shifted
         if s.is_zero():
             r.pop(n - b, None)
         else:
@@ -271,19 +288,52 @@ def rs_equal(x: RatSeries, y: RatSeries) -> bool:
     return _tnum_add(_tnum_scale(nx, scale_x), _tnum_scale(ny, scale_y * -1)) == {}
 
 
+def _fp_fold(x: Sequence[int], w: int, b: int) -> list[int]:
+    """x mod (T^b - w) over F_P, trimmed: one pass from the top, T^b = w."""
+    r = [v % _P for v in x]
+    for k in range(len(r) - 1, b - 1, -1):
+        if r[k]:
+            r[k - b] = (r[k - b] + r[k] * w) % _P
+    del r[b:]
+    while r and not r[-1]:
+        r.pop()
+    return r
+
+
+def _tnum_mod_p(x: TNum) -> list[int] | None:
+    """The coefficients of N(_ELL, T) in F_P, dense in T; None when _P divides
+    a coefficient denominator."""
+    out = [0] * (max(x) + 1)
+    for n, c in x.items():
+        acc = 0
+        for e, v in c.c.items():
+            if v.denominator % _P == 0:
+                return None
+            acc += v.numerator * pow(v.denominator, -1, _P) * pow(_ELL, e, _P)
+        out[n] = acc % _P
+    return out
+
+
 def rs_normalize(x: RatSeries) -> RatSeries:
     """Cancel denominator factors that divide the numerator exactly.
 
     Value-preserving: only common factors are removed, the numerator is never
     rescaled.  Factors are kept in canonical sorted order by the constructor.
+    The long division by a geometric factor (1 - L^a T^b) runs only when the
+    numerator's image at L = _ELL mod _P does not already prove it inexact:
+    that division only shifts and subtracts (its leading coefficient -L^a
+    is a unit), so an exact quotient reduces mod _P as well, and a nonzero
+    remainder of N(_ELL, T) mod T^b - _ELL^(-a) rules it out.
     """
     num = x.num
+    image = _tnum_mod_p(num) if num else None
     geom: list[tuple[int, int]] = []
     for a, b in x.geom:
-        if num:
+        if num and (image is None or not _fp_fold(image, pow(_ELL, -a, _P), b)):
             q, exact = _tnum_divmod_geom(num, a, b)
             if exact:
                 num = q
+                image = _tnum_mod_p(num)
                 continue
         geom.append((a, b))
     cyclo: list[int] = []
@@ -381,23 +431,117 @@ def _binomial(c: Fraction, b: int) -> list[Fraction]:
     return factor
 
 
+# Z[T] polynomials are dense ascending lists of ints, trimmed (no zero top
+# coefficient).
+
+
+def _zmul(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    out = [0] * (len(a) + len(b) - 1)
+    for j, bv in enumerate(b):
+        if bv:
+            for i, av in enumerate(a):
+                out[i + j] += av * bv
+    return out
+
+
+def _zdiv_exact(a: Sequence[int], g: Sequence[int]) -> list[int]:
+    """a / g in Z[T]; ArithmeticError if g does not divide a there."""
+    r = list(a)
+    dg, lead = len(g) - 1, g[-1]
+    q = [0] * (len(a) - dg)
+    for i in range(len(q) - 1, -1, -1):
+        c, rem = divmod(r[i + dg], lead)
+        if rem:
+            raise ArithmeticError("inexact division in Z[T]")
+        if c:
+            q[i] = c
+            for j in range(dg + 1):
+                r[i + j] -= c * g[j]
+    if any(r[:dg]):
+        raise ArithmeticError("inexact division in Z[T]")
+    return q
+
+
+def _zscale(p: Sequence[Fraction]) -> tuple[list[int], int]:
+    """(s p, s) for s the lcm of the coefficient denominators."""
+    s = lcm(*(v.denominator for v in p))
+    return [v.numerator * (s // v.denominator) for v in p], s
+
+
+def _primitive(g: Sequence[Fraction]) -> list[int]:
+    """The primitive Z[T] multiple of a nonzero Q[T] polynomial."""
+    z, _ = _zscale(g)
+    content = gcd(*z)
+    return [v // content for v in z]
+
+
+def _fp_rem(a: list[int], b: list[int]) -> list[int]:
+    """a mod b over F_P (b trimmed), trimmed."""
+    a = list(a)
+    db = len(b) - 1
+    inv = pow(b[-1], -1, _P)
+    for i in range(len(a) - 1, db - 1, -1):
+        c = a[i] * inv % _P
+        if c:
+            for j in range(db + 1):
+                a[i - db + j] = (a[i - db + j] - c * b[j]) % _P
+    del a[db:]
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
+def _zrem_binomial(num: Sequence[int], u: int, v: int, b: int) -> list[int]:
+    """u^K (num mod (v - u T^b)) with K = deg(num) // b, which lies in Z[T].
+
+    T^(j + i b) = T^j (v/u)^i, so coefficient j is
+    sum_i num[j + i b] v^i u^(K - i), summed by Horner in v.
+    """
+    K = (len(num) - 1) // b
+    upow = [u ** (K - i) for i in range(K + 1)]
+    r = []
+    for j in range(b):
+        acc = 0
+        for i in range(K, -1, -1):
+            k = j + i * b
+            acc *= v
+            if k < len(num):
+                acc += num[k] * upow[i]
+        r.append(acc)
+    return r
+
+
+def _coprime_mod_p(num: Sequence[int], u: int, v: int, b: int) -> bool:
+    """True when gcd(num, v - u T^b) over F_P is a constant, with P dividing
+    neither u nor v; then the gcd over Q is 1 as well.
+
+    A primitive common factor g over Z has lc(g) | u, so P does not divide
+    lc(g) and g mod P, of the same degree, divides both reductions (Brown,
+    1971).  num mod (v - u T^b) is one fold, T^b = v/u; the gcd of that
+    remainder (degree < b) with the binomial is a short Euclid over F_P.
+    """
+    u, v = u % _P, v % _P
+    if not u or not v:
+        return False
+    r = _fp_fold(num, v * pow(u, -1, _P) % _P, b)
+    a = [0] * (b + 1)
+    a[0], a[b] = v, -u % _P
+    while r:
+        a, r = r, _fp_rem(a, r)
+    return len(a) == 1
+
+
 @dataclass
 class RatFunc:
-    """Reduced rational function num/den in Q(T), den normalized to den(0)=1
-    when possible (else monic).
+    """Reduced rational function num/den in Q(T) with den(0) = 1.
 
-    The reduced pair is unique up to a scalar, and the normalization fixes
-    that scalar, so `from_binomials` returns the same tuples as a full
-    Euclidean gcd of num against the expanded denominator would.
+    The reduced pair is unique up to a scalar, and den(0) = 1 fixes that
+    scalar, so `from_binomials` returns the same tuples as a full Euclidean
+    gcd of num against the expanded denominator would.
     """
 
     num: tuple[Fraction, ...]
     den: tuple[Fraction, ...]
-
-    @classmethod
-    def _normalized(cls, num: Sequence[Fraction], den: Sequence[Fraction]) -> RatFunc:
-        scale = den[0] if den[0] else den[-1]
-        return cls(tuple(v / scale for v in num), tuple(v / scale for v in den))
 
     @classmethod
     def from_binomials(
@@ -408,39 +552,68 @@ class RatFunc:
         Equal, tuple for tuple, to num / (prod of the factors) reduced by a
         full Euclidean gcd, without a gcd against the expanded product.  Since
         gcd(N, A B) = gcd(N, A) * gcd(N / gcd(N, A), B), the numerator is
-        reduced against one factor at a time: each gcd has degree <= b, its
-        first Euclid step (N modulo the two-term binomial) costs one pass
-        over N, and the denominator is the product of the reduced factors.
+        reduced against one factor at a time.  The work is in Z[T]: N = D num
+        with D the lcm of its denominators, and 1 - (u/v) T^b is the integer
+        binomial v - u T^b, so the value is N V / (D prod(binomials)) with V
+        the product of the v's.  `_coprime_mod_p` proves most factors coprime
+        to N; only the others take the Euclidean gcd over Q, made primitive
+        so that (Gauss) both divisions by it are exact in Z[T].
         """
         num = _qtrim(num)
         if not num:
             return cls((), (Fraction(1),))
-        den: list[Fraction] = [Fraction(1)]
+        n, scale = _zscale(num)
+        den = [1]
+        vprod = 1
         for c, b in factors:
             if b < 1:
                 raise ValueError(f"binomial factor needs b >= 1, got b = {b}")
             if not c:  # c = 0 makes the factor 1
                 continue
             c = Fraction(c)
-            factor = _binomial(c, b)
-            g = _qgcd(num, factor)
-            if len(g) > 1:
-                num, _ = _qdivmod(num, g)
-                factor, _ = _qdivmod(factor, g)
-            den = _qmul(den, factor)
-        return cls._normalized(num, den)
+            u, v = c.numerator, c.denominator
+            vprod *= v
+            factor = [v] + [0] * (b - 1) + [-u]
+            if not _coprime_mod_p(n, u, v, b):
+                # gcd(N, binomial) = gcd(binomial, N mod binomial)
+                rem = _zrem_binomial(n, u, v, b)
+                g = _qgcd([Fraction(x) for x in factor], [Fraction(x) for x in rem])
+                if len(g) > 1:
+                    g = _primitive(g)
+                    n = _zdiv_exact(n, g)
+                    factor = _zdiv_exact(factor, g)
+            den = _zmul(den, factor)
+        d0 = den[0]
+        return cls(
+            tuple(Fraction(x * vprod, scale * d0) for x in n),
+            tuple(Fraction(x, d0) for x in den),
+        )
 
     def taylor(self, order: int) -> list[Fraction]:
-        """Series coefficients c_0..c_order (requires den(0) != 0)."""
+        """Series coefficients c_0..c_order (requires den(0) != 0).
+
+        With num = N / s and den = E / t over Z, c_n = t y_n / (s e_0^(n+1))
+        for the integer recurrence
+        y_n = e_0^n N_n - sum_k e_k e_0^(k-1) y_(n-k).
+        """
         if not self.den or not self.den[0]:
             raise ZeroDivisionError("denominator vanishes at T = 0")
-        d0 = self.den[0]
+        n, s = _zscale(self.num)
+        e, t = _zscale(self.den)
+        e0 = e[0]
+        steps = [(k, ek * e0 ** (k - 1)) for k, ek in enumerate(e) if k and ek]
+        y: list[int] = []
         out: list[Fraction] = []
-        for n in range(order + 1):
-            acc = self.num[n] if n < len(self.num) else Fraction(0)
-            for k in range(1, min(n, len(self.den) - 1) + 1):
-                acc -= self.den[k] * out[n - k]
-            out.append(acc / d0)
+        power = 1  # e_0^n
+        for i in range(order + 1):
+            acc = power * n[i] if i < len(n) else 0
+            for k, w in steps:
+                if k > i:
+                    break
+                acc -= w * y[i - k]
+            y.append(acc)
+            power *= e0
+            out.append(Fraction(t * acc, s * power))
         return out
 
     def __str__(self) -> str:

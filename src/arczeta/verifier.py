@@ -468,7 +468,7 @@ def verify_rational_shape(plan: VerificationPlan) -> Verdict:
         except NoRationalFit as exc:
             forced = f"p={p}: no rational fit: {exc}"
             continue
-        if RatFunc.from_binomials(num, hint).taylor(order) != specialized.taylor(order):
+        if RatFunc.from_binomials(num, hint).taylor(order) != coeffs:
             forced = f"p={p}: fitted rational function differs from the specialized series"
     return Verdict.from_rows("branch-par", rows, assumptions=assumptions, forced_fail=forced)
 

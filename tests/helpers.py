@@ -10,10 +10,14 @@ Reference models of code the library only runs vectorized or specialised:
 modulus and reduction table, :class:`TruncPow` builds F_q[t]/t^{n+1} on it
 (the vectorized counting kernel is checked against it digit by digit),
 :func:`ratfunc_from_polys` reduces num/den by a full Euclidean gcd over Q
-(the reference for `RatFunc.from_binomials`), :func:`ref_cell_horizon`
-with :func:`ref_surviving_children` filter the children of a lifting cell
-point by point over Z (the reference for the F_p child test of `liftable`),
-and :func:`ref_count_liftable` walks the unpruned cell tree with direct
+(the reference for `RatFunc.from_binomials`), :func:`ref_taylor` expands a
+`RatFunc` by the recurrence in Fractions (the reference for the integer
+recurrence of `RatFunc.taylor`), :func:`ref_normalize` tries the long
+division by every denominator factor (the reference for `rs_normalize`,
+which skips the divisions a residue mod a prime proves inexact),
+:func:`ref_cell_horizon` with :func:`ref_surviving_children` filter the
+children of a lifting cell point by point over Z (the reference for the F_p
+child test of `liftable`), and :func:`ref_count_liftable` walks the unpruned cell tree with direct
 `IntPoly.eval` and a Hensel bound from the p-orders of the Jacobian minors
 (the reference for `count_liftable`).
 
@@ -38,7 +42,7 @@ from arczeta.counting import BudgetExceeded
 from arczeta.fq import Fq
 from arczeta.liftable import IntPoly, LiftResult
 from arczeta.ranges import IteratedRangeSystem, Piece
-from arczeta.ratseries import RatFunc, TruncatedSeries, _qgcd
+from arczeta.ratseries import RatFunc, RatSeries, TruncatedSeries, _qgcd, _tnum_div_cyclo, _tnum_divmod_geom
 from arczeta.tate import Scalar, _qdivmod, _qtrim, tate_eval
 
 
@@ -185,7 +189,8 @@ def _int_value(term: pb.LinTerm, pt: dict[str, int]) -> int:
 
 
 def ratfunc_from_polys(num: Sequence[Fraction], den: Sequence[Fraction]) -> RatFunc:
-    """num/den reduced by one Euclidean gcd against the whole denominator."""
+    """num/den reduced by one Euclidean gcd against the whole denominator,
+    normalized to den(0) = 1 when den(0) != 0, else to a monic den."""
     num, den = _qtrim(num), _qtrim(den)
     if not den:
         raise ZeroDivisionError("zero denominator")
@@ -195,7 +200,47 @@ def ratfunc_from_polys(num: Sequence[Fraction], den: Sequence[Fraction]) -> RatF
     if len(g) > 1:
         num, _ = _qdivmod(num, g)
         den, _ = _qdivmod(den, g)
-    return RatFunc._normalized(num, den)
+    scale = den[0] if den[0] else den[-1]
+    return RatFunc(tuple(v / scale for v in num), tuple(v / scale for v in den))
+
+
+def ref_taylor(f: RatFunc, order: int) -> list[Fraction]:
+    """c_0..c_order of f.num / f.den from c_n = (num_n - sum_k den_k c_(n-k)) / den_0."""
+    if not f.den or not f.den[0]:
+        raise ZeroDivisionError("denominator vanishes at T = 0")
+    d0 = Fraction(f.den[0])
+    out: list[Fraction] = []
+    for n in range(order + 1):
+        acc = Fraction(f.num[n]) if n < len(f.num) else Fraction(0)
+        for k in range(1, min(n, len(f.den) - 1) + 1):
+            acc -= f.den[k] * out[n - k]
+        out.append(acc / d0)
+    return out
+
+
+def ref_normalize(x: RatSeries) -> RatSeries:
+    """Cancel each denominator factor whose exact division of the numerator
+    succeeds, trying the long division for every factor."""
+    num = x.num
+    geom: list[tuple[int, int]] = []
+    for a, b in x.geom:
+        if num:
+            q, exact = _tnum_divmod_geom(num, a, b)
+            if exact:
+                num = q
+                continue
+        geom.append((a, b))
+    cyclo: list[int] = []
+    for i in x.cyclo:
+        if num:
+            q, exact = _tnum_div_cyclo(num, i)
+            if exact:
+                num = q
+                continue
+        cyclo.append(i)
+    if not num:
+        return RatSeries.zero()
+    return RatSeries(num, geom, cyclo)
 
 
 Elem = tuple[int, ...]

@@ -1,12 +1,15 @@
 """Byte-exact CLI output against a recording.
 
 ``golden_cli.json`` maps each case name to its exit code, its stdout and, for
-``verify --out``, the verdict file.  The bytes were recorded once, before the
-verifier's four comparison loops became one, and are not regenerated: a
-refactor of the front end must reproduce them exactly.
+``verify --out``, the verdict file.  The bytes were recorded once and are not
+regenerated: the verifier, count, igusa and presburger cases before the
+verifier's four comparison loops became one, the ``branch`` cases before
+specialisation and ``rs_normalize`` moved to integer arithmetic.  A refactor
+must reproduce them exactly.
 """
 
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -19,6 +22,8 @@ GOLDEN = Path(__file__).with_name("golden_cli.json")
 
 CUSP = BranchSpec.make(2, {3: 1}).to_json()
 STD4 = BranchSpec.make(4, {6: 1, 7: 1}).to_json()
+# g = 3 with a rational coefficient: --normalize cancels a denominator factor
+G3 = BranchSpec.make(8, {12: 1, 14: Fraction(1, 2), 15: 1}).to_json()
 
 PLANS = {
     "branch-par": {"target": "branch-par", "branch": STD4, "primes": [3, 5, 7], "n_max": 4},
@@ -46,6 +51,15 @@ CASES = {
         f"count-poly-shallow-{fmt}": (["count", *POLY, "--depth", "1", "--format", fmt], None)
         for fmt in ("csv", "json", "text")
     },
+    **{
+        f"branch-{name}{'-normalize' if norm else ''}-{fmt}": (
+            ["branch", "--input", "{%s}" % name, "--format", fmt, *(["--normalize"] if norm else [])],
+            None,
+        )
+        for name in ("std4", "g3")
+        for norm in (False, True)
+        for fmt in ("text", "json", "latex")
+    },
     **{f"igusa-{fmt}": (["igusa", "-k", "1", "-k", "2", "--format", fmt], None) for fmt in ("text", "json", "latex")},
     **{f"igusa-p-{fmt}": (["igusa", "-k", "2", "-p", "3", "--n-max", "3", "--format", fmt], None) for fmt in ("text", "json")},
     **{
@@ -62,11 +76,13 @@ def run_case(name: str, tmp_path: Path) -> dict:
     argv, plan_name = CASES[name]
     branch = tmp_path / "branch.json"
     branch.write_text(json.dumps(STD4))
+    g3 = tmp_path / "g3.json"
+    g3.write_text(json.dumps(G3))
     plan = tmp_path / "plan.json"
     out = tmp_path / "verdict.json"
     if plan_name is not None:
         plan.write_text(json.dumps(PLANS[plan_name]))
-    argv = [a.format(plan=plan, branch=branch, out=out) for a in argv]
+    argv = [a.format(plan=plan, branch=branch, std4=branch, g3=g3, out=out) for a in argv]
     r = CliRunner().invoke(main, argv)
     return {
         "exit": r.exit_code,

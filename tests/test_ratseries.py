@@ -1,16 +1,21 @@
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from arczeta import ratseries
 from arczeta.ratseries import (
     InsufficientData,
     NoRationalFit,
     RatFunc,
     RatSeries,
     SpecializationPole,
+    _P,
+    _coprime_mod_p,
     _qmul,
+    _zdiv_exact,
     rs_add,
     rs_equal,
     rs_expand,
@@ -26,7 +31,7 @@ from arczeta.ratseries import (
 )
 from arczeta.branch import BranchSpec, characteristic_sequence, chi_c_arc_class, p_ar
 from arczeta.tate import NonPolynomialCoefficient, TatePoly, tate_eval
-from helpers import ratfunc_from_polys, ref_specialize_truncated
+from helpers import ratfunc_from_polys, ref_normalize, ref_specialize_truncated, ref_taylor
 
 L = TatePoly.L
 ONE = TatePoly.one()
@@ -352,3 +357,149 @@ def test_expand_commutes_with_specialization(x, q):
 @given(small_series)
 def test_normalize_preserves_value(x):
     assert rs_equal(x, rs_normalize(x))
+
+
+def _integer_numerator(num):
+    scale = lcm(*(v.denominator for v in num))
+    return [int(v * scale) for v in num]
+
+
+def _counting_qgcd(monkeypatch):
+    calls = []
+    real = ratseries._qgcd
+
+    def counted(a, b):
+        calls.append((a, b))
+        return real(a, b)
+
+    monkeypatch.setattr(ratseries, "_qgcd", counted)
+    return calls
+
+
+# An irreducible factor g of 1 - c T^b, as (c, b, g): 1 - T in 1 - T^b,
+# 1 + T in 1 - T^(2k), 1 + T + T^2 in 1 - T^(3k), and 1 - r T in 1 - r^b T^b
+# for an integer or rational r.
+shared_factor = st.one_of(
+    st.integers(1, 5).map(lambda b: (Fraction(1), b, [1, -1])),
+    st.integers(1, 3).map(lambda k: (Fraction(1), 2 * k, [1, 1])),
+    st.integers(1, 2).map(lambda k: (Fraction(1), 3 * k, [1, 1, 1])),
+    st.tuples(
+        st.sampled_from([2, -2, 3, -5, Fraction(1, 2), Fraction(-2, 3), Fraction(5, 4)]), st.integers(1, 4)
+    ).map(lambda rb: (Fraction(rb[0]) ** rb[1], rb[1], [1, -Fraction(rb[0])])),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    shared_factor,
+    st.lists(st.fractions(min_value=-6, max_value=6, max_denominator=5), min_size=1, max_size=5).filter(any),
+    binomial_factors,
+)
+def test_certificate_never_hides_a_common_factor(shared, cofactor, others):
+    # num = R g with g | 1 - c T^b: the F_P certificate must not call the pair
+    # coprime, and from_binomials must cancel g exactly as the full gcd does
+    c, b, g = shared
+    num = _qmul([Fraction(v) for v in cofactor], [Fraction(v) for v in g])
+    assert not _coprime_mod_p(_integer_numerator(num), c.numerator, c.denominator, b)
+    factors = others + [(c, b)]
+    got = _reduced_both_ways(num, factors)
+    assert len(got.den) - 1 <= sum(bb for cc, bb in factors if cc) - (len(g) - 1)
+
+
+def test_certificate_proves_coprime_pairs(monkeypatch):
+    # (1 + 2T + 3T^2) against (1 - 5T^2)(1 - T/3): no rational gcd runs
+    calls = _counting_qgcd(monkeypatch)
+    _reduced_both_ways([1, 2, 3], [(5, 2), (Fraction(1, 3), 1)])
+    assert calls == []
+
+
+def test_certificate_unavailable_when_p_divides_u(monkeypatch):
+    # u = P: the binomial 1 - P T^2 vanishes mod P at the top, so the
+    # rational gcd decides, both without and with a common factor 1 - P T
+    calls = _counting_qgcd(monkeypatch)
+    assert not _coprime_mod_p([1, 1], _P, 1, 2)
+    f = _reduced_both_ways([1, 1], [(_P, 2)])
+    assert len(calls) == 1 and len(f.den) == 3
+    f = _reduced_both_ways(_qmul([Fraction(2), Fraction(1, 7)], [Fraction(1), Fraction(-_P)]), [(_P**2, 2)])
+    assert len(calls) == 2 and f.den == (Fraction(1), Fraction(_P))
+
+
+def test_zdiv_exact_raises_on_a_remainder():
+    assert _zdiv_exact([2, 3, 1], [1, 1]) == [2, 1]
+    with pytest.raises(ArithmeticError):
+        _zdiv_exact([1, 0, 1], [1, 1])
+    with pytest.raises(ArithmeticError):
+        _zdiv_exact([1, 1], [2, 2])
+
+
+rational_coeffs = st.lists(st.fractions(min_value=-9, max_value=9, max_denominator=6), max_size=6)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    rational_coeffs,
+    rational_coeffs,
+    st.fractions(min_value=-7, max_value=7, max_denominator=5).filter(bool),
+    st.integers(0, 12),
+)
+def test_taylor_equals_fraction_recurrence(num, den_tail, d0, order):
+    # den(0) any nonzero rational, negative and non-unit included
+    f = RatFunc(tuple(num), (d0, *den_tail))
+    assert f.taylor(order) == ref_taylor(f, order)
+
+
+def test_taylor_integer_and_unnormalized_inputs():
+    f = RatFunc((3, 1), (-2, 0, 4))
+    want = ref_taylor(f, 8)
+    assert f.taylor(8) == want and all(type(v) is Fraction for v in f.taylor(8))
+    assert want[:3] == [Fraction(-3, 2), Fraction(-1, 2), Fraction(-3)]
+    with pytest.raises(ZeroDivisionError):
+        RatFunc((1,), (0, 1)).taylor(3)
+
+
+laurent_coeff = st.dictionaries(
+    st.integers(min_value=-3, max_value=3), st.fractions(max_denominator=9), max_size=3
+).map(TatePoly)
+
+
+@st.composite
+def series_with_geometric_content(draw):
+    # M (1 - L^a T^b) over a denominator that may hold (1 - L^a T^b), a < 0 allowed
+    m = draw(st.dictionaries(st.integers(0, 4), laurent_coeff, max_size=3))
+    content = draw(st.lists(st.tuples(st.integers(-3, 3), st.integers(1, 3)), max_size=2))
+    num = RatSeries(m).num
+    for a, b in content:
+        num = rs_mul(RatSeries(num), RatSeries({0: ONE, b: -1 * L(a)})).num
+    others = draw(st.lists(st.tuples(st.integers(-3, 3), st.integers(1, 3)), max_size=2))
+    cyclo = draw(st.lists(st.integers(1, 3), max_size=2))
+    return RatSeries(num, content[: draw(st.integers(0, len(content)))] + others, cyclo)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(small_series, series_with_geometric_content()))
+def test_normalize_equals_trial_division(x):
+    got, want = rs_normalize(x), ref_normalize(x)
+    assert (got.num, got.geom, got.cyclo) == (want.num, want.geom, want.cyclo)
+
+
+def test_normalize_skips_divisions_proven_inexact(monkeypatch):
+    divisions = []
+    real = ratseries._tnum_divmod_geom
+    monkeypatch.setattr(ratseries, "_tnum_divmod_geom", lambda *a: divisions.append(a[1:]) or real(*a))
+    # (1 - L^-2 T) / [(1 - L^-2 T)(1 - T)(1 - L T^2)]: only (-2, 1) may divide
+    x = RatSeries({0: ONE, 1: -1 * L(-2)}, geom=[(-2, 1), (0, 1), (1, 2)])
+    y = rs_normalize(x)
+    assert divisions == [(-2, 1)]
+    assert y.geom == ((0, 1), (1, 2)) and y.num == {0: ONE}
+
+
+def test_normalize_divides_when_p_divides_a_denominator(monkeypatch):
+    # coefficients 1/P have no residue mod P, so every long division runs
+    divisions = []
+    real = ratseries._tnum_divmod_geom
+    monkeypatch.setattr(ratseries, "_tnum_divmod_geom", lambda *a: divisions.append(a[1:]) or real(*a))
+    inv = Fraction(1, _P)
+    x = RatSeries({0: TatePoly.const(inv), 1: L(1, -inv)}, geom=[(0, 1), (1, 1)])
+    y = rs_normalize(x)
+    assert divisions == [(0, 1), (1, 1)]
+    assert y.geom == ((0, 1),) and y.num == {0: TatePoly.const(inv)}
