@@ -348,7 +348,7 @@ def sum_cmd(ctx, set_text, tweight, lweight, order, fmt, out):
 @click.option("--var", "declared", multiple=True)
 @click.pass_context
 @_guarded
-def check(ctx, formula, point, declared, **_ignored):
+def check(ctx, formula, point, declared):
     """Evaluate a formula at an integer point (quantifiers eliminated first)."""
     f = parse_presburger(formula, list(declared) or None)
     assigns = {}

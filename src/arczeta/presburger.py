@@ -19,6 +19,13 @@ enclosing formula or parenthesized group.  `parse_linear` reads a lone
 `LinTerm` is the one affine-term type of the package: formula atoms, the
 range bounds of `arczeta.ranges` (rational coefficients) and the weights.
 
+Each basic fact is stated once, for this module and `arczeta.ranges`:
+`_le_forms` says how term REL 0 reads over Z as disjoint conjunctions of
+t <= 0 (for the gcd tightening of `simplify`, the strict atoms of Cooper
+elimination and the range constraints); `_fold` is the one constant folder
+(`simplify` passes it the atom normaliser, the range decomposition a truth
+assignment); `_nnf_strict` is the one negation normal form.
+
 Quantifier elimination is Cooper's algorithm: divisibility-aware, works
 directly on the boolean structure without a prior disjunctive normal form.
 """
@@ -30,7 +37,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterator, Mapping, Sequence, Union
+from typing import Callable, Iterator, Mapping, Sequence, Union
 
 
 class FormulaSyntaxError(ValueError):
@@ -56,12 +63,34 @@ class ArityMismatch(ValueError):
 _FLIP = {"<=": ">=", "<": ">", "=": "=", ">=": "<=", ">": "<"}
 # t NEGATE[REL] 0 is the negation of t REL 0
 _NEGATE = {"<=": ">", "<": ">=", "=": "!=", ">=": "<", ">": "<="}
-_COMPARE = {"<=": operator.le, "<": operator.lt, "=": operator.eq, ">=": operator.ge, ">": operator.gt}
+_COMPARE = {
+    "<=": operator.le, "<": operator.lt, "=": operator.eq,
+    ">=": operator.ge, ">": operator.gt, "!=": operator.ne,
+}
 
 
 def _holds(v: int, rel: str) -> bool:
     """Truth of v REL 0."""
     return _COMPARE[rel](v, 0)
+
+
+def _le_forms(t: LinTerm, rel: str) -> list[list[LinTerm]]:
+    """t REL 0 over Z as disjoint alternatives, each a conjunction of u <= 0.
+
+    The one statement of how every relation, "!=" included, reads in the
+    non-strict form; REL is one of <=, <, =, >=, >, !=.
+    """
+    if rel == "=":
+        return [[t, t.scale(-1)]]
+    if rel == "!=":
+        return _le_forms(t, "<") + _le_forms(t, ">")
+    if rel in (">=", ">"):
+        t, rel = t.scale(-1), _FLIP[rel]
+    if rel == "<=":
+        return [[t]]
+    if rel == "<":
+        return [[t.shift(1)]]
+    raise ValueError(f"unknown relation {rel!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -453,8 +482,11 @@ def _cong_str(a: Cong) -> str:
 
 
 def to_text(f: Formula, parent: str = "") -> str:
-    """Render back to the surface grammar (parse . to_text is the identity
-    up to AST equality)."""
+    """Render back to the surface grammar.
+
+    parse . to_text is the identity up to AST equality, except on BoolConst,
+    which prints as "0 = 0" or "0 = 1" and parses back as a Cmp.
+    """
     if isinstance(f, BoolConst):
         return "0 = 0" if f.value else "0 = 1"
     if isinstance(f, Cmp):
@@ -530,8 +562,9 @@ def _make_cong(term: LinTerm, modulus: int) -> Formula:
     const = term.const % modulus
     if not coeffs:
         return TRUE if const == 0 else FALSE
-    g = gcd(gcd(*coeffs.values()) if len(coeffs) > 1 else next(iter(coeffs.values())), modulus)
-    g = gcd(g, const)
+    g = gcd(*coeffs.values(), modulus)
+    if const % g:
+        return FALSE  # the left side only takes multiples of g mod modulus
     if g > 1:
         coeffs = {v: c // g for v, c in coeffs.items()}
         const //= g
@@ -549,12 +582,8 @@ def _make_cmp(term: LinTerm, rel: str) -> Formula:
         if term.const % g:
             return FALSE
         return Cmp(LinTerm.make({v: c // g for v, c in term.coeffs}, term.const // g), "=")
-    # normalize direction to <= and tighten by the coefficient gcd
-    flip = {"<": ("<", 1), "<=": ("<=", 1), ">": ("<", -1), ">=": ("<=", -1)}
-    r, s = flip[rel]
-    t = term.scale(s)
-    if r == "<":
-        t = t.shift(1)  # t < 0 over Z means t + 1 <= 0
+    # an inequality is one t <= 0; tighten it by the coefficient gcd
+    ((t,),) = _le_forms(term, rel)
     g = gcd(*(abs(c) for _, c in t.coeffs))
     if g > 1:
         # sum(g b_i x_i) <= -c  =>  sum(b_i x_i) <= floor(-c/g)
@@ -563,16 +592,27 @@ def _make_cmp(term: LinTerm, rel: str) -> Formula:
     return Cmp(t, "<=")
 
 
+def _normalize_atom(a: Cmp | Cong) -> Formula:
+    if isinstance(a, Cmp):
+        return _make_cmp(a.term, a.rel)
+    return _make_cong(a.term, a.modulus)
+
+
 def simplify(f: Formula) -> Formula:
     """Flatten, constant-fold, deduplicate; result is equivalent to f."""
+    return _fold(f, _normalize_atom)
+
+
+def _fold(f: Formula, atom: Callable[[Cmp | Cong], Formula]) -> Formula:
+    """Map every atom through `atom`, then flatten, constant-fold and
+    deduplicate (first occurrence kept) and drop quantifiers whose variable
+    is not free."""
     if isinstance(f, BoolConst):
         return f
-    if isinstance(f, Cmp):
-        return _make_cmp(f.term, f.rel)
-    if isinstance(f, Cong):
-        return _make_cong(f.term, f.modulus)
+    if isinstance(f, (Cmp, Cong)):
+        return atom(f)
     if isinstance(f, Not):
-        a = simplify(f.arg)
+        a = _fold(f.arg, atom)
         if isinstance(a, BoolConst):
             return BoolConst(not a.value)
         if isinstance(a, Not):
@@ -583,7 +623,7 @@ def simplify(f: Formula) -> Formula:
         absorb, neutral = (FALSE, TRUE) if is_and else (TRUE, FALSE)
         flat: list[Formula] = []
         for a in f.args:
-            a = simplify(a)
+            a = _fold(a, atom)
             if a == absorb:
                 return absorb
             if a == neutral:
@@ -602,7 +642,7 @@ def simplify(f: Formula) -> Formula:
             return seen[0]
         return And(tuple(seen)) if is_and else Or(tuple(seen))
     if isinstance(f, (Exists, Forall)):
-        body = simplify(f.body)
+        body = _fold(f.body, atom)
         if f.var not in free_vars(body):
             return body
         return type(f)(f.var, body)
@@ -617,20 +657,10 @@ def simplify(f: Formula) -> Formula:
 
 
 def _strictify(term: LinTerm, rel: str) -> Formula:
-    """Express term REL 0 using only strict < atoms (integer semantics)."""
-    if rel == "<":
-        return Cmp(term, "<")
-    if rel == "<=":
-        return Cmp(term.shift(-1), "<")
-    if rel == ">":
-        return Cmp(term.scale(-1), "<")
-    if rel == ">=":
-        return Cmp(term.scale(-1).shift(-1), "<")
-    if rel == "=":
-        return And((_strictify(term, "<="), _strictify(term, ">=")))
-    if rel == "!=":
-        return Or((_strictify(term, "<"), _strictify(term, ">")))
-    raise ValueError(rel)
+    """Express term REL 0 using only strict < atoms: t <= 0 as t - 1 < 0."""
+    alts = [[Cmp(t.shift(-1), "<") for t in alt] for alt in _le_forms(term, rel)]
+    conj = [alt[0] if len(alt) == 1 else And(tuple(alt)) for alt in alts]
+    return conj[0] if len(conj) == 1 else Or(tuple(conj))
 
 
 def _map_atoms(f: Formula, fn) -> Formula:
@@ -644,8 +674,11 @@ def _map_atoms(f: Formula, fn) -> Formula:
 
 
 def _atoms(f: Formula) -> Iterator[Formula]:
+    """The atoms of a quantifier-free f, in first-occurrence order."""
     if isinstance(f, (Cmp, Cong)):
         yield f
+    elif isinstance(f, Not):
+        yield from _atoms(f.arg)
     elif isinstance(f, (And, Or)):
         for a in f.args:
             yield from _atoms(a)
@@ -665,31 +698,21 @@ def _eliminate_exists(var: str, body: Formula) -> Formula:
         if c:
             delta = lcm(delta, abs(c))
 
-    def rescale(a: Formula) -> Formula:
+    def unit(a: Formula) -> Formula:
+        # scale by k = delta/|c| > 0 (a strict inequality keeps its sense, a
+        # congruence its modulus times k), so var's coefficient is +-delta;
+        # then write y = delta*var and keep the name
         c = a.term.coeff(var)
         if not c:
             return a
         k = delta // abs(c)
-        if isinstance(a, Cmp):
-            # multiplying a strict inequality by k > 0 preserves it
-            return Cmp(a.term.scale(k), "<")
-        return Cong(a.term.scale(k), a.modulus * k)
+        coeffs = {v: k * cc for v, cc in a.term.coeffs}
+        coeffs[var] = 1 if c > 0 else -1
+        t = LinTerm.make(coeffs, k * a.term.const)
+        return Cmp(t, "<") if isinstance(a, Cmp) else Cong(t, a.modulus * k)
 
-    body = _map_atoms(body, rescale)
-    # now every atom has coefficient 0 or +-delta on var; rename delta*var -> y
-    y = var  # reuse the name; semantics carried by the added divisibility
-
-    def retarget(a: Formula) -> Formula:
-        c = a.term.coeff(y)
-        if not c:
-            return a
-        unit = c // abs(c)
-        coeffs = {v: cc for v, cc in a.term.coeffs if v != y}
-        coeffs[y] = unit
-        t = LinTerm.make(coeffs, a.term.const)
-        return Cmp(t, "<") if isinstance(a, Cmp) else Cong(t, a.modulus)
-
-    body = _map_atoms(body, retarget)
+    body = _map_atoms(body, unit)
+    y = var  # y = delta*var: the added divisibility carries the semantics
     if delta > 1:
         body = And((body, Cong(LinTerm.of_var(y), delta)))
 
@@ -704,7 +727,7 @@ def _eliminate_exists(var: str, body: Formula) -> Formula:
         elif isinstance(a, Cmp) and c == -1:
             lowers.append(a.term.drop_var(y))  # y > t
         elif isinstance(a, Cmp) and c == 1:
-            uppers.append(a.term.drop_var(y).scale(-1))  # y < -t ; store -t... see below
+            uppers.append(a.term.drop_var(y).scale(-1))  # y < -t
 
     def subst_y(g: Formula, repl: LinTerm) -> Formula:
         def fn(a: Formula) -> Formula:
@@ -759,45 +782,29 @@ def eliminate_quantifiers(f: Formula) -> Formula:
         if isinstance(g, Or):
             return simplify(Or(tuple(go(a) for a in g.args)))
         if isinstance(g, Exists):
-            inner = go(g.body)
-            return _eliminate_exists(g.var, _nnf_strict(inner))
+            return _eliminate_exists(g.var, _nnf_strict(go(g.body)))
         if isinstance(g, Forall):
-            inner = go(g.body)
-            return simplify(Not(_eliminate_exists(g.var, _nnf_strict(Not(inner)))))
+            # A x. g  is  !E x. !g
+            return simplify(Not(_eliminate_exists(g.var, _nnf_strict(go(g.body), negate=True))))
         raise TypeError(f"not a formula: {g!r}")
 
     return simplify(go(f))
 
 
-def _nnf_strict(f: Formula) -> Formula:
-    """Negation-free form whose comparisons are all strict <."""
+def _nnf_strict(f: Formula, negate: bool = False) -> Formula:
+    """Negation-free form of f (of !f when negate) whose comparisons are all
+    strict <."""
     if isinstance(f, BoolConst):
-        return f
+        return BoolConst(f.value != negate)
     if isinstance(f, Cmp):
-        return _strictify(f.term, f.rel)
+        return _strictify(f.term, _NEGATE[f.rel] if negate else f.rel)
     if isinstance(f, Cong):
-        return f
+        if not negate:
+            return f
+        return Or(tuple(_make_cong(f.term.shift(r), f.modulus) for r in range(1, f.modulus)))
     if isinstance(f, Not):
-        return _nnf_neg(f.arg)
-    if isinstance(f, And):
-        return And(tuple(_nnf_strict(a) for a in f.args))
-    if isinstance(f, Or):
-        return Or(tuple(_nnf_strict(a) for a in f.args))
-    raise ValueError("quantifier encountered in quantifier-free context")
-
-
-def _nnf_neg(f: Formula) -> Formula:
-    if isinstance(f, BoolConst):
-        return BoolConst(not f.value)
-    if isinstance(f, Cmp):
-        return _strictify(f.term, _NEGATE[f.rel])
-    if isinstance(f, Cong):
-        return Or(tuple(_make_cong(f.term.shift(r), f.modulus)
-                        for r in range(1, f.modulus)))
-    if isinstance(f, Not):
-        return _nnf_strict(f.arg)
-    if isinstance(f, And):
-        return Or(tuple(_nnf_neg(a) for a in f.args))
-    if isinstance(f, Or):
-        return And(tuple(_nnf_neg(a) for a in f.args))
+        return _nnf_strict(f.arg, not negate)
+    if isinstance(f, (And, Or)):
+        op = type(f) if not negate else (Or if isinstance(f, And) else And)
+        return op(tuple(_nnf_strict(a, negate) for a in f.args))
     raise ValueError("quantifier encountered in quantifier-free context")

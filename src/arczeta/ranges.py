@@ -1,12 +1,14 @@
 """Iterated arithmetic-progression form of Presburger sets, and weighted sums.
 
 `to_iterated_ranges` rewrites a quantifier-free formula into finitely many
-disjoint pieces; in a piece, each variable (in a fixed elimination order)
-ranges over an arithmetic progression {base + step*s : s >= 0}, optionally
-capped, whose base/cap are affine in the outer variables.  Bases and caps are
-`presburger.LinTerm`s that may carry rational coefficients but are
-integer-valued on every admissible outer point (the decomposition introduces
-the congruences that guarantee it).  `_lin_from_affine` and
+disjoint pieces: it splits on the truth of one atom at a time, folding the
+formula with `presburger._fold` and reading each comparison through
+`presburger._le_forms`.  In a piece, each variable (in a fixed elimination
+order) ranges over an arithmetic progression {base + step*s : s >= 0},
+optionally capped, whose base/cap are affine in the outer variables.  Bases
+and caps are `presburger.LinTerm`s that may carry rational coefficients but
+are integer-valued on every admissible outer point (the decomposition
+introduces the congruences that guarantee it).  `_lin_from_affine` and
 `_affine_congruence` are the one place that scales such a term back to
 integer coefficients.
 
@@ -28,7 +30,7 @@ from math import comb, factorial, lcm
 from typing import Iterator, Sequence
 
 from . import presburger as pb
-from .presburger import _NEGATE, LinTerm
+from .presburger import _NEGATE, LinTerm, _atoms, _fold, _le_forms
 from .ratseries import RatSeries, rs_add
 from .tate import TatePoly
 
@@ -96,74 +98,14 @@ class _Congr:
     n: int
 
 
-def _fold_bool(f: pb.Formula, assign: dict[pb.Formula, bool]) -> pb.Formula | None:
-    """Partial boolean evaluation under an atom assignment; None = undecided
-    subformula (returned as-is)."""
-    if isinstance(f, pb.BoolConst):
-        return f
-    if isinstance(f, (pb.Cmp, pb.Cong)):
-        if f in assign:
-            return pb.TRUE if assign[f] else pb.FALSE
-        return f
-    if isinstance(f, pb.Not):
-        a = _fold_bool(f.arg, assign)
-        if isinstance(a, pb.BoolConst):
-            return pb.BoolConst(not a.value)
-        return pb.Not(a)
-    if isinstance(f, (pb.And, pb.Or)):
-        is_and = isinstance(f, pb.And)
-        absorb = pb.FALSE if is_and else pb.TRUE
-        rest = []
-        for a in f.args:
-            a = _fold_bool(a, assign)
-            if a == absorb:
-                return absorb
-            if isinstance(a, pb.BoolConst):
-                continue
-            rest.append(a)
-        if not rest:
-            return pb.BoolConst(is_and)
-        if len(rest) == 1:
-            return rest[0]
-        return (pb.And if is_and else pb.Or)(tuple(rest))
-    raise ValueError("formula must be quantifier-free")
-
-
-def _first_atom(f: pb.Formula) -> pb.Formula | None:
-    if isinstance(f, (pb.Cmp, pb.Cong)):
-        return f
-    if isinstance(f, pb.Not):
-        return _first_atom(f.arg)
-    if isinstance(f, (pb.And, pb.Or)):
-        for a in f.args:
-            r = _first_atom(a)
-            if r is not None:
-                return r
-    return None
-
-
 def _atom_constraints(atom: pb.Formula, value: bool) -> list[list[_Ineq | _Congr]]:
     """Disjoint alternatives of positive constraints expressing atom == value."""
     if isinstance(atom, pb.Cong):
         if value:
             return [[_Congr(atom.term, atom.modulus)]]
         return [[_Congr(atom.term.shift(r), atom.modulus)] for r in range(1, atom.modulus)]
-    assert isinstance(atom, pb.Cmp)
-    t, rel = atom.term, atom.rel
-    if not value:
-        rel = _NEGATE[rel]
-    if rel == "<=":
-        return [[_Ineq(t)]]
-    if rel == "<":
-        return [[_Ineq(t.shift(1))]]
-    if rel == ">=":
-        return [[_Ineq(t.scale(-1))]]
-    if rel == ">":
-        return [[_Ineq(t.scale(-1).shift(1))]]
-    if rel == "=":
-        return [[_Ineq(t), _Ineq(t.scale(-1))]]
-    # rel == "!=": two disjoint strict sides
-    return [[_Ineq(t.shift(1))], [_Ineq(t.scale(-1).shift(1))]]
+    rel = atom.rel if value else _NEGATE[atom.rel]
+    return [[_Ineq(t) for t in alt] for alt in _le_forms(atom.term, rel)]
 
 
 def _disjoint_conjunctions(f: pb.Formula) -> Iterator[list[_Ineq | _Congr]]:
@@ -174,19 +116,19 @@ def _disjoint_conjunctions(f: pb.Formula) -> Iterator[list[_Ineq | _Congr]]:
     disjoint alternatives (residues / strict sides).
     """
 
-    def go(g: pb.Formula, assign: dict, acc: list) -> Iterator[list]:
-        g = _fold_bool(g, assign)
+    def go(g: pb.Formula, acc: list) -> Iterator[list]:
+        # g is folded: no atom assigned so far occurs in it
         if isinstance(g, pb.BoolConst):
             if g.value:
                 yield list(acc)
             return
-        atom = _first_atom(g)
-        assert atom is not None
-        for value in (True, False):
-            for alt in _atom_constraints(atom, value):
-                yield from go(g, {**assign, atom: value}, acc + alt)
+        atom = next(_atoms(g))
+        for value in (pb.TRUE, pb.FALSE):
+            rest = _fold(g, lambda a: value if a == atom else a)
+            for alt in _atom_constraints(atom, value.value):
+                yield from go(rest, acc + alt)
 
-    yield from go(f, {}, [])
+    yield from go(_fold(f, lambda a: a), [])
 
 
 def _lin_from_affine(form: LinTerm, shift: int = 0) -> LinTerm:

@@ -4,8 +4,12 @@
 ``verify --out``, the verdict file.  The bytes were recorded once and are not
 regenerated: the verifier, count, igusa and presburger cases before the
 verifier's four comparison loops became one, the ``branch`` cases before
-specialisation and ``rs_normalize`` moved to integer arithmetic.  A refactor
-must reproduce them exactly.
+specialisation and ``rs_normalize`` moved to integer arithmetic, the ``qe``,
+``check`` and further ``sum`` cases before the Presburger layer merged its
+relation tables, formula folds and negation normal forms (the two
+``qe-coeff`` cases were recorded again when ``_make_cong`` began to fold a
+congruence whose coefficient gcd does not divide its constant to false).  A
+refactor must reproduce them exactly.
 """
 
 import json
@@ -35,6 +39,27 @@ PLANS = {
 
 POLY = ["--poly", "x^2 - y^3", "--origin", "-p", "5", "--n-max", "3"]
 
+# qe inputs: each relation, a negated comparison and congruence, A, a
+# non-unit coefficient and nested E
+QE = {
+    "le": "E y. x <= 2*y & y <= 3",
+    "lt": "E y. x < 3*y & y < 2",
+    "eq": "E y. x = 2*y + 1 & y >= 0",
+    "gt": "E y. y > x & 2*y < x + 7",
+    "not-cmp": "E y. !(x <= 2*y) & y >= 1",
+    "not-cong": "E y. x = y + 1 & !(y == 0 mod 3)",
+    "forall": "A y. !(2*y = x) | y >= 3",
+    "coeff": "E y. 2*y <= x & 3*y >= x",
+    "nested": "E z. E y. x = 2*y + 3*z & y >= 0 & z >= 0",
+}
+
+# the first set in every format, the others as text
+SUMS = {
+    "": ["--set", "n >= 2 & n == 0 mod 2 & l <= n & l >= 0", "--tweight", "n", "--lweight", "l"],
+    "-or": ["--set", "(n >= 2 & n == 0 mod 2) | (n >= 3 & n == 0 mod 3)", "--tweight", "n"],
+    "-eq": ["--set", "n = 2*l + 1 & l >= 0 & 3*l <= n + 4", "--tweight", "n", "--lweight", "l", "--order", "l,n"],
+}
+
 # name -> (argv with {plan}/{branch}/{out} placeholders, writes --out)
 CASES = {
     **{
@@ -63,11 +88,19 @@ CASES = {
     **{f"igusa-{fmt}": (["igusa", "-k", "1", "-k", "2", "--format", fmt], None) for fmt in ("text", "json", "latex")},
     **{f"igusa-p-{fmt}": (["igusa", "-k", "2", "-p", "3", "--n-max", "3", "--format", fmt], None) for fmt in ("text", "json")},
     **{
-        f"presburger-sum-{fmt}": (
-            ["presburger", "sum", "--set", "n >= 2 & n == 0 mod 2 & l <= n & l >= 0", "--tweight", "n", "--lweight", "l", "--format", fmt],
-            None,
-        )
+        f"presburger-sum{name}-{fmt}": (["presburger", "sum", *args, "--format", fmt], None)
+        for name, args in SUMS.items()
         for fmt in ("text", "json", "latex")
+        if not name or fmt == "text"
+    },
+    **{
+        f"presburger-qe-{name}-{fmt}": (["presburger", "qe", formula, "--format", fmt], None)
+        for name, formula in QE.items()
+        for fmt in ("text", "json")
+    },
+    **{
+        f"presburger-check-{x}": (["presburger", "check", "E y. x = 2*y + 3 & y >= 0", "--point", f"x={x}"], None)
+        for x in (5, 4)
     },
 }
 

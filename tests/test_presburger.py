@@ -1,24 +1,34 @@
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from arczeta.presburger import (
+    FALSE,
+    TRUE,
     And,
     ArityMismatch,
     Cmp,
     Cong,
     Exists,
+    Forall,
     FormulaSyntaxError,
     LinTerm,
     Not,
     Or,
     UndeclaredVariable,
+    _holds,
+    _le_forms,
+    _make_cong,
+    _strictify,
     eliminate_quantifiers,
     free_vars,
     is_quantifier_free,
     membership,
     parse_linear,
     parse_presburger,
+    simplify,
     to_text,
 )
 from helpers import brute_eval, quantifier_window
@@ -185,3 +195,87 @@ def test_not_rendering_round_trips():
     assert parse_presburger(to_text(f)) == f
     g = Or((parse_presburger("x = 1"), And((parse_presburger("x = 2"), parse_presburger("x = 3")))))
     assert parse_presburger(to_text(g)) == g
+
+
+# --- the relation table and the atom normalisers ------------------------------
+
+RELATIONS = ("<=", "<", "=", ">=", ">", "!=")
+VARS = ("x", "y", "z")
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.dictionaries(st.sampled_from(VARS), st.integers(-6, 6)),
+    st.fixed_dictionaries({v: st.integers(-10, 10) for v in VARS}),
+    st.integers(-3, 3),
+    st.sampled_from(RELATIONS),
+)
+def test_relation_table(coeffs, point, value, rel):
+    # the constant puts t at `value` on the point, near every relation's boundary
+    t = LinTerm.make(coeffs, value - sum(c * point[v] for v, c in coeffs.items()))
+    truth = _holds(value, rel)
+    hits = [all(u.eval(point) <= 0 for u in alt) for alt in _le_forms(t, rel)]
+    assert any(hits) == truth
+    assert sum(hits) <= 1  # the alternatives are disjoint
+    assert membership(_strictify(t, rel), point) == truth
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.dictionaries(st.sampled_from(("x", "y")), st.integers(-12, 12)), st.integers(-20, 20), st.integers(1, 12))
+def test_make_cong_is_false_exactly_when_unsatisfiable(coeffs, const, modulus):
+    # [0, m)^v is a complete residue system, so the box decides satisfiability
+    t = LinTerm.make(coeffs, const)
+    names = sorted(t.vars())
+    box = [dict(zip(names, pt)) for pt in product(range(modulus), repeat=len(names))]
+    g = _make_cong(t, modulus)
+    assert (g == FALSE) == (not any(t.eval(pt) % modulus == 0 for pt in box))
+    assert all(membership(g, pt) == (t.eval(pt) % modulus == 0) for pt in box)
+
+
+def test_simplify_flattens_dedupes_and_folds_constants():
+    a, b = parse_presburger("x <= 3"), parse_presburger("y >= 1")
+    a1, b1 = simplify(a), simplify(b)
+    assert simplify(And((a, And((b, a)), TRUE))) == And((a1, b1))
+    assert simplify(Or((b, FALSE, Or((a, b))))) == Or((b1, a1))
+    assert simplify(And((a, FALSE, b))) == FALSE
+    assert simplify(Or((a, TRUE))) == TRUE
+    assert simplify(And((TRUE, TRUE))) == TRUE
+    assert simplify(Or((FALSE, a))) == a1
+    assert simplify(Not(TRUE)) == FALSE
+
+
+def test_simplify_removes_double_negation():
+    assert simplify(parse_presburger("!!(x <= 3)")) == simplify(parse_presburger("x <= 3"))
+    assert simplify(parse_presburger("!!!(x <= 3)")) == Not(simplify(parse_presburger("x <= 3")))
+
+
+def test_simplify_tightens_by_the_coefficient_gcd():
+    assert simplify(parse_presburger("2*x + 3 <= 0")) == Cmp(LinTerm.make({"x": 1}, 2), "<=")
+    assert simplify(parse_presburger("2*x + 3 <= 0")) == simplify(parse_presburger("x <= -2"))
+    assert simplify(parse_presburger("4*x - 2*y > 1")) == Cmp(LinTerm.make({"x": -2, "y": 1}, 1), "<=")
+    assert simplify(parse_presburger("2*x = 3")) == FALSE
+    assert simplify(parse_presburger("4*x = 6*y + 2")) == Cmp(LinTerm.make({"x": 2, "y": -3}, -1), "=")
+    assert simplify(parse_presburger("3 < 2")) == FALSE
+
+
+def test_simplify_reduces_congruences():
+    assert to_text(simplify(parse_presburger("6*x == 3 mod 9"))) == "2*x == 1 mod 3"
+    assert to_text(simplify(parse_presburger("x + 10*y == 13 mod 4"))) == "x + 2*y == 1 mod 4"
+    assert simplify(parse_presburger("3*x == 0 mod 3")) == TRUE
+    assert simplify(parse_presburger("4*x == 1 mod 4")) == FALSE
+    assert simplify(parse_presburger("4*x + 6 == 0 mod 8")) == FALSE
+    assert simplify(parse_presburger("x == 0 mod 1")) == TRUE
+
+
+def test_simplify_drops_a_quantifier_whose_variable_is_not_free():
+    assert simplify(parse_presburger("E y. x >= 1")) == simplify(parse_presburger("x >= 1"))
+    assert simplify(parse_presburger("A y. y - y = 0")) == TRUE
+    kept = simplify(parse_presburger("A y. y >= 0 | x >= 1"))
+    assert isinstance(kept, Forall) and kept.var == "y"
+
+
+@pytest.mark.parametrize("text", QE_CORPUS)
+def test_simplify_is_idempotent(text):
+    f = parse_presburger(text)
+    for g in (simplify(f), simplify(eliminate_quantifiers(f))):
+        assert simplify(g) == g

@@ -103,6 +103,18 @@ def test_negated_congruence():
     check_against_oracle("!(n == 0 mod 4) & n >= 1", ["n"], range(0, 41))
 
 
+@pytest.mark.parametrize(
+    "text,order",
+    [
+        ("!(a = n) & 0 <= a & a <= n & n <= 12", ["n", "a"]),
+        ("!(n <= 3 | !(n == 1 mod 2)) & n <= 30", ["n"]),
+        ("!!(n >= 2) & !(n > 9) & !(2*n = 3*l) & l >= 0 & l <= 6", ["l", "n"]),
+    ],
+)
+def test_negated_comparisons(text, order):
+    check_against_oracle(text, order, range(0, 41))
+
+
 def test_mixed_coefficients():
     check_against_oracle("2*n >= 3*l & l >= 1 & n <= 20", ["l", "n"], range(0, 41))
 
