@@ -23,7 +23,6 @@ several words).  Distinct images are distinct key rows (`_distinct`).
 
 from __future__ import annotations
 
-import json
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -89,21 +88,11 @@ class CountReport:
             "assumptions": list(self.assumptions),
         }
 
-    @classmethod
-    def from_json(cls, obj: dict | str) -> CountReport:
-        if isinstance(obj, str):
-            obj = json.loads(obj)
-        rows = [CountRow(int(n), int(c), str(m), float(s)) for n, c, m, s in obj["rows"]]
-        return cls(str(obj["name"]), int(obj["p"]), int(obj["d"]), rows, [str(a) for a in obj.get("assumptions", [])])
-
     def to_csv(self) -> str:
         lines = ["n,count,method,seconds"]
         for r in self.rows:
             lines.append(f"{r.n},{r.count},{r.method},{r.seconds:.3f}")
         return "\n".join(lines) + "\n"
-
-    def counts(self) -> dict[int, int]:
-        return {r.n: r.count for r in self.rows}
 
 
 # ---------------------------------------------------------------------------

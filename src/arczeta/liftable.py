@@ -118,25 +118,6 @@ class IntPoly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for expo, coeff in self.terms:
-            vars_ = "*".join(
-                f"x{i + 1}" + (f"^{e}" if e > 1 else "") for i, e in enumerate(expo) if e
-            )
-            if not vars_:
-                parts.append(str(coeff))
-            elif coeff == 1:
-                parts.append(vars_)
-            elif coeff == -1:
-                parts.append(f"-{vars_}")
-            else:
-                parts.append(f"{coeff}*{vars_}")
-        text = " + ".join(parts).replace("+ -", "- ")
-        return text
-
 
 _ALIASES = {"x": 1, "y": 2, "z": 3, "w": 4}
 

@@ -32,7 +32,7 @@ from typing import Iterator, Sequence
 from . import presburger as pb
 from .presburger import _NEGATE, LinTerm, _atoms, _fold, _le_forms
 from .ratseries import RatSeries, rs_add
-from .tate import TatePoly
+from .tate import TatePoly, _sparse_add
 
 
 class UnsupportedShape(ValueError):
@@ -66,18 +66,6 @@ class Piece:
 class IteratedRangeSystem:
     order: tuple[str, ...]
     pieces: tuple[Piece, ...]
-
-    def __str__(self) -> str:
-        lines = []
-        for i, piece in enumerate(self.pieces):
-            rs = []
-            for r in piece.ranges:
-                body = f"{r.var} in {{{r.base} + {r.step}*s}}"
-                if r.cap is not None:
-                    body += f" up to {r.cap}"
-                rs.append(body)
-            lines.append(f"piece {i + 1}: " + "; ".join(rs))
-        return "\n".join(lines) if lines else "(empty system)"
 
 
 # ---------------------------------------------------------------------------
@@ -482,13 +470,9 @@ def _power_sum_poly(gamma: int, cnt: LinTerm) -> _Poly:
     """sum_{s=0}^{cnt-1} s^gamma as a polynomial in the outer indices."""
     out: _Poly = {}
     for i, a in enumerate(_finite_diffs(gamma)):
-        if not a:
-            continue
-        # sum_{s=0}^{S} C(s, i) = C(S+1, i+1) with S+1 = cnt
-        for m, c in _binom_poly(cnt, i + 1).items():
-            out[m] = out.get(m, Fraction(0)) + a * c
-            if not out[m]:
-                del out[m]
+        if a:
+            # sum_{s=0}^{S} C(s, i) = C(S+1, i+1) with S+1 = cnt
+            out = _sparse_add(out, {m: a * c for m, c in _binom_poly(cnt, i + 1).items()})
     return out
 
 

@@ -13,7 +13,10 @@ Q[L, L^-1]; otherwise `NonPolynomialCoefficient`), counting specialization
 L -> q into a reduced rational function over Q (`rs_specialize`), pole
 location in the T = L^alpha scale (`rs_poles_in_L`), and recovery of a
 rational form from initial coefficients against a known denominator
-(`rs_fit`).
+(`rs_fit`).  Numerators add and multiply through the sparse kernel of
+`arczeta.tate`; `rs_add` works over the least common denominator, and
+equality is `(x - y).is_zero()`.  `rs_text` and `rs_latex` are one walk
+(`_render`) over two token tables.
 
 Specialization never takes a gcd against the expanded denominator: every
 geometric factor becomes a binomial (1 - q^a T^b), and the numerator N is
@@ -44,7 +47,19 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence, Union
 
-from .tate import NonPolynomialCoefficient, Scalar, TatePoly, _qdivmod, _qtrim, cyclotomic_unit, tate_eval
+from .tate import (
+    _LATEX,
+    _TEXT,
+    NonPolynomialCoefficient,
+    Scalar,
+    TatePoly,
+    _as_poly,
+    _qdivmod,
+    _qtrim,
+    _sparse_add,
+    _sparse_mul,
+    cyclotomic_unit,
+)
 
 
 class SpecializationPole(ZeroDivisionError):
@@ -71,34 +86,6 @@ _ELL = 1_000_003
 # numerator (T-polynomial) helpers
 
 
-def _tnum_clean(num: TNum) -> TNum:
-    return {n: c for n, c in num.items() if not c.is_zero()}
-
-
-def _tnum_add(x: TNum, y: TNum) -> TNum:
-    out = dict(x)
-    for n, c in y.items():
-        s = out.get(n, TatePoly.zero()) + c
-        if s.is_zero():
-            out.pop(n, None)
-        else:
-            out[n] = s
-    return out
-
-
-def _tnum_mul(x: TNum, y: TNum) -> TNum:
-    out: TNum = {}
-    for n1, c1 in x.items():
-        for n2, c2 in y.items():
-            n = n1 + n2
-            s = out.get(n, TatePoly.zero()) + c1 * c2
-            if s.is_zero():
-                out.pop(n, None)
-            else:
-                out[n] = s
-    return out
-
-
 def _tnum_scale(x: TNum, c: TatePoly) -> TNum:
     if c.is_zero():
         return {}
@@ -107,15 +94,7 @@ def _tnum_scale(x: TNum, c: TatePoly) -> TNum:
 
 def _tnum_mul_geom(x: TNum, a: int, b: int) -> TNum:
     """Multiply by (1 - L^a T^b)."""
-    shifted = {n + b: c.shift(a) for n, c in x.items()}
-    out = dict(x)
-    for n, c in shifted.items():
-        s = out.get(n, TatePoly.zero()) - c
-        if s.is_zero():
-            out.pop(n, None)
-        else:
-            out[n] = s
-    return out
+    return _sparse_add(x, {n + b: -c.shift(a) for n, c in x.items()})
 
 
 def _tnum_divmod_geom(x: TNum, a: int, b: int) -> tuple[TNum, bool]:
@@ -169,7 +148,9 @@ class RatSeries:
         cyclo: Iterable[int] = (),
     ):
         items = num.items() if isinstance(num, Mapping) else num
-        self.num: TNum = _tnum_clean({int(n): c for n, c in items})
+        self.num: TNum = {int(n): c for n, c in items if c}
+        if any(n < 0 for n in self.num):
+            raise ValueError("the numerator is a polynomial in T: exponents must be >= 0")
         g = []
         for a, b in geom:
             if b < 1:
@@ -192,19 +173,13 @@ class RatSeries:
         return cls({0: TatePoly.one()})
 
     @classmethod
-    def const(cls, c: TatePoly | Scalar) -> RatSeries:
-        c = c if isinstance(c, TatePoly) else TatePoly.const(c)
-        return cls({0: c})
-
-    @classmethod
     def geometric(cls, a: int, b: int) -> RatSeries:
         """1 / (1 - L^a T^b)."""
         return cls({0: TatePoly.one()}, geom=[(a, b)])
 
     @classmethod
     def monomial(cls, coeff: TatePoly | Scalar, n: int) -> RatSeries:
-        c = coeff if isinstance(coeff, TatePoly) else TatePoly.const(coeff)
-        return cls({n: c})
+        return cls({n: _as_poly(coeff)})
 
     def is_zero(self) -> bool:
         return not self.num
@@ -215,7 +190,7 @@ class RatSeries:
         return rs_add(self, other)
 
     def __sub__(self, other: RatSeries) -> RatSeries:
-        return rs_add(self, rs_scale(other, TatePoly.const(-1)))
+        return rs_add(self, rs_scale(other, -1))
 
     def __mul__(self, other: RatSeries) -> RatSeries:
         return rs_mul(self, other)
@@ -224,9 +199,6 @@ class RatSeries:
         if not isinstance(other, RatSeries):
             return NotImplemented
         return rs_equal(self, other)
-
-    def __hash__(self) -> None:  # pragma: no cover
-        raise TypeError("RatSeries is not hashable")
 
     def __repr__(self) -> str:
         return f"RatSeries({rs_text(self)!r})"
@@ -240,52 +212,31 @@ class RatSeries:
 
 
 def rs_scale(x: RatSeries, c: TatePoly | Scalar) -> RatSeries:
-    c = c if isinstance(c, TatePoly) else TatePoly.const(c)
-    return RatSeries(_tnum_scale(x.num, c), x.geom, x.cyclo)
+    return RatSeries(_tnum_scale(x.num, _as_poly(c)), x.geom, x.cyclo)
 
 
 def rs_add(x: RatSeries, y: RatSeries) -> RatSeries:
     """Sum over the least common denominator of the two factor multisets."""
-    gx, gy = Counter(x.geom), Counter(y.geom)
-    cx, cy = Counter(x.cyclo), Counter(y.cyclo)
-    gl = gx | gy  # multiset max
-    cl = cx | cy
-    nx, ny = x.num, y.num
-    for (a, b), mult in sorted((gl - gx).items()):
-        for _ in range(mult):
-            nx = _tnum_mul_geom(nx, a, b)
-    for (a, b), mult in sorted((gl - gy).items()):
-        for _ in range(mult):
-            ny = _tnum_mul_geom(ny, a, b)
-    for i, mult in sorted((cl - cx).items()):
-        nx = _tnum_scale(nx, cyclotomic_unit(i) ** mult)
-    for i, mult in sorted((cl - cy).items()):
-        ny = _tnum_scale(ny, cyclotomic_unit(i) ** mult)
-    return RatSeries(_tnum_add(nx, ny), gl.elements(), cl.elements())
+    gl = Counter(x.geom) | Counter(y.geom)  # multiset max
+    cl = Counter(x.cyclo) | Counter(y.cyclo)
+    nums = []
+    for z in (x, y):
+        num = z.num
+        for a, b in sorted((gl - Counter(z.geom)).elements()):
+            num = _tnum_mul_geom(num, a, b)
+        for i, mult in sorted((cl - Counter(z.cyclo)).items()):
+            num = _tnum_scale(num, cyclotomic_unit(i) ** mult)
+        nums.append(num)
+    return RatSeries(_sparse_add(*nums), gl.elements(), cl.elements())
 
 
 def rs_mul(x: RatSeries, y: RatSeries) -> RatSeries:
-    return RatSeries(
-        _tnum_mul(x.num, y.num),
-        tuple(x.geom) + tuple(y.geom),
-        tuple(x.cyclo) + tuple(y.cyclo),
-    )
+    return RatSeries(_sparse_mul(x.num, y.num), x.geom + y.geom, x.cyclo + y.cyclo)
 
 
 def rs_equal(x: RatSeries, y: RatSeries) -> bool:
-    """Exact equality by cross-multiplication (no normal form needed)."""
-    nx, ny = x.num, y.num
-    for a, b in y.geom:
-        nx = _tnum_mul_geom(nx, a, b)
-    for a, b in x.geom:
-        ny = _tnum_mul_geom(ny, a, b)
-    scale_x = TatePoly.one()
-    for i in y.cyclo:
-        scale_x = scale_x * cyclotomic_unit(i)
-    scale_y = TatePoly.one()
-    for i in x.cyclo:
-        scale_y = scale_y * cyclotomic_unit(i)
-    return _tnum_add(_tnum_scale(nx, scale_x), _tnum_scale(ny, scale_y * -1)) == {}
+    """Exact equality: x - y, over the least common denominator, is zero."""
+    return (x - y).is_zero()
 
 
 def _fp_fold(x: Sequence[int], w: int, b: int) -> list[int]:
@@ -421,14 +372,6 @@ def _qgcd(a: Sequence[Fraction], b: Sequence[Fraction]) -> list[Fraction]:
         lead = a[-1]
         a = [v / lead for v in a]
     return a
-
-
-def _binomial(c: Fraction, b: int) -> list[Fraction]:
-    """Coefficients of 1 - c T^b."""
-    factor = [Fraction(0)] * (b + 1)
-    factor[0] = Fraction(1)
-    factor[b] = -c
-    return factor
 
 
 # Z[T] polynomials are dense ascending lists of ints, trimmed (no zero top
@@ -616,29 +559,6 @@ class RatFunc:
             out.append(Fraction(t * acc, s * power))
         return out
 
-    def __str__(self) -> str:
-        return f"({_qpoly_text(self.num)}) / ({_qpoly_text(self.den)})"
-
-
-def _qpoly_text(p: Sequence[Fraction]) -> str:
-    if not _qtrim(list(p)):
-        return "0"
-    parts = []
-    for i, v in enumerate(p):
-        if not v:
-            continue
-        mag = -v if v < 0 else v
-        if i == 0:
-            body = str(mag)
-        else:
-            tpow = "T" if i == 1 else f"T^{i}"
-            body = tpow if mag == 1 else f"{mag}*{tpow}"
-        if not parts:
-            parts.append(body if v > 0 else f"-{body}")
-        else:
-            parts.append(f"+ {body}" if v > 0 else f"- {body}")
-    return " ".join(parts)
-
 
 def rs_specialize(x: RatSeries, q: Scalar) -> RatFunc:
     """Counting specialization L -> q, as a reduced rational function of T.
@@ -662,7 +582,7 @@ def rs_specialize(x: RatSeries, q: Scalar) -> RatFunc:
     deg = max(x.num, default=0)
     num = [Fraction(0)] * (deg + 1)
     for n, c in x.num.items():
-        num[n] = tate_eval(c, q) / scalar
+        num[n] = c.eval(q) / scalar
     return RatFunc.from_binomials(num, [(q**a, b) for a, b in x.geom])
 
 
@@ -691,11 +611,7 @@ def rs_poles_in_L(x: RatSeries) -> set[Fraction]:
         while order < mult:
             sub: dict[int, Fraction] = {}
             for n, c in num.items():
-                for e, v in c.c.items():
-                    k = s * e + p0 * n
-                    sub[k] = sub.get(k, Fraction(0)) + v
-                    if not sub[k]:
-                        del sub[k]
+                sub = _sparse_add(sub, {s * e + p0 * n: v for e, v in c.c.items()})
             if sub:
                 break
             num = {n - 1: c * n for n, c in num.items() if n >= 1}
@@ -729,7 +645,7 @@ def rs_fit(
     for c, b in denom_hint:
         if b < 1:
             raise ValueError(f"hint factor needs b >= 1, got {b}")
-        den = _qmul(den, _binomial(Fraction(c), b))
+        den = _qmul(den, [Fraction(1)] + [Fraction(0)] * (b - 1) + [-Fraction(c)])
     degd = len(den) - 1
     if order < degd:
         raise InsufficientData(f"need at least {degd + 1} coefficients, got {order + 1}")
@@ -752,106 +668,51 @@ def rs_fit(
 # rendering and serialization
 
 
-def _coeff_text(c: TatePoly) -> str:
-    s = str(c)
-    simple = len(c.c) == 1 and next(iter(c.c.values())) > 0
-    return s if simple and "*" not in s and "/" not in s else f"({s})"
+def _bare(c: TatePoly) -> bool:
+    """c is one positive term read without grouping: an integer or a power of L."""
+    ((e, v),) = c.c.items()
+    return v > 0 and v.denominator == 1 and (e == 0 or v == 1)
+
+
+def _render(x: RatSeries, latex: bool) -> str:
+    """The one walk over numerator and denominator factors, in either format."""
+    style = _LATEX if latex else _TEXT
+    if not x.num:
+        return "0"
+    parts = []
+    for n in sorted(x.num):
+        c = x.num[n]
+        body = style.laurent(c)
+        if len(c.c) > 1 or (n and style.inline and not _bare(c)):
+            body = style.group(body)
+        if n == 0:
+            parts.append(body)
+        elif c.is_one():
+            parts.append(style.power("T", n))
+        else:
+            parts.append(body + style.times + style.power("T", n))
+    num_s = " + ".join(parts)
+    dens = []
+    for (a, b), mult in Counter(x.geom).items():
+        lpow = style.power(style.L, a) + style.times if a else ""
+        dens.append(style.power(style.group(f"1 - {lpow}{style.power('T', b)}"), mult))
+    for i, mult in Counter(x.cyclo).items():
+        dens.append(style.power(style.group(f"{style.power(style.L, i)} - 1"), mult))
+    if not dens:
+        return num_s
+    if style.inline and len(parts) > 1:
+        num_s = style.group(num_s)
+    return style.frac.format(num_s, " ".join(dens))
 
 
 def rs_text(x: RatSeries) -> str:
     """Plain-text rendering, stable across runs."""
-    if not x.num:
-        return "0"
-    parts = []
-    for n in sorted(x.num):
-        c = x.num[n]
-        if n == 0:
-            parts.append(str(c) if len(c.c) == 1 else f"({c})")
-            continue
-        tpow = "T" if n == 1 else f"T^{n}"
-        if c.is_one():
-            parts.append(tpow)
-        else:
-            parts.append(f"{_coeff_text(c)}*{tpow}")
-    num_s = " + ".join(parts)
-    dens = []
-    for (a, b), mult in Counter(x.geom).items():
-        tpow = "T" if b == 1 else f"T^{b}"
-        if a == 0:
-            body = f"(1 - {tpow})"
-        else:
-            lpow = "L" if a == 1 else f"L^{a}"
-            body = f"(1 - {lpow}*{tpow})"
-        dens.append(body if mult == 1 else f"{body}^{mult}")
-    for i, mult in Counter(x.cyclo).items():
-        lpow = "L" if i == 1 else f"L^{i}"
-        body = f"({lpow} - 1)"
-        dens.append(body if mult == 1 else f"{body}^{mult}")
-    if not dens:
-        return num_s
-    den_s = " ".join(dens)
-    if len(parts) > 1:
-        num_s = f"({num_s})"
-    return f"{num_s} / [{den_s}]"
-
-
-def _coeff_latex(c: TatePoly) -> str:
-    if not c.c:
-        return "0"
-    parts = []
-    for e, v in sorted(c.c.items(), reverse=True):
-        mag = -v if v < 0 else v
-        if e == 0:
-            body = str(mag) if mag.denominator == 1 else f"\\tfrac{{{mag.numerator}}}{{{mag.denominator}}}"
-        else:
-            lpow = "\\mathbb{L}" if e == 1 else f"\\mathbb{{L}}^{{{e}}}"
-            if mag == 1:
-                body = lpow
-            elif mag.denominator == 1:
-                body = f"{mag} {lpow}"
-            else:
-                body = f"\\tfrac{{{mag.numerator}}}{{{mag.denominator}}} {lpow}"
-        if not parts:
-            parts.append(body if v > 0 else f"-{body}")
-        else:
-            parts.append(f"+ {body}" if v > 0 else f"- {body}")
-    return " ".join(parts)
+    return _render(x, latex=False)
 
 
 def rs_latex(x: RatSeries) -> str:
     """LaTeX rendering with L typeset as \\mathbb{L}."""
-    if not x.num:
-        return "0"
-    parts = []
-    for n in sorted(x.num):
-        c = x.num[n]
-        if n == 0:
-            parts.append(_coeff_latex(c) if len(c.c) == 1 else f"\\left({_coeff_latex(c)}\\right)")
-            continue
-        tpow = "T" if n == 1 else f"T^{{{n}}}"
-        if c.is_one():
-            parts.append(tpow)
-        elif len(c.c) == 1:
-            parts.append(f"{_coeff_latex(c)} {tpow}")
-        else:
-            parts.append(f"\\left({_coeff_latex(c)}\\right) {tpow}")
-    num_s = " + ".join(parts)
-    dens = []
-    for (a, b), mult in Counter(x.geom).items():
-        tpow = "T" if b == 1 else f"T^{{{b}}}"
-        if a == 0:
-            body = f"\\left(1 - {tpow}\\right)"
-        else:
-            lpow = "\\mathbb{L}" if a == 1 else f"\\mathbb{{L}}^{{{a}}}"
-            body = f"\\left(1 - {lpow} {tpow}\\right)"
-        dens.append(body if mult == 1 else f"{body}^{{{mult}}}")
-    for i, mult in Counter(x.cyclo).items():
-        lpow = "\\mathbb{L}" if i == 1 else f"\\mathbb{{L}}^{{{i}}}"
-        body = f"\\left({lpow} - 1\\right)"
-        dens.append(body if mult == 1 else f"{body}^{{{mult}}}")
-    if not dens:
-        return num_s
-    return f"\\frac{{{num_s}}}{{{' '.join(dens)}}}"
+    return _render(x, latex=True)
 
 
 def rs_to_json(x: RatSeries) -> dict:
@@ -864,11 +725,18 @@ def rs_to_json(x: RatSeries) -> dict:
 
 
 def rs_from_json(obj: Mapping) -> RatSeries:
-    num = {int(n): TatePoly.from_json(c) for n, c in obj.get("numerator", [])}
-    geom = []
-    for a, b, mult in obj.get("denomGeom", []):
-        geom.extend([(int(a), int(b))] * int(mult))
-    cyclo = []
-    for i, mult in obj.get("denomCyclo", []):
-        cyclo.extend([int(i)] * int(mult))
-    return RatSeries(num, geom, cyclo)
+    """Inverse of `rs_to_json`; ValueError on a repeated T-exponent or a
+    multiplicity below 1."""
+    num: TNum = {}
+    for n, c in obj.get("numerator", []):
+        if int(n) in num:
+            raise ValueError(f"numerator lists T^{n} twice")
+        num[int(n)] = TatePoly.from_json(c)
+
+    def factors(key: str) -> Iterable[tuple[int, ...]]:
+        for *factor, mult in obj.get(key, []):
+            if int(mult) < 1:
+                raise ValueError(f"{key} factor {factor} has multiplicity {mult} < 1")
+            yield from [tuple(int(v) for v in factor)] * int(mult)
+
+    return RatSeries(num, factors("denomGeom"), [i for (i,) in factors("denomCyclo")])

@@ -6,15 +6,22 @@ powers of L, stored sparsely as a dict mapping exponent to a nonzero
 inverted factors (L^i - 1)^-1 are never stored inside a TatePoly but tracked
 as explicit denominator factors by `arczeta.ratseries.RatSeries`.
 
-Evaluation at a rational number q ("counting specialization") is `tate_eval`.
-Exact division, used when cancelling denominator factors, raises
-`NonPolynomialCoefficient` if the quotient would leave the ring.
+Evaluation at a rational number q ("counting specialization") is
+`TatePoly.eval`.  Exact division, used when cancelling denominator factors,
+raises `NonPolynomialCoefficient` if the quotient would leave the ring.
+
+`_sparse_add` and `_sparse_mul` are the one sparse kernel of the series
+layer: they add and multiply {exponent: nonzero coefficient} dicts, both for
+the Fraction coefficients of a TatePoly and for the TatePoly coefficients of
+a `RatSeries` numerator in T.  `_TEXT` and `_LATEX` hold the tokens of the
+two output formats; `_Style.laurent` is the one signed-term walk that renders
+a TatePoly in either.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Sequence, Union
+from typing import Iterable, Mapping, NamedTuple, Sequence, Union
 
 Scalar = Union[int, Fraction]
 
@@ -33,6 +40,75 @@ def _coerce(value: Scalar) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     raise TypeError(f"expected int or Fraction, got {type(value).__name__}")
+
+
+def _sparse_add(x: Mapping, y: Mapping) -> dict:
+    """x + y over sparse {exponent: nonzero coefficient} dicts; zero sums drop.
+
+    Coefficients are Fractions (an element of Q[L, L^-1]) or TatePolys (a
+    polynomial in T over it); both are falsy exactly at zero.
+    """
+    out = dict(x)
+    for e, v in y.items():
+        s = out[e] + v if e in out else v
+        if s:
+            out[e] = s
+        else:
+            out.pop(e, None)
+    return out
+
+
+def _sparse_mul(x: Mapping, y: Mapping) -> dict:
+    """x * y over sparse {exponent: nonzero coefficient} dicts."""
+    out: dict = {}
+    for e1, v1 in x.items():
+        out = _sparse_add(out, {e1 + e2: v1 * v2 for e2, v2 in y.items()})
+    return out
+
+
+class _Style(NamedTuple):
+    """The tokens of one output format, and the walks that only read tokens."""
+
+    L: str  # the symbol L
+    pow: str  # base^exponent, as a str.format template
+    ratio: str  # a non-integer rational numerator/denominator
+    times: str  # product separator
+    left: str  # grouping brackets
+    right: str
+    frac: str  # series numerator over its denominator factors
+    inline: bool  # one-line format: groups factors that would read ambiguously
+
+    def power(self, base: str, e: int) -> str:
+        return base if e == 1 else self.pow.format(base, e)
+
+    def group(self, body: str) -> str:
+        return self.left + body + self.right
+
+    def laurent(self, p: TatePoly) -> str:
+        """Signed terms of p, highest power of L first."""
+        if not p.c:
+            return "0"
+        parts: list[str] = []
+        for e, v in sorted(p.c.items(), reverse=True):
+            mag = -v if v < 0 else v
+            body = str(mag) if mag.denominator == 1 else self.ratio.format(mag.numerator, mag.denominator)
+            if e and mag == 1:
+                body = self.power(self.L, e)
+            elif e:
+                if self.inline and mag.denominator != 1:
+                    body = self.group(body)
+                body += self.times + self.power(self.L, e)
+            if parts:
+                parts.append(f"+ {body}" if v > 0 else f"- {body}")
+            else:
+                parts.append(body if v > 0 else f"-{body}")
+        return " ".join(parts)
+
+
+_TEXT = _Style("L", "{}^{}", "{}/{}", "*", "(", ")", "{} / [{}]", True)
+_LATEX = _Style(
+    "\\mathbb{L}", "{}^{{{}}}", "\\tfrac{{{}}}{{{}}}", " ", "\\left(", "\\right)", "\\frac{{{}}}{{{}}}", False
+)
 
 
 class TatePoly:
@@ -88,10 +164,6 @@ class TatePoly:
             raise ValueError("zero polynomial has no degree")
         return max(self.c)
 
-    def terms(self) -> Iterator[tuple[int, Fraction]]:
-        """Terms in ascending exponent order."""
-        return iter(sorted(self.c.items()))
-
     def __bool__(self) -> bool:
         return bool(self.c)
 
@@ -111,45 +183,18 @@ class TatePoly:
     # -- arithmetic ----------------------------------------------------------
 
     def __add__(self, other: TatePoly | Scalar) -> TatePoly:
-        other = _as_poly(other)
-        c = dict(self.c)
-        for e, v in other.c.items():
-            s = c.get(e, Fraction(0)) + v
-            if s:
-                c[e] = s
-            elif e in c:
-                del c[e]
-        out = TatePoly.__new__(TatePoly)
-        out.c = c
-        return out
+        return _wrap(_sparse_add(self.c, _as_poly(other).c))
 
     __radd__ = __add__
 
     def __neg__(self) -> TatePoly:
-        out = TatePoly.__new__(TatePoly)
-        out.c = {e: -v for e, v in self.c.items()}
-        return out
+        return _wrap({e: -v for e, v in self.c.items()})
 
     def __sub__(self, other: TatePoly | Scalar) -> TatePoly:
         return self + (-_as_poly(other))
 
-    def __rsub__(self, other: Scalar) -> TatePoly:
-        return _as_poly(other) - self
-
     def __mul__(self, other: TatePoly | Scalar) -> TatePoly:
-        other = _as_poly(other)
-        c: dict[int, Fraction] = {}
-        for e1, v1 in self.c.items():
-            for e2, v2 in other.c.items():
-                e = e1 + e2
-                s = c.get(e, Fraction(0)) + v1 * v2
-                if s:
-                    c[e] = s
-                elif e in c:
-                    del c[e]
-        out = TatePoly.__new__(TatePoly)
-        out.c = c
-        return out
+        return _wrap(_sparse_mul(self.c, _as_poly(other).c))
 
     __rmul__ = __mul__
 
@@ -167,9 +212,7 @@ class TatePoly:
 
     def shift(self, k: int) -> TatePoly:
         """Multiply by L^k."""
-        out = TatePoly.__new__(TatePoly)
-        out.c = {e + k: v for e, v in self.c.items()}
-        return out
+        return _wrap({e + k: v for e, v in self.c.items()})
 
     def exact_div(self, other: TatePoly) -> TatePoly:
         """Exact quotient self / other in Q[L, L^-1].
@@ -204,26 +247,7 @@ class TatePoly:
         return total
 
     def __str__(self) -> str:
-        if not self.c:
-            return "0"
-        parts: list[str] = []
-        for e, v in sorted(self.c.items(), reverse=True):
-            mag = -v if v < 0 else v
-            if e == 0:
-                body = str(mag)
-            else:
-                lpow = "L" if e == 1 else f"L^{e}"
-                if mag == 1:
-                    body = lpow
-                elif mag.denominator == 1:
-                    body = f"{mag}*{lpow}"
-                else:
-                    body = f"({mag})*{lpow}"
-            if not parts:
-                parts.append(body if v > 0 else f"-{body}")
-            else:
-                parts.append(f"+ {body}" if v > 0 else f"- {body}")
-        return " ".join(parts)
+        return _TEXT.laurent(self)
 
     def to_json(self) -> list[list]:
         """JSON form: ascending [L-exponent, "num/den"] pairs."""
@@ -232,6 +256,13 @@ class TatePoly:
     @classmethod
     def from_json(cls, data: Iterable[Iterable]) -> TatePoly:
         return cls((int(e), Fraction(str(v))) for e, v in data)
+
+
+def _wrap(c: dict[int, Fraction]) -> TatePoly:
+    """A TatePoly on c, which must already hold only nonzero Fractions."""
+    out = TatePoly.__new__(TatePoly)
+    out.c = c
+    return out
 
 
 def _as_poly(value: TatePoly | Scalar) -> TatePoly:
@@ -275,10 +306,3 @@ def cyclotomic_unit(i: int) -> TatePoly:
         raise ValueError("cyclotomic index must be >= 1")
     return TatePoly({i: 1, 0: -1})
 
-
-def tate_eval(p: TatePoly, q: Scalar) -> Fraction:
-    """Counting specialization L -> q of a Laurent polynomial.
-
-    Raises ZeroBase when p involves a negative power of L and q = 0.
-    """
-    return p.eval(q)

@@ -256,29 +256,6 @@ class Verdict:
             "rows": [r.to_json() for r in self.rows],
         }
 
-    @classmethod
-    def from_json(cls, obj: Mapping | str) -> Verdict:
-        if isinstance(obj, str):
-            obj = json.loads(obj)
-        rows = tuple(
-            CompRow(
-                p=int(r["p"]),
-                n=int(r["n"]),
-                symbolic=Fraction(r["symbolic"]),
-                counted=Fraction(r["counted"]),
-                counted_alt=None if r.get("counted_alt") is None else Fraction(r["counted_alt"]),
-                certified=bool(r["certified"]),
-            )
-            for r in obj["rows"]
-        )
-        return cls(
-            target=str(obj["target"]),
-            rows=rows,
-            summary=str(obj["summary"]),
-            detail=str(obj.get("detail", "")),
-            assumptions=tuple(obj.get("assumptions", ())),
-        )
-
     def to_text(self) -> str:
         lines = [f"target: {self.target}", f"summary: {self.summary}"]
         if self.detail:

@@ -15,6 +15,11 @@ modulus and reduction table, :class:`TruncPow` builds F_q[t]/t^{n+1} on it
 recurrence of `RatFunc.taylor`), :func:`ref_normalize` tries the long
 division by every denominator factor (the reference for `rs_normalize`,
 which skips the divisions a residue mod a prime proves inexact),
+:func:`ref_equal` cross-multiplies by every denominator factor (the
+reference for `rs_equal`, which subtracts over the least common
+denominator), :func:`ref_text`, :func:`ref_latex` and :func:`ref_tate_text` render
+by separate text and LaTeX walks (the reference for the one renderer behind
+`rs_text`, `rs_latex` and `str(TatePoly)`),
 :func:`ref_cell_horizon` with :func:`ref_surviving_children` filter the
 children of a lifting cell point by point over Z (the reference for the F_p
 child test of `liftable`), and :func:`ref_count_liftable` walks the unpruned cell tree with direct
@@ -22,13 +27,17 @@ child test of `liftable`), and :func:`ref_count_liftable` walks the unpruned cel
 (the reference for `count_liftable`).
 
 Small readers of library objects that only tests need:
-:func:`ref_y_coeff`, :func:`ref_contains`, :func:`ref_iter_points` and
-:func:`ref_specialize_truncated`.
+:func:`ref_y_coeff`, :func:`ref_contains`, :func:`ref_iter_points`,
+:func:`ref_specialize_truncated`, :func:`read_count_report` with
+:func:`report_counts`, and :func:`read_verdict` (the JSON forms are written
+by the library and read back only here).
 """
 
 from __future__ import annotations
 
 import functools
+from collections import Counter
+import json
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
@@ -38,12 +47,13 @@ from typing import Callable, Iterator, Mapping, Sequence
 
 from arczeta import presburger as pb
 from arczeta.branch import BranchSpec
-from arczeta.counting import BudgetExceeded
+from arczeta.counting import BudgetExceeded, CountReport, CountRow
 from arczeta.fq import Fq
 from arczeta.liftable import IntPoly, LiftResult
 from arczeta.ranges import IteratedRangeSystem, Piece
 from arczeta.ratseries import RatFunc, RatSeries, TruncatedSeries, _qgcd, _tnum_div_cyclo, _tnum_divmod_geom
-from arczeta.tate import Scalar, _qdivmod, _qtrim, tate_eval
+from arczeta.tate import Scalar, TatePoly, _qdivmod, _qtrim, cyclotomic_unit
+from arczeta.verifier import CompRow, Verdict
 
 
 def quantifier_window(f: pb.Formula, free_box: int = 30) -> int:
@@ -244,6 +254,169 @@ def ref_normalize(x: RatSeries) -> RatSeries:
 
 
 Elem = tuple[int, ...]
+
+
+def _ref_tnum_add(x: dict[int, TatePoly], y: dict[int, TatePoly]) -> dict[int, TatePoly]:
+    out = dict(x)
+    for n, c in y.items():
+        s = out.get(n, TatePoly.zero()) + c
+        if s.is_zero():
+            out.pop(n, None)
+        else:
+            out[n] = s
+    return out
+
+
+def _ref_tnum_mul_geom(x: dict[int, TatePoly], a: int, b: int) -> dict[int, TatePoly]:
+    """x * (1 - L^a T^b), term by term."""
+    return _ref_tnum_add(x, {n + b: -c.shift(a) for n, c in x.items()})
+
+
+def ref_equal(x: RatSeries, y: RatSeries) -> bool:
+    """Equality by cross-multiplication: x.num den(y) - y.num den(x) is zero
+    (the reference for `rs_equal`, which subtracts over the least common
+    denominator)."""
+    nx, ny = x.num, y.num
+    for a, b in y.geom:
+        nx = _ref_tnum_mul_geom(nx, a, b)
+    for a, b in x.geom:
+        ny = _ref_tnum_mul_geom(ny, a, b)
+    scale_x = TatePoly.one()
+    for i in y.cyclo:
+        scale_x = scale_x * cyclotomic_unit(i)
+    scale_y = TatePoly.one()
+    for i in x.cyclo:
+        scale_y = scale_y * cyclotomic_unit(i)
+    nx = {n: c * scale_x for n, c in nx.items()}
+    ny = {n: -c * scale_y for n, c in ny.items()}
+    return _ref_tnum_add(nx, ny) == {}
+
+
+def ref_tate_text(c: TatePoly) -> str:
+    """Plain text of a Laurent polynomial, highest power first (the reference
+    for `str(TatePoly)`)."""
+    if not c.c:
+        return "0"
+    parts: list[str] = []
+    for e, v in sorted(c.c.items(), reverse=True):
+        mag = -v if v < 0 else v
+        if e == 0:
+            body = str(mag)
+        else:
+            lpow = "L" if e == 1 else f"L^{e}"
+            if mag == 1:
+                body = lpow
+            elif mag.denominator == 1:
+                body = f"{mag}*{lpow}"
+            else:
+                body = f"({mag})*{lpow}"
+        if not parts:
+            parts.append(body if v > 0 else f"-{body}")
+        else:
+            parts.append(f"+ {body}" if v > 0 else f"- {body}")
+    return " ".join(parts)
+
+
+def _ref_coeff_text(c: TatePoly) -> str:
+    s = ref_tate_text(c)
+    simple = len(c.c) == 1 and next(iter(c.c.values())) > 0
+    return s if simple and "*" not in s and "/" not in s else f"({s})"
+
+
+def ref_text(x: RatSeries) -> str:
+    """Plain text of a series (the reference for `rs_text`)."""
+    if not x.num:
+        return "0"
+    parts = []
+    for n in sorted(x.num):
+        c = x.num[n]
+        if n == 0:
+            parts.append(ref_tate_text(c) if len(c.c) == 1 else f"({ref_tate_text(c)})")
+            continue
+        tpow = "T" if n == 1 else f"T^{n}"
+        if c.is_one():
+            parts.append(tpow)
+        else:
+            parts.append(f"{_ref_coeff_text(c)}*{tpow}")
+    num_s = " + ".join(parts)
+    dens = []
+    for (a, b), mult in Counter(x.geom).items():
+        tpow = "T" if b == 1 else f"T^{b}"
+        if a == 0:
+            body = f"(1 - {tpow})"
+        else:
+            lpow = "L" if a == 1 else f"L^{a}"
+            body = f"(1 - {lpow}*{tpow})"
+        dens.append(body if mult == 1 else f"{body}^{mult}")
+    for i, mult in Counter(x.cyclo).items():
+        lpow = "L" if i == 1 else f"L^{i}"
+        body = f"({lpow} - 1)"
+        dens.append(body if mult == 1 else f"{body}^{mult}")
+    if not dens:
+        return num_s
+    den_s = " ".join(dens)
+    if len(parts) > 1:
+        num_s = f"({num_s})"
+    return f"{num_s} / [{den_s}]"
+
+
+def _ref_coeff_latex(c: TatePoly) -> str:
+    if not c.c:
+        return "0"
+    parts = []
+    for e, v in sorted(c.c.items(), reverse=True):
+        mag = -v if v < 0 else v
+        if e == 0:
+            body = str(mag) if mag.denominator == 1 else f"\\tfrac{{{mag.numerator}}}{{{mag.denominator}}}"
+        else:
+            lpow = "\\mathbb{L}" if e == 1 else f"\\mathbb{{L}}^{{{e}}}"
+            if mag == 1:
+                body = lpow
+            elif mag.denominator == 1:
+                body = f"{mag} {lpow}"
+            else:
+                body = f"\\tfrac{{{mag.numerator}}}{{{mag.denominator}}} {lpow}"
+        if not parts:
+            parts.append(body if v > 0 else f"-{body}")
+        else:
+            parts.append(f"+ {body}" if v > 0 else f"- {body}")
+    return " ".join(parts)
+
+
+def ref_latex(x: RatSeries) -> str:
+    """LaTeX of a series (the reference for `rs_latex`)."""
+    if not x.num:
+        return "0"
+    parts = []
+    for n in sorted(x.num):
+        c = x.num[n]
+        if n == 0:
+            parts.append(_ref_coeff_latex(c) if len(c.c) == 1 else f"\\left({_ref_coeff_latex(c)}\\right)")
+            continue
+        tpow = "T" if n == 1 else f"T^{{{n}}}"
+        if c.is_one():
+            parts.append(tpow)
+        elif len(c.c) == 1:
+            parts.append(f"{_ref_coeff_latex(c)} {tpow}")
+        else:
+            parts.append(f"\\left({_ref_coeff_latex(c)}\\right) {tpow}")
+    num_s = " + ".join(parts)
+    dens = []
+    for (a, b), mult in Counter(x.geom).items():
+        tpow = "T" if b == 1 else f"T^{{{b}}}"
+        if a == 0:
+            body = f"\\left(1 - {tpow}\\right)"
+        else:
+            lpow = "\\mathbb{L}" if a == 1 else f"\\mathbb{{L}}^{{{a}}}"
+            body = f"\\left(1 - {lpow} {tpow}\\right)"
+        dens.append(body if mult == 1 else f"{body}^{{{mult}}}")
+    for i, mult in Counter(x.cyclo).items():
+        lpow = "\\mathbb{L}" if i == 1 else f"\\mathbb{{L}}^{{{i}}}"
+        body = f"\\left({lpow} - 1\\right)"
+        dens.append(body if mult == 1 else f"{body}^{{{mult}}}")
+    if not dens:
+        return num_s
+    return f"\\frac{{{num_s}}}{{{' '.join(dens)}}}"
 
 
 class RefFq(Fq):
@@ -510,7 +683,44 @@ def ref_y_coeff(b: BranchSpec, j: int) -> Fraction:
 
 def ref_specialize_truncated(series: TruncatedSeries, q: Scalar) -> list[Fraction]:
     """The coefficients c_0..c_order of a truncated expansion at L = q."""
-    return [tate_eval(c, q) for c in series.coeffs]
+    return [c.eval(q) for c in series.coeffs]
+
+
+def read_count_report(obj: Mapping | str) -> CountReport:
+    """A `CountReport` from its `to_json` form (or that form as a string)."""
+    if isinstance(obj, str):
+        obj = json.loads(obj)
+    rows = [CountRow(int(n), int(c), str(m), float(s)) for n, c, m, s in obj["rows"]]
+    return CountReport(str(obj["name"]), int(obj["p"]), int(obj["d"]), rows, [str(a) for a in obj.get("assumptions", [])])
+
+
+def report_counts(report: CountReport) -> dict[int, int]:
+    """The counted value of each row of a report, by n."""
+    return {r.n: r.count for r in report.rows}
+
+
+def read_verdict(obj: Mapping | str) -> Verdict:
+    """A `Verdict` from its `to_json` form (or that form as a string)."""
+    if isinstance(obj, str):
+        obj = json.loads(obj)
+    rows = tuple(
+        CompRow(
+            p=int(r["p"]),
+            n=int(r["n"]),
+            symbolic=Fraction(r["symbolic"]),
+            counted=Fraction(r["counted"]),
+            counted_alt=None if r.get("counted_alt") is None else Fraction(r["counted_alt"]),
+            certified=bool(r["certified"]),
+        )
+        for r in obj["rows"]
+    )
+    return Verdict(
+        target=str(obj["target"]),
+        rows=rows,
+        summary=str(obj["summary"]),
+        detail=str(obj.get("detail", "")),
+        assumptions=tuple(obj.get("assumptions", ())),
+    )
 
 
 def ref_contains(sys: IteratedRangeSystem, point: Mapping[str, int]) -> bool:

@@ -11,9 +11,9 @@ from click.testing import CliRunner
 
 from arczeta.branch import BranchSpec, characteristic_sequence, p_ar
 from arczeta.cli import main
-from arczeta.counting import CountReport
 from arczeta.ratseries import rs_equal, rs_from_json
 from arczeta.verifier import VerificationPlan
+from helpers import read_count_report, report_counts
 
 
 @pytest.fixture()
@@ -106,8 +106,8 @@ class TestCountCommand:
     def test_json_round_trips(self, runner, files):
         r = runner.invoke(main, ["count", "--branch", files["cusp"], "-p", "7", "--n-max", "3", "--format", "json"])
         assert r.exit_code == 0
-        report = CountReport.from_json(json.loads(r.output))
-        assert report.counts() == {0: 1, 1: 1, 2: 4, 3: 43}
+        report = read_count_report(json.loads(r.output))
+        assert report_counts(report) == {0: 1, 1: 1, 2: 4, 3: 43}
 
     def test_poly_mode_fixed_depth(self, runner, files):
         r = runner.invoke(
@@ -300,6 +300,23 @@ class TestVerifyCommand:
     def test_plan_field_its_target_never_reads_exits_1(self, runner, tmp_path, plan, error):
         f = tmp_path / "plan.json"
         f.write_text(json.dumps({**plan, "branch": BranchSpec.make(4, {6: 1, 7: 1}).to_json(), "primes": [5], "n_max": 3}))
+        r = runner.invoke(main, ["verify", "--plan", str(f)])
+        assert r.exit_code == 1
+        assert r.stdout == ""
+        assert error in r.stderr
+
+    @pytest.mark.parametrize(
+        "series,error",
+        [
+            ({"numerator": [[0, [[0, "1"]]]], "denomGeom": [[0, 1, -2]]}, "multiplicity -2 < 1"),
+            ({"numerator": [[0, [[0, "1"]]], [0, [[0, "2"]]]]}, "lists T^0 twice"),
+            ({"numerator": [[2, [[0, "1"]]], [-1, [[0, "5"]]]]}, "exponents must be >= 0"),
+        ],
+    )
+    def test_malformed_expect_series_exits_1(self, runner, tmp_path, series, error):
+        f = tmp_path / "plan.json"
+        branch = BranchSpec.make(2, {3: 1}).to_json()
+        f.write_text(json.dumps({"target": "branch-par", "branch": branch, "primes": [5], "n_max": 2, "expect_series": series}))
         r = runner.invoke(main, ["verify", "--plan", str(f)])
         assert r.exit_code == 1
         assert r.stdout == ""

@@ -134,7 +134,7 @@ class TestTruncPow:
         with pytest.raises(ValueError):
             TruncPow.zero(RefFq(3, 1), 3) + TruncPow.zero(self.F, 3)
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     @given(
         st.lists(st.integers(0, 8), min_size=1, max_size=5),
         st.lists(st.integers(0, 8), min_size=1, max_size=5),

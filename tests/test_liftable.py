@@ -60,7 +60,7 @@ class TestHasseDerivatives:
         assert f.hasse_deriv((3,)).eval((5,)) == 1
         assert f.hasse_deriv((4,)).is_zero()
 
-    @settings(max_examples=50, deadline=None)
+    @settings(max_examples=50)
     @given(
         st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(-5, 5)), max_size=5),
         st.integers(-9, 9),
@@ -213,7 +213,7 @@ def singular_points(draw):
 class TestAgainstReferenceTree:
     """`count_liftable` against the unpruned tree with direct evaluation and the p-order Hensel bound."""
 
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=100)
     @given(st.data())
     def test_matches_reference(self, data):
         p = data.draw(st.sampled_from([2, 3, 5, 7]), label="p")
@@ -255,7 +255,7 @@ class TestAgainstReferenceTree:
         assert got.nodes < want.nodes  # the prune skipped cells of certified owners
 
     # no shrinking: each case of the batch costs up to a second
-    @settings(max_examples=2, deadline=None, phases=[Phase.explicit, Phase.reuse, Phase.generate])
+    @settings(max_examples=2, phases=[Phase.explicit, Phase.reuse, Phase.generate])
     @given(st.lists(singular_points(), min_size=10, max_size=10))
     def test_owner_prune_at_singular_points(self, cases):
         fewer = 0
@@ -277,7 +277,7 @@ class TestAgainstReferenceTree:
 class TestHensel:
     """The divisibility form of Hensel's criterion against the p-orders of the Jacobian minors."""
 
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=300)
     @given(st.data())
     def test_matches_minor_orders(self, data):
         p = data.draw(st.sampled_from([2, 3, 5, 7]), label="p")
@@ -381,7 +381,7 @@ class TestBudget:
 class TestChildTest:
     """The F_p child test of a branching cell against the point-by-point filter over Z."""
 
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=300)
     @given(st.data())
     def test_matches_pointwise_filter(self, data):
         p = data.draw(st.sampled_from([2, 3, 5, 7, 13]), label="p")

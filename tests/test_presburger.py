@@ -203,7 +203,7 @@ RELATIONS = ("<=", "<", "=", ">=", ">", "!=")
 VARS = ("x", "y", "z")
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(
     st.dictionaries(st.sampled_from(VARS), st.integers(-6, 6)),
     st.fixed_dictionaries({v: st.integers(-10, 10) for v in VARS}),
@@ -220,7 +220,7 @@ def test_relation_table(coeffs, point, value, rel):
     assert membership(_strictify(t, rel), point) == truth
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(st.dictionaries(st.sampled_from(("x", "y")), st.integers(-12, 12)), st.integers(-20, 20), st.integers(1, 12))
 def test_make_cong_is_false_exactly_when_unsatisfiable(coeffs, const, modulus):
     # [0, m)^v is a complete residue system, so the box decides satisfiability

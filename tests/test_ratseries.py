@@ -2,7 +2,10 @@ from fractions import Fraction
 from math import lcm
 
 import pytest
-from hypothesis import given, settings
+from functools import reduce
+from operator import mul
+
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from arczeta import ratseries
@@ -25,13 +28,23 @@ from arczeta.ratseries import (
     rs_mul,
     rs_normalize,
     rs_poles_in_L,
+    rs_scale,
     rs_specialize,
     rs_text,
     rs_to_json,
 )
 from arczeta.branch import BranchSpec, characteristic_sequence, chi_c_arc_class, p_ar
-from arczeta.tate import NonPolynomialCoefficient, TatePoly, tate_eval
-from helpers import ratfunc_from_polys, ref_normalize, ref_specialize_truncated, ref_taylor
+from arczeta.tate import NonPolynomialCoefficient, TatePoly, cyclotomic_unit
+from helpers import (
+    ratfunc_from_polys,
+    ref_equal,
+    ref_latex,
+    ref_normalize,
+    ref_specialize_truncated,
+    ref_tate_text,
+    ref_taylor,
+    ref_text,
+)
 
 L = TatePoly.L
 ONE = TatePoly.one()
@@ -183,7 +196,7 @@ def test_specialize_cyclotomic_scalars_match_full_gcd():
     for q in (2, 3, Fraction(1, 3), 7):
         f = rs_specialize(x, q)
         scalar = (Fraction(q) - 1) * (Fraction(q) ** 2 - 1) ** 2
-        num = [tate_eval(x.num.get(n, TatePoly.zero()), q) / scalar for n in range(max(x.num) + 1)]
+        num = [x.num.get(n, TatePoly.zero()).eval(q) / scalar for n in range(max(x.num) + 1)]
         assert f == _reduced_both_ways(num, [(Fraction(q) ** a, b) for a, b in x.geom])
         assert len(f.den) - 1 == 5  # the (1 - L T) factor cancels
 
@@ -194,7 +207,7 @@ binomial_factors = st.lists(
 )
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150)
 @given(
     binomial_factors,
     binomial_factors,
@@ -217,7 +230,7 @@ def test_p_ar_large_denominator_at_17():
     f = rs_specialize(series, 17)
     assert len(f.den) - 1 == 50
     strata = [
-        1 + sum(tate_eval(chi_c_arc_class(c, n, ell)[1], 17) for ell in range(1, n // c.m + 1))
+        1 + sum(chi_c_arc_class(c, n, ell)[1].eval(17) for ell in range(1, n // c.m + 1))
         for n in range(25)
     ]
     assert f.taylor(24) == strata
@@ -314,6 +327,9 @@ def test_denominator_factors_render_in_stored_order():
     assert rs_latex(x).index("L}^{3}") < rs_latex(x).index("T^{2}")
 
 
+# Signed rational coefficients, multi-term coefficients at every T-power
+# (the constant one included), a = 0 factors, and repeated geometric and
+# cyclotomic factors.
 small_series = st.builds(
     RatSeries,
     st.dictionaries(
@@ -327,12 +343,20 @@ small_series = st.builds(
     ),
     st.lists(
         st.tuples(st.integers(min_value=-2, max_value=2), st.integers(min_value=1, max_value=3)),
-        max_size=2,
+        max_size=3,
     ),
+    st.lists(st.integers(min_value=1, max_value=3), max_size=3),
+)
+
+# One of each shape small_series covers, as an explicit example.
+MIXED = RatSeries(
+    {0: TatePoly({1: 2, 0: Fraction(-1, 3)}), 1: L(2), 2: TatePoly({-1: Fraction(-5, 2)}), 3: TatePoly.const(4)},
+    geom=[(0, 1), (0, 1), (-2, 3)],
+    cyclo=[2, 2, 3],
 )
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(small_series, small_series, st.integers(min_value=2, max_value=5))
 def test_ring_ops_commute_with_specialization(x, y, q):
     n = 6
@@ -345,18 +369,79 @@ def test_ring_ops_commute_with_specialization(x, y, q):
     assert fp == conv
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(small_series, st.integers(min_value=2, max_value=5))
 def test_expand_commutes_with_specialization(x, q):
+    # scale by the (L^i - 1) factors, so that every expanded coefficient divides
+    x = rs_scale(x, reduce(mul, map(cyclotomic_unit, x.cyclo), TatePoly.one()))
     n = 6
     expanded = ref_specialize_truncated(rs_expand(x, n), q)
     assert expanded == rs_specialize(x, q).taylor(n)
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(small_series)
 def test_normalize_preserves_value(x):
     assert rs_equal(x, rs_normalize(x))
+
+
+# Factors (1 - L^a T^b) / (1 - L^a T^b) and (L^i - 1) / (L^i - 1): series of
+# value 1 whose product with x is x with another denominator.
+unit_series = st.one_of(
+    st.builds(lambda a, b: RatSeries({0: ONE, b: -1 * L(a)}, geom=[(a, b)]), st.integers(-2, 2), st.integers(1, 3)),
+    st.builds(lambda i: RatSeries({0: cyclotomic_unit(i)}, cyclo=[i]), st.integers(1, 3)),
+)
+
+
+@settings(max_examples=200)
+@given(small_series, small_series, unit_series)
+@example(MIXED, MIXED, RatSeries({0: cyclotomic_unit(2)}, cyclo=[2]))
+def test_equal_matches_cross_multiplication(x, y, unit):
+    assert rs_equal(x, y) == ref_equal(x, y)
+    assert rs_equal(x, rs_mul(x, unit)) and ref_equal(x, rs_mul(x, unit))
+    z = rs_add(x, rs_mul(y, unit))
+    assert rs_equal(z, rs_add(x, y))
+    assert rs_equal(z, x) == ref_equal(z, x) == y.is_zero()
+
+
+@settings(max_examples=300)
+@given(small_series)
+@example(MIXED)
+def test_render_matches_reference_walks(x):
+    assert rs_text(x) == ref_text(x)
+    assert rs_latex(x) == ref_latex(x)
+    assert all(str(c) == ref_tate_text(c) for c in x.num.values())
+
+
+@pytest.mark.parametrize(
+    "obj,error",
+    [
+        ({"numerator": [[0, [[0, "1"]]]], "denomGeom": [[0, 1, -2]]}, "multiplicity -2 < 1"),
+        ({"numerator": [[0, [[0, "1"]]]], "denomGeom": [[0, 1, 0]]}, "multiplicity 0 < 1"),
+        ({"numerator": [[0, [[0, "1"]]]], "denomCyclo": [[2, 0]]}, "multiplicity 0 < 1"),
+        ({"numerator": [[0, [[0, "1"]]], [0, [[0, "2"]]]]}, "T\\^0 twice"),
+        ({"numerator": [[2, [[0, "1"]]], [-1, [[0, "5"]]]]}, "exponents must be >= 0"),
+    ],
+)
+def test_from_json_rejects_malformed_series(obj, error):
+    with pytest.raises(ValueError, match=error):
+        rs_from_json(obj)
+
+
+def test_numerator_is_a_polynomial_in_t():
+    with pytest.raises(ValueError, match="exponents must be >= 0"):
+        RatSeries({-1: ONE})
+
+
+def test_mixed_series_renders_as_before():
+    assert rs_text(MIXED) == (
+        "((2*L - 1/3) + L^2*T + (-(5/2)*L^-1)*T^2 + 4*T^3) / [(1 - T)^2 (1 - L^-2*T^3) (L^2 - 1)^2 (L^3 - 1)]"
+    )
+    assert rs_latex(MIXED) == (
+        "\\frac{\\left(2 \\mathbb{L} - \\tfrac{1}{3}\\right) + \\mathbb{L}^{2} T + -\\tfrac{5}{2} \\mathbb{L}^{-1} T^{2}"
+        " + 4 T^{3}}{\\left(1 - T\\right)^{2} \\left(1 - \\mathbb{L}^{-2} T^{3}\\right) \\left(\\mathbb{L}^{2} - 1\\right)^{2}"
+        " \\left(\\mathbb{L}^{3} - 1\\right)}"
+    )
 
 
 def _integer_numerator(num):
@@ -389,7 +474,7 @@ shared_factor = st.one_of(
 )
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150)
 @given(
     shared_factor,
     st.lists(st.fractions(min_value=-6, max_value=6, max_denominator=5), min_size=1, max_size=5).filter(any),
@@ -435,7 +520,7 @@ def test_zdiv_exact_raises_on_a_remainder():
 rational_coeffs = st.lists(st.fractions(min_value=-9, max_value=9, max_denominator=6), max_size=6)
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150)
 @given(
     rational_coeffs,
     rational_coeffs,
@@ -475,7 +560,7 @@ def series_with_geometric_content(draw):
     return RatSeries(num, content[: draw(st.integers(0, len(content)))] + others, cyclo)
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150)
 @given(st.one_of(small_series, series_with_geometric_content()))
 def test_normalize_equals_trial_division(x):
     got, want = rs_normalize(x), ref_normalize(x)

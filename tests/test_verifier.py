@@ -21,6 +21,7 @@ from arczeta.verifier import (
     verify_igusa,
     verify_rational_shape,
 )
+from helpers import read_verdict
 
 STD4 = BranchSpec.make(4, {6: 1, 7: 1})
 SMOOTH = BranchSpec.make(1, {})
@@ -283,7 +284,7 @@ class TestVerdict:
         blob1 = json.dumps(v1.to_json(), sort_keys=True)
         blob2 = json.dumps(v2.to_json(), sort_keys=True)
         assert blob1 == blob2
-        assert Verdict.from_json(v1.to_json()) == v1
+        assert read_verdict(v1.to_json()) == v1
 
     def test_text_rendering(self):
         plan = VerificationPlan(target="igusa-monomial", exponents=(1,), primes=(3,), n_max=2)
@@ -301,7 +302,7 @@ class TestVerdict:
         rows = [CompRow(3, 4, Fraction(3, 2), Fraction(2), certified=True)]
         v = Verdict.from_rows("branch-par", rows)
         assert v.summary == "fail"
-        again = Verdict.from_json(json.dumps(v.to_json()))
+        again = read_verdict(json.dumps(v.to_json()))
         assert again.rows[0].symbolic == Fraction(3, 2)
 
 
