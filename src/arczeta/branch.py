@@ -26,7 +26,7 @@ from typing import Mapping, Sequence
 
 from .fq import is_prime
 from .ratseries import RatSeries, rs_add, rs_mul, rs_scale
-from .tate import TatePoly
+from .tate import TatePoly, json_value
 
 __all__ = [
     "TruncationTooShort",
@@ -97,12 +97,16 @@ class BranchSpec:
         if not isinstance(obj, Mapping):
             raise ValueError("branch JSON must be an object")
         try:
-            m = int(obj["m"])
-            pairs = [(int(j), Fraction(str(a))) for j, a in obj["coeffs"]]
+            m = json_value(obj["m"], int, "m")
+            coeffs: dict[int, Fraction] = {}
+            for j, a in obj["coeffs"]:
+                if json_value(j, int, "coefficient index") in coeffs:
+                    raise ValueError(f"coefficient a_{j} given twice")
+                coeffs[j] = Fraction(str(a))
+            trunc = json_value(obj["truncation"], int, "truncation") if "truncation" in obj else None
         except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"malformed branch JSON: {exc}") from exc
-        trunc = int(obj["truncation"]) if "truncation" in obj else None
-        return cls.make(m, dict(pairs), trunc)
+        return cls.make(m, coeffs, trunc)
 
     def to_json(self) -> dict:
         coeffs = [[j, str(self.coeffs[j])] for j in sorted(self.coeffs)]

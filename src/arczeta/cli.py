@@ -13,9 +13,9 @@ verify      run a verification plan from JSON and emit a verdict
 Exit codes: 0 success / verification pass, 1 usage or input error,
 2 verification failure, 3 verification uncertified.
 
-Configuration precedence: command-line flags, then the ``--config`` JSON
-file, then built-in defaults; no environment variable is consulted.  Outputs
-are deterministic byte-for-byte; wall-clock timings appear only with
+Every setting is a command-line flag whose default and type click declares
+and checks; no file or environment variable is consulted.  Outputs are
+deterministic byte-for-byte; wall-clock timings appear only with
 ``--timings``.
 """
 
@@ -31,7 +31,7 @@ from pathlib import Path
 import click
 
 from .branch import BranchSpec, characteristic_sequence, p_ar, p_geom, puiseux_from_poles
-from .counting import CountReport, CountRow, count_branch_report, igusa_monomial
+from .counting import DEFAULT_BUDGET, CountReport, CountRow, count_branch_report, igusa_monomial
 from .liftable import DEPTH_POLICY, IntPoly, count_liftable, default_depth
 from .presburger import (
     eliminate_quantifiers,
@@ -113,26 +113,6 @@ def _guarded(fn):
     return wrapper
 
 
-def _cfg(ctx, key, value, default):
-    if value is not None:
-        return value
-    return ctx.obj.get(key, default)
-
-
-def _threads(ctx, flag_value) -> int:
-    value = int(_cfg(ctx, "threads", flag_value, 1))
-    if value < 1:
-        _fail("threads must be >= 1")
-    return value
-
-
-def _format(ctx, flag_value, allowed: tuple[str, ...]) -> str:
-    fmt = _cfg(ctx, "format", flag_value, allowed[0])
-    if fmt not in allowed:
-        _fail(f"unsupported format {fmt!r}; choose from {', '.join(allowed)}")
-    return fmt
-
-
 def _read_json(path: str):
     return json.loads(Path(path).read_text())
 
@@ -167,19 +147,8 @@ def _report_text(report: CountReport) -> str:
 
 
 @click.group(cls=_Group)
-@click.option("--config", "config_path", default=None, metavar="FILE", help="JSON file with flag defaults.")
-@click.pass_context
-def main(ctx, config_path):
+def main():
     """Exact image series, p-adic integrals, and counting verifications."""
-    cfg = {}
-    if config_path:
-        try:
-            cfg = _read_json(config_path)
-        except (OSError, ValueError) as exc:
-            _fail(f"cannot read config: {exc}")
-        if not isinstance(cfg, dict):
-            _fail("config file must hold a JSON object")
-    ctx.obj = cfg
 
 
 # ---------------------------------------------------------------------------
@@ -189,14 +158,12 @@ def main(ctx, config_path):
 
 @main.command()
 @click.option("--input", "path", required=True, metavar="FILE", help="Branch JSON file.")
-@click.option("--format", "fmt", type=click.Choice(["text", "json", "latex"]), default=None)
+@click.option("--format", "fmt", type=click.Choice(["text", "json", "latex"]), default="text")
 @click.option("--normalize", is_flag=True, help="Canonicalize the series before rendering.")
 @click.option("--out", default=None, metavar="FILE")
-@click.pass_context
 @_guarded
-def branch(ctx, path, fmt, normalize, out):
+def branch(path, fmt, normalize, out):
     """Characteristic data and image series of a plane branch."""
-    fmt = _format(ctx, fmt, ("text", "json", "latex"))
     b = BranchSpec.from_json(_read_json(path))
     c = characteristic_sequence(b)
     geom_series, ar_series = p_geom(c), p_ar(c)
@@ -240,48 +207,34 @@ def branch(ctx, path, fmt, normalize, out):
 @click.option("--poly", "polys", multiple=True, metavar="EXPR", help="Polynomial equation(s); repeatable.")
 @click.option("--locus", "locus", multiple=True, metavar="EXPR", help="Reduction locus generator(s); repeatable.")
 @click.option("--origin", is_flag=True, help="Shorthand: reduction locus = all variables.")
-@click.option("-p", "--prime", type=int, default=None)
-@click.option("--ext-degree", "ext_degree", type=int, default=None, help="Field extension degree d (branch mode).")
-@click.option("--n-max", "n_max", type=int, default=None)
-@click.option("--window/--no-window", "window", default=None)
-@click.option("--budget", type=int, default=None)
+@click.option("-p", "--prime", type=int, required=True)
+@click.option("--ext-degree", "ext_degree", type=int, default=1, help="Field extension degree d (branch mode).")
+@click.option("--n-max", "n_max", type=int, default=8)
+@click.option("--window/--no-window", "window", default=True)
+@click.option("--budget", type=int, default=DEFAULT_BUDGET)
 @click.option("--depth", type=int, default=None, help=f"Lifting depth (poly mode); default {DEPTH_POLICY}.")
-@click.option("--threads", type=int, default=None)
 @click.option("--timings", is_flag=True, help="Include wall-clock timings (non-deterministic output).")
-@click.option("--format", "fmt", type=click.Choice(["csv", "json", "text"]), default=None)
+@click.option("--format", "fmt", type=click.Choice(["csv", "json", "text"]), default="csv")
 @click.option("--out", default=None, metavar="FILE")
-@click.pass_context
 @_guarded
-def count_cmd(ctx, branch_path, polys, locus, origin, prime, ext_degree, n_max, window, budget, depth, threads, timings, fmt, out):
+def count_cmd(branch_path, polys, locus, origin, prime, ext_degree, n_max, window, budget, depth, timings, fmt, out):
     """Count jet images of a branch or liftable residues of a system."""
-    fmt = _format(ctx, fmt, ("csv", "json", "text"))
-    prime = _cfg(ctx, "prime", prime, None)
-    if prime is None:
-        _fail("a prime is required (-p/--prime or config)")
-    n_max = int(_cfg(ctx, "n_max", n_max, 8))
-    budget_v = int(_cfg(ctx, "budget", budget, 4_000_000))
-    window_v = _cfg(ctx, "window", window, True)
-    nthreads = _threads(ctx, threads)
     if bool(branch_path) == bool(polys):
         _fail("exactly one of --branch or --poly is required")
     if branch_path:
         b = BranchSpec.from_json(_read_json(branch_path))
-        d = int(_cfg(ctx, "ext_degree", ext_degree, 1))
-        report = count_branch_report(
-            b, int(prime), d, n_max, window=bool(window_v), budget=budget_v, threads=nthreads
-        )
+        report = count_branch_report(b, prime, ext_degree, n_max, window=window, budget=budget)
     else:
         parsed = [IntPoly.parse(s) for s in polys]
         nvars = max(q.nvars for q in parsed)
         if origin and locus:
             _fail("--origin and --locus are mutually exclusive")
         w = list(locus) if locus else ([f"x{i + 1}" for i in range(nvars)] if origin else [])
-        report = CountReport(name="liftable-residues", p=int(prime), d=1)
-        depth_cfg = _cfg(ctx, "depth", depth, None)
+        report = CountReport(name="liftable-residues", p=prime, d=1)
         for n in range(n_max + 1):
-            dep = int(depth_cfg) if depth_cfg is not None else default_depth(n)
+            dep = depth if depth is not None else default_depth(n)
             t0 = time.perf_counter()
-            res = count_liftable(parsed, w, int(prime), n, dep, budget=budget_v)
+            res = count_liftable(parsed, w, prime, n, dep, budget=budget)
             report.rows.append(CountRow(n, res.count, res.method, time.perf_counter() - t0))
         report.assumptions.append(
             f"depth policy: {DEPTH_POLICY} unless --depth is given; uncertified rows mean the tree stabilized without certificates"
@@ -309,13 +262,11 @@ def presburger():
 @presburger.command()
 @click.argument("formula")
 @click.option("--var", "declared", multiple=True, help="Declared variable (repeatable).")
-@click.option("--format", "fmt", type=click.Choice(["text", "json"]), default=None)
+@click.option("--format", "fmt", type=click.Choice(["text", "json"]), default="text")
 @click.option("--out", default=None, metavar="FILE")
-@click.pass_context
 @_guarded
-def qe(ctx, formula, declared, fmt, out):
+def qe(formula, declared, fmt, out):
     """Eliminate quantifiers and print an equivalent quantifier-free formula."""
-    fmt = _format(ctx, fmt, ("text", "json"))
     f = parse_presburger(formula, list(declared) or None)
     result = to_text(simplify(eliminate_quantifiers(f)))
     if fmt == "json":
@@ -329,13 +280,11 @@ def qe(ctx, formula, declared, fmt, out):
 @click.option("--tweight", required=True, metavar="AFFINE", help="Exponent of T, e.g. 'n' or '2*n - 1'.")
 @click.option("--lweight", default="0", metavar="AFFINE", help="Exponent of L^-1 (default 0).")
 @click.option("--order", default=None, metavar="VARS", help="Comma-separated elimination order.")
-@click.option("--format", "fmt", type=click.Choice(["text", "json", "latex"]), default=None)
+@click.option("--format", "fmt", type=click.Choice(["text", "json", "latex"]), default="text")
 @click.option("--out", default=None, metavar="FILE")
-@click.pass_context
 @_guarded
-def sum_cmd(ctx, set_text, tweight, lweight, order, fmt, out):
+def sum_cmd(set_text, tweight, lweight, order, fmt, out):
     """Closed form of sum of L^-lweight T^tweight over a Presburger set."""
-    fmt = _format(ctx, fmt, ("text", "json", "latex"))
     f = parse_presburger(set_text)
     names = [v.strip() for v in order.split(",")] if order else sorted(free_vars(f))
     system = to_iterated_ranges(f, names)
@@ -346,9 +295,8 @@ def sum_cmd(ctx, set_text, tweight, lweight, order, fmt, out):
 @click.argument("formula")
 @click.option("--point", required=True, metavar="ASSIGN", help="Comma-separated assignments, e.g. 'x=4,y=-2'.")
 @click.option("--var", "declared", multiple=True)
-@click.pass_context
 @_guarded
-def check(ctx, formula, point, declared):
+def check(formula, point, declared):
     """Evaluate a formula at an integer point (quantifiers eliminated first)."""
     f = parse_presburger(formula, list(declared) or None)
     assigns = {}
@@ -372,24 +320,16 @@ def check(ctx, formula, point, declared):
 @main.command()
 @click.option("-k", "--exponent", "ks", multiple=True, type=int, required=True, help="Monomial exponent; repeatable.")
 @click.option("-p", "--prime", type=int, default=None, help="Check coefficients against exact volumes at p.")
-@click.option("--n-max", "n_max", type=int, default=None)
-@click.option("--format", "fmt", type=click.Choice(["text", "json", "latex"]), default=None)
+@click.option("--n-max", "n_max", type=int, default=6)
+@click.option("--format", "fmt", type=click.Choice(["text", "json", "latex"]), default="text")
 @click.option("--out", default=None, metavar="FILE")
-@click.pass_context
 @_guarded
-def igusa(ctx, ks, prime, n_max, fmt, out):
+def igusa(ks, prime, n_max, fmt, out):
     """Monomial integral series; with -p, verify against residue counting."""
-    fmt = _format(ctx, fmt, ("text", "json", "latex"))
-    prime = _cfg(ctx, "prime", prime, None)
     if prime is None:
         _emit_series(igusa_monomial(ks), fmt, out)
         return
-    plan = VerificationPlan(
-        target="igusa-monomial",
-        exponents=tuple(ks),
-        primes=(int(prime),),
-        n_max=int(_cfg(ctx, "n_max", n_max, 6)),
-    )
+    plan = VerificationPlan(target="igusa-monomial", exponents=tuple(ks), primes=(prime,), n_max=n_max)
     verdict = verify_igusa(plan)
     if fmt == "json":
         _emit(_dump_json(verdict.to_json()), out)
@@ -406,12 +346,10 @@ def igusa(ctx, ks, prime, n_max, fmt, out):
 @main.command()
 @click.option("--plan", "plan_path", required=True, metavar="FILE", help="Verification plan JSON.")
 @click.option("--out", default=None, metavar="FILE", help="Write the verdict JSON here.")
-@click.option("--format", "fmt", type=click.Choice(["text", "json"]), default=None)
-@click.pass_context
+@click.option("--format", "fmt", type=click.Choice(["text", "json"]), default="text")
 @_guarded
-def verify(ctx, plan_path, out, fmt):
+def verify(plan_path, out, fmt):
     """Run a verification plan; exit 0 pass, 2 fail, 3 uncertified."""
-    fmt = _format(ctx, fmt, ("text", "json"))
     plan = VerificationPlan.from_json(_read_json(plan_path))
     verdict = run_plan(plan)
     if out:

@@ -19,11 +19,15 @@ ell, c and whether images must lie over F_p.  Such an arc has w_0 = 0, so x
 and y vanish below t^m, and an image is keyed by the base-p digits of x and
 y at t-positions m..n, packed as many per int64 word as fit (wider keys take
 several words).  Distinct images are distinct key rows (`_distinct`).
+The worker count follows from the work: a stratum of more than
+`_CHUNK_ROWS` arcs is split into chunks that run on up to one thread per
+CPU, and a smaller one runs inline; no caller sets it.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -226,7 +230,6 @@ def _stratum_keys(
     ell: int,
     c: int,
     budget: int,
-    threads: int,
     rational: bool = False,
 ) -> np.ndarray:
     """Distinct image keys of the arcs t^ell (w_ell + ... + w_{ell+c} t^c), w_ell != 0.
@@ -234,26 +237,30 @@ def _stratum_keys(
     Such an arc has w_0 = 0, so x and y vanish below t^m: a key packs the
     base-p digits of x and y at t-positions m..n.  With ``rational`` only
     images whose digits all lie in F_p are kept, keyed by their F_p digits.
+
+    The arcs are cut into the fewest equal chunks of at most `_CHUNK_ROWS`;
+    each chunk is one job that returns its distinct keys, and one
+    `_distinct` merges the jobs.  The jobs run on min(chunks, CPU count)
+    threads, inline when that is one: numpy releases the interpreter lock in
+    the array work, and each extra worker holds one more chunk's arrays.
     """
     total = (fld.q - 1) * fld.q**c
     if total > budget:
         raise BudgetExceeded(f"stratum ell={ell} needs {total} arcs > budget {budget}")
 
     def keys(lo: int, hi: int) -> np.ndarray:
-        parts = []
-        for start in range(lo, hi, _CHUNK_ROWS):
-            idx = np.arange(start, min(start + _CHUNK_ROWS, hi), dtype=np.int64)
-            img = _branch_images(_decode_arcs(idx, c, fld), ell, n, b, fld)[:, :, b.m :]
-            if rational:
-                img = img[(img[..., 1:] == 0).all(axis=(1, 2, 3))][..., :1]
-            digits = img.reshape(img.shape[0], math.prod(img.shape[1:]))
-            parts.append(_distinct([_pack(digits, fld.p)]))
-        return _distinct(parts)
+        idx = np.arange(lo, hi, dtype=np.int64)
+        img = _branch_images(_decode_arcs(idx, c, fld), ell, n, b, fld)[:, :, b.m :]
+        if rational:
+            img = img[(img[..., 1:] == 0).all(axis=(1, 2, 3))][..., :1]
+        digits = img.reshape(img.shape[0], math.prod(img.shape[1:]))
+        return _distinct([_pack(digits, fld.p)])
 
-    workers = max(1, min(threads, total))
+    chunks = -(-total // _CHUNK_ROWS)
+    bounds = [k * total // chunks for k in range(chunks + 1)]
+    workers = min(chunks, os.cpu_count() or 1)
     if workers == 1:
-        return keys(0, total)
-    bounds = [k * total // workers for k in range(workers + 1)]
+        return _distinct(list(map(keys, bounds, bounds[1:])))
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return _distinct(list(pool.map(keys, bounds, bounds[1:])))
 
@@ -270,7 +277,6 @@ def count_branch_image(
     n: int,
     window: bool = True,
     budget: int = DEFAULT_BUDGET,
-    threads: int = 1,
 ) -> int:
     """Number of distinct origin-centred pairs (w^m, sum a_j w^j) in (F_q[t]/t^{n+1})^2.
 
@@ -287,12 +293,12 @@ def count_branch_image(
     if n < 0:
         raise ValueError("n must be >= 0")
     if window:
-        return 1 + sum(count_branch_strata(b, p, d, n, budget, threads).values())
+        return 1 + sum(count_branch_strata(b, p, d, n, budget).values())
     total = fld.q**n
     if total > budget:
         raise BudgetExceeded(f"exhaustive enumeration needs {total} arcs > budget {budget}")
     zero = _pack(np.zeros((1, 2 * max(0, n + 1 - b.m) * d), dtype=np.int64), p)
-    strata = [_stratum_keys(b, fld, n, ell, n - ell, budget, threads) for ell in range(1, n + 1)]
+    strata = [_stratum_keys(b, fld, n, ell, n - ell, budget) for ell in range(1, n + 1)]
     return len(_distinct([zero, *strata]))
 
 
@@ -302,7 +308,6 @@ def count_branch_strata(
     d: int,
     n: int,
     budget: int = DEFAULT_BUDGET,
-    threads: int = 1,
 ) -> dict[int, int]:
     """Distinct image count per contact order ell = ord_t(w), 1 <= ell <= n/m.
 
@@ -316,7 +321,7 @@ def count_branch_strata(
             # x = w recovers the arc, so the stratum maps injectively
             out[ell] = (fld.q - 1) * fld.q ** (n - ell)
         else:
-            out[ell] = len(_stratum_keys(b, fld, n, ell, n - ell * b.m, budget, threads))
+            out[ell] = len(_stratum_keys(b, fld, n, ell, n - ell * b.m, budget))
     return out
 
 
@@ -327,7 +332,6 @@ def count_branch_report(
     n_max: int,
     window: bool = True,
     budget: int = DEFAULT_BUDGET,
-    threads: int = 1,
     name: str = "branch-image",
 ) -> CountReport:
     report = CountReport(name=name, p=p, d=d)
@@ -337,7 +341,7 @@ def count_branch_report(
         )
     for n in range(n_max + 1):
         t0 = time.perf_counter()
-        c = count_branch_image(b, p, d, n, window=window, budget=budget, threads=threads)
+        c = count_branch_image(b, p, d, n, window=window, budget=budget)
         report.rows.append(CountRow(n, c, "truncated-window" if window else "exhaustive", time.perf_counter() - t0))
     return report
 
@@ -347,7 +351,6 @@ def count_branch_image_geometric(
     p: int,
     n: int,
     budget: int = DEFAULT_BUDGET,
-    threads: int = 1,
 ) -> int:
     """Images with both coordinates in F_p[t]/t^{n+1}, w ranging over all F_{p^d}, d <= m.
 
@@ -357,11 +360,11 @@ def count_branch_image_geometric(
     """
     if b.m == 1:
         # x = w, so an image over F_p comes from an arc over F_p
-        return count_branch_image(b, p, 1, n, budget=budget, threads=threads)
+        return count_branch_image(b, p, 1, n, budget=budget)
     total = 1  # zero arc
     for ell in range(1, n // b.m + 1):
         c = n - ell * b.m
-        keys = [_stratum_keys(b, Fq(p, d), n, ell, c, budget, threads, rational=True) for d in range(1, b.m + 1)]
+        keys = [_stratum_keys(b, Fq(p, d), n, ell, c, budget, rational=True) for d in range(1, b.m + 1)]
         total += len(_distinct(keys))
     return total
 

@@ -59,6 +59,7 @@ from .tate import (
     _sparse_add,
     _sparse_mul,
     cyclotomic_unit,
+    json_value,
 )
 
 
@@ -725,18 +726,19 @@ def rs_to_json(x: RatSeries) -> dict:
 
 
 def rs_from_json(obj: Mapping) -> RatSeries:
-    """Inverse of `rs_to_json`; ValueError on a repeated T-exponent or a
-    multiplicity below 1."""
+    """Inverse of `rs_to_json`; ValueError on a non-integer exponent, factor
+    entry or multiplicity, a repeated T- or L-exponent, or a multiplicity
+    below 1."""
     num: TNum = {}
     for n, c in obj.get("numerator", []):
-        if int(n) in num:
+        if json_value(n, int, "T-exponent") in num:
             raise ValueError(f"numerator lists T^{n} twice")
-        num[int(n)] = TatePoly.from_json(c)
+        num[n] = TatePoly.from_json(c)
 
     def factors(key: str) -> Iterable[tuple[int, ...]]:
         for *factor, mult in obj.get(key, []):
-            if int(mult) < 1:
+            if json_value(mult, int, f"{key} multiplicity") < 1:
                 raise ValueError(f"{key} factor {factor} has multiplicity {mult} < 1")
-            yield from [tuple(int(v) for v in factor)] * int(mult)
+            yield from [tuple(json_value(v, int, f"{key} entry") for v in factor)] * mult
 
     return RatSeries(num, factors("denomGeom"), [i for (i,) in factors("denomCyclo")])

@@ -42,6 +42,17 @@ def _coerce(value: Scalar) -> Fraction:
     raise TypeError(f"expected int or Fraction, got {type(value).__name__}")
 
 
+def json_value(value, kind: type, name: str):
+    """``value`` read from JSON if its type is exactly ``kind`` (int or bool), else ValueError naming ``name``.
+
+    int() and bool() would read 2.9 as 2 and "false" as True, and isinstance
+    counts a bool as an int, so only the exact type is accepted.
+    """
+    if type(value) is not kind:
+        raise ValueError(f"{name} must be {'an integer' if kind is int else 'true or false'}, got {value!r}")
+    return value
+
+
 def _sparse_add(x: Mapping, y: Mapping) -> dict:
     """x + y over sparse {exponent: nonzero coefficient} dicts; zero sums drop.
 
@@ -255,7 +266,13 @@ class TatePoly:
 
     @classmethod
     def from_json(cls, data: Iterable[Iterable]) -> TatePoly:
-        return cls((int(e), Fraction(str(v))) for e, v in data)
+        """Inverse of `to_json`; ValueError on a non-integer or repeated L-exponent."""
+        c: dict[int, Fraction] = {}
+        for e, v in data:
+            if json_value(e, int, "L-exponent") in c:
+                raise ValueError(f"coefficient lists L^{e} twice")
+            c[e] = Fraction(str(v))
+        return cls(c)
 
 
 def _wrap(c: dict[int, Fraction]) -> TatePoly:

@@ -46,6 +46,7 @@ from .counting import (
 from .fq import is_prime
 from .liftable import count_liftable, default_depth
 from .ratseries import NoRationalFit, RatFunc, rs_equal, rs_fit, rs_from_json, rs_specialize
+from .tate import json_value
 
 __all__ = [
     "NoAdmissiblePrime",
@@ -94,7 +95,6 @@ class VerificationPlan:
     window: bool = True
     force_primes: bool = False
     expect_series: Mapping | None = None
-    perturb: tuple[int, int] | None = None
 
     def __post_init__(self) -> None:
         if self.target not in _TARGETS:
@@ -130,17 +130,18 @@ class VerificationPlan:
             return cls(
                 target=str(obj["target"]),
                 branch=BranchSpec.from_json(obj["branch"]) if obj.get("branch") is not None else None,
-                exponents=tuple(int(k) for k in obj["exponents"]) if obj.get("exponents") else None,
+                exponents=(
+                    tuple(json_value(k, int, "exponents") for k in obj["exponents"]) if obj.get("exponents") else None
+                ),
                 poly=tuple(str(s) for s in obj.get("poly", ())),
                 locus=tuple(str(s) for s in obj.get("locus", ())),
-                primes=tuple(int(p) for p in obj.get("primes", ())),
-                n_max=int(obj.get("n_max", 8)),
-                budget=int(obj.get("budget", DEFAULT_BUDGET)),
-                depth=int(obj["depth"]) if obj.get("depth") is not None else None,
-                window=bool(obj.get("window", True)),
-                force_primes=bool(obj.get("force_primes", False)),
+                primes=tuple(json_value(p, int, "primes") for p in obj.get("primes", ())),
+                n_max=json_value(obj.get("n_max", 8), int, "n_max"),
+                budget=json_value(obj.get("budget", DEFAULT_BUDGET), int, "budget"),
+                depth=json_value(obj["depth"], int, "depth") if obj.get("depth") is not None else None,
+                window=json_value(obj.get("window", True), bool, "window"),
+                force_primes=json_value(obj.get("force_primes", False), bool, "force_primes"),
                 expect_series=obj.get("expect_series"),
-                perturb=tuple(int(v) for v in obj["perturb"]) if obj.get("perturb") else None,
             )
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed plan JSON: {exc}") from exc
@@ -166,8 +167,6 @@ class VerificationPlan:
             out["depth"] = self.depth
         if self.expect_series is not None:
             out["expect_series"] = dict(self.expect_series)
-        if self.perturb is not None:
-            out["perturb"] = list(self.perturb)
         return out
 
 
@@ -340,8 +339,6 @@ def _compare(
 def verify_branch_par(plan: VerificationPlan) -> Verdict:
     """Image series at L := p vs. jet enumeration over F_p[t]/t^{n+1}."""
     _check_target(plan, "branch-par")
-    if plan.perturb is not None:
-        raise ValueError("perturb is read only by verify_rational_shape, not by verify_branch_par")
     b = plan.branch
     series = p_ar(characteristic_sequence(b))
     forced = None
@@ -401,15 +398,16 @@ def verify_cross_method(plan: VerificationPlan) -> Verdict:
     return _compare(plan, p_ar(c), count)
 
 
-def verify_rational_shape(plan: VerificationPlan) -> Verdict:
+def verify_rational_shape(plan: VerificationPlan, perturb: tuple[int, int] | None = None) -> Verdict:
     """Reconstruct the specialized series from coefficient data by linear fit.
 
     Uses the denominator shape of the symbolic series as the fit hint.  Data
     coefficients come from jet enumeration while p^{n+1} stays within desk
     reach and from the closed form beyond that (the count itself grows like
     p^{n-m}, so no enumeration can reach high n); the trailing fit residuals
-    act as consistency checks either way.  A perturbed coefficient (negative
-    control, ``plan.perturb``) must break the fit.
+    act as consistency checks either way.  Adding ``delta`` to coefficient
+    ``idx``, given as ``perturb=(idx, delta)`` (a negative control), must
+    break the fit.
     """
     if plan.target != "branch-par":
         raise ValueError("rational-shape verification runs on a branch-par plan")
@@ -434,8 +432,8 @@ def verify_rational_shape(plan: VerificationPlan) -> Verdict:
         assumptions.append(
             f"p={p}: fit data n <= {enum_limit} from jet enumeration, higher n from the closed form"
         )
-        if plan.perturb is not None:
-            idx, delta = plan.perturb
+        if perturb is not None:
+            idx, delta = perturb
             if not 0 <= idx < order:
                 raise ValueError(f"perturb index {idx} outside 0..{order - 1}")
             data[idx] += delta
@@ -451,12 +449,11 @@ def verify_rational_shape(plan: VerificationPlan) -> Verdict:
 
 
 # target -> (runner, the plan fields besides ``target`` that it reads).  A plan
-# may set only the fields its target reads; of a branch-par plan's fields,
-# ``perturb`` is read by verify_rational_shape alone.
+# may set only the fields its target reads.
 _TARGETS = {
     "branch-par": (
         verify_branch_par,
-        ("branch", "primes", "n_max", "budget", "window", "force_primes", "expect_series", "perturb"),
+        ("branch", "primes", "n_max", "budget", "window", "force_primes", "expect_series"),
     ),
     "branch-pgeom": (verify_branch_pgeom, ("branch", "primes", "n_max", "budget", "force_primes")),
     "cusp-cross-method": (

@@ -263,9 +263,7 @@ def test_criterion_7_rational_reconstruction(capsys):
         assert any("jet enumeration" in a for a in verdict.assumptions)
 
         perturbed = verify_rational_shape(
-            VerificationPlan(
-                target="branch-par", branch=STD4, primes=(5,), n_max=39, perturb=(20, 1)
-            )
+            VerificationPlan(target="branch-par", branch=STD4, primes=(5,), n_max=39), perturb=(20, 1)
         )
         assert perturbed.summary == "fail"
         assert "no rational fit" in perturbed.detail

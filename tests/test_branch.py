@@ -78,6 +78,21 @@ def test_branch_json_malformed(obj):
         BranchSpec.from_json(obj)
 
 
+@pytest.mark.parametrize(
+    "obj,error",
+    [
+        ({"m": 4.5, "coeffs": [[6, "1"]]}, "m must be an integer, got 4.5"),
+        ({"m": True, "coeffs": []}, "m must be an integer, got True"),
+        ({"m": 4, "coeffs": [[6.7, "1"]]}, "coefficient index must be an integer, got 6.7"),
+        ({"m": 4, "coeffs": [[6, "1"], [6, "2"]]}, "a_6 given twice"),
+        ({"m": 4, "coeffs": [[6, "1"]], "truncation": "9"}, "truncation must be an integer"),
+    ],
+)
+def test_branch_json_names_bad_field(obj, error):
+    with pytest.raises(ValueError, match=error):
+        BranchSpec.from_json(obj)
+
+
 def test_branch_rejects_exponent_below_multiplicity():
     with pytest.raises(ValueError):
         BranchSpec.make(4, {3: 1})

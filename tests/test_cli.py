@@ -292,7 +292,7 @@ class TestVerifyCommand:
     @pytest.mark.parametrize(
         "plan,error",
         [
-            ({"target": "branch-par", "perturb": [3, 1]}, "verify_rational_shape"),
+            ({"target": "branch-par", "perturb": [3, 1]}, "unknown plan fields: ['perturb']"),
             ({"target": "branch-par", "depth": 4}, "branch-par plans do not read ['depth']"),
             ({"target": "branch-pgeom", "window": False}, "branch-pgeom plans do not read ['window']"),
         ],
@@ -311,12 +311,33 @@ class TestVerifyCommand:
             ({"numerator": [[0, [[0, "1"]]]], "denomGeom": [[0, 1, -2]]}, "multiplicity -2 < 1"),
             ({"numerator": [[0, [[0, "1"]]], [0, [[0, "2"]]]]}, "lists T^0 twice"),
             ({"numerator": [[2, [[0, "1"]]], [-1, [[0, "5"]]]]}, "exponents must be >= 0"),
+            ({"numerator": [[0, [[0, "1"], [0, "2"]]]]}, "lists L^0 twice"),
+            ({"numerator": [[0, [[0, "1"]]]], "denomGeom": [[0, 1, 1.5]]}, "multiplicity must be an integer, got 1.5"),
         ],
     )
     def test_malformed_expect_series_exits_1(self, runner, tmp_path, series, error):
         f = tmp_path / "plan.json"
         branch = BranchSpec.make(2, {3: 1}).to_json()
         f.write_text(json.dumps({"target": "branch-par", "branch": branch, "primes": [5], "n_max": 2, "expect_series": series}))
+        r = runner.invoke(main, ["verify", "--plan", str(f)])
+        assert r.exit_code == 1
+        assert r.stdout == ""
+        assert error in r.stderr
+
+    @pytest.mark.parametrize(
+        "fields,error",
+        [
+            ({"force_primes": "false"}, "force_primes must be true or false, got 'false'"),
+            ({"window": "false"}, "window must be true or false, got 'false'"),
+            ({"n_max": 2.9}, "n_max must be an integer, got 2.9"),
+            ({"branch": {"m": 4.5, "coeffs": [[6, "1"], [7, "1"]]}}, "m must be an integer, got 4.5"),
+            ({"branch": {"m": 4, "coeffs": [[6.7, "1"], [7, "1"]]}}, "coefficient index must be an integer, got 6.7"),
+        ],
+    )
+    def test_malformed_plan_value_exits_1(self, runner, tmp_path, fields, error):
+        f = tmp_path / "plan.json"
+        branch = BranchSpec.make(4, {6: 1, 7: 1}).to_json()
+        f.write_text(json.dumps({"target": "branch-par", "branch": branch, "primes": [5], "n_max": 2, **fields}))
         r = runner.invoke(main, ["verify", "--plan", str(f)])
         assert r.exit_code == 1
         assert r.stdout == ""
@@ -330,37 +351,30 @@ class TestVerifyCommand:
 
 
 class TestConfiguration:
-    def test_config_file_supplies_defaults(self, runner, files):
-        cfg = files["dir"] / "config.json"
-        cfg.write_text(json.dumps({"prime": 5, "n_max": 2, "format": "csv"}))
-        r = runner.invoke(main, ["--config", str(cfg), "count", "--branch", files["line"]])
-        assert r.exit_code == 0
-        assert len(r.output.strip().splitlines()) == 4  # header + n=0..2
-
-    def test_flag_overrides_config(self, runner, files):
-        cfg = files["dir"] / "config.json"
-        cfg.write_text(json.dumps({"prime": 5, "n_max": 2, "format": "csv"}))
-        r = runner.invoke(main, ["--config", str(cfg), "count", "--branch", files["line"], "--n-max", "0"])
-        assert len(r.output.strip().splitlines()) == 2
-
     def test_threads_flag(self, runner, files):
-        r = runner.invoke(
-            main,
-            ["count", "--branch", files["std4"], "-p", "5", "--n-max", "6", "--format", "csv", "--threads", "2"],
-        )
+        # the worker count is derived from the work, so there is no flag for it
+        args = ["count", "--branch", files["std4"], "-p", "5", "--n-max", "6", "--format", "csv"]
+        r = runner.invoke(main, args)
         assert r.exit_code == 0
         assert [int(line.split(",")[1]) for line in r.output.strip().splitlines()[1:]] == [1, 1, 1, 1, 2, 6, 51]
-
-    def test_bad_threads_flag(self, runner, files):
-        r = runner.invoke(main, ["count", "--branch", files["line"], "-p", "3", "--threads", "many"])
-        assert r.exit_code == 1  # a usage error: --threads takes an integer
-        assert "'many' is not a valid integer" in message(r)
-
-    def test_bad_config_file(self, runner, files):
-        cfg = files["dir"] / "config.json"
-        cfg.write_text("[1, 2]")
-        r = runner.invoke(main, ["--config", str(cfg), "igusa", "-k", "1"])
+        r = runner.invoke(main, [*args, "--threads", "2"])
         assert r.exit_code == 1
+        assert "No such option '--threads'" in message(r)
+
+    @pytest.mark.parametrize(
+        "args,error",
+        [
+            (["--config", "f", "count"], "No such option '--config'"),
+            (["count", "-p", "3", "--n-max", "6.9"], "'6.9' is not a valid integer"),
+            (["count", "-p", "3", "--n-max", "many"], "'many' is not a valid integer"),
+            (["count", "--n-max", "2"], "Missing option '-p'"),
+            (["count", "-p", "3", "--format", "latex"], "'latex' is not one of"),
+        ],
+    )
+    def test_bad_flag_is_usage_error(self, runner, files, args, error):
+        r = runner.invoke(main, [*args, "--branch", files["line"]])
+        assert r.exit_code == 1
+        assert error in message(r)
 
     def test_unknown_option_is_usage_error(self, runner):
         r = runner.invoke(main, ["igusa", "--bogus"])

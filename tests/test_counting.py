@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from arczeta import counting
 from arczeta.branch import BranchSpec, characteristic_sequence, chi_c_arc_class, p_geom
 from arczeta.counting import (
     BadPrime,
@@ -189,11 +190,29 @@ class TestWindowSoundness:
             b, p, d, n, window=False
         )
 
-    def test_threads_do_not_change_counts(self):
-        for window in (True, False):
-            one = count_branch_image(STD4, 5, 1, 6, window=window, threads=1)
-            four = count_branch_image(STD4, 5, 1, 6, window=window, threads=4)
-            assert one == four == 51
+    def test_pooled_chunks_do_not_change_counts(self, monkeypatch):
+        # window and exhaustive mode, d = 1 and 2, and the rational filter of
+        # the geometric count; every case has a stratum of over 2000 arcs
+        cases = [
+            lambda: count_branch_image(STD4, 5, 1, 8, window=True),
+            lambda: count_branch_image(STD4, 5, 1, 6, window=False),
+            lambda: count_branch_image(STD4, 5, 2, 6, window=True),
+            lambda: count_branch_image(CUSP, 3, 2, 4, window=False),
+            lambda: count_branch_image_geometric(CUSP, 7, 4),
+        ]
+        inline = [case() for case in cases]
+        pools = []
+
+        class Pool(counting.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(counting, "_CHUNK_ROWS", 1000)
+        monkeypatch.setattr(counting.os, "cpu_count", lambda: 3)
+        monkeypatch.setattr(counting, "ThreadPoolExecutor", Pool)
+        assert [case() for case in cases] == inline
+        assert set(pools) == {3}
 
 
 class TestFiberIdentity:

@@ -421,6 +421,11 @@ def test_render_matches_reference_walks(x):
         ({"numerator": [[0, [[0, "1"]]]], "denomCyclo": [[2, 0]]}, "multiplicity 0 < 1"),
         ({"numerator": [[0, [[0, "1"]]], [0, [[0, "2"]]]]}, "T\\^0 twice"),
         ({"numerator": [[2, [[0, "1"]]], [-1, [[0, "5"]]]]}, "exponents must be >= 0"),
+        ({"numerator": [[0, [[0, "1"], [0, "2"]]]]}, "L\\^0 twice"),
+        ({"numerator": [[0, [[0, "1"]]]], "denomGeom": [[0, 1, 1.5]]}, "denomGeom multiplicity must be an integer"),
+        ({"numerator": [[0, [[0, "1"]]]], "denomCyclo": [[2, 1.5]]}, "denomCyclo multiplicity must be an integer"),
+        ({"numerator": [[0, [[0, "1"]]]], "denomGeom": [[0.5, 1, 1]]}, "denomGeom entry must be an integer"),
+        ({"numerator": [[1.0, [[0, "1"]]]]}, "T-exponent must be an integer"),
     ],
 )
 def test_from_json_rejects_malformed_series(obj, error):

@@ -73,6 +73,19 @@ def test_json_round_trip():
     assert TatePoly.from_json(p.to_json()) == p
 
 
+@pytest.mark.parametrize(
+    "data,error",
+    [
+        ([[0.5, "1"]], "L-exponent must be an integer, got 0.5"),
+        ([[True, "1"]], "L-exponent must be an integer, got True"),
+        ([[0, "1"], [0, "2"]], "lists L\\^0 twice"),
+    ],
+)
+def test_from_json_rejects_malformed_exponent(data, error):
+    with pytest.raises(ValueError, match=error):
+        TatePoly.from_json(data)
+
+
 coeffs = st.fractions(max_denominator=20)
 exps = st.integers(min_value=-6, max_value=6)
 polys = st.dictionaries(exps, coeffs, max_size=5).map(TatePoly)

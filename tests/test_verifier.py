@@ -65,7 +65,7 @@ class TestPlan:
             ("branch-par", {"depth": 3}, ["depth"]),
             ("branch-par", {"poly": ("x^2 - y^3",), "locus": ("x",)}, ["poly", "locus"]),
             ("branch-pgeom", {"depth": 3}, ["depth"]),
-            ("branch-pgeom", {"window": False, "perturb": (3, 1)}, ["window", "perturb"]),
+            ("branch-pgeom", {"window": False}, ["window"]),
             ("cusp-cross-method", {"expect_series": {}}, ["expect_series"]),
             ("igusa-monomial", {"branch": CUSP, "budget": 10, "force_primes": True}, ["branch", "budget", "force_primes"]),
         ],
@@ -82,6 +82,24 @@ class TestPlan:
     def test_defaults_count_as_unset(self):
         plan = VerificationPlan(target="igusa-monomial", exponents=(1,), primes=(3,), window=True, depth=None)
         assert VerificationPlan.from_json(plan.to_json()) == plan
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("force_primes", "false"),
+            ("window", "false"),
+            ("window", 0),
+            ("n_max", 2.9),
+            ("n_max", True),
+            ("budget", "100"),
+            ("depth", 1.5),
+            ("primes", [5.0]),
+        ],
+    )
+    def test_from_json_rejects_non_json_type(self, field, value):
+        obj = {"target": "cusp-cross-method", "branch": CUSP.to_json(), "primes": [7], field: value}
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            VerificationPlan.from_json(obj)
 
     def test_unknown_field_rejected(self):
         obj = VerificationPlan(target="igusa-monomial", exponents=(1,), primes=(3,)).to_json()
@@ -250,10 +268,11 @@ class TestPgeom:
 
 class TestRationalShape:
     def test_perturb_is_rational_shape_only(self):
-        plan = VerificationPlan(target="branch-par", branch=STD4, primes=(5,), n_max=3, perturb=(3, 1))
-        for run in (verify_branch_par, run_plan):
-            with pytest.raises(ValueError, match="verify_rational_shape"):
-                run(plan)
+        with pytest.raises(TypeError):
+            VerificationPlan(target="branch-par", branch=STD4, primes=(5,), n_max=3, perturb=(3, 1))
+        obj = {**VerificationPlan(target="branch-par", branch=STD4, primes=(5,), n_max=3).to_json(), "perturb": [3, 1]}
+        with pytest.raises(ValueError, match=re.escape("unknown plan fields: ['perturb']")):
+            VerificationPlan.from_json(obj)
 
     def test_fit_recovers_series(self):
         plan = VerificationPlan(target="branch-par", branch=STD4, primes=(5,), n_max=39)
@@ -267,14 +286,14 @@ class TestRationalShape:
         assert verify_rational_shape(plan).summary == "pass"
 
     def test_perturbed_coefficient_breaks_fit(self):
-        plan = VerificationPlan(target="branch-par", branch=STD4, primes=(5,), n_max=39, perturb=(20, 1))
-        v = verify_rational_shape(plan)
+        plan = VerificationPlan(target="branch-par", branch=STD4, primes=(5,), n_max=39)
+        v = verify_rational_shape(plan, perturb=(20, 1))
         assert v.summary == "fail" and "no rational fit" in v.detail
 
     def test_perturb_out_of_range(self):
-        plan = VerificationPlan(target="branch-par", branch=STD4, primes=(5,), n_max=9, perturb=(99, 1))
+        plan = VerificationPlan(target="branch-par", branch=STD4, primes=(5,), n_max=9)
         with pytest.raises(ValueError, match="perturb"):
-            verify_rational_shape(plan)
+            verify_rational_shape(plan, perturb=(99, 1))
 
 
 class TestVerdict:
