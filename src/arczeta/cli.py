@@ -32,7 +32,7 @@ import click
 
 from .branch import BranchSpec, characteristic_sequence, p_ar, p_geom, puiseux_from_poles
 from .counting import DEFAULT_BUDGET, CountReport, CountRow, count_branch_report, igusa_monomial
-from .liftable import DEPTH_POLICY, IntPoly, count_liftable, default_depth
+from .liftable import DEPTH_POLICY, IntPoly, count_liftable
 from .presburger import (
     eliminate_quantifiers,
     free_vars,
@@ -232,9 +232,8 @@ def count_cmd(branch_path, polys, locus, origin, prime, ext_degree, n_max, windo
         w = list(locus) if locus else ([f"x{i + 1}" for i in range(nvars)] if origin else [])
         report = CountReport(name="liftable-residues", p=prime, d=1)
         for n in range(n_max + 1):
-            dep = depth if depth is not None else default_depth(n)
             t0 = time.perf_counter()
-            res = count_liftable(parsed, w, prime, n, dep, budget=budget)
+            res = count_liftable(parsed, w, prime, n, depth, budget=budget)
             report.rows.append(CountRow(n, res.count, res.method, time.perf_counter() - t0))
         report.assumptions.append(
             f"depth policy: {DEPTH_POLICY} unless --depth is given; uncertified rows mean the tree stabilized without certificates"

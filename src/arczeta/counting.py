@@ -332,9 +332,8 @@ def count_branch_report(
     n_max: int,
     window: bool = True,
     budget: int = DEFAULT_BUDGET,
-    name: str = "branch-image",
 ) -> CountReport:
-    report = CountReport(name=name, p=p, d=d)
+    report = CountReport(name="branch-image", p=p, d=d)
     if b.m == 1 and window:
         report.assumptions.append(
             "m=1 strata counted without enumeration: x = w makes the parametrization injective"

@@ -2,7 +2,10 @@
 
 ``count_liftable`` counts residues a mod p^{n+1} with f(a) = 0 mod p^{n+1}
 (and reducing into the locus W mod p) that admit a lift solving f modulo
-p^{n+1+maxDepth}.  The search subdivides Z_p^m into cells b + p^S Z^m and
+p^{n+1+maxDepth}, maxDepth being ``default_depth(n)`` unless given.  Text is
+read by `IntPoly.parse` on the tokenizer of `arczeta.presburger` (malformed
+text is a positioned `FormulaSyntaxError`), and `IntPoly.widen` brings the
+system to one width.  The search subdivides Z_p^m into cells b + p^S Z^m and
 decides whole cells at once:
 
 * Over a cell, f_i equals f_i(b) modulo p^H where H is the minimal p-order of
@@ -44,8 +47,10 @@ certificate:
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from math import comb
 from typing import Iterable, Mapping, Sequence
@@ -54,6 +59,7 @@ import numpy as np
 
 from .counting import BudgetExceeded
 from .fq import is_prime
+from .presburger import FormulaSyntaxError, _expect_end, _Tokens
 
 __all__ = ["IntPoly", "LiftResult", "count_liftable", "default_depth", "DEFAULT_NODE_BUDGET", "DEPTH_POLICY"]
 
@@ -82,8 +88,26 @@ class IntPoly:
         return cls(nvars, tuple(sorted(clean.items())))
 
     @classmethod
-    def parse(cls, text: str, nvars: int | None = None) -> IntPoly:
-        return _parse_poly(text, nvars)
+    def parse(cls, text: str) -> IntPoly:
+        """Read polynomial text with the tokenizer of the formula grammar:
+        expr := term (("+" | "-") term)*;  term := factor ("*" factor)*;
+        factor := "-" factor | atom ("^" INT)?;  atom := INT | VAR | "(" expr ")",
+        VAR one of x1, x2, ... or the aliases x, y, z, w of x1..x4.  ``nvars`` is
+        the highest index named (1 when none is), even in terms that cancel.
+        Malformed text raises `FormulaSyntaxError` with its position.
+        """
+        ts = _Tokens(text)
+        nvars = max([_variable(v, pos) for kind, v, pos in ts.toks if kind == "var"] + [1])
+        terms = _sum(ts, nvars)
+        _expect_end(ts)
+        return cls.make(nvars, terms)
+
+    def widen(self, nvars: int) -> IntPoly:
+        """The same polynomial in nvars >= self.nvars variables, the added ones absent."""
+        if nvars < self.nvars:
+            raise ValueError(f"cannot narrow a polynomial in {self.nvars} variables to {nvars}")
+        pad = (0,) * (nvars - self.nvars)
+        return IntPoly(nvars, tuple((e + pad, c) for e, c in self.terms))
 
     def eval(self, point: Sequence[int]) -> int:
         if len(point) != self.nvars:
@@ -122,122 +146,59 @@ class IntPoly:
 _ALIASES = {"x": 1, "y": 2, "z": 3, "w": 4}
 
 
-class _PolyParser:
-    """expr := term (('+'|'-') term)*; term := factor ('*' factor)*;
-    factor := '-' factor | atom ('^' INT)?; atom := INT | VAR | '(' expr ')'."""
-
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-
-    def _skip(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def _peek(self) -> str:
-        self._skip()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def _expect(self, ch: str) -> None:
-        if self._peek() != ch:
-            raise ValueError(f"expected {ch!r} at position {self.pos} in {self.text!r}")
-        self.pos += 1
-
-    def parse(self) -> dict[tuple[int, ...], int]:
-        out = self._expr()
-        self._skip()
-        if self.pos != len(self.text):
-            raise ValueError(f"trailing input at position {self.pos} in {self.text!r}")
-        return out
-
-    def _expr(self) -> dict:
-        acc = self._term()
-        while self._peek() in ("+", "-"):
-            op = self._peek()
-            self.pos += 1
-            rhs = self._term()
-            sign = 1 if op == "+" else -1
-            for k, v in rhs.items():
-                acc[k] = acc.get(k, 0) + sign * v
-        return acc
-
-    def _term(self) -> dict:
-        acc = self._factor()
-        while self._peek() == "*":
-            self.pos += 1
-            acc = _poly_mul(acc, self._factor())
-        return acc
-
-    def _factor(self) -> dict:
-        if self._peek() == "-":
-            self.pos += 1
-            return {k: -v for k, v in self._factor().items()}
-        base = self._atom()
-        if self._peek() == "^":
-            self.pos += 1
-            e = self._int()
-            if e < 0:
-                raise ValueError("negative exponent")
-            out = {(): 1}
-            for _ in range(e):
-                out = _poly_mul(out, base)
-            return out
-        return base
-
-    def _atom(self) -> dict:
-        ch = self._peek()
-        if ch == "(":
-            self.pos += 1
-            inner = self._expr()
-            self._expect(")")
-            return inner
-        if ch.isdigit():
-            return {(): self._int()}
-        if ch.isalpha():
-            self.pos += 1
-            if self._peek().isdigit() and ch == "x":
-                idx = self._int()
-                if idx < 1:
-                    raise ValueError("variables are numbered from x1")
-            elif ch in _ALIASES:
-                idx = _ALIASES[ch]
-            else:
-                raise ValueError(f"unknown variable {ch!r} in {self.text!r}")
-            return {(idx,): 1}  # store var index; widened later
-        raise ValueError(f"unexpected character {ch!r} at position {self.pos} in {self.text!r}")
-
-    def _int(self) -> int:
-        self._skip()
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        if start == self.pos:
-            raise ValueError(f"expected integer at position {start} in {self.text!r}")
-        return int(self.text[start : self.pos])
+def _variable(name: str, pos: int) -> int:
+    """Index of a variable token: x1, x2, ... or an alias."""
+    if name in _ALIASES:
+        return _ALIASES[name]
+    if name[0] == "x" and name[1:].isdigit():
+        if int(name[1:]) < 1:
+            raise FormulaSyntaxError("variables are numbered from x1", pos)
+        return int(name[1:])
+    raise FormulaSyntaxError(f"unknown variable {name!r}", pos)
 
 
-def _poly_mul(a: dict, b: dict) -> dict:
-    out: dict = {}
-    for ka, va in a.items():
-        for kb, vb in b.items():
-            k = tuple(sorted(ka + kb))
-            out[k] = out.get(k, 0) + va * vb
+def _mul(a: Counter, b: Counter) -> Counter:
+    out: Counter = Counter()
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            out[tuple([x + y for x, y in zip(ea, eb)])] += ca * cb
     return out
 
 
-def _parse_poly(text: str, nvars: int | None) -> IntPoly:
-    raw = _PolyParser(text).parse()
-    width = nvars if nvars is not None else max((max(k) for k in raw if k), default=1)
-    terms: dict[tuple[int, ...], int] = {}
-    for k, v in raw.items():
-        if k and max(k) > width:
-            raise ValueError(f"variable x{max(k)} out of range (nvars={width})")
-        expo = [0] * width
-        for idx in k:
-            expo[idx - 1] += 1
-        key = tuple(expo)
-        terms[key] = terms.get(key, 0) + v
-    return IntPoly.make(width, terms)
+def _sum(ts: _Tokens, nvars: int) -> Counter:
+    acc = _product(ts, nvars)
+    while ts.peek()[0] == "op" and ts.peek()[1] in ("+", "-"):
+        (acc.update if ts.next()[1] == "+" else acc.subtract)(_product(ts, nvars))
+    return acc
+
+
+def _product(ts: _Tokens, nvars: int) -> Counter:
+    acc = _factor(ts, nvars)
+    while ts.peek()[:2] == ("op", "*"):
+        ts.next()
+        acc = _mul(acc, _factor(ts, nvars))
+    return acc
+
+
+def _factor(ts: _Tokens, nvars: int) -> Counter:
+    if ts.peek()[:2] == ("op", "-"):
+        ts.next()
+        return Counter({e: -c for e, c in _factor(ts, nvars).items()})
+    kind, value, pos = ts.next()
+    if kind == "num":
+        base = Counter({(0,) * nvars: int(value)})
+    elif kind == "var":
+        i = _variable(value, pos) - 1
+        base = Counter({(0,) * i + (1,) + (0,) * (nvars - 1 - i): 1})
+    elif (kind, value) == ("op", "("):
+        base = _sum(ts, nvars)
+        ts.expect("op", ")")
+    else:
+        raise FormulaSyntaxError(f"expected a term, found {value or 'end of input'!r}", pos)
+    if ts.peek()[:2] != ("op", "^"):
+        return base
+    ts.next()
+    return functools.reduce(_mul, itertools.repeat(base, int(ts.expect("num")[1])), Counter({(0,) * nvars: 1}))
 
 
 # ---------------------------------------------------------------------------
@@ -437,19 +398,19 @@ def count_liftable(
     W: Sequence[IntPoly | str],
     p: int,
     n: int,
-    max_depth: int,
+    max_depth: int | None = None,
     budget: int = DEFAULT_NODE_BUDGET,
 ) -> LiftResult:
-    """Count residues mod p^{n+1} solving f, inside W mod p, liftable to depth max_depth."""
+    """Count residues mod p^{n+1} solving f, inside W mod p, liftable to depth max_depth (default ``default_depth(n)``)."""
+    max_depth = default_depth(n) if max_depth is None else max_depth
     if not is_prime(p):
         raise ValueError(f"p = {p} is not prime")
     if n < 0 or max_depth < 0:
         raise ValueError("n and max_depth must be >= 0")
-    fp = [poly if isinstance(poly, IntPoly) else IntPoly.parse(poly) for poly in f]
-    wp = [poly if isinstance(poly, IntPoly) else IntPoly.parse(poly) for poly in W]
-    nvars = max([poly.nvars for poly in fp + wp] + [1])
-    fp = [_widen(poly, nvars) for poly in fp]
-    wp = [_widen(poly, nvars) for poly in wp]
+    polys = [poly if isinstance(poly, IntPoly) else IntPoly.parse(poly) for poly in [*f, *W]]
+    nvars = max([poly.nvars for poly in polys] + [1])
+    polys = [poly.widen(nvars) for poly in polys]
+    fp = polys[: len(f)]
 
     if p**nvars > budget:
         raise BudgetExceeded(f"root enumeration p^m = {p**nvars} exceeds budget {budget}")
@@ -459,7 +420,7 @@ def count_liftable(
     roots = [
         b
         for b in itertools.product(range(p), repeat=nvars)
-        if all(poly.eval(b) % p == 0 for poly in wp) and all(poly.eval(b) % p == 0 for poly in fp)
+        if all(poly.eval(b) % p == 0 for poly in polys)
     ]
 
     owners: dict[tuple[int, ...], bool] = {}
@@ -513,8 +474,3 @@ def count_liftable(
     certified = (bulk_count == 0 or bulk_certified) and all(owners.values())
     return LiftResult(count=count, certified=certified, nodes=charge)
 
-
-def _widen(poly: IntPoly, nvars: int) -> IntPoly:
-    if poly.nvars == nvars:
-        return poly
-    return IntPoly.make(nvars, {e + (0,) * (nvars - poly.nvars): c for e, c in poly.terms})

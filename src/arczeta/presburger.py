@@ -279,9 +279,10 @@ def is_quantifier_free(f: Formula) -> bool:
 # parser
 
 
+# also the tokens of the polynomial text of `arczeta.liftable`, which alone reads "^"
 _TOKEN = re.compile(
     r"\s*(?:(?P<num>\d+)|(?P<quant>[EA])\b|(?P<var>[a-z][a-z0-9_]*)"
-    r"|(?P<op><=|>=|==|≡|[<>=&|!().+\-*])|(?P<bad>\S))"
+    r"|(?P<op><=|>=|==|≡|[<>=&|!().+\-*^])|(?P<bad>\S))"
 )
 
 _KEYWORD_MOD = "mod"

@@ -59,6 +59,7 @@ from .tate import (
     _sparse_add,
     _sparse_mul,
     cyclotomic_unit,
+    json_rows,
     json_value,
 )
 
@@ -726,19 +727,21 @@ def rs_to_json(x: RatSeries) -> dict:
 
 
 def rs_from_json(obj: Mapping) -> RatSeries:
-    """Inverse of `rs_to_json`; ValueError on a non-integer exponent, factor
-    entry or multiplicity, a repeated T- or L-exponent, or a multiplicity
-    below 1."""
+    """Inverse of `rs_to_json`; ValueError on a non-object, a field not a list
+    of rows of its width, a non-integer exponent, factor entry or multiplicity,
+    a repeated T- or L-exponent, or a multiplicity below 1."""
+    if not isinstance(obj, Mapping):
+        raise ValueError(f"series JSON must be an object, got {obj!r}")
     num: TNum = {}
-    for n, c in obj.get("numerator", []):
+    for n, c in json_rows(obj.get("numerator", []), 2, "numerator"):
         if json_value(n, int, "T-exponent") in num:
             raise ValueError(f"numerator lists T^{n} twice")
         num[n] = TatePoly.from_json(c)
 
-    def factors(key: str) -> Iterable[tuple[int, ...]]:
-        for *factor, mult in obj.get(key, []):
+    def factors(key: str, width: int) -> Iterable[tuple[int, ...]]:
+        for *factor, mult in json_rows(obj.get(key, []), width, key):
             if json_value(mult, int, f"{key} multiplicity") < 1:
                 raise ValueError(f"{key} factor {factor} has multiplicity {mult} < 1")
             yield from [tuple(json_value(v, int, f"{key} entry") for v in factor)] * mult
 
-    return RatSeries(num, factors("denomGeom"), [i for (i,) in factors("denomCyclo")])
+    return RatSeries(num, factors("denomGeom", 3), [i for (i,) in factors("denomCyclo", 2)])

@@ -42,14 +42,25 @@ def _coerce(value: Scalar) -> Fraction:
     raise TypeError(f"expected int or Fraction, got {type(value).__name__}")
 
 
-def json_value(value, kind: type, name: str):
-    """``value`` read from JSON if its type is exactly ``kind`` (int or bool), else ValueError naming ``name``.
+_JSON_KINDS = {int: "an integer", bool: "true or false", str: "a string", list: "a list"}
 
-    int() and bool() would read 2.9 as 2 and "false" as True, and isinstance
-    counts a bool as an int, so only the exact type is accepted.
+
+def json_value(value, kind: type, name: str):
+    """``value`` read from JSON if its type is exactly ``kind`` (int, bool, str or list), else ValueError naming ``name``.
+
+    int() and bool() would read 2.9 as 2 and "false" as True, isinstance counts
+    a bool as an int, and a string iterates as strings: only the exact type is read.
     """
     if type(value) is not kind:
-        raise ValueError(f"{name} must be {'an integer' if kind is int else 'true or false'}, got {value!r}")
+        raise ValueError(f"{name} must be {_JSON_KINDS[kind]}, got {value!r}")
+    return value
+
+
+def json_rows(value, width: int, name: str) -> list[list]:
+    """``value`` read from JSON as a list of lists of ``width`` entries each, else ValueError naming ``name``."""
+    for row in json_value(value, list, name):
+        if type(row) is not list or len(row) != width:
+            raise ValueError(f"each {name} entry must be a list of {width} values, got {row!r}")
     return value
 
 
@@ -265,10 +276,10 @@ class TatePoly:
         return [[e, str(v)] for e, v in sorted(self.c.items())]
 
     @classmethod
-    def from_json(cls, data: Iterable[Iterable]) -> TatePoly:
-        """Inverse of `to_json`; ValueError on a non-integer or repeated L-exponent."""
+    def from_json(cls, data: list[list]) -> TatePoly:
+        """Inverse of `to_json`; ValueError on a row that is not a pair, or a non-integer or repeated L-exponent."""
         c: dict[int, Fraction] = {}
-        for e, v in data:
+        for e, v in json_rows(data, 2, "L-coefficient"):
             if json_value(e, int, "L-exponent") in c:
                 raise ValueError(f"coefficient lists L^{e} twice")
             c[e] = Fraction(str(v))

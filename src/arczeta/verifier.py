@@ -44,7 +44,7 @@ from .counting import (
     measure_ord_locus,
 )
 from .fq import is_prime
-from .liftable import count_liftable, default_depth
+from .liftable import count_liftable
 from .ratseries import NoRationalFit, RatFunc, rs_equal, rs_fit, rs_from_json, rs_specialize
 from .tate import json_value
 
@@ -133,8 +133,8 @@ class VerificationPlan:
                 exponents=(
                     tuple(json_value(k, int, "exponents") for k in obj["exponents"]) if obj.get("exponents") else None
                 ),
-                poly=tuple(str(s) for s in obj.get("poly", ())),
-                locus=tuple(str(s) for s in obj.get("locus", ())),
+                poly=tuple(json_value(s, str, "poly entry") for s in json_value(obj.get("poly", []), list, "poly")),
+                locus=tuple(json_value(s, str, "locus entry") for s in json_value(obj.get("locus", []), list, "locus")),
                 primes=tuple(json_value(p, int, "primes") for p in obj.get("primes", ())),
                 n_max=json_value(obj.get("n_max", 8), int, "n_max"),
                 budget=json_value(obj.get("budget", DEFAULT_BUDGET), int, "budget"),
@@ -390,8 +390,7 @@ def verify_cross_method(plan: VerificationPlan) -> Verdict:
     W = plan.locus or ("x", "y")
 
     def count(p: int, n: int):
-        depth = plan.depth if plan.depth is not None else default_depth(n)
-        lifted = count_liftable(f, W, p, n, depth, budget=plan.budget)
+        lifted = count_liftable(f, W, p, n, plan.depth, budget=plan.budget)
         image = count_branch_image(b, p, 1, n, window=plan.window, budget=plan.budget)
         return Fraction(lifted.count), Fraction(image), lifted.certified
 

@@ -129,6 +129,19 @@ class TestCountCommand:
         assert [int(line.split(",")[1]) for line in lines] == [1, 1, 4, 43, 298]
         assert all(line.split(",")[2] == "hensel-certified" for line in lines)
 
+    def test_poly_parse_error_exits_1_with_position(self, runner):
+        r = runner.invoke(main, ["count", "--poly", "x^", "--origin", "-p", "3", "--n-max", "1"])
+        assert r.exit_code == 1
+        assert r.stdout == ""
+        assert r.stderr.startswith("error: ")
+        assert "(at position 2)" in r.stderr
+
+    def test_named_variable_sets_the_width(self, runner):
+        # x2^0 - 1 is the zero polynomial in x1, x2: every residue pair solves it
+        r = runner.invoke(main, ["count", "--poly", "x2^0 - 1", "-p", "3", "--n-max", "1"])
+        assert r.exit_code == 0
+        assert [int(line.split(",")[1]) for line in r.stdout.strip().splitlines()[1:]] == [9, 81]
+
     @pytest.mark.parametrize("prime", ["0", "1", "4", "-3"])
     def test_poly_mode_non_prime_exits_1(self, runner, prime):
         r = runner.invoke(main, ["count", "--poly", "x^2 - y^3", "--origin", "-p", prime, "--n-max", "2"])
@@ -313,6 +326,11 @@ class TestVerifyCommand:
             ({"numerator": [[2, [[0, "1"]]], [-1, [[0, "5"]]]]}, "exponents must be >= 0"),
             ({"numerator": [[0, [[0, "1"], [0, "2"]]]]}, "lists L^0 twice"),
             ({"numerator": [[0, [[0, "1"]]]], "denomGeom": [[0, 1, 1.5]]}, "multiplicity must be an integer, got 1.5"),
+            (5, "series JSON must be an object, got 5"),
+            ({"numerator": 5}, "numerator must be a list, got 5"),
+            ({"numerator": [5]}, "each numerator entry must be a list of 2 values, got 5"),
+            ({"numerator": [[0, 5]]}, "L-coefficient must be a list, got 5"),
+            ({"denomGeom": 3}, "denomGeom must be a list, got 3"),
         ],
     )
     def test_malformed_expect_series_exits_1(self, runner, tmp_path, series, error):
@@ -342,6 +360,23 @@ class TestVerifyCommand:
         assert r.exit_code == 1
         assert r.stdout == ""
         assert error in r.stderr
+
+    @pytest.mark.parametrize(
+        "fields,error",
+        [
+            ({"locus": "xy"}, "locus must be a list, got 'xy'"),
+            ({"poly": "x"}, "poly must be a list, got 'x'"),
+            ({"poly": ["x^2 - y^3", 7]}, "poly entry must be a string, got 7"),
+        ],
+    )
+    def test_plan_polynomials_must_be_lists_of_strings(self, runner, tmp_path, fields, error):
+        f = tmp_path / "plan.json"
+        branch = BranchSpec.make(2, {3: 1}).to_json()
+        f.write_text(json.dumps({"target": "cusp-cross-method", "branch": branch, "primes": [5], "n_max": 2, **fields}))
+        r = runner.invoke(main, ["verify", "--plan", str(f)])
+        assert r.exit_code == 1
+        assert r.stdout == ""
+        assert r.stderr == f"error: {error}\n"
 
     def test_bad_plan_exits_1(self, runner, tmp_path):
         f = tmp_path / "plan.json"

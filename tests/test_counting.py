@@ -277,7 +277,8 @@ class TestErrors:
 
 class TestCountReport:
     def test_report_roundtrip_and_csv(self):
-        rep = count_branch_report(STD4, 5, 1, 4, name="std4")
+        rep = count_branch_report(STD4, 5, 1, 4)
+        assert rep.name == "branch-image"
         assert [r.count for r in rep.rows] == [1, 1, 1, 1, 2]
         assert all(r.method == "truncated-window" for r in rep.rows)
         again = read_count_report(json.dumps(rep.to_json()))

@@ -8,8 +8,9 @@ specialisation and ``rs_normalize`` moved to integer arithmetic, the ``qe``,
 ``check`` and further ``sum`` cases before the Presburger layer merged its
 relation tables, formula folds and negation normal forms (the two
 ``qe-coeff`` cases were recorded again when ``_make_cong`` began to fold a
-congruence whose coefficient gcd does not divide its constant to false).  A
-refactor must reproduce them exactly.
+congruence whose coefficient gcd does not divide its constant to false), the
+``count-poly3`` and ``cusp34-cross-method`` cases before polynomial text moved
+to the formula tokenizer.  A refactor must reproduce them exactly.
 """
 
 import json
@@ -26,6 +27,7 @@ GOLDEN = Path(__file__).with_name("golden_cli.json")
 
 CUSP = BranchSpec.make(2, {3: 1}).to_json()
 STD4 = BranchSpec.make(4, {6: 1, 7: 1}).to_json()
+CUSP34 = BranchSpec.make(3, {4: 1}).to_json()
 # g = 3 with a rational coefficient: --normalize cancels a denominator factor
 G3 = BranchSpec.make(8, {12: 1, 14: Fraction(1, 2), 15: 1}).to_json()
 
@@ -35,9 +37,19 @@ PLANS = {
     "branch-pgeom": {"target": "branch-pgeom", "branch": CUSP, "primes": [3], "n_max": 3},
     "igusa-monomial": {"target": "igusa-monomial", "exponents": [1, 2], "primes": [3], "n_max": 3},
     "cusp-cross-method": {"target": "cusp-cross-method", "branch": CUSP, "primes": [5, 7], "n_max": 3},
+    "cusp34-cross-method": {
+        "target": "cusp-cross-method",
+        "branch": CUSP34,
+        "poly": ["y^3 - x^4"],
+        "depth": 12,
+        "primes": [7],
+        "n_max": 4,
+    },
 }
 
 POLY = ["--poly", "x^2 - y^3", "--origin", "-p", "5", "--n-max", "3"]
+# numbered variables, a power of a parenthesised sum and an explicit locus
+POLY3 = ["--poly", "(x1 + 2*x2)^2 - x3*x1^3", "--locus", "x1", "--locus", "x2", "-p", "3", "--n-max", "3"]
 
 # qe inputs: each relation, a negated comparison and congruence, A, a
 # non-unit coefficient and nested E
@@ -76,6 +88,7 @@ CASES = {
         f"count-poly-shallow-{fmt}": (["count", *POLY, "--depth", "1", "--format", fmt], None)
         for fmt in ("csv", "json", "text")
     },
+    "count-poly3-csv": (["count", *POLY3], None),
     **{
         f"branch-{name}{'-normalize' if norm else ''}-{fmt}": (
             ["branch", "--input", "{%s}" % name, "--format", fmt, *(["--normalize"] if norm else [])],

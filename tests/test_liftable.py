@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from arczeta.branch import BranchSpec
 from arczeta.counting import BudgetExceeded, count_branch_image
 from arczeta.liftable import IntPoly, _ordp, _System, count_liftable
+from arczeta.presburger import FormulaSyntaxError
 
 from helpers import (
     ref_cell_horizon,
@@ -39,17 +40,97 @@ class TestPolyParser:
     def test_whitespace_insensitive(self):
         assert IntPoly.parse(" x1 ^2-x2^ 3 ").terms == IntPoly.parse("x1^2-x2^3").terms
 
-    @pytest.mark.parametrize("bad", ["x1 +", "q^2", "x0", "(x", "x^", "3 3", "x1^-2", ""])
+    # malformed text -> the position its error names
+    MALFORMED = {
+        "x1 +": 4,
+        "q^2": 0,
+        "x0": 0,
+        "(x": 2,
+        "x^": 2,
+        "3 3": 2,
+        "x1^-2": 3,
+        "": 0,
+        "x 1": 2,
+        "2x": 1,
+        "x$": 1,
+        "x^2 = y": 4,
+    }
+
+    @pytest.mark.parametrize("bad", list(MALFORMED))
     def test_malformed_rejected(self, bad):
-        with pytest.raises(ValueError):
+        with pytest.raises(FormulaSyntaxError) as info:
             IntPoly.parse(bad)
+        assert info.value.position == self.MALFORMED[bad]
+        assert str(info.value).endswith(f"(at position {self.MALFORMED[bad]})")
+
+    def test_named_variables_set_the_width(self):
+        # x2 is named, so x2^0 - 1 is the zero polynomial in two variables
+        assert IntPoly.parse("x2^0 - 1") == IntPoly.make(2, {})
+        assert IntPoly.parse("x3 - x3 + x1") == IntPoly.make(3, {(1, 0, 0): 1})
+        assert IntPoly.parse("7") == IntPoly.make(1, {(0,): 7})
+
+    @settings(max_examples=200)
+    @given(st.data())
+    def test_round_trip_of_mixed_spellings(self, data):
+        nvars = data.draw(st.integers(1, 4), label="nvars")
+        terms = data.draw(
+            st.dictionaries(
+                st.tuples(*[st.integers(0, 4)] * nvars), st.integers(-20, 20).filter(bool), max_size=5
+            ),
+            label="terms",
+        )
+        named: set[int] = set()
+
+        def space() -> str:
+            return data.draw(st.sampled_from(["", " ", "  "]))
+
+        def var(i: int) -> str:
+            named.add(i)
+            return data.draw(st.sampled_from(["xyzw"[i - 1], f"x{i}"]))
+
+        def power(i: int, e: int) -> list[str]:
+            if e == 0:
+                return [f"{var(i)}^0"] if data.draw(st.booleans()) else []
+            if data.draw(st.booleans()):
+                return [f"{var(i)}{space()}^{space()}{e}"]
+            return [var(i) for _ in range(e)]
+
+        def term(expo: tuple[int, ...], c: int) -> str:
+            factors = [f for i, e in enumerate(expo, 1) for f in power(i, e)]
+            factors = data.draw(st.permutations(factors))
+            if abs(c) != 1 or not factors or data.draw(st.booleans()):
+                factors = [str(abs(c)), *factors]
+            return f"{space()}*{space()}".join(factors)
+
+        groups: list[str] = []
+        items = list(terms.items())
+        while items:
+            size = data.draw(st.integers(1, len(items)))
+            chunk, items = items[:size], items[size:]
+            text = ""
+            for k, (expo, c) in enumerate(chunk):
+                body = term(expo, c)
+                if k == 0:
+                    text = f"-{body}" if c < 0 else body
+                elif c < 0 and data.draw(st.booleans()):
+                    text += f"{space()}+{space()}-{body}"
+                else:
+                    text += f"{space()}{'-' if c < 0 else '+'}{space()}{body}"
+            groups.append(f"({space()}{text}{space()})" if data.draw(st.booleans()) else text)
+        text = f"{space()}+{space()}".join(groups) or "0"
+
+        parsed = IntPoly.parse(text)
+        assert parsed.nvars == max(named, default=1)
+        assert parsed.widen(nvars) == IntPoly.make(nvars, terms)
 
     def test_nvars_widening(self):
-        p = IntPoly.parse("x1 + 1", nvars=3)
+        p = IntPoly.parse("x1 + 1").widen(3)
         assert p.nvars == 3
         assert p.eval((4, 9, 9)) == 5
-        with pytest.raises(ValueError):
-            IntPoly.parse("x3", nvars=2)
+        assert p == IntPoly.make(3, {(1, 0, 0): 1, (0, 0, 0): 1})
+        assert p.widen(3) == p
+        with pytest.raises(ValueError, match="cannot narrow a polynomial in 3 variables to 2"):
+            IntPoly.parse("x3").widen(2)
 
 
 class TestHasseDerivatives:
@@ -92,13 +173,8 @@ def naive_liftable(f, W, p, n, depth):
     fp = [IntPoly.parse(s) if isinstance(s, str) else s for s in f]
     wp = [IntPoly.parse(s) if isinstance(s, str) else s for s in W]
     m = max([q.nvars for q in fp + wp] + [1])
-
-    def widen(q):
-        pad = m - q.nvars
-        return q if pad == 0 else IntPoly.make(m, {e + (0,) * pad: c for e, c in q.terms})
-
-    fp = [widen(q) for q in fp]
-    wp = [widen(q) for q in wp]
+    fp = [q.widen(m) for q in fp]
+    wp = [q.widen(m) for q in wp]
     K = n + 1 + depth
     big, small = p**K, p ** (n + 1)
     owners = set()
@@ -249,7 +325,7 @@ class TestAgainstReferenceTree:
     )
     def test_owner_prune_matches_reference(self, f, p, n, depth):
         polys = [IntPoly.parse(f)]
-        want = ref_count_liftable(polys, [IntPoly.parse("x", 2), IntPoly.parse("y", 2)], p, n, depth, 10**5)
+        want = ref_count_liftable(polys, [IntPoly.parse("x").widen(2), IntPoly.parse("y")], p, n, depth, 10**5)
         got = count_liftable(polys, ["x", "y"], p, n, depth)
         assert (got.count, got.certified) == (want.count, want.certified)
         assert got.nodes < want.nodes  # the prune skipped cells of certified owners

@@ -130,6 +130,14 @@ def test_parse_linear_reports_trailing_input():
         parse_linear("n mod 2")
 
 
+def test_power_sign_is_a_token_but_not_formula_grammar():
+    # "^" is read only by polynomial text; a formula fails where it stands
+    with pytest.raises(FormulaSyntaxError, match=r"expected a relation \(at position 1\)"):
+        parse_presburger("x^2 >= 0")
+    with pytest.raises(FormulaSyntaxError, match=r"trailing input '\^' \(at position 1\)"):
+        parse_linear("n^2")
+
+
 def test_membership_basics():
     f = parse_presburger("x == 0 mod 2")
     assert membership(f, {"x": 4}) is True

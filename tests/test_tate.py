@@ -86,6 +86,19 @@ def test_from_json_rejects_malformed_exponent(data, error):
         TatePoly.from_json(data)
 
 
+@pytest.mark.parametrize(
+    "data,error",
+    [
+        (5, "L-coefficient must be a list, got 5"),
+        ([5], "each L-coefficient entry must be a list of 2 values, got 5"),
+        ([[0, "1", 2]], "each L-coefficient entry must be a list of 2 values"),
+    ],
+)
+def test_from_json_rejects_malformed_shape(data, error):
+    with pytest.raises(ValueError, match=error):
+        TatePoly.from_json(data)
+
+
 coeffs = st.fractions(max_denominator=20)
 exps = st.integers(min_value=-6, max_value=6)
 polys = st.dictionaries(exps, coeffs, max_size=5).map(TatePoly)
