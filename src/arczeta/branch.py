@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .fq import is_prime
+from .fq import is_prime, residue
 from .ratseries import RatSeries, rs_add, rs_mul, rs_scale
 from .tate import TatePoly, json_value
 
@@ -244,10 +244,9 @@ def order_gap(b: BranchSpec, p: int, zeta: int) -> int | float:
     if pow(zeta, b.m, p) != 1:
         raise BadRoot(f"zeta = {zeta} is not an m-th root of unity mod {p}")
     for j in sorted(b.coeffs):
-        a = b.coeffs[j]
-        if a.denominator % p == 0:
+        aj = residue(b.coeffs[j], p)
+        if aj is None:
             raise ValueError(f"p = {p} divides the denominator of a_{j}")
-        aj = a.numerator * pow(a.denominator, -1, p) % p
         if aj * (1 - pow(zeta, j, p)) % p != 0:
             return j
     return math.inf

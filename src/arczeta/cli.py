@@ -209,9 +209,9 @@ def branch(path, fmt, normalize, out):
 @click.option("--origin", is_flag=True, help="Shorthand: reduction locus = all variables.")
 @click.option("-p", "--prime", type=int, required=True)
 @click.option("--ext-degree", "ext_degree", type=int, default=1, help="Field extension degree d (branch mode).")
-@click.option("--n-max", "n_max", type=int, default=8)
+@click.option("--n-max", "n_max", type=click.IntRange(min=0), default=8)
 @click.option("--window/--no-window", "window", default=True)
-@click.option("--budget", type=int, default=DEFAULT_BUDGET)
+@click.option("--budget", type=click.IntRange(min=1), default=DEFAULT_BUDGET)
 @click.option("--depth", type=int, default=None, help=f"Lifting depth (poly mode); default {DEPTH_POLICY}.")
 @click.option("--timings", is_flag=True, help="Include wall-clock timings (non-deterministic output).")
 @click.option("--format", "fmt", type=click.Choice(["csv", "json", "text"]), default="csv")
@@ -319,7 +319,7 @@ def check(formula, point, declared):
 @main.command()
 @click.option("-k", "--exponent", "ks", multiple=True, type=int, required=True, help="Monomial exponent; repeatable.")
 @click.option("-p", "--prime", type=int, default=None, help="Check coefficients against exact volumes at p.")
-@click.option("--n-max", "n_max", type=int, default=6)
+@click.option("--n-max", "n_max", type=click.IntRange(min=0), default=6)
 @click.option("--format", "fmt", type=click.Choice(["text", "json", "latex"]), default="text")
 @click.option("--out", default=None, metavar="FILE")
 @_guarded

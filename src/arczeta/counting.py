@@ -37,7 +37,7 @@ from typing import Sequence
 import numpy as np
 
 from .branch import BranchSpec
-from .fq import Fq
+from .fq import Fq, residue
 from .ratseries import RatSeries, rs_mul, rs_scale
 from .tate import TatePoly
 
@@ -175,10 +175,10 @@ def _branch_images(u: np.ndarray, ell: int, n: int, b: BranchSpec, fld: Fq) -> n
 
 
 def _coeff_mod_p(b: BranchSpec, j: int, p: int) -> int:
-    a = b.coeffs[j]
-    if a.denominator % p == 0:
-        raise BadPrime(f"p = {p} divides the denominator of a_{j} = {a}")
-    return a.numerator * pow(a.denominator, -1, p) % p
+    a = residue(b.coeffs[j], p)
+    if a is None:
+        raise BadPrime(f"p = {p} divides the denominator of a_{j} = {b.coeffs[j]}")
+    return a
 
 
 def _decode_arcs(idx: np.ndarray, c: int, fld: Fq) -> np.ndarray:

@@ -25,9 +25,9 @@ gcd(N, A B) = gcd(N, A) * gcd(N / gcd(N, A), B).  The specialized side works
 in Z[T] (`RatFunc.from_binomials`):
 
 * N is scaled to integers once, and 1 - (u/v) T^b becomes v - u T^b;
-* a gcd of degree 0 modulo the prime P = 2^61 - 1, with P dividing neither u
-  nor v, proves the factor coprime to N over Q (Brown's modular gcd bound),
-  so no rational Euclid runs for it;
+* a gcd of degree 0 modulo the prime P = 2^61 - 1 (`fq.poly_gcd`), with P
+  dividing neither u nor v, proves the factor coprime to N over Q (Brown's
+  modular gcd bound), so no rational Euclid runs for it;
 * otherwise the Euclidean gcd over Q, made primitive, divides N and the
   binomial exactly in Z[T] (Gauss's lemma).
 
@@ -35,18 +35,20 @@ The result is the same reduced, normalized pair a full Euclidean gcd gives
 (the tests hold the full-gcd reference).  `RatFunc.taylor` expands by an
 integer recurrence with one division per coefficient.  `rs_normalize` skips
 the long division by (1 - L^a T^b) whenever the numerator at a fixed L = l,
-reduced mod P and mod (1 - l^a T^b), leaves a remainder, which proves the
-division inexact.
+reduced mod P and mod (1 - l^a T^b) by `fq.poly_rem`, leaves a remainder,
+which proves the division inexact.
 """
 
 from __future__ import annotations
 
+import functools
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence, Union
 
+from .fq import poly_gcd, poly_mul, poly_rem, residue
 from .tate import (
     _LATEX,
     _TEXT,
@@ -82,6 +84,18 @@ TNum = dict[int, TatePoly]  # numerator: T-exponent -> coefficient
 # `rs_normalize` evaluates numerators there at L = _ELL (any unit is sound).
 _P = (1 << 61) - 1
 _ELL = 1_000_003
+
+
+@functools.cache
+def _ell_pow(e: int) -> int:
+    """_ELL^e in F_P; exponents repeat across every numerator, and a negative
+    one costs an inverse."""
+    return pow(_ELL, e, _P)
+
+
+def _t_binomial(w: int, b: int) -> list[int]:
+    """T^b - w over F_P, dense: monic, so `poly_rem` folds by it in one pass."""
+    return [-w % _P] + [0] * (b - 1) + [1]
 
 
 # ---------------------------------------------------------------------------
@@ -241,18 +255,6 @@ def rs_equal(x: RatSeries, y: RatSeries) -> bool:
     return (x - y).is_zero()
 
 
-def _fp_fold(x: Sequence[int], w: int, b: int) -> list[int]:
-    """x mod (T^b - w) over F_P, trimmed: one pass from the top, T^b = w."""
-    r = [v % _P for v in x]
-    for k in range(len(r) - 1, b - 1, -1):
-        if r[k]:
-            r[k - b] = (r[k - b] + r[k] * w) % _P
-    del r[b:]
-    while r and not r[-1]:
-        r.pop()
-    return r
-
-
 def _tnum_mod_p(x: TNum) -> list[int] | None:
     """The coefficients of N(_ELL, T) in F_P, dense in T; None when _P divides
     a coefficient denominator."""
@@ -260,9 +262,10 @@ def _tnum_mod_p(x: TNum) -> list[int] | None:
     for n, c in x.items():
         acc = 0
         for e, v in c.c.items():
-            if v.denominator % _P == 0:
+            r = residue(v, _P)
+            if r is None:
                 return None
-            acc += v.numerator * pow(v.denominator, -1, _P) * pow(_ELL, e, _P)
+            acc += r * _ell_pow(e)
         out[n] = acc % _P
     return out
 
@@ -282,7 +285,7 @@ def rs_normalize(x: RatSeries) -> RatSeries:
     image = _tnum_mod_p(num) if num else None
     geom: list[tuple[int, int]] = []
     for a, b in x.geom:
-        if num and (image is None or not _fp_fold(image, pow(_ELL, -a, _P), b)):
+        if num and (image is None or not poly_rem(image, _t_binomial(_ell_pow(-a), b), _P)):
             q, exact = _tnum_divmod_geom(num, a, b)
             if exact:
                 num = q
@@ -380,15 +383,6 @@ def _qgcd(a: Sequence[Fraction], b: Sequence[Fraction]) -> list[Fraction]:
 # coefficient).
 
 
-def _zmul(a: Sequence[int], b: Sequence[int]) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for j, bv in enumerate(b):
-        if bv:
-            for i, av in enumerate(a):
-                out[i + j] += av * bv
-    return out
-
-
 def _zdiv_exact(a: Sequence[int], g: Sequence[int]) -> list[int]:
     """a / g in Z[T]; ArithmeticError if g does not divide a there."""
     r = list(a)
@@ -420,22 +414,6 @@ def _primitive(g: Sequence[Fraction]) -> list[int]:
     return [v // content for v in z]
 
 
-def _fp_rem(a: list[int], b: list[int]) -> list[int]:
-    """a mod b over F_P (b trimmed), trimmed."""
-    a = list(a)
-    db = len(b) - 1
-    inv = pow(b[-1], -1, _P)
-    for i in range(len(a) - 1, db - 1, -1):
-        c = a[i] * inv % _P
-        if c:
-            for j in range(db + 1):
-                a[i - db + j] = (a[i - db + j] - c * b[j]) % _P
-    del a[db:]
-    while a and not a[-1]:
-        a.pop()
-    return a
-
-
 def _zrem_binomial(num: Sequence[int], u: int, v: int, b: int) -> list[int]:
     """u^K (num mod (v - u T^b)) with K = deg(num) // b, which lies in Z[T].
 
@@ -462,18 +440,13 @@ def _coprime_mod_p(num: Sequence[int], u: int, v: int, b: int) -> bool:
 
     A primitive common factor g over Z has lc(g) | u, so P does not divide
     lc(g) and g mod P, of the same degree, divides both reductions (Brown,
-    1971).  num mod (v - u T^b) is one fold, T^b = v/u; the gcd of that
-    remainder (degree < b) with the binomial is a short Euclid over F_P.
+    1971).  Over F_P the binomial is a unit times T^b - v/u, whose first
+    remainder step is one fold, T^b = v/u.
     """
     u, v = u % _P, v % _P
     if not u or not v:
         return False
-    r = _fp_fold(num, v * pow(u, -1, _P) % _P, b)
-    a = [0] * (b + 1)
-    a[0], a[b] = v, -u % _P
-    while r:
-        a, r = r, _fp_rem(a, r)
-    return len(a) == 1
+    return len(poly_gcd(num, _t_binomial(v * pow(u, -1, _P), b), _P)) == 1
 
 
 @dataclass
@@ -527,7 +500,7 @@ class RatFunc:
                     g = _primitive(g)
                     n = _zdiv_exact(n, g)
                     factor = _zdiv_exact(factor, g)
-            den = _zmul(den, factor)
+            den = poly_mul(den, factor)
         d0 = den[0]
         return cls(
             tuple(Fraction(x * vprod, scale * d0) for x in n),
@@ -693,7 +666,8 @@ def _render(x: RatSeries, latex: bool) -> str:
             parts.append(style.power("T", n))
         else:
             parts.append(body + style.times + style.power("T", n))
-    num_s = " + ".join(parts)
+    # a lone negative coefficient reads as a difference
+    num_s = parts[0] + "".join(f" - {s[1:]}" if s[0] == "-" else f" + {s}" for s in parts[1:])
     dens = []
     for (a, b), mult in Counter(x.geom).items():
         lpow = style.power(style.L, a) + style.times if a else ""

@@ -400,7 +400,9 @@ def ref_latex(x: RatSeries) -> str:
             parts.append(f"{_ref_coeff_latex(c)} {tpow}")
         else:
             parts.append(f"\\left({_ref_coeff_latex(c)}\\right) {tpow}")
-    num_s = " + ".join(parts)
+    num_s = parts[0]
+    for part in parts[1:]:
+        num_s += f" - {part.removeprefix('-')}" if part.startswith("-") else f" + {part}"
     dens = []
     for (a, b), mult in Counter(x.geom).items():
         tpow = "T" if b == 1 else f"T^{{{b}}}"

@@ -404,10 +404,14 @@ class TestConfiguration:
             (["count", "-p", "3", "--n-max", "many"], "'many' is not a valid integer"),
             (["count", "--n-max", "2"], "Missing option '-p'"),
             (["count", "-p", "3", "--format", "latex"], "'latex' is not one of"),
+            (["count", "-p", "3", "--n-max", "-1"], "-1 is not in the range x>=0"),
+            (["count", "-p", "3", "--budget", "0"], "0 is not in the range x>=1"),
+            (["igusa", "-k", "1", "-p", "3", "--n-max", "-1"], "-1 is not in the range x>=0"),
         ],
     )
     def test_bad_flag_is_usage_error(self, runner, files, args, error):
-        r = runner.invoke(main, [*args, "--branch", files["line"]])
+        branch = ["--branch", files["line"]] if "count" in args else []
+        r = runner.invoke(main, [*args, *branch])
         assert r.exit_code == 1
         assert error in message(r)
 

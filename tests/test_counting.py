@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from arczeta import counting
-from arczeta.branch import BranchSpec, characteristic_sequence, chi_c_arc_class, p_geom
+from arczeta.branch import BranchSpec, characteristic_sequence, chi_c_arc_class, p_ar, p_geom
 from arczeta.counting import (
     BadPrime,
     BudgetExceeded,
@@ -163,8 +163,6 @@ class TestFrozenValues:
             assert count_branch_image(STD4, 5, 1, n) == expect, n
 
     def test_counts_equal_arithmetic_series_at_p5(self):
-        from arczeta.branch import p_ar
-
         tay = rs_specialize(p_ar(characteristic_sequence(STD4)), 5).taylor(9)
         for n in range(9):
             assert tay[n] == count_branch_image(STD4, 5, 1, n), n
@@ -229,7 +227,7 @@ class TestFiberIdentity:
     @pytest.mark.parametrize(
         "b,p,n_max",
         [
-            (STD4, 17, 7),  # F_17 has no table entry: a prime field needs no modulus
+            (STD4, 17, 7),  # beyond p = 13, where extension moduli were once tabulated
             (CUSP, 257, 3),  # digit 256 does not fit int8: image rows must widen
         ],
     )
@@ -243,6 +241,26 @@ class TestFiberIdentity:
         for n in range(7):
             strata = count_branch_strata(CUSP, 7, 1, n)
             assert 1 + sum(strata.values()) == count_branch_image(CUSP, 7, 1, n)
+
+
+class TestDerivedExtensions:
+    """Fields whose modulus is derived beyond the range once tabulated (p <= 13)."""
+
+    CASES = [
+        (CUSP, 17, [1, 1, 145, 83233]),
+        (CUSP, 19, [1, 1, 181, 129961]),
+        (STD4, 17, [1, 1, 1, 1, 73, 20809]),
+    ]
+
+    @pytest.mark.parametrize("b,p,expect", CASES)
+    def test_window_counts_equal_specialised_series(self, b, p, expect):
+        tay = rs_specialize(p_ar(characteristic_sequence(b)), p**2).taylor(len(expect) - 1)
+        assert tay == expect
+        assert [count_branch_image(b, p, 2, n) for n in range(len(expect))] == expect
+
+    @pytest.mark.parametrize("b,p,expect", CASES)
+    def test_exhaustive_equals_window(self, b, p, expect):
+        assert [count_branch_image(b, p, 2, n, window=False) for n in range(3)] == expect[:3]
 
 
 class TestGeometricHeuristic:

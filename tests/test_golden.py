@@ -10,7 +10,11 @@ relation tables, formula folds and negation normal forms (the two
 ``qe-coeff`` cases were recorded again when ``_make_cong`` began to fold a
 congruence whose coefficient gcd does not divide its constant to false), the
 ``count-poly3`` and ``cusp34-cross-method`` cases before polynomial text moved
-to the formula tokenizer.  A refactor must reproduce them exactly.
+to the formula tokenizer, the ``p17`` cases when extension moduli began to be
+derived instead of tabulated.  The four ``branch-*-latex`` cases were recorded
+again when a lone negative numerator coefficient began to print as a
+difference (``1 - \\mathbb{L} T``, not ``1 + -\\mathbb{L} T``).  A refactor must
+reproduce them exactly.
 """
 
 import json
@@ -35,6 +39,8 @@ PLANS = {
     "branch-par": {"target": "branch-par", "branch": STD4, "primes": [3, 5, 7], "n_max": 4},
     "branch-par-fail": {"target": "branch-par", "branch": STD4, "primes": [7], "n_max": 4, "force_primes": True},
     "branch-pgeom": {"target": "branch-pgeom", "branch": CUSP, "primes": [3], "n_max": 3},
+    # F_{17^2}: a field whose modulus is derived, not read from a table
+    "branch-pgeom-p17": {"target": "branch-pgeom", "branch": CUSP, "primes": [17], "n_max": 3},
     "igusa-monomial": {"target": "igusa-monomial", "exponents": [1, 2], "primes": [3], "n_max": 3},
     "cusp-cross-method": {"target": "cusp-cross-method", "branch": CUSP, "primes": [5, 7], "n_max": 3},
     "cusp34-cross-method": {
@@ -83,6 +89,7 @@ CASES = {
         f"count-branch-{fmt}": (["count", "--branch", "{branch}", "-p", "5", "--n-max", "4", "--format", fmt], None)
         for fmt in ("csv", "json", "text")
     },
+    "count-cusp-p17-d2-csv": (["count", "--branch", "{cusp}", "-p", "17", "--ext-degree", "2", "--n-max", "3"], None),
     **{f"count-poly-{fmt}": (["count", *POLY, "--format", fmt], None) for fmt in ("csv", "json", "text")},
     **{
         f"count-poly-shallow-{fmt}": (["count", *POLY, "--depth", "1", "--format", fmt], None)
@@ -124,11 +131,13 @@ def run_case(name: str, tmp_path: Path) -> dict:
     branch.write_text(json.dumps(STD4))
     g3 = tmp_path / "g3.json"
     g3.write_text(json.dumps(G3))
+    cusp = tmp_path / "cusp.json"
+    cusp.write_text(json.dumps(CUSP))
     plan = tmp_path / "plan.json"
     out = tmp_path / "verdict.json"
     if plan_name is not None:
         plan.write_text(json.dumps(PLANS[plan_name]))
-    argv = [a.format(plan=plan, branch=branch, std4=branch, g3=g3, out=out) for a in argv]
+    argv = [a.format(plan=plan, branch=branch, std4=branch, g3=g3, cusp=cusp, out=out) for a in argv]
     r = CliRunner().invoke(main, argv)
     return {
         "exit": r.exit_code,

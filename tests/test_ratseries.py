@@ -443,7 +443,7 @@ def test_mixed_series_renders_as_before():
         "((2*L - 1/3) + L^2*T + (-(5/2)*L^-1)*T^2 + 4*T^3) / [(1 - T)^2 (1 - L^-2*T^3) (L^2 - 1)^2 (L^3 - 1)]"
     )
     assert rs_latex(MIXED) == (
-        "\\frac{\\left(2 \\mathbb{L} - \\tfrac{1}{3}\\right) + \\mathbb{L}^{2} T + -\\tfrac{5}{2} \\mathbb{L}^{-1} T^{2}"
+        "\\frac{\\left(2 \\mathbb{L} - \\tfrac{1}{3}\\right) + \\mathbb{L}^{2} T - \\tfrac{5}{2} \\mathbb{L}^{-1} T^{2}"
         " + 4 T^{3}}{\\left(1 - T\\right)^{2} \\left(1 - \\mathbb{L}^{-2} T^{3}\\right) \\left(\\mathbb{L}^{2} - 1\\right)^{2}"
         " \\left(\\mathbb{L}^{3} - 1\\right)}"
     )
