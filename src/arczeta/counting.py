@@ -4,35 +4,34 @@ These counters are the experimental side of the project: they know nothing
 about closed-form series and obtain every number by enumerating or summing
 residues.  The symbolic layer is checked against them, never the reverse.
 
-Enumeration layout: a batch of arcs w = t^ell u over F_{p^d} is given by
-its units u = w_ell + ... + w_{ell+c} t^c, a numpy array of shape
-(rows, c+1, d) holding base-p coordinate digits.  Truncated series
-multiplication is a (t, u)-convolution followed by reduction of the
-u-powers via the fixed modulus of :class:`~arczeta.fq.Fq`.  The term
-w^j = t^{j*ell} u^j only needs u^j mod t^{n+1-j*ell}, so every product is
-truncated to those n+1-j*ell positions; the images (x, y) = (w^m,
-sum a_j w^j) of a batch are a (rows, 2, n+1, d) digit array.
-
 Every counting mode runs one enumerator, `_stratum_keys`, over the arcs
-t^ell (w_ell + ... + w_{ell+c} t^c) with w_ell != 0; the modes differ only in
-ell, c and whether images must lie over F_p.  Such an arc has w_0 = 0, so x
-and y vanish below t^m, and an image is keyed by the base-p digits of x and
-y at t-positions m..n, packed as many per int64 word as fit (wider keys take
-several words).  Distinct images are distinct key rows (`_distinct`).
-The worker count follows from the work: a stratum of more than
-`_CHUNK_ROWS` arcs is split into chunks that run on up to one thread per
-CPU, and a smaller one runs inline; no caller sets it.
+w = t^ell u with units u = w_ell + ... + w_{ell+c} t^c, w_ell != 0; the modes
+differ only in ell, c and whether images must lie over F_p.  The arcs of
+a stratum form the digit grid F_q^* x F_q^c, one numpy axis per digit of u,
+each digit a vector of d base-p coordinates.  Coefficient k of u^j depends
+on u_0..u_k only, so it is an array over the first k+1 axes, built once per
+digit prefix: coef_k(u^j) = sum_i u_i coef_(k-i)(u^(j-1)) by broadcasting,
+with products in F_q reduced through the modulus of :class:`~arczeta.fq.Fq`.
+The term w^j = t^(j*ell) u^j only needs u^j mod t^(n+1-j*ell), so every
+power is truncated to those positions.  Such an arc has w_0 = 0, so x and y
+vanish below t^m; only the digits of x and y at t-positions m..n and their
+key, all of them packed into one int64, reach the full grid, and distinct
+images are distinct keys (`_distinct`, a sort).  A wider key would need a
+stratum of more than 2^30 arcs and is refused as over budget.  The worker
+count follows from the work: a stratum of more than `_CHUNK_ROWS` arcs is
+split into ranges of leading-digit prefixes that run on up to one thread
+per CPU, and a smaller one runs inline; no caller sets it.
 """
 
 from __future__ import annotations
 
-import math
+import functools
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -100,100 +99,71 @@ class CountReport:
 
 
 # ---------------------------------------------------------------------------
-# batched arithmetic in F_q[t]/t^{n+1}
+# the digit grid
 # ---------------------------------------------------------------------------
 
 
-def _int_dtype(bound: int, floor: type) -> np.dtype:
-    """Narrowest signed integer dtype, at least `floor`, that holds 0..bound."""
-    dtype = np.promote_types(np.min_scalar_type(-bound - 1), floor)
-    if dtype.kind != "i":
-        raise ValueError(f"values up to {bound} do not fit a 64-bit integer")
-    return dtype
+def _units(idx: np.ndarray, h: int, c: int, fld: Fq) -> list[np.ndarray]:
+    """Digit arrays of u_0, ..., u_c over a grid of units u = u_0 + ... + u_c t^c, u_0 != 0.
 
-
-def _arc_dtype(p: int) -> np.dtype:
-    """Dtype of arc and power digit arrays (int16 for p <= 2^15)."""
-    return _int_dtype(p - 1, np.int16)
-
-
-def _series_mul(A: np.ndarray, B: np.ndarray, fld: Fq, L: int) -> np.ndarray:
-    """Product of digit arrays (rows, *, d) truncated to L positions, shape (rows, L, d).
-
-    Only the first L positions of each operand are read; shorter operands
-    count as zero above their last position.
+    Grid axis 0 runs over the prefixes numbered idx of the first h digits:
+    u_0 = 1 + idx // q^(h-1), and u_1, ..., u_(h-1) are the base-q digits of
+    idx mod q^(h-1), least significant first.  Axis i - h + 1 runs over all q
+    values of u_i, i >= h.  Each array has shape (*grid, d), of length 1 on
+    the axes its digit does not depend on.
     """
-    p = fld.p
-    rows, _, d = A.shape
-    # each entry sums at most L*d products of two digits, plus d reduction terms
-    work = _int_dtype((L + 1) * d * (p - 1) ** 2, np.int32)
-    acc = np.zeros((rows, L, 2 * d - 1), dtype=work)
-    Aw = A[:, :L].astype(work, copy=False)
-    Bw = B[:, :L].astype(work, copy=False)
-    for i in range(Aw.shape[1]):
-        for j in range(min(L - i, Bw.shape[1])):
-            for a in range(d):
-                for b in range(d):
-                    acc[:, i + j, a + b] += Aw[:, i, a] * Bw[:, j, b]
-    out = acc[:, :, :d]
-    for k in range(d, 2 * d - 1):
-        extra = acc[:, :, k] % p
-        for jj, r in enumerate(fld.reduction[k - d]):
-            if r:
-                out[:, :, jj] += extra * r
-    return (out % p).astype(_arc_dtype(p))
+    q, p, d = fld.q, fld.p, fld.d
+    rank = c + 2 - h
+    lead, rest = np.divmod(idx, q ** (h - 1))
+    prefix = [lead + 1, *(rest // q**i % q for i in range(h - 1))]
+    codes = [v.reshape((-1,) + (1,) * (rank - 1)) for v in prefix]
+    codes += [np.arange(q).reshape([q if a == axis else 1 for a in range(rank)]) for axis in range(1, rank)]
+    return [v[..., None] // p ** np.arange(d) % p for v in codes]
 
 
-def _branch_images(u: np.ndarray, ell: int, n: int, b: BranchSpec, fld: Fq) -> np.ndarray:
-    """Digits of the images (w^m, sum a_j w^j) of the arcs w = t^ell u, shape (rows, 2, n+1, d).
+def _images(
+    units: list[np.ndarray], ell: int, n: int, b: BranchSpec, fld: Fq
+) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Digit arrays of x_t and y_t, t = 0..n, of the images (w^m, sum a_j w^j) of the arcs w = t^ell u.
 
-    u is a (rows, *, d) batch of units.  The term w^j = t^(j*ell) u^j needs
+    Coefficient k of u^j depends on u_0..u_k only, so it is an array over the
+    grid axes of those digits: coef_k(u^j) = sum_i u_i coef_(k-i)(u^(j-1)),
+    summing the terms i = 1..k, which miss an axis each, before the term
+    i = 0.  Digit vectors multiply through the table of u_i * u^s, s < d,
+    that the field's reduction rows give.  The term w^j = t^(j*ell) u^j needs
     only u^j mod t^(n+1-j*ell); that length falls as j grows, so every power
     on the way to j is truncated to it, and terms from j*ell > n on vanish.
     """
-    p = fld.p
-    coeff_mod = {j: _coeff_mod_p(b, j, p) for j in sorted(b.coeffs)}
-    out = np.zeros((u.shape[0], 2, n + 1, u.shape[2]), dtype=_arc_dtype(p))
-    power = u
-    e = 1
-    for target in sorted({b.m, *coeff_mod}):
+    p, d = fld.p, fld.d
+    # a coefficient sums at most n+1 products of digit vectors, each d products of two digits
+    if (n + 2) * d * (p - 1) ** 2 >= 2**63:
+        raise ValueError(f"digit sums at p = {p} do not fit a 64-bit integer")
+    coeff = {j: residue(a, p) for j, a in b.coeffs.items()}
+    basis = [*np.eye(d, dtype=np.int64), *np.array(fld.reduction, dtype=np.int64)]
+    table = np.array([basis[a : a + d] for a in range(d)])  # table[a, s]: digits of u^(a+s)
+    mul = [np.tensordot(u, table, axes=(-1, 0)) % p for u in units]
+
+    def coef(power: list[np.ndarray], k: int) -> np.ndarray:
+        terms = [i for i in [*range(1, k + 1), 0] if i < len(mul) and k - i < len(power)]
+        products = (mul[i][..., s, :] * power[k - i][..., s, None] for i in terms for s in range(d))
+        return functools.reduce(np.add, products) % p
+
+    x = [np.zeros(d, dtype=np.int64)] * (n + 1)
+    y = list(x)
+    power, e = units, 1
+    for target in sorted({b.m, *coeff}):
         L = n + 1 - target * ell
         if L <= 0:
             break
         while e < target:
-            power = _series_mul(power, u, fld, L)
+            power = [coef(power, k) for k in range(min(L, len(power) + len(mul) - 1))]
             e += 1
-        term = power[:, :L]
-        at = slice(target * ell, target * ell + term.shape[1])
-        if target == b.m:
-            out[:, 0, at] = term
-        c = coeff_mod.get(target)
-        if c:
-            y = out[:, 1, at] + c * term.astype(_int_dtype(p * (p - 1), np.int32))
-            out[:, 1, at] = y % p
-    return out
-
-
-def _coeff_mod_p(b: BranchSpec, j: int, p: int) -> int:
-    a = residue(b.coeffs[j], p)
-    if a is None:
-        raise BadPrime(f"p = {p} divides the denominator of a_{j} = {b.coeffs[j]}")
-    return a
-
-
-def _decode_arcs(idx: np.ndarray, c: int, fld: Fq) -> np.ndarray:
-    """Digit array (rows, c+1, d) of the units u = w_ell + ... + w_{ell+c} t^c numbered idx.
-
-    w_ell = 1 + idx // q^c is never zero; the base-q digits of idx mod q^c are
-    w_{ell+1}, ..., w_{ell+c}.
-    """
-    q, p, d = fld.q, fld.p, fld.d
-    u = np.zeros((idx.shape[0], c + 1, d), dtype=_arc_dtype(p))
-    lead, rest = np.divmod(idx, q**c)
-    for k, digit_q in enumerate([lead + 1] + [rest // q**i % q for i in range(c)]):
-        for e in range(d):
-            u[:, k, e] = digit_q // p**e % p
-    return u
+        for t, v in enumerate(power[:L], target * ell):
+            if target == b.m:
+                x[t] = v
+            if coeff.get(target):
+                y[t] = y[t] + coeff[target] * v
+    return x, [v % p for v in y]
 
 
 # ---------------------------------------------------------------------------
@@ -201,25 +171,16 @@ def _decode_arcs(idx: np.ndarray, c: int, fld: Fq) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _pack(digits: np.ndarray, p: int) -> np.ndarray:
-    """Pack rows of base-p digits into int64 key words, as many digits per word as fit."""
-    per = 1
-    while p ** (per + 1) <= 2**63:
-        per += 1
-    rows, width = digits.shape
-    keys = np.zeros((rows, max(1, -(-width // per))), dtype=np.int64)
-    for i in range(width):
-        keys[:, i // per] *= p
-        keys[:, i // per] += digits[:, i]
-    return keys
+def _pack(digits: Iterable[np.ndarray], p: int) -> np.ndarray:
+    """The int64 keys sum digit_i p^(W-1-i) of W broadcast base-p digit arrays; p^W <= 2^63."""
+    return functools.reduce(lambda key, digit: key * p + digit, digits, np.zeros((), dtype=np.int64))
 
 
 def _distinct(parts: list[np.ndarray]) -> np.ndarray:
-    """Distinct rows of the stacked (rows, words) key arrays, in sorted order."""
-    keys = np.concatenate(parts)
-    keys = keys[np.lexsort(keys.T[::-1])]
-    fresh = np.ones(keys.shape[0], dtype=bool)
-    fresh[1:] = (keys[1:] != keys[:-1]).any(axis=1)
+    """Distinct keys of the key arrays, in sorted order (a sort and a neighbour compare)."""
+    keys = np.sort(np.concatenate([np.ravel(v) for v in parts]))
+    fresh = np.ones(keys.shape, dtype=bool)
+    fresh[1:] = keys[1:] != keys[:-1]
     return keys[fresh]
 
 
@@ -235,39 +196,63 @@ def _stratum_keys(
     """Distinct image keys of the arcs t^ell (w_ell + ... + w_{ell+c} t^c), w_ell != 0.
 
     Such an arc has w_0 = 0, so x and y vanish below t^m: a key packs the
-    base-p digits of x and y at t-positions m..n.  With ``rational`` only
-    images whose digits all lie in F_p are kept, keyed by their F_p digits.
+    base-p digits of x and y at t-positions m..n into one int64.  With
+    ``rational`` only images whose digits all lie in F_p are kept, keyed by
+    their F_p digits.  Digits w_(ell+k) with k > n - ell*m never reach the
+    image, so the grid of units stops below them.
 
-    The arcs are cut into the fewest equal chunks of at most `_CHUNK_ROWS`;
-    each chunk is one job that returns its distinct keys, and one
+    A grid of more than `_CHUNK_ROWS` units is cut into the fewest equal
+    ranges of leading-digit prefixes whose grids hold at most `_CHUNK_ROWS`;
+    each range is one job that returns its distinct keys, and one
     `_distinct` merges the jobs.  The jobs run on min(chunks, CPU count)
     threads, inline when that is one: numpy releases the interpreter lock in
     the array work, and each extra worker holds one more chunk's arrays.
     """
-    total = (fld.q - 1) * fld.q**c
+    q, p = fld.q, fld.p
+    total = (q - 1) * q**c
     if total > budget:
         raise BudgetExceeded(f"stratum ell={ell} needs {total} arcs > budget {budget}")
+    width = 2 * max(0, n + 1 - b.m) * (1 if rational else fld.d)
+    if p**width > 2**63:
+        raise BudgetExceeded(f"image keys of {width} base-{p} digits do not fit one int64 word")
+    c = max(0, min(c, n - ell * b.m))
+    h = next(h for h in range(1, c + 2) if q ** (c + 1 - h) <= _CHUNK_ROWS)
+    prefixes = (q - 1) * q ** (h - 1)
+    chunks = -(-prefixes // (_CHUNK_ROWS // q ** (c + 1 - h)))
+    bounds = [k * prefixes // chunks for k in range(chunks + 1)]
 
     def keys(lo: int, hi: int) -> np.ndarray:
-        idx = np.arange(lo, hi, dtype=np.int64)
-        img = _branch_images(_decode_arcs(idx, c, fld), ell, n, b, fld)[:, :, b.m :]
+        x, y = _images(_units(np.arange(lo, hi), h, c, fld), ell, n, b, fld)
+        digits = [v for t in range(b.m, n + 1) for v in (x[t], y[t])]
         if rational:
-            img = img[(img[..., 1:] == 0).all(axis=(1, 2, 3))][..., :1]
-        digits = img.reshape(img.shape[0], math.prod(img.shape[1:]))
-        return _distinct([_pack(digits, fld.p)])
+            keep = functools.reduce(np.logical_and, [(v[..., 1:] == 0).all(-1) for v in digits], True)
+            digits = [v[..., :1] for v in digits]
+        key = _pack((v[..., e] for v in digits for e in range(v.shape[-1])), p)
+        return _distinct([key[keep] if rational else key])
 
-    chunks = -(-total // _CHUNK_ROWS)
-    bounds = [k * total // chunks for k in range(chunks + 1)]
     workers = min(chunks, os.cpu_count() or 1)
     if workers == 1:
-        return _distinct(list(map(keys, bounds, bounds[1:])))
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return _distinct(list(pool.map(keys, bounds, bounds[1:])))
+        parts = list(map(keys, bounds, bounds[1:]))
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            parts = list(pool.map(keys, bounds, bounds[1:]))
+    return parts[0] if chunks == 1 else _distinct(parts)
 
 
 # ---------------------------------------------------------------------------
 # image counting
 # ---------------------------------------------------------------------------
+
+
+def _checked_field(b: BranchSpec, p: int, d: int, n: int) -> Fq:
+    """F_{p^d}, after the entry checks every counter shares: p prime, n >= 0, each a_j a residue mod p."""
+    fld = Fq(p, d)
+    for j, a in b.coeffs.items():
+        if residue(a, p) is None:
+            raise BadPrime(f"p = {p} divides the denominator of a_{j} = {a}")
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    return fld
 
 
 def count_branch_image(
@@ -287,17 +272,13 @@ def count_branch_image(
     coefficients w_ell .. w_{ell+c}, c = n - ell*m, which provably determine
     the truncated image, and adds the zero arc.
     """
-    fld = Fq(p, d)
-    for j in b.coeffs:
-        _coeff_mod_p(b, j, p)
-    if n < 0:
-        raise ValueError("n must be >= 0")
+    fld = _checked_field(b, p, d, n)
     if window:
         return 1 + sum(count_branch_strata(b, p, d, n, budget).values())
     total = fld.q**n
     if total > budget:
         raise BudgetExceeded(f"exhaustive enumeration needs {total} arcs > budget {budget}")
-    zero = _pack(np.zeros((1, 2 * max(0, n + 1 - b.m) * d), dtype=np.int64), p)
+    zero = np.zeros(1, dtype=np.int64)
     strata = [_stratum_keys(b, fld, n, ell, n - ell, budget) for ell in range(1, n + 1)]
     return len(_distinct([zero, *strata]))
 
@@ -314,7 +295,7 @@ def count_branch_strata(
     Strata are disjoint (the image determines ell through ord x = ell*m) and
     together with the zero arc exhaust the image.
     """
-    fld = Fq(p, d)
+    fld = _checked_field(b, p, d, n)
     out: dict[int, int] = {}
     for ell in range(1, n // b.m + 1):
         if b.m == 1:
@@ -357,6 +338,7 @@ def count_branch_image_geometric(
     satisfies w^m = x over F_p((t)) up to truncation); callers should label
     results accordingly.
     """
+    _checked_field(b, p, 1, n)
     if b.m == 1:
         # x = w, so an image over F_p comes from an arc over F_p
         return count_branch_image(b, p, 1, n, budget=budget)

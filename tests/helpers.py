@@ -8,7 +8,9 @@ easy to audit.
 Reference models of code the library only runs vectorized or specialised:
 :class:`RefFq` is scalar element arithmetic of F_q over the library's own
 modulus and reduction table, :class:`TruncPow` builds F_q[t]/t^{n+1} on it
-(the vectorized counting kernel is checked against it digit by digit),
+(the counting grid is checked against it digit by digit, and against
+:func:`ref_branch_images`, the row kernel it replaced: one row of digits
+per arc, each power u^j built by chained truncated :func:`ref_series_mul`),
 :func:`ratfunc_from_polys` reduces num/den by a full Euclidean gcd over Q
 (the reference for `RatFunc.from_binomials`), :func:`ref_taylor` expands a
 `RatFunc` by the recurrence in Fractions (the reference for the integer
@@ -44,6 +46,8 @@ from itertools import combinations, product
 from math import inf, lcm
 from operator import mul
 from typing import Callable, Iterator, Mapping, Sequence
+
+import numpy as np
 
 from arczeta import presburger as pb
 from arczeta.branch import BranchSpec
@@ -560,6 +564,55 @@ class TruncPow:
     def _check(self, other: TruncPow) -> None:
         if self.field.p != other.field.p or self.field.d != other.field.d or self.n != other.n:
             raise ValueError("mixed truncation orders or fields")
+
+
+def ref_series_mul(A: np.ndarray, B: np.ndarray, fld: Fq, L: int) -> np.ndarray:
+    """Product of digit arrays (rows, *, d) truncated to L positions, shape (rows, L, d).
+
+    Only the first L positions of each operand are read; shorter operands
+    count as zero above their last position.
+    """
+    p = fld.p
+    rows, _, d = A.shape
+    acc = np.zeros((rows, L, 2 * d - 1), dtype=np.int64)
+    for i in range(min(L, A.shape[1])):
+        for j in range(min(L - i, B.shape[1])):
+            for a in range(d):
+                for b in range(d):
+                    acc[:, i + j, a + b] += A[:, i, a].astype(np.int64) * B[:, j, b]
+    out = acc[:, :, :d]
+    for k in range(d, 2 * d - 1):
+        extra = acc[:, :, k] % p
+        for jj, r in enumerate(fld.reduction[k - d]):
+            if r:
+                out[:, :, jj] += extra * r
+    return out % p
+
+
+def ref_branch_images(u: np.ndarray, ell: int, n: int, b: BranchSpec, fld: Fq) -> np.ndarray:
+    """Digits of the images (w^m, sum a_j w^j) of the arcs w = t^ell u, shape (rows, 2, n+1, d).
+
+    u is a (rows, *, d) array of units, one row per arc.  The term
+    w^j = t^(j*ell) u^j needs only u^j mod t^(n+1-j*ell); that length falls
+    as j grows, so every power on the way to j is truncated to it.
+    """
+    p = fld.p
+    coeff = {j: a.numerator * pow(a.denominator, -1, p) % p for j, a in b.coeffs.items()}
+    out = np.zeros((u.shape[0], 2, n + 1, u.shape[2]), dtype=np.int64)
+    power, e = u, 1
+    for target in sorted({b.m, *coeff}):
+        L = n + 1 - target * ell
+        if L <= 0:
+            break
+        while e < target:
+            power = ref_series_mul(power, u, fld, L)
+            e += 1
+        term = power[:, :L]
+        at = slice(target * ell, target * ell + term.shape[1])
+        if target == b.m:
+            out[:, 0, at] = term
+        out[:, 1, at] = (out[:, 1, at] + coeff.get(target, 0) * term) % p
+    return out
 
 
 def _ref_ordp(value: int, p: int) -> int | float:

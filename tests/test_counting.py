@@ -22,10 +22,11 @@ from arczeta.counting import (
     igusa_monomial,
     measure_ord_locus,
 )
-from arczeta.counting import _branch_images, _distinct, _pack, _series_mul
+from arczeta.counting import _distinct, _pack
+from arczeta.fq import Fq
 from arczeta.ratseries import rs_expand, rs_specialize
 from arczeta.tate import TatePoly
-from helpers import RefFq, TruncPow, read_count_report, report_counts
+from helpers import RefFq, TruncPow, read_count_report, ref_branch_images, ref_series_mul, report_counts
 
 SMOOTH = BranchSpec.make(1, {})
 LINE2 = BranchSpec.make(1, {2: Fraction(1, 3), 3: 2})
@@ -85,13 +86,19 @@ def _series(F: RefFq, digits, n: int) -> TruncPow:
     return TruncPow(F, tuple(coeffs) + (F.zero,) * (n + 1 - len(coeffs)))
 
 
-class TestKernelAgainstTruncPow:
-    """The vectorized kernel digit for digit against scalar TruncPow arithmetic.
+def _on_grid(arrays: list[np.ndarray], grid: tuple[int, ...]) -> np.ndarray:
+    """Digit arrays broadcast to the grid (*axes, d) and stacked, shape (grid points, len(arrays), d)."""
+    return np.stack([np.broadcast_to(v, grid) for v in arrays], axis=-2).reshape(-1, len(arrays), grid[-1])
 
-    The kernel only sees arcs w = t^ell u with u_0 != 0 (every arc the
-    stratum enumerator builds), so the inputs are such arcs, for every
-    ell = 1..n: large ell leaves x = 0 (m*ell > n) or only the lower y terms
-    in range.
+
+class TestKernelAgainstTruncPow:
+    """The digit grid digit for digit against the row kernel it replaced and scalar TruncPow arithmetic.
+
+    The grid only holds arcs w = t^ell u with u_0 != 0 (every arc the
+    stratum enumerator builds), so the inputs are every arc of such strata,
+    for every ell = 1..n and every unit length c + 1 small enough: large ell
+    leaves x = 0 (m*ell > n) or only the lower y terms in range.  A grid
+    whose first h digits share the prefix axis is the one a chunk holds.
     """
 
     ROWS = [
@@ -109,20 +116,27 @@ class TestKernelAgainstTruncPow:
     def test_branch_images_match_truncpow(self, b, p, d, n):
         F = RefFq(p, d)
         amod = {j: F.scalar(a.numerator * pow(a.denominator, -1, p) % p) for j, a in b.coeffs.items()}
-        rng = np.random.default_rng(p * 1000 + d * 100 + n)
         for ell in range(1, n + 1):
-            c = int(rng.integers(0, n + 1))
-            u = rng.integers(0, p, size=(6, c + 1, d))
-            u[:, 0, 0] = rng.integers(1, p, size=6)  # u_0 != 0
-            images = _branch_images(u, ell, n, b, F)
-            assert images.shape == (6, 2, n + 1, d)
-            for row, unit in zip(images, u):
-                w = _series(F, [(0,) * d] * ell + list(unit), n)
-                y = TruncPow.zero(F, n)
-                for j, aj in amod.items():
-                    y = y + (w**j).scale(aj)
-                assert _series(F, row[0], n) == w**b.m, (ell, c)
-                assert _series(F, row[1], n) == y, (ell, c)
+            for c in range(n + 1):
+                arcs = (F.q - 1) * F.q**c
+                if arcs > 70_000:
+                    break
+                for h in sorted({1, min(2, c + 1), c + 1}):
+                    units = counting._units(np.arange(arcs // F.q ** (c + 1 - h)), h, c, F)
+                    x, y = counting._images(units, ell, n, b, F)
+                    grid = np.broadcast_shapes(*(u.shape for u in units))
+                    rows = _on_grid(units, grid)
+                    images = _on_grid(x + y, grid).reshape(len(rows), 2, n + 1, d)
+                    assert (images == ref_branch_images(rows, ell, n, b, F)).all(), (ell, c, h)
+                if arcs > 256:  # scalar arithmetic only on the small strata
+                    continue
+                for row, unit in zip(images, rows):
+                    w = _series(F, [(0,) * d] * ell + list(unit), n)
+                    expect_y = TruncPow.zero(F, n)
+                    for j, aj in amod.items():
+                        expect_y = expect_y + (w**j).scale(aj)
+                    assert _series(F, row[0], n) == w**b.m, (ell, c)
+                    assert _series(F, row[1], n) == expect_y, (ell, c)
 
     @pytest.mark.parametrize("p,d", sorted({(p, d) for _, p, d, _ in ROWS}))
     def test_series_mul_matches_truncpow(self, p, d):
@@ -131,7 +145,7 @@ class TestKernelAgainstTruncPow:
         for la, lb, L in [(4, 4, 7), (3, 6, 5), (6, 2, 3), (5, 5, 9), (1, 4, 4), (4, 4, 1)]:
             A = rng.integers(0, p, size=(5, la, d))
             B = rng.integers(0, p, size=(5, lb, d))
-            prod = _series_mul(A, B, F, L)
+            prod = ref_series_mul(A, B, F, L)
             assert prod.shape == (5, L, d)
             N = max(la, lb, L) - 1
             for row, a, bb in zip(prod, A, B):
@@ -141,20 +155,26 @@ class TestKernelAgainstTruncPow:
 
 class TestImageKeys:
     @settings(max_examples=60)
-    @given(p=st.sampled_from([2, 5, 257]), words=st.integers(1, 3), data=st.data())
-    def test_packed_keys_dedupe_like_rows(self, p, words, data):
+    @given(p=st.sampled_from([2, 5, 257]), data=st.data())
+    def test_packed_keys_dedupe_like_rows(self, p, data):
         per = max(k for k in range(1, 64) if p**k <= 2**63)
-        width = data.draw(st.integers((words - 1) * per + 1, words * per))
+        width = data.draw(st.integers(1, per))
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-        # rows near one base row, so many differ in a single digit of a single word
+        # rows near one base row, so many differ in a single digit
         pool = np.tile(rng.integers(0, p, width), (8, 1))
         for row in pool[1:]:
             row[rng.integers(0, width, rng.integers(1, 3))] = rng.integers(0, p)
         rows = pool[rng.integers(0, len(pool), data.draw(st.integers(1, 40)))]
-        keys = _pack(rows, p)
-        assert keys.shape == (len(rows), words)
+        keys = _pack(rows.T, p)
+        assert keys.shape == (len(rows),)
         halves = [keys[: len(keys) // 2], keys[len(keys) // 2 :]]
         assert len(_distinct([keys])) == len(_distinct(halves)) == len(np.unique(rows, axis=0))
+
+    def test_keys_wider_than_one_word_exceed_the_budget(self):
+        # the cusp at n = 5 has keys of 2 * 4 digits, and 257^8 > 2^63; its
+        # ell = 1 stratum has 256 * 257^3 arcs, so only a huge budget reaches the width
+        with pytest.raises(BudgetExceeded, match="8 base-257 digits"):
+            counting._stratum_keys(CUSP, Fq(257), 5, 1, 3, budget=2**40)
 
 
 class TestFrozenValues:
@@ -237,6 +257,11 @@ class TestFiberIdentity:
             strata = sum(chi_c_arc_class(c, n, ell)[1].eval(p) for ell in range(1, n // c.m + 1))
             assert count_branch_image(b, p, 1, n) == 1 + strata, n
 
+    @pytest.mark.parametrize("b,n,expect", [(CUSP, 2, 32769), (M3, 3, 65537)])
+    def test_window_counts_where_digit_products_overflow_int32(self, b, n, expect):
+        # at p = 65537 a product of two digits reaches (p-1)^2 = 2^32
+        assert count_branch_image(b, 65537, 1, n) == expect
+
     def test_strata_cover_image(self):
         for n in range(7):
             strata = count_branch_strata(CUSP, 7, 1, n)
@@ -291,6 +316,23 @@ class TestErrors:
     def test_negative_n(self):
         with pytest.raises(ValueError):
             count_branch_image(CUSP, 5, 1, -1)
+
+    COUNTERS = {
+        "image": lambda b, p, n: count_branch_image(b, p, 1, n),
+        "strata": lambda b, p, n: count_branch_strata(b, p, 1, n),
+        "geometric": count_branch_image_geometric,
+    }
+
+    @pytest.mark.parametrize("counter", COUNTERS)
+    def test_every_counter_rejects_a_bad_prime(self, counter):
+        # at n = 1 < m no stratum is enumerated, so only the entry check sees a_3 = 1/5
+        with pytest.raises(BadPrime):
+            self.COUNTERS[counter](BranchSpec.make(2, {3: Fraction(1, 5)}), 5, 1)
+
+    @pytest.mark.parametrize("counter", COUNTERS)
+    def test_every_counter_rejects_negative_n(self, counter):
+        with pytest.raises(ValueError, match="n must be >= 0"):
+            self.COUNTERS[counter](CUSP, 5, -3)
 
 
 class TestCountReport:
