@@ -122,9 +122,11 @@ def _units(idx: np.ndarray, h: int, c: int, fld: Fq) -> list[np.ndarray]:
 
 
 def _images(
-    units: list[np.ndarray], ell: int, n: int, b: BranchSpec, fld: Fq
+    units: list[np.ndarray], ell: int, n: int, m: int, coeff: dict[int, int], fld: Fq
 ) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """Digit arrays of x_t and y_t, t = 0..n, of the images (w^m, sum a_j w^j) of the arcs w = t^ell u.
+
+    ``coeff`` maps each exponent j to the residue of a_j mod p.
 
     Coefficient k of u^j depends on u_0..u_k only, so it is an array over the
     grid axes of those digits: coef_k(u^j) = sum_i u_i coef_(k-i)(u^(j-1)),
@@ -138,7 +140,6 @@ def _images(
     # a coefficient sums at most n+1 products of digit vectors, each d products of two digits
     if (n + 2) * d * (p - 1) ** 2 >= 2**63:
         raise ValueError(f"digit sums at p = {p} do not fit a 64-bit integer")
-    coeff = {j: residue(a, p) for j, a in b.coeffs.items()}
     basis = [*np.eye(d, dtype=np.int64), *np.array(fld.reduction, dtype=np.int64)]
     table = np.array([basis[a : a + d] for a in range(d)])  # table[a, s]: digits of u^(a+s)
     mul = [np.tensordot(u, table, axes=(-1, 0)) % p for u in units]
@@ -151,7 +152,7 @@ def _images(
     x = [np.zeros(d, dtype=np.int64)] * (n + 1)
     y = list(x)
     power, e = units, 1
-    for target in sorted({b.m, *coeff}):
+    for target in sorted({m, *coeff}):
         L = n + 1 - target * ell
         if L <= 0:
             break
@@ -159,7 +160,7 @@ def _images(
             power = [coef(power, k) for k in range(min(L, len(power) + len(mul) - 1))]
             e += 1
         for t, v in enumerate(power[:L], target * ell):
-            if target == b.m:
+            if target == m:
                 x[t] = v
             if coeff.get(target):
                 y[t] = y[t] + coeff[target] * v
@@ -186,6 +187,7 @@ def _distinct(parts: list[np.ndarray]) -> np.ndarray:
 
 def _stratum_keys(
     b: BranchSpec,
+    coeff: dict[int, int],
     fld: Fq,
     n: int,
     ell: int,
@@ -198,8 +200,9 @@ def _stratum_keys(
     Such an arc has w_0 = 0, so x and y vanish below t^m: a key packs the
     base-p digits of x and y at t-positions m..n into one int64.  With
     ``rational`` only images whose digits all lie in F_p are kept, keyed by
-    their F_p digits.  Digits w_(ell+k) with k > n - ell*m never reach the
-    image, so the grid of units stops below them.
+    their F_p digits.  ``coeff`` holds the residues a_j mod p.  Digits
+    w_(ell+k) with k > n - ell*m never reach the image, so the keys have
+    length 1 on their axes: arcs that differ only there share one key.
 
     A grid of more than `_CHUNK_ROWS` units is cut into the fewest equal
     ranges of leading-digit prefixes whose grids hold at most `_CHUNK_ROWS`;
@@ -215,14 +218,13 @@ def _stratum_keys(
     width = 2 * max(0, n + 1 - b.m) * (1 if rational else fld.d)
     if p**width > 2**63:
         raise BudgetExceeded(f"image keys of {width} base-{p} digits do not fit one int64 word")
-    c = max(0, min(c, n - ell * b.m))
     h = next(h for h in range(1, c + 2) if q ** (c + 1 - h) <= _CHUNK_ROWS)
     prefixes = (q - 1) * q ** (h - 1)
     chunks = -(-prefixes // (_CHUNK_ROWS // q ** (c + 1 - h)))
     bounds = [k * prefixes // chunks for k in range(chunks + 1)]
 
     def keys(lo: int, hi: int) -> np.ndarray:
-        x, y = _images(_units(np.arange(lo, hi), h, c, fld), ell, n, b, fld)
+        x, y = _images(_units(np.arange(lo, hi), h, c, fld), ell, n, b.m, coeff, fld)
         digits = [v for t in range(b.m, n + 1) for v in (x[t], y[t])]
         if rational:
             keep = functools.reduce(np.logical_and, [(v[..., 1:] == 0).all(-1) for v in digits], True)
@@ -244,15 +246,31 @@ def _stratum_keys(
 # ---------------------------------------------------------------------------
 
 
-def _checked_field(b: BranchSpec, p: int, d: int, n: int) -> Fq:
-    """F_{p^d}, after the entry checks every counter shares: p prime, n >= 0, each a_j a residue mod p."""
+def _checked(b: BranchSpec, p: int, d: int, n: int) -> tuple[Fq, dict[int, int]]:
+    """F_{p^d} and the residues a_j mod p, after the entry checks every counter shares.
+
+    The checks: p prime, n >= 0, and p dividing no denominator of an a_j.
+    """
     fld = Fq(p, d)
-    for j, a in b.coeffs.items():
-        if residue(a, p) is None:
-            raise BadPrime(f"p = {p} divides the denominator of a_{j} = {a}")
+    coeff = {j: residue(a, p) for j, a in b.coeffs.items()}
+    for j, a in coeff.items():
+        if a is None:
+            raise BadPrime(f"p = {p} divides the denominator of a_{j} = {b.coeffs[j]}")
     if n < 0:
         raise ValueError("n must be >= 0")
-    return fld
+    return fld, coeff
+
+
+def _strata(b: BranchSpec, coeff: dict[int, int], fld: Fq, n: int, budget: int) -> dict[int, int]:
+    """`count_branch_strata` once the entry checks have passed."""
+    out: dict[int, int] = {}
+    for ell in range(1, n // b.m + 1):
+        if b.m == 1:
+            # x = w recovers the arc, so the stratum maps injectively
+            out[ell] = (fld.q - 1) * fld.q ** (n - ell)
+        else:
+            out[ell] = len(_stratum_keys(b, coeff, fld, n, ell, n - ell * b.m, budget))
+    return out
 
 
 def count_branch_image(
@@ -268,18 +286,19 @@ def count_branch_image(
     In a field x_0 = w_0^m vanishes exactly when w_0 = 0, so the centred
     images are those of the q^n arcs with w_0 = 0.  Exhaustive mode
     enumerates all of them, contact order ell = 1..n in turn, plus the zero
-    arc; window mode enumerates each contact order ell <= n/m only over the
-    coefficients w_ell .. w_{ell+c}, c = n - ell*m, which provably determine
-    the truncated image, and adds the zero arc.
+    arc, and merges their images by key; window mode enumerates each contact
+    order ell <= n/m only over the coefficients w_ell .. w_{ell+c},
+    c = n - ell*m, which provably determine the truncated image, sums the
+    strata and adds the zero arc.
     """
-    fld = _checked_field(b, p, d, n)
+    fld, coeff = _checked(b, p, d, n)
     if window:
-        return 1 + sum(count_branch_strata(b, p, d, n, budget).values())
+        return 1 + sum(_strata(b, coeff, fld, n, budget).values())
     total = fld.q**n
     if total > budget:
         raise BudgetExceeded(f"exhaustive enumeration needs {total} arcs > budget {budget}")
     zero = np.zeros(1, dtype=np.int64)
-    strata = [_stratum_keys(b, fld, n, ell, n - ell, budget) for ell in range(1, n + 1)]
+    strata = [_stratum_keys(b, coeff, fld, n, ell, n - ell, budget) for ell in range(1, n + 1)]
     return len(_distinct([zero, *strata]))
 
 
@@ -295,15 +314,8 @@ def count_branch_strata(
     Strata are disjoint (the image determines ell through ord x = ell*m) and
     together with the zero arc exhaust the image.
     """
-    fld = _checked_field(b, p, d, n)
-    out: dict[int, int] = {}
-    for ell in range(1, n // b.m + 1):
-        if b.m == 1:
-            # x = w recovers the arc, so the stratum maps injectively
-            out[ell] = (fld.q - 1) * fld.q ** (n - ell)
-        else:
-            out[ell] = len(_stratum_keys(b, fld, n, ell, n - ell * b.m, budget))
-    return out
+    fld, coeff = _checked(b, p, d, n)
+    return _strata(b, coeff, fld, n, budget)
 
 
 def count_branch_report(
@@ -338,14 +350,14 @@ def count_branch_image_geometric(
     satisfies w^m = x over F_p((t)) up to truncation); callers should label
     results accordingly.
     """
-    _checked_field(b, p, 1, n)
+    fld, coeff = _checked(b, p, 1, n)
     if b.m == 1:
         # x = w, so an image over F_p comes from an arc over F_p
-        return count_branch_image(b, p, 1, n, budget=budget)
+        return 1 + sum(_strata(b, coeff, fld, n, budget).values())
     total = 1  # zero arc
     for ell in range(1, n // b.m + 1):
         c = n - ell * b.m
-        keys = [_stratum_keys(b, Fq(p, d), n, ell, c, budget, rational=True) for d in range(1, b.m + 1)]
+        keys = [_stratum_keys(b, coeff, Fq(p, d), n, ell, c, budget, rational=True) for d in range(1, b.m + 1)]
         total += len(_distinct(keys))
     return total
 

@@ -10,7 +10,9 @@ Reference models of code the library only runs vectorized or specialised:
 modulus and reduction table, :class:`TruncPow` builds F_q[t]/t^{n+1} on it
 (the counting grid is checked against it digit by digit, and against
 :func:`ref_branch_images`, the row kernel it replaced: one row of digits
-per arc, each power u^j built by chained truncated :func:`ref_series_mul`),
+per arc, each power u^j built by chained truncated :func:`ref_series_mul`;
+:func:`ref_count_images` counts the images of all q^n arcs with untruncated
+powers, the reference for window and exhaustive counts),
 :func:`ratfunc_from_polys` reduces num/den by a full Euclidean gcd over Q
 (the reference for `RatFunc.from_binomials`), :func:`ref_taylor` expands a
 `RatFunc` by the recurrence in Fractions (the reference for the integer
@@ -613,6 +615,33 @@ def ref_branch_images(u: np.ndarray, ell: int, n: int, b: BranchSpec, fld: Fq) -
             out[:, 0, at] = term
         out[:, 1, at] = (out[:, 1, at] + coeff.get(target, 0) * term) % p
     return out
+
+
+def ref_count_images(b: BranchSpec, p: int, d: int, n: int) -> int:
+    """Distinct images (w^m, sum a_j w^j) mod t^(n+1) of all q^n arcs w = w_1 t + ... + w_n t^n.
+
+    No contact-order split, digit window or truncated power: every arc is one
+    row, each power w^j is the full product mod t^(n+1) by
+    :func:`ref_series_mul`, and distinct images are distinct rows.
+    """
+    fld = Fq(p, d)
+    q = fld.q
+    idx = np.arange(q**n)
+    w = np.zeros((q**n, n + 1, d), dtype=np.int64)
+    for k in range(1, n + 1):
+        for e in range(d):
+            w[:, k, e] = idx // q ** (k - 1) // p**e % p
+    coeff = {j: a.numerator * pow(a.denominator, -1, p) % p for j, a in b.coeffs.items()}
+    x = y = np.zeros_like(w)
+    power = w
+    for j in range(1, max([b.m, *coeff]) + 1):
+        if j > 1:
+            power = ref_series_mul(power, w, fld, n + 1)
+        if j == b.m:
+            x = power
+        y = (y + coeff.get(j, 0) * power) % p
+    images = np.stack([x, y], axis=1).reshape(q**n, -1).astype(np.min_scalar_type(p))
+    return len(np.unique(images, axis=0))
 
 
 def _ref_ordp(value: int, p: int) -> int | float:

@@ -58,7 +58,7 @@ from arczeta.verifier import (
 
 import pytest
 
-from helpers import brute_eval, direct_weighted_sum, quantifier_window
+from helpers import brute_eval, direct_weighted_sum, quantifier_window, ref_count_images
 from test_presburger import QE_CORPUS
 from test_ranges import SUM_CORPUS
 
@@ -153,9 +153,10 @@ def test_criterion_2_specialization_matches_enumeration(capsys):
         assert counted[(5, 6)] == 51
         assert window_elapsed <= 10.0
 
-        # exhaustive mode at the largest point: all 5^8 arcs with w_0 = 0, no windowing
+        # exhaustive mode at the largest point, and the images of all 5^8 arcs
+        # with w_0 = 0 by untruncated products, with no windowing or strata
         exhaustive = count_branch_image(STD4, 5, 1, 8, window=False)
-        assert exhaustive == counted[(5, 8)] == 2502
+        assert exhaustive == ref_count_images(STD4, 5, 1, 8) == counted[(5, 8)] == 2502
         assert time.perf_counter() - start <= 60.0
 
 

@@ -26,7 +26,15 @@ from arczeta.counting import _distinct, _pack
 from arczeta.fq import Fq
 from arczeta.ratseries import rs_expand, rs_specialize
 from arczeta.tate import TatePoly
-from helpers import RefFq, TruncPow, read_count_report, ref_branch_images, ref_series_mul, report_counts
+from helpers import (
+    RefFq,
+    TruncPow,
+    read_count_report,
+    ref_branch_images,
+    ref_count_images,
+    ref_series_mul,
+    report_counts,
+)
 
 SMOOTH = BranchSpec.make(1, {})
 LINE2 = BranchSpec.make(1, {2: Fraction(1, 3), 3: 2})
@@ -115,7 +123,8 @@ class TestKernelAgainstTruncPow:
     @pytest.mark.parametrize("b,p,d,n", ROWS)
     def test_branch_images_match_truncpow(self, b, p, d, n):
         F = RefFq(p, d)
-        amod = {j: F.scalar(a.numerator * pow(a.denominator, -1, p) % p) for j, a in b.coeffs.items()}
+        coeff = {j: a.numerator * pow(a.denominator, -1, p) % p for j, a in b.coeffs.items()}
+        amod = {j: F.scalar(a) for j, a in coeff.items()}
         for ell in range(1, n + 1):
             for c in range(n + 1):
                 arcs = (F.q - 1) * F.q**c
@@ -123,7 +132,7 @@ class TestKernelAgainstTruncPow:
                     break
                 for h in sorted({1, min(2, c + 1), c + 1}):
                     units = counting._units(np.arange(arcs // F.q ** (c + 1 - h)), h, c, F)
-                    x, y = counting._images(units, ell, n, b, F)
+                    x, y = counting._images(units, ell, n, b.m, coeff, F)
                     grid = np.broadcast_shapes(*(u.shape for u in units))
                     rows = _on_grid(units, grid)
                     images = _on_grid(x + y, grid).reshape(len(rows), 2, n + 1, d)
@@ -174,7 +183,7 @@ class TestImageKeys:
         # the cusp at n = 5 has keys of 2 * 4 digits, and 257^8 > 2^63; its
         # ell = 1 stratum has 256 * 257^3 arcs, so only a huge budget reaches the width
         with pytest.raises(BudgetExceeded, match="8 base-257 digits"):
-            counting._stratum_keys(CUSP, Fq(257), 5, 1, 3, budget=2**40)
+            counting._stratum_keys(CUSP, {3: 1}, Fq(257), 5, 1, 3, budget=2**40)
 
 
 class TestFrozenValues:
@@ -204,9 +213,9 @@ class TestWindowSoundness:
         n = data.draw(st.integers(0, n_hi))
         if any(a.denominator % p == 0 for a in b.coeffs.values()):
             return
-        assert count_branch_image(b, p, d, n, window=True) == count_branch_image(
-            b, p, d, n, window=False
-        )
+        # both modes against every arc's image by untruncated products
+        window = count_branch_image(b, p, d, n, window=True)
+        assert window == count_branch_image(b, p, d, n, window=False) == ref_count_images(b, p, d, n)
 
     def test_pooled_chunks_do_not_change_counts(self, monkeypatch):
         # window and exhaustive mode, d = 1 and 2, and the rational filter of
