@@ -205,12 +205,12 @@ def branch(path, fmt, normalize, out):
 @main.command("count")
 @click.option("--branch", "branch_path", default=None, metavar="FILE", help="Branch JSON file.")
 @click.option("--poly", "polys", multiple=True, metavar="EXPR", help="Polynomial equation(s); repeatable.")
-@click.option("--locus", "locus", multiple=True, metavar="EXPR", help="Reduction locus generator(s); repeatable.")
-@click.option("--origin", is_flag=True, help="Shorthand: reduction locus = all variables.")
+@click.option("--locus", multiple=True, metavar="EXPR", help="Reduction locus generator(s); repeatable (poly mode).")
+@click.option("--origin", is_flag=True, help="Shorthand: reduction locus = all variables (poly mode).")
 @click.option("-p", "--prime", type=int, required=True)
 @click.option("--ext-degree", "ext_degree", type=int, default=1, help="Field extension degree d (branch mode).")
 @click.option("--n-max", "n_max", type=click.IntRange(min=0), default=8)
-@click.option("--window/--no-window", "window", default=True)
+@click.option("--window/--no-window", "window", default=True, help="Windowed enumeration (branch mode).")
 @click.option("--budget", type=click.IntRange(min=1), default=DEFAULT_BUDGET)
 @click.option("--depth", type=int, default=None, help=f"Lifting depth (poly mode); default {DEPTH_POLICY}.")
 @click.option("--timings", is_flag=True, help="Include wall-clock timings (non-deterministic output).")
@@ -221,6 +221,14 @@ def count_cmd(branch_path, polys, locus, origin, prime, ext_degree, n_max, windo
     """Count jet images of a branch or liftable residues of a system."""
     if bool(branch_path) == bool(polys):
         _fail("exactly one of --branch or --poly is required")
+    # a flag set away from its default in a mode that never reads it is an error
+    if branch_path:
+        mode, set_flags = "--branch", {"--depth": depth is not None, "--locus": locus, "--origin": origin}
+    else:
+        mode, set_flags = "--poly", {"--ext-degree": ext_degree != 1, "--no-window": not window}
+    unread = [flag for flag, is_set in set_flags.items() if is_set]
+    if unread:
+        _fail(f"{mode} counts do not read {', '.join(unread)}")
     if branch_path:
         b = BranchSpec.from_json(_read_json(branch_path))
         report = count_branch_report(b, prime, ext_degree, n_max, window=window, budget=budget)

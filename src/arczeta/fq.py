@@ -72,7 +72,9 @@ def poly_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
     return out
 
 
-def _trim(r: list[int]) -> list[int]:
+def _trim(r: list) -> list:
+    """r without its zero top coefficients, trimmed in place (any dense
+    coefficient list: ints here, Fractions in `tate` and `ratseries`)."""
     while r and not r[-1]:
         r.pop()
     return r

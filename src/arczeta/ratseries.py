@@ -10,13 +10,11 @@ A `RatSeries` is numerator / denominator where
 All arithmetic is exact.  The shape is closed under addition and
 multiplication, supports truncated expansion (coefficients must land back in
 Q[L, L^-1]; otherwise `NonPolynomialCoefficient`), counting specialization
-L -> q into a reduced rational function over Q (`rs_specialize`), pole
-location in the T = L^alpha scale (`rs_poles_in_L`), and recovery of a
-rational form from initial coefficients against a known denominator
-(`rs_fit`).  Numerators add and multiply through the sparse kernel of
-`arczeta.tate`; `rs_add` works over the least common denominator, and
-equality is `(x - y).is_zero()`.  `rs_text` and `rs_latex` are one walk
-(`_render`) over two token tables.
+L -> q into a reduced rational function over Q (`rs_specialize`), and pole
+location in the T = L^alpha scale (`rs_poles_in_L`).  Numerators add and
+multiply through the sparse kernel of `arczeta.tate`; `rs_add` works over the
+least common denominator, and equality is `(x - y).is_zero()`.  `rs_text` and
+`rs_latex` are one walk (`_render`) over two token tables.
 
 Specialization never takes a gcd against the expanded denominator: every
 geometric factor becomes a binomial (1 - q^a T^b), and the numerator N is
@@ -46,9 +44,9 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Iterable, Mapping, Sequence
 
-from .fq import poly_gcd, poly_mul, poly_rem, residue
+from .fq import _trim, poly_gcd, poly_mul, poly_rem, residue
 from .tate import (
     _LATEX,
     _TEXT,
@@ -57,7 +55,6 @@ from .tate import (
     TatePoly,
     _as_poly,
     _qdivmod,
-    _qtrim,
     _sparse_add,
     _sparse_mul,
     cyclotomic_unit,
@@ -68,14 +65,6 @@ from .tate import (
 
 class SpecializationPole(ZeroDivisionError):
     """The counting specialization hit a vanishing denominator factor."""
-
-
-class InsufficientData(ValueError):
-    """Too few series coefficients to pin down a numerator."""
-
-
-class NoRationalFit(ValueError):
-    """The data is inconsistent with the hinted denominator."""
 
 
 TNum = dict[int, TatePoly]  # numerator: T-exponent -> coefficient
@@ -356,20 +345,8 @@ def rs_expand(x: RatSeries, order: int) -> TruncatedSeries:
 # rational functions over Q (the specialized side)
 
 
-def _qmul(a: Sequence[Fraction], b: Sequence[Fraction]) -> list[Fraction]:
-    if not a or not b:
-        return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, av in enumerate(a):
-        if not av:
-            continue
-        for j, bv in enumerate(b):
-            out[i + j] += av * bv
-    return out
-
-
 def _qgcd(a: Sequence[Fraction], b: Sequence[Fraction]) -> list[Fraction]:
-    a, b = _qtrim(a), _qtrim(b)
+    a, b = _trim(list(a)), _trim(list(b))
     while b:
         _, r = _qdivmod(a, b)
         a, b = b, r
@@ -477,7 +454,7 @@ class RatFunc:
         to N; only the others take the Euclidean gcd over Q, made primitive
         so that (Gauss) both divisions by it are exact in Z[T].
         """
-        num = _qtrim(num)
+        num = _trim(list(num))
         if not num:
             return cls((), (Fraction(1),))
         n, scale = _zscale(num)
@@ -594,49 +571,6 @@ def rs_poles_in_L(x: RatSeries) -> set[Fraction]:
         if order < mult:
             poles.add(alpha)
     return poles
-
-
-# ---------------------------------------------------------------------------
-# fitting a rational form to counted data
-
-
-def rs_fit(
-    data: Sequence[Union[int, Fraction]],
-    denom_hint: Sequence[tuple[Union[int, Fraction], int]],
-) -> list[Fraction]:
-    """Recover the numerator of sum(data[n] T^n) * prod(1 - c T^b).
-
-    `data` lists series coefficients c_0..c_N; `denom_hint` lists factors
-    (1 - c T^b).  The product of data and hint must be a polynomial of degree
-    <= N - D, D = sum of the b's: the D trailing computable coefficients act
-    as consistency checks.  Raises InsufficientData when N < D, NoRationalFit
-    when a check coefficient is nonzero.
-    """
-    coeffs = [Fraction(v) for v in data]
-    order = len(coeffs) - 1
-    if order < 0:
-        raise InsufficientData("no coefficients given")
-    den: list[Fraction] = [Fraction(1)]
-    for c, b in denom_hint:
-        if b < 1:
-            raise ValueError(f"hint factor needs b >= 1, got {b}")
-        den = _qmul(den, [Fraction(1)] + [Fraction(0)] * (b - 1) + [-Fraction(c)])
-    degd = len(den) - 1
-    if order < degd:
-        raise InsufficientData(f"need at least {degd + 1} coefficients, got {order + 1}")
-    prod = [Fraction(0)] * (order + 1)
-    for n in range(order + 1):
-        acc = Fraction(0)
-        for k in range(min(n, degd) + 1):
-            acc += den[k] * coeffs[n - k]
-        prod[n] = acc
-    bound = order - degd
-    for n in range(bound + 1, order + 1):
-        if prod[n]:
-            raise NoRationalFit(
-                f"coefficient of T^{n} in data * denominator is {prod[n]}, expected 0"
-            )
-    return _qtrim(prod[: bound + 1])
 
 
 # ---------------------------------------------------------------------------

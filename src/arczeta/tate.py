@@ -23,6 +23,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Mapping, NamedTuple, Sequence, Union
 
+from .fq import _trim
+
 Scalar = Union[int, Fraction]
 
 
@@ -304,28 +306,20 @@ def _dense(p: TatePoly, base: int) -> list[Fraction]:
     return out
 
 
-def _qtrim(p: Sequence[Fraction]) -> list[Fraction]:
-    p = list(p)
-    while p and not p[-1]:
-        p.pop()
-    return p
-
-
 def _qdivmod(a: Sequence[Fraction], b: Sequence[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
     """Quotient and trimmed remainder of dense Q[x] polynomials (ascending coefficients)."""
-    a, b = _qtrim(a), _qtrim(b)
+    r, b = _trim(list(a)), _trim(list(b))
     if not b:
         raise ZeroDivisionError("division by zero polynomial")
-    r = list(a)
-    q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
+    q = [Fraction(0)] * max(0, len(r) - len(b) + 1)
     support = [(j, bv) for j, bv in enumerate(b) if bv]
-    for i in range(len(a) - len(b), -1, -1):
+    for i in range(len(r) - len(b), -1, -1):
         c = r[i + len(b) - 1] / b[-1]
         if c:
             q[i] = c
             for j, bv in support:
                 r[i + j] -= c * bv
-    return q, _qtrim(r)
+    return q, _trim(r)
 
 
 def cyclotomic_unit(i: int) -> TatePoly:

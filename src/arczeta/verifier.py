@@ -45,7 +45,7 @@ from .counting import (
 )
 from .fq import is_prime
 from .liftable import count_liftable
-from .ratseries import NoRationalFit, RatFunc, rs_equal, rs_fit, rs_from_json, rs_specialize
+from .ratseries import rs_equal, rs_from_json, rs_specialize
 from .tate import json_value
 
 __all__ = [
@@ -58,14 +58,8 @@ __all__ = [
     "verify_branch_pgeom",
     "verify_igusa",
     "verify_cross_method",
-    "verify_rational_shape",
     "run_plan",
 ]
-
-# Enumeration cost grows like p^(n+1); past this bound the independent arc
-# count is out of desk reach and rational-shape fits fall back to the closed
-# form for the high coefficients (recorded in the verdict's assumptions).
-ENUMERATION_CEILING = 4_000_000
 
 GEOM_ASSUMPTION = "geometric counts search extensions of degree <= m only (heuristic, never certified)"
 
@@ -395,56 +389,6 @@ def verify_cross_method(plan: VerificationPlan) -> Verdict:
         return Fraction(lifted.count), Fraction(image), lifted.certified
 
     return _compare(plan, p_ar(c), count)
-
-
-def verify_rational_shape(plan: VerificationPlan, perturb: tuple[int, int] | None = None) -> Verdict:
-    """Reconstruct the specialized series from coefficient data by linear fit.
-
-    Uses the denominator shape of the symbolic series as the fit hint.  Data
-    coefficients come from jet enumeration while p^{n+1} stays within desk
-    reach and from the closed form beyond that (the count itself grows like
-    p^{n-m}, so no enumeration can reach high n); the trailing fit residuals
-    act as consistency checks either way.  Adding ``delta`` to coefficient
-    ``idx``, given as ``perturb=(idx, delta)`` (a negative control), must
-    break the fit.
-    """
-    if plan.target != "branch-par":
-        raise ValueError("rational-shape verification runs on a branch-par plan")
-    b = plan.branch
-    series = p_ar(characteristic_sequence(b))
-    order = plan.n_max + 1
-    rows: list[CompRow] = []
-    primes, assumptions = admissible_primes(plan)
-    forced: str | None = None
-    for p in primes:
-        specialized = rs_specialize(series, p)
-        coeffs = specialized.taylor(order)
-        data = list(coeffs)
-        enum_limit = -1
-        for n in range(order):
-            if p ** (n + 1) > ENUMERATION_CEILING:
-                break
-            counted = count_branch_image(b, p, 1, n, window=plan.window, budget=plan.budget)
-            rows.append(CompRow(p, n, coeffs[n], Fraction(counted)))
-            data[n] = Fraction(counted)
-            enum_limit = n
-        assumptions.append(
-            f"p={p}: fit data n <= {enum_limit} from jet enumeration, higher n from the closed form"
-        )
-        if perturb is not None:
-            idx, delta = perturb
-            if not 0 <= idx < order:
-                raise ValueError(f"perturb index {idx} outside 0..{order - 1}")
-            data[idx] += delta
-        hint = [(Fraction(p) ** a, bb) for a, bb in series.geom]
-        try:
-            num = rs_fit(data, hint)
-        except NoRationalFit as exc:
-            forced = f"p={p}: no rational fit: {exc}"
-            continue
-        if RatFunc.from_binomials(num, hint).taylor(order) != coeffs:
-            forced = f"p={p}: fitted rational function differs from the specialized series"
-    return Verdict.from_rows("branch-par", rows, assumptions=assumptions, forced_fail=forced)
 
 
 # target -> (runner, the plan fields besides ``target`` that it reads).  A plan

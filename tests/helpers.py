@@ -54,11 +54,11 @@ import numpy as np
 from arczeta import presburger as pb
 from arczeta.branch import BranchSpec
 from arczeta.counting import BudgetExceeded, CountReport, CountRow
-from arczeta.fq import Fq
+from arczeta.fq import Fq, _trim
 from arczeta.liftable import IntPoly, LiftResult
 from arczeta.ranges import IteratedRangeSystem, Piece
 from arczeta.ratseries import RatFunc, RatSeries, TruncatedSeries, _qgcd, _tnum_div_cyclo, _tnum_divmod_geom
-from arczeta.tate import Scalar, TatePoly, _qdivmod, _qtrim, cyclotomic_unit
+from arczeta.tate import Scalar, TatePoly, _qdivmod, cyclotomic_unit
 from arczeta.verifier import CompRow, Verdict
 
 
@@ -207,7 +207,7 @@ def _int_value(term: pb.LinTerm, pt: dict[str, int]) -> int:
 def ratfunc_from_polys(num: Sequence[Fraction], den: Sequence[Fraction]) -> RatFunc:
     """num/den reduced by one Euclidean gcd against the whole denominator,
     normalized to den(0) = 1 when den(0) != 0, else to a monic den."""
-    num, den = _qtrim(num), _qtrim(den)
+    num, den = _trim(list(num)), _trim(list(den))
     if not den:
         raise ZeroDivisionError("zero denominator")
     if not num:

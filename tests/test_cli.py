@@ -161,6 +161,29 @@ class TestCountCommand:
         r = runner.invoke(main, ["count", "--branch", files["cusp"], "-p", "4"])
         assert r.exit_code == 1  # not a prime
 
+    @pytest.mark.parametrize(
+        "args,error",
+        [
+            (["--branch", "CUSP", "--depth", "3", "--locus", "x", "--origin"], "--depth, --locus, --origin\n"),
+            (["--branch", "CUSP", "--depth", "6"], "--branch counts do not read --depth\n"),
+            (["--poly", "x^2 - y^3", "--ext-degree", "2", "--no-window"], "--ext-degree, --no-window\n"),
+            (["--poly", "x^2 - y^3", "--origin", "--no-window"], "--poly counts do not read --no-window\n"),
+        ],
+    )
+    def test_flag_its_mode_never_reads_exits_1(self, runner, files, args, error):
+        args = [files["cusp"] if a == "CUSP" else a for a in args]
+        r = runner.invoke(main, ["count", *args, "-p", "7", "--n-max", "2"])
+        assert r.exit_code == 1
+        assert r.stdout == ""
+        assert r.stderr.startswith("error: ") and error in r.stderr
+
+    def test_flags_at_their_defaults_are_accepted_in_either_mode(self, runner, files):
+        base = ["count", "--branch", files["cusp"], "-p", "7", "--n-max", "3"]
+        assert runner.invoke(main, [*base, "--window", "--ext-degree", "1"]).output == runner.invoke(main, base).output
+        base = ["count", "--poly", "x^2 - y^3", "--origin", "-p", "7", "--n-max", "3"]
+        r = runner.invoke(main, [*base, "--window", "--ext-degree", "1"])
+        assert r.exit_code == 0 and r.output == runner.invoke(main, base).output
+
     def test_budget_exhaustion_is_input_error(self, runner, files):
         r = runner.invoke(
             main,

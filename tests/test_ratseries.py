@@ -9,20 +9,17 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from arczeta import ratseries
+from arczeta.fq import poly_mul
 from arczeta.ratseries import (
-    InsufficientData,
-    NoRationalFit,
     RatFunc,
     RatSeries,
     SpecializationPole,
     _P,
     _coprime_mod_p,
-    _qmul,
     _zdiv_exact,
     rs_add,
     rs_equal,
     rs_expand,
-    rs_fit,
     rs_from_json,
     rs_latex,
     rs_mul,
@@ -146,7 +143,7 @@ def test_specialize_guard():
 def _binomial_product(factors):
     den = [Fraction(1)]
     for c, b in factors:
-        den = _qmul(den, [Fraction(1)] + [Fraction(0)] * (b - 1) + [-Fraction(c)])
+        den = poly_mul(den, [Fraction(1)] + [Fraction(0)] * (b - 1) + [-Fraction(c)])
     return den
 
 
@@ -172,7 +169,7 @@ def test_binomials_repeated_factors():
     # (1 - 2T)^2 / [(1 - 2T)^3 (1 - 4T^2)] = 1 / [(1 - 2T)^2 (1 + 2T)]
     f = _reduced_both_ways([1, -4, 4], [(2, 1)] * 3 + [(4, 2)])
     assert f.num == (Fraction(1),)
-    assert f.den == tuple(_qmul(_binomial_product([(2, 1), (2, 1)]), [Fraction(1), Fraction(2)]))
+    assert f.den == tuple(poly_mul(_binomial_product([(2, 1), (2, 1)]), [Fraction(1), Fraction(2)]))
 
 
 def test_binomials_zero_numerator_and_unit_factor():
@@ -217,7 +214,7 @@ def test_binomials_equal_full_gcd(shared, den_only, cofactor):
     # numerator = cofactor * (some binomials that may also sit in the denominator)
     num = [Fraction(v) for v in cofactor]
     for c, b in shared:
-        num = _qmul(num, [Fraction(1)] + [Fraction(0)] * (b - 1) + [-Fraction(c)])
+        num = poly_mul(num, [Fraction(1)] + [Fraction(0)] * (b - 1) + [-Fraction(c)])
     _reduced_both_ways(num, den_only + shared[::2])
 
 
@@ -261,36 +258,6 @@ def test_poles_multiplicity_vs_vanishing():
     # (1 - LT)/[(1 - LT)^2] still has a simple pole at alpha = -1
     x = RatSeries({0: ONE, 1: -1 * L(1)}, geom=[(1, 1), (1, 1)])
     assert rs_poles_in_L(x) == {Fraction(-1)}
-
-
-def test_fit_recovers_geometric():
-    data = [5**n for n in range(6)]
-    num = rs_fit(data, [(5, 1)])
-    assert num == [Fraction(1)]
-
-
-def test_fit_rejects_wrong_denominator():
-    data = [1, 1, 2, 3, 5, 8]  # Fibonacci: denominator is 1 - T - T^2
-    with pytest.raises(NoRationalFit):
-        rs_fit(data, [(1, 1)])
-
-
-def test_fit_insufficient():
-    with pytest.raises(InsufficientData):
-        rs_fit([1, 5], [(5, 1), (1, 2)])
-
-
-def test_fit_matches_specialize_roundtrip():
-    # build a series, specialize, expand, refit against the true denominator
-    x = rs_add(geom(0, 1), rs_mul(RatSeries.monomial(L(1) - 1, 2), geom(1, 1)))
-    q = 7
-    data = rs_specialize(x, q).taylor(10)
-    num = rs_fit(data, [(1, 1), (q, 1)])
-    assert num == [Fraction(1), Fraction(-7), Fraction(6), Fraction(-6)]
-    den = [Fraction(1)]
-    for c in (1, q):
-        den = _qmul(den, [Fraction(1), -Fraction(c)])
-    assert ratfunc_from_polys(num, den).taylor(10) == data
 
 
 def test_text_render():
@@ -489,7 +456,7 @@ def test_certificate_never_hides_a_common_factor(shared, cofactor, others):
     # num = R g with g | 1 - c T^b: the F_P certificate must not call the pair
     # coprime, and from_binomials must cancel g exactly as the full gcd does
     c, b, g = shared
-    num = _qmul([Fraction(v) for v in cofactor], [Fraction(v) for v in g])
+    num = poly_mul([Fraction(v) for v in cofactor], [Fraction(v) for v in g])
     assert not _coprime_mod_p(_integer_numerator(num), c.numerator, c.denominator, b)
     factors = others + [(c, b)]
     got = _reduced_both_ways(num, factors)
@@ -510,7 +477,7 @@ def test_certificate_unavailable_when_p_divides_u(monkeypatch):
     assert not _coprime_mod_p([1, 1], _P, 1, 2)
     f = _reduced_both_ways([1, 1], [(_P, 2)])
     assert len(calls) == 1 and len(f.den) == 3
-    f = _reduced_both_ways(_qmul([Fraction(2), Fraction(1, 7)], [Fraction(1), Fraction(-_P)]), [(_P**2, 2)])
+    f = _reduced_both_ways(poly_mul([Fraction(2), Fraction(1, 7)], [Fraction(1), Fraction(-_P)]), [(_P**2, 2)])
     assert len(calls) == 2 and f.den == (Fraction(1), Fraction(_P))
 
 

@@ -19,7 +19,6 @@ from arczeta.verifier import (
     verify_branch_pgeom,
     verify_cross_method,
     verify_igusa,
-    verify_rational_shape,
 )
 from helpers import read_verdict
 
@@ -151,6 +150,11 @@ class TestBranchPar:
         vals = {r.n: r.counted for r in v.rows}
         assert (vals[3], vals[4], vals[6]) == (1, 2, 51)
         assert all(r.certified for r in v.rows)
+        # (6;8,9): P_ar has numerator degree 24 over a denominator of T-degree 25
+        plan = VerificationPlan(target="branch-par", branch=BranchSpec.make(6, {8: 1, 9: 1}), primes=(7,), n_max=9)
+        v = verify_branch_par(plan)
+        assert v.summary == "pass" and v.assumptions == ()
+        assert [r.counted for r in v.rows] == [1, 1, 1, 1, 1, 1, 2, 8, 148, 2059]
 
     def test_excluded_prime_is_named_in_the_verdict(self):
         plan = VerificationPlan(target="branch-par", branch=STD4, primes=(5, 7, 13), n_max=4)
@@ -162,8 +166,6 @@ class TestBranchPar:
 
     def test_every_verification_names_excluded_primes(self):
         note = "p=2 excluded: 2 <= multiplicity 2"
-        plan = VerificationPlan(target="branch-par", branch=CUSP, primes=(2, 7), n_max=39)
-        assert note in verify_rational_shape(plan).assumptions
         plan = VerificationPlan(target="branch-pgeom", branch=CUSP, primes=(2, 7), n_max=3)
         assert note in verify_branch_pgeom(plan).assumptions
         plan = VerificationPlan(target="cusp-cross-method", branch=CUSP, primes=(2, 7), n_max=2)
@@ -267,33 +269,14 @@ class TestPgeom:
 
 
 class TestRationalShape:
+    """The retired rational-shape fit took a ``perturb`` argument; plans never did."""
+
     def test_perturb_is_rational_shape_only(self):
         with pytest.raises(TypeError):
             VerificationPlan(target="branch-par", branch=STD4, primes=(5,), n_max=3, perturb=(3, 1))
         obj = {**VerificationPlan(target="branch-par", branch=STD4, primes=(5,), n_max=3).to_json(), "perturb": [3, 1]}
         with pytest.raises(ValueError, match=re.escape("unknown plan fields: ['perturb']")):
             VerificationPlan.from_json(obj)
-
-    def test_fit_recovers_series(self):
-        plan = VerificationPlan(target="branch-par", branch=STD4, primes=(5,), n_max=39)
-        v = verify_rational_shape(plan)
-        assert v.summary == "pass"
-        assert any("jet enumeration" in a for a in v.assumptions)
-        assert {r.n for r in v.rows} == set(range(9))  # enumerated low coefficients
-
-    def test_cusp_fit(self):
-        plan = VerificationPlan(target="branch-par", branch=CUSP, primes=(7,), n_max=39)
-        assert verify_rational_shape(plan).summary == "pass"
-
-    def test_perturbed_coefficient_breaks_fit(self):
-        plan = VerificationPlan(target="branch-par", branch=STD4, primes=(5,), n_max=39)
-        v = verify_rational_shape(plan, perturb=(20, 1))
-        assert v.summary == "fail" and "no rational fit" in v.detail
-
-    def test_perturb_out_of_range(self):
-        plan = VerificationPlan(target="branch-par", branch=STD4, primes=(5,), n_max=9)
-        with pytest.raises(ValueError, match="perturb"):
-            verify_rational_shape(plan, perturb=(99, 1))
 
 
 class TestVerdict:
