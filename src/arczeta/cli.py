@@ -102,6 +102,13 @@ def _fail(message: str) -> None:
     sys.exit(1)
 
 
+def _reject_unread(mode: str, set_flags: dict[str, bool]) -> None:
+    """A flag set away from its default in a mode that never reads it is an error."""
+    unread = [flag for flag, is_set in set_flags.items() if is_set]
+    if unread:
+        _fail(f"{mode} do not read {', '.join(unread)}")
+
+
 def _guarded(fn):
     @functools.wraps(fn)
     def wrapper(*args, **kwargs):
@@ -221,14 +228,10 @@ def count_cmd(branch_path, polys, locus, origin, prime, ext_degree, n_max, windo
     """Count jet images of a branch or liftable residues of a system."""
     if bool(branch_path) == bool(polys):
         _fail("exactly one of --branch or --poly is required")
-    # a flag set away from its default in a mode that never reads it is an error
     if branch_path:
-        mode, set_flags = "--branch", {"--depth": depth is not None, "--locus": locus, "--origin": origin}
+        _reject_unread("--branch counts", {"--depth": depth is not None, "--locus": bool(locus), "--origin": origin})
     else:
-        mode, set_flags = "--poly", {"--ext-degree": ext_degree != 1, "--no-window": not window}
-    unread = [flag for flag, is_set in set_flags.items() if is_set]
-    if unread:
-        _fail(f"{mode} counts do not read {', '.join(unread)}")
+        _reject_unread("--poly counts", {"--ext-degree": ext_degree != 1, "--no-window": not window})
     if branch_path:
         b = BranchSpec.from_json(_read_json(branch_path))
         report = count_branch_report(b, prime, ext_degree, n_max, window=window, budget=budget)
@@ -327,15 +330,17 @@ def check(formula, point, declared):
 @main.command()
 @click.option("-k", "--exponent", "ks", multiple=True, type=int, required=True, help="Monomial exponent; repeatable.")
 @click.option("-p", "--prime", type=int, default=None, help="Check coefficients against exact volumes at p.")
-@click.option("--n-max", "n_max", type=click.IntRange(min=0), default=6)
-@click.option("--format", "fmt", type=click.Choice(["text", "json", "latex"]), default="text")
+@click.option("--n-max", "n_max", type=click.IntRange(min=0), default=6, help="Last n checked (with -p).")
+@click.option("--format", "fmt", type=click.Choice(["text", "json", "latex"]), default="text", help="latex: series only.")
 @click.option("--out", default=None, metavar="FILE")
 @_guarded
 def igusa(ks, prime, n_max, fmt, out):
     """Monomial integral series; with -p, verify against residue counting."""
     if prime is None:
+        _reject_unread("igusa series without -p", {"--n-max": n_max != 6})
         _emit_series(igusa_monomial(ks), fmt, out)
         return
+    _reject_unread("igusa -p verdicts", {"--format latex": fmt == "latex"})
     plan = VerificationPlan(target="igusa-monomial", exponents=tuple(ks), primes=(prime,), n_max=n_max)
     verdict = verify_igusa(plan)
     if fmt == "json":

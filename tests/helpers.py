@@ -28,7 +28,9 @@ by separate text and LaTeX walks (the reference for the one renderer behind
 children of a lifting cell point by point over Z (the reference for the F_p
 child test of `liftable`), and :func:`ref_count_liftable` walks the unpruned cell tree with direct
 `IntPoly.eval` and a Hensel bound from the p-orders of the Jacobian minors
-(the reference for `count_liftable`).
+(the reference for `count_liftable`); :func:`ref_certified_cells` walks that
+tree to the cells the cell certificate counts, and :func:`ref_lifts` lifts a
+residue digit by digit (the references for the cell certificate).
 
 Small readers of library objects that only tests need:
 :func:`ref_y_coeff`, :func:`ref_contains`, :func:`ref_iter_points`,
@@ -758,6 +760,50 @@ def ref_count_liftable(
         stack.extend((child, S + 1) for child in ref_surviving_children(f, p, K, b, S))
     certified = (bulk_count == 0 or bulk_certified) and all(owners.values())
     return LiftResult(count=bulk_count + len(owners), certified=certified, nodes=charge)
+
+
+def ref_certified_cells(
+    f: IntPoly, W: Sequence[IntPoly], p: int, n: int, max_depth: int
+) -> list[tuple[tuple[int, ...], int]]:
+    """The cells b + p^S Z^m that the cell certificate counts for one equation f.
+
+    Walks the tree of :func:`ref_count_liftable` down to level n and keeps the
+    branching cells (ord f(b) >= H, H < K) with H < 2S and H - S <= max_depth,
+    not searching below them.
+    """
+    K = n + 1 + max_depth
+    stack = [
+        (b, 1) for b in product(range(p), repeat=f.nvars) if all(poly.eval(b) % p == 0 for poly in [*W, f])
+    ]
+    cells = []
+    while stack:
+        b, S = stack.pop()
+        if S > n:
+            continue
+        F0, H = _ref_ordp(f.eval(b), p), ref_cell_horizon([f], p, b, S)
+        if min(F0, H) >= K or F0 < H:
+            continue
+        if H < 2 * S and H - S <= max_depth:
+            cells.append((b, S))
+        else:
+            stack.extend((child, S + 1) for child in ref_surviving_children([f], p, K, b, S))
+    return cells
+
+
+def ref_lifts(f: IntPoly, p: int, x: tuple[int, ...], level: int, K: int) -> bool:
+    """Whether x mod p^level is the residue of a solution of f mod p^K, K >= level.
+
+    Depth-first over the p^m digit vectors of each further level.
+    """
+    if f.eval(x) % p**level:
+        return False
+    if level >= K:
+        return True
+    step = p**level
+    return any(
+        ref_lifts(f, p, tuple(c + step * d for c, d in zip(x, digits)), level + 1, K)
+        for digits in product(range(p), repeat=len(x))
+    )
 
 
 def ref_y_coeff(b: BranchSpec, j: int) -> Fraction:

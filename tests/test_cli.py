@@ -3,6 +3,7 @@
 import gc
 import io
 import json
+import time
 import weakref
 from contextlib import redirect_stderr, redirect_stdout
 
@@ -184,6 +185,14 @@ class TestCountCommand:
         r = runner.invoke(main, [*base, "--window", "--ext-degree", "1"])
         assert r.exit_code == 0 and r.output == runner.invoke(main, base).output
 
+    def test_lifting_front_end_is_budgeted(self, runner):
+        # the power is raised by squaring, and the 6 000 001 Hasse derivatives are refused before any is taken
+        t0 = time.perf_counter()
+        r = runner.invoke(main, ["count", "--poly", "x^3000000 - y", "-p", "7", "--n-max", "0"])
+        assert time.perf_counter() - t0 < 1
+        assert r.exit_code == 1
+        assert r.stderr == "error: 6000001 Hasse derivatives exceed budget 4000000\n"
+
     def test_budget_exhaustion_is_input_error(self, runner, files):
         r = runner.invoke(
             main,
@@ -276,6 +285,22 @@ class TestIgusaCommand:
 
     def test_bad_exponent(self, runner):
         assert runner.invoke(main, ["igusa", "-k", "0"]).exit_code == 1
+
+    @pytest.mark.parametrize(
+        "args,error",
+        [
+            (["--n-max", "3"], "error: igusa series without -p do not read --n-max\n"),
+            (["-p", "5", "--format", "latex"], "error: igusa -p verdicts do not read --format latex\n"),
+        ],
+    )
+    def test_flag_its_mode_never_reads_exits_1(self, runner, args, error):
+        r = runner.invoke(main, ["igusa", "-k", "1", *args])
+        assert r.exit_code == 1
+        assert (r.stdout, r.stderr) == ("", error)
+
+    def test_flags_at_their_defaults_are_accepted(self, runner):
+        r = runner.invoke(main, ["igusa", "-k", "1", "--n-max", "6"])
+        assert r.exit_code == 0 and r.output == runner.invoke(main, ["igusa", "-k", "1"]).output
 
 
 class TestVerifyCommand:

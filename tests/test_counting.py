@@ -361,6 +361,13 @@ class TestCountReport:
         assert report_counts(rep) == {0: 1, 1: 13, 2: 169, 3: 13**3}
         assert any("injective" in a for a in rep.assumptions)
 
+    @pytest.mark.parametrize("b", [SMOOTH, LINE2])
+    def test_m1_shortcut_past_n_10(self, b):
+        # the injective strata at n = 11, 12 against the P_ar coefficient and all 2^n arcs
+        tay = rs_specialize(p_ar(characteristic_sequence(b)), 2).taylor(12)
+        for n in (11, 12):
+            assert count_branch_image(b, 2, 1, n) == tay[n] == ref_count_images(b, 2, 1, n) == 2**n
+
     def test_exhaustive_method_label(self):
         rep = count_branch_report(CUSP, 3, 1, 3, window=False)
         assert all(r.method == "exhaustive" for r in rep.rows)

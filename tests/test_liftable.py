@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import random
 
 import pytest
 from hypothesis import Phase, assume, given, settings
@@ -14,9 +15,11 @@ from arczeta.presburger import FormulaSyntaxError
 
 from helpers import (
     ref_cell_horizon,
+    ref_certified_cells,
     ref_count_liftable,
     ref_gradient,
     ref_hensel_bound,
+    ref_lifts,
     ref_surviving_children,
 )
 
@@ -36,6 +39,13 @@ class TestPolyParser:
         assert IntPoly.parse("2*x1*x2 + 7").eval((3, 4)) == 31
         assert IntPoly.parse("-x^2 + 3").eval((2,)) == -1
         assert IntPoly.parse("x*x*x").terms == IntPoly.parse("x^3").terms
+
+    def test_powers_by_squaring(self):
+        assert IntPoly.parse("x^200000") == IntPoly.make(1, {(200000,): 1})
+        assert IntPoly.parse("(x - 2*y)^13") == IntPoly.make(
+            2, {(13 - k, k): math.comb(13, k) * (-2) ** k for k in range(14)}
+        )
+        assert IntPoly.parse("(x + 1)^0") == IntPoly.make(1, {(0,): 1})
 
     def test_whitespace_insensitive(self):
         assert IntPoly.parse(" x1 ^2-x2^ 3 ").terms == IntPoly.parse("x1^2-x2^3").terms
@@ -350,6 +360,87 @@ class TestAgainstReferenceTree:
         assert (got.count, got.certified) == (want.count, want.certified) == (3, True)
 
 
+def _random_system(rng: random.Random, p: int, nvars: int, equations: int) -> list[IntPoly]:
+    """Equations with terms of p-power coefficients, any constant term divisible by p.
+
+    Half carry a diagonal part c_i x_i^{a_i}, singular at the origin; most carry
+    a linear term p^j x_i, j <= 2, so the gradient has positive order on cells.
+    """
+    polys = []
+    for _ in range(equations):
+        terms = {}
+        if rng.random() < 0.5:
+            for i in range(nvars):
+                terms[tuple(rng.randint(2, 4) * (j == i) for j in range(nvars))] = rng.choice([1, -1, 2, 3])
+        if rng.random() < 0.7:
+            i = rng.randrange(nvars)
+            terms[tuple(int(j == i) for j in range(nvars))] = rng.choice([1, -1]) * p ** rng.choice([0, 0, 1, 2])
+        for _ in range(rng.randint(1, 3)):
+            expo = tuple(rng.randint(0, 2) for _ in range(nvars))
+            terms[expo] = terms.get(expo, 0) + rng.choice([1, -1, 2]) * p ** rng.randint(not any(expo), 2)
+        polys.append(IntPoly.make(nvars, terms))
+    return polys
+
+
+def _variables(nvars: int, k: int) -> list[IntPoly]:
+    """x_1 .. x_k in nvars variables: the locus of their common zero mod p."""
+    return [IntPoly.make(nvars, {tuple(int(i == j) for i in range(nvars)): 1}) for j in range(k)]
+
+
+class TestCellCertificate:
+    """Counting a smooth cell's residues at once, against the tree without it and a brute-force lift."""
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+    def test_seeded_sweep_matches_reference(self, p):
+        fired = compared = 0
+        for nvars in (2, 3):
+            rng = random.Random(100 * p + nvars)
+            small = p**nvars < 400  # else one level and a line as locus keep the reference tree small
+            for _ in range(12):
+                polys = _random_system(rng, p, nvars, rng.choice([1, 1, 2]))
+                locus = _variables(nvars, rng.choice([0, 1, nvars]) if small else nvars - 1)
+                n, depth = rng.randint(1, 3 if small else 1), rng.randint(0, 5)
+                try:
+                    want = ref_count_liftable(polys, locus, p, n, depth, 10_000)
+                except BudgetExceeded:
+                    continue
+                got = count_liftable(polys, locus, p, n, depth)
+                assert (got.count, got.certified) == (want.count, want.certified), (polys, locus, n, depth)
+                compared += 1
+                # the reference branches where a certificate stops, so firing saves nodes
+                if len(polys) == 1 and ref_certified_cells(polys[0], locus, p, n, depth):
+                    fired += 1
+                    assert got.nodes < want.nodes
+                else:
+                    assert got.nodes <= want.nodes
+        assert compared >= 10 and fired >= 3, (compared, fired)
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_sampled_residues_of_certified_cells_lift(self, p):
+        """Each residue y' of the non-pivot coordinates of a certified cell has exactly one pivot residue that lifts."""
+        rng = random.Random(p)
+        checked = 0
+        while checked < 12:
+            nvars = rng.choice([2, 3])
+            f = _random_system(rng, p, nvars, 1)[0]
+            n, depth = rng.randint(1, 3), rng.randint(0, 3)
+            cells = ref_certified_cells(f, [], p, n, depth)
+            for b, S in rng.sample(cells, min(2, len(cells))):
+                N = n + 1 - S
+                gradient = [_ordp(d.eval(b), p) for d in ref_gradient(f)]
+                k = gradient.index(min(gradient))
+                for _ in range(2):
+                    rest = [rng.randrange(p**N) for _ in range(nvars - 1)]
+                    lifting = []
+                    for t in range(p**N):
+                        y = rest[:k] + [t] + rest[k:]
+                        x = tuple(c + p**S * d for c, d in zip(b, y))
+                        if ref_lifts(f, p, x, n + 1, n + 1 + depth):
+                            lifting.append(t)
+                    assert len(lifting) == 1, (f, b, S, n, depth, rest, lifting)
+                    checked += 1
+
+
 class TestHensel:
     """The divisibility form of Hensel's criterion against the p-orders of the Jacobian minors."""
 
@@ -390,8 +481,8 @@ class TestCuspCrossMethod:
 
     # (count, certified, nodes) of x^2 = y^3 at depth 12, the cusp-cross-method plans
     TREE = {
-        7: [(1, True, 1), (1, True, 57), (4, True, 449), (43, True, 841), (298, True, 4803), (2080, True, 25145)],
-        11: [(1, True, 1), (1, True, 133), (6, True, 1585), (111, True, 3037), (1216, True, 26379)],
+        7: [(1, True, 1), (1, True, 57), (4, True, 449), (43, True, 841), (298, True, 2451), (2080, True, 6329)],
+        11: [(1, True, 1), (1, True, 133), (6, True, 1585), (111, True, 3037), (1216, True, 11859)],
     }
 
     @pytest.mark.parametrize("p", [7, 11])
@@ -432,6 +523,12 @@ class TestBudget:
     def test_tree_budget(self):
         with pytest.raises(BudgetExceeded):
             count_liftable(["x^2 - y^3"], ["x", "y"], 11, 5, 10, budget=1000)
+
+    def test_derivative_budget(self):
+        # (2 + 1)(3 + 1) - 1 = 11 derivatives of x^2 y^3, 7 of x^7: 18 in all, charged before any is taken
+        with pytest.raises(BudgetExceeded, match="^18 Hasse derivatives exceed budget 17$"):
+            count_liftable(["x^2 * y^3", "x^7"], [], 2, 0, 0, budget=17)
+        assert count_liftable(["x^2 * y^3", "x^7"], [], 2, 0, 0, budget=18).count == 2  # x = 0, any y
 
     def test_root_budget(self):
         with pytest.raises(BudgetExceeded):

@@ -300,6 +300,11 @@ class TestVerdict:
         ]
         assert Verdict.from_rows("branch-par", rows).summary == "fail"
 
+    def test_certified_mismatch_at_n_0_fails(self):
+        rows = [CompRow(5, 0, Fraction(1), Fraction(2), certified=True), CompRow(5, 1, Fraction(5), Fraction(5))]
+        v = Verdict.from_rows("branch-par", rows)
+        assert (v.summary, v.detail) == ("fail", "first mismatch at p=5, n=0: symbolic 1 != counted 2")
+
     def test_fractional_values_survive_roundtrip(self):
         rows = [CompRow(3, 4, Fraction(3, 2), Fraction(2), certified=True)]
         v = Verdict.from_rows("branch-par", rows)
