@@ -25,8 +25,8 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .fq import is_prime, residue
-from .ratseries import RatSeries, rs_add, rs_mul, rs_scale
-from .tate import TatePoly, json_value
+from .ratseries import RatSeries, rs_add, rs_mul
+from .tate import TatePoly, json_rational, json_value
 
 __all__ = [
     "TruncationTooShort",
@@ -91,7 +91,7 @@ class BranchSpec:
 
     @classmethod
     def from_json(cls, obj: Mapping | str) -> BranchSpec:
-        """Parse ``{"m": 4, "coeffs": [[6, "1"], [7, "1"]]}`` (rationals as strings)."""
+        """Parse ``{"m": 4, "coeffs": [[6, "1"], [7, "1"]]}`` (rationals as strings or integers, never floats)."""
         if isinstance(obj, str):
             obj = json.loads(obj)
         if not isinstance(obj, Mapping):
@@ -102,7 +102,7 @@ class BranchSpec:
             for j, a in obj["coeffs"]:
                 if json_value(j, int, "coefficient index") in coeffs:
                     raise ValueError(f"coefficient a_{j} given twice")
-                coeffs[j] = Fraction(str(a))
+                coeffs[j] = json_rational(a, f"coefficient a_{j}")
             trunc = json_value(obj["truncation"], int, "truncation") if "truncation" in obj else None
         except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"malformed branch JSON: {exc}") from exc
@@ -161,38 +161,20 @@ def characteristic_sequence(b: BranchSpec) -> CharSeq:
 
 def p_geom(c: CharSeq) -> RatSeries:
     """1/(1-T) + (L-1)/(1-L*T) * T^m/(1-T^m), kept unnormalized."""
-    m = c.m
-    head = RatSeries.geometric(0, 1)
-    tail = rs_scale(
-        rs_mul(
-            rs_mul(RatSeries.geometric(1, 1), RatSeries.monomial(1, m)),
-            RatSeries.geometric(0, m),
-        ),
-        TatePoly.L(1) - TatePoly.one(),
-    )
-    return rs_add(head, tail)
+    tail = RatSeries({c.m: TatePoly.L(1) - TatePoly.one()}, geom=[(1, 1), (0, c.m)])
+    return rs_add(RatSeries.geometric(0, 1), tail)
 
 
 def p_ar(c: CharSeq) -> RatSeries:
     """The arithmetic Poincare series in the closed form quoted in the module doc."""
     m = c.m
-    bracket = rs_scale(
-        rs_mul(RatSeries.monomial(1, m), RatSeries.geometric(0, m)),
-        Fraction(1, m),
-    )
+    bracket = RatSeries({m: Fraction(1, m)}, geom=[(0, m)])
     for i in range(1, c.g + 1):
         bi = c.beta[i]
-        term = rs_scale(
-            rs_mul(RatSeries.monomial(TatePoly.L(bi - m), bi), RatSeries.geometric(bi - m, bi)),
-            Fraction(c.N[i] - c.N[i - 1], m),
-        )
+        term = RatSeries({bi: TatePoly.L(bi - m, Fraction(c.N[i] - c.N[i - 1], m))}, geom=[(bi - m, bi)])
         bracket = rs_add(bracket, term)
-    head = RatSeries.geometric(0, 1)
-    tail = rs_scale(
-        rs_mul(RatSeries.geometric(1, 1), bracket),
-        TatePoly.L(1) - TatePoly.one(),
-    )
-    return rs_add(head, tail)
+    tail = rs_mul(RatSeries({0: TatePoly.L(1) - TatePoly.one()}, geom=[(1, 1)]), bracket)
+    return rs_add(RatSeries.geometric(0, 1), tail)
 
 
 def chi_c_arc_class(c: CharSeq, n: int, ell: int) -> tuple[TatePoly, TatePoly]:

@@ -1,40 +1,36 @@
 """Rational power series in T over Q[L, L^-1, (L^i - 1)^-1].
 
-A `RatSeries` is numerator / denominator where
+A `RatSeries` is num / den / prod (1 - L^a T^b) / prod (L^i - 1), a in Z,
+b >= 1, i >= 1.  The numerator is one flat dict {(T-exponent, L-exponent):
+nonzero int} over one positive integer `den`, kept primitive:
+gcd(den, *coefficients) = 1, Gauss's primitive part.  All arithmetic is exact
+and on plain ints, through the sparse kernel of `arczeta.tate` keyed by
+exponent pairs; `rs_add` works over the least common denominator, and
+equality is `(x - y).is_zero()`.  The public constructor takes {T-exponent:
+TatePoly} and checks every factor; the arithmetic builds its results with
+`_series`, which trusts factor tuples that are already valid and sorted.  The
+outputs write each coefficient as Fraction(v, den); `rs_text` and `rs_latex`
+are one walk (`_render`) over two token tables.
 
-* the numerator is a polynomial in T with `TatePoly` coefficients, stored as
-  a sparse dict T-exponent -> TatePoly;
-* the denominator is a multiset of geometric factors (1 - L^a T^b) with
-  a in Z, b >= 1, plus a multiset of scalar factors (L^i - 1) with i >= 1.
+`_div_binomial` is the one exact division: by (1 - L^a T^b), whose leading
+coefficient -L^a is a unit, and, with b = 0, of each T-coefficient by
+1 - L^i; both are exact over Z when they are exact over Q.  `rs_normalize`
+skips it whenever the numerator at L = _ELL, reduced mod P = 2^61 - 1 and
+mod (1 - _ELL^a T^b) by `fq.poly_rem`, leaves a remainder, which proves the
+division inexact.
 
-All arithmetic is exact.  The shape is closed under addition and
-multiplication, supports truncated expansion (coefficients must land back in
-Q[L, L^-1]; otherwise `NonPolynomialCoefficient`), counting specialization
-L -> q into a reduced rational function over Q (`rs_specialize`), and pole
-location in the T = L^alpha scale (`rs_poles_in_L`).  Numerators add and
-multiply through the sparse kernel of `arczeta.tate`; `rs_add` works over the
-least common denominator, and equality is `(x - y).is_zero()`.  `rs_text` and
-`rs_latex` are one walk (`_render`) over two token tables.
-
-Specialization never takes a gcd against the expanded denominator: every
-geometric factor becomes a binomial (1 - q^a T^b), and the numerator N is
-reduced against one binomial at a time, using
-gcd(N, A B) = gcd(N, A) * gcd(N / gcd(N, A), B).  The specialized side works
-in Z[T] (`RatFunc.from_binomials`):
-
-* N is scaled to integers once, and 1 - (u/v) T^b becomes v - u T^b;
-* a gcd of degree 0 modulo the prime P = 2^61 - 1 (`fq.poly_gcd`), with P
-  dividing neither u nor v, proves the factor coprime to N over Q (Brown's
-  modular gcd bound), so no rational Euclid runs for it;
-* otherwise the Euclidean gcd over Q, made primitive, divides N and the
-  binomial exactly in Z[T] (Gauss's lemma).
-
-The result is the same reduced, normalized pair a full Euclidean gcd gives
-(the tests hold the full-gcd reference).  `RatFunc.taylor` expands by an
-integer recurrence with one division per coefficient.  `rs_normalize` skips
-the long division by (1 - L^a T^b) whenever the numerator at a fixed L = l,
-reduced mod P and mod (1 - l^a T^b) by `fq.poly_rem`, leaves a remainder,
-which proves the division inexact.
+Specialization at q = u/v (`rs_specialize`) makes the numerator an integer
+polynomial in T and reduces it against one binomial 1 - q^a T^b at a time,
+as gcd(N, A B) = gcd(N, A) * gcd(N / gcd(N, A), B), in Z[T]
+(`RatFunc.from_binomials`): 1 - (u/v) T^b becomes v - u T^b; a gcd of
+degree 0 mod P (`fq.poly_gcd`), with P dividing neither u nor v, proves the
+pair coprime over Q (Brown's modular gcd bound), so no rational Euclid runs;
+otherwise the Euclidean gcd over Q, made primitive, divides both exactly in
+Z[T] (Gauss's lemma).  The result is the reduced pair with den(0) = 1 that a
+full Euclidean gcd gives (the tests hold that reference).  `RatFunc.taylor`
+expands by an integer recurrence with one division per coefficient,
+`rs_expand` truncates over Q[L, L^-1], and `rs_poles_in_L` locates the poles
+in the T = L^alpha scale.
 """
 
 from __future__ import annotations
@@ -46,17 +42,17 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence
 
-from .fq import _trim, poly_gcd, poly_mul, poly_rem, residue
+from .fq import _trim, poly_gcd, poly_mul, poly_rem
 from .tate import (
     _LATEX,
     _TEXT,
-    NonPolynomialCoefficient,
     Scalar,
     TatePoly,
     _as_poly,
     _qdivmod,
     _sparse_add,
     _sparse_mul,
+    _wrap,
     cyclotomic_unit,
     json_rows,
     json_value,
@@ -67,7 +63,7 @@ class SpecializationPole(ZeroDivisionError):
     """The counting specialization hit a vanishing denominator factor."""
 
 
-TNum = dict[int, TatePoly]  # numerator: T-exponent -> coefficient
+Num = dict[tuple[int, int], int]  # numerator: (T-exponent, L-exponent) -> nonzero int, over `den`
 
 # Modular certificates work in F_P for the Mersenne prime P = 2^61 - 1;
 # `rs_normalize` evaluates numerators there at L = _ELL (any unit is sound).
@@ -88,53 +84,62 @@ def _t_binomial(w: int, b: int) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# numerator (T-polynomial) helpers
+# numerator helpers
 
 
-def _tnum_scale(x: TNum, c: TatePoly) -> TNum:
-    if c.is_zero():
-        return {}
-    return {n: v * c for n, v in x.items()}
+def _add_keys(k1: tuple[int, int], k2: tuple[int, int]) -> tuple[int, int]:
+    """The exponent pair of a product of two monomials T^n L^e."""
+    return k1[0] + k2[0], k1[1] + k2[1]
 
 
-def _tnum_mul_geom(x: TNum, a: int, b: int) -> TNum:
-    """Multiply by (1 - L^a T^b)."""
-    return _sparse_add(x, {n + b: -c.shift(a) for n, c in x.items()})
+def _flatten(coeffs: Mapping[int, TatePoly]) -> tuple[Num, int]:
+    """{T-exponent: TatePoly} as a numerator over the lcm of its denominators (primitive already)."""
+    den = lcm(*(v.denominator for c in coeffs.values() for v in c.c.values()))
+    num = {(n, e): v.numerator * (den // v.denominator) for n, c in coeffs.items() for e, v in c.c.items()}
+    return num, den
 
 
-def _tnum_divmod_geom(x: TNum, a: int, b: int) -> tuple[TNum, bool]:
-    """Divide by (1 - L^a T^b); returns (quotient, exact).
+def _div_binomial(x: Num, a: int, b: int) -> Num | None:
+    """x / (1 - L^a T^b), or None when the division is inexact; b >= 1, or
+    b = 0 and a >= 1 (the division of each T-coefficient by 1 - L^a).
 
-    Division from the top: the leading T-coefficient of the divisor is the
-    unit -L^a, so the loop always terminates with a remainder of T-degree
-    < b, and exactness means that remainder is zero.
+    Write x = q (1 - M), M = L^a T^b.  The exponent pairs fall into chains
+    k, k + (b, a), ... from T-exponent n mod b (L-exponent e mod a if b = 0),
+    and along one, q a step below a point is minus the sum of x from there up.
+    x mod (1 - M) sends each chain to its start, so the division is exact
+    exactly when every chain sums to zero, and q is then integral.
     """
-    r = dict(x)
-    q: TNum = {}
-    while r:
-        n = max(r)
-        if n < b:
-            return q, False
-        shifted = r.pop(n).shift(-a)
-        q[n - b] = -shifted
-        s = r.get(n - b, TatePoly.zero()) + shifted
-        if s.is_zero():
-            r.pop(n - b, None)
-        else:
-            r[n - b] = s
-    return q, True
+    chains: dict[tuple[int, int], dict[int, int]] = {}
+    for (n, e), v in x.items():
+        j = n // b if b else e // a
+        chains.setdefault((n - j * b, e - j * a), {})[j] = v
+    q: Num = {}
+    for (n, e), chain in chains.items():
+        acc = 0
+        for j in range(max(chain), min(chain) - 1, -1):
+            acc += chain.get(j, 0)
+            if acc:
+                q[(n + (j - 1) * b, e + (j - 1) * a)] = -acc
+        if acc:
+            return None
+    return q
 
 
-def _tnum_div_cyclo(x: TNum, i: int) -> tuple[TNum, bool]:
-    """Divide every coefficient by (L^i - 1); returns (quotient, exact)."""
-    unit = cyclotomic_unit(i)
-    out: TNum = {}
-    for n, c in x.items():
-        try:
-            out[n] = c.exact_div(unit)
-        except NonPolynomialCoefficient:
-            return {}, False
-    return out, True
+def _image_mod_p(num: Num, den: int) -> list[int] | None:
+    """The coefficients of (num / den)(_ELL, T) in F_P, dense in T; None when
+    _P divides den."""
+    if not den % _P:
+        return None
+    out = [0] * (max(n for n, _ in num) + 1)
+    for (n, e), v in num.items():
+        out[n] += v * _ell_pow(e)
+    inv = pow(den, -1, _P)
+    return [c * inv % _P for c in out]
+
+
+def _geom_order(ab: tuple[int, int]) -> tuple[int, int]:
+    """Geometric factors are stored sorted by (b, a)."""
+    return ab[1], ab[0]
 
 
 # ---------------------------------------------------------------------------
@@ -142,29 +147,27 @@ def _tnum_div_cyclo(x: TNum, i: int) -> tuple[TNum, bool]:
 
 
 class RatSeries:
-    """Finite expression num(L, T) / prod (1 - L^a T^b) / prod (L^i - 1)."""
+    """Finite expression num(L, T) / den / prod (1 - L^a T^b) / prod (L^i - 1)."""
 
-    __slots__ = ("num", "geom", "cyclo")
+    __slots__ = ("num", "den", "geom", "cyclo")
 
-    def __init__(
-        self,
-        num: Mapping[int, TatePoly] | Iterable[tuple[int, TatePoly]],
-        geom: Iterable[tuple[int, int]] = (),
-        cyclo: Iterable[int] = (),
-    ):
+    def __init__(self, num: Mapping | Iterable, geom: Iterable[tuple[int, int]] = (), cyclo: Iterable[int] = ()):
+        """sum_n num[n] T^n / factors, from {n: TatePoly} or its items; an int
+        or Fraction coefficient reads as a constant, anything else is a TypeError."""
         items = num.items() if isinstance(num, Mapping) else num
-        self.num: TNum = {int(n): c for n, c in items if c}
-        if any(n < 0 for n in self.num):
+        coeffs = {int(n): c for n, c in ((n, _as_poly(c)) for n, c in items) if c}
+        if any(n < 0 for n in coeffs):
             raise ValueError("the numerator is a polynomial in T: exponents must be >= 0")
         g = []
         for a, b in geom:
             if b < 1:
                 raise ValueError(f"geometric factor needs b >= 1, got b = {b}")
             g.append((int(a), int(b)))
-        self.geom: tuple[tuple[int, int], ...] = tuple(sorted(g, key=lambda ab: (ab[1], ab[0])))
         c = [int(i) for i in cyclo]
         if any(i < 1 for i in c):
             raise ValueError("cyclotomic factor index must be >= 1")
+        self.num, self.den = _flatten(coeffs)
+        self.geom: tuple[tuple[int, int], ...] = tuple(sorted(g, key=_geom_order))
         self.cyclo: tuple[int, ...] = tuple(sorted(c))
 
     # -- constructors --------------------------------------------------------
@@ -181,10 +184,6 @@ class RatSeries:
     def geometric(cls, a: int, b: int) -> RatSeries:
         """1 / (1 - L^a T^b)."""
         return cls({0: TatePoly.one()}, geom=[(a, b)])
-
-    @classmethod
-    def monomial(cls, coeff: TatePoly | Scalar, n: int) -> RatSeries:
-        return cls({n: _as_poly(coeff)})
 
     def is_zero(self) -> bool:
         return not self.num
@@ -212,31 +211,59 @@ class RatSeries:
         return rs_text(self)
 
 
+def _series(num: Num, den: int, geom: tuple[tuple[int, int], ...], cyclo: tuple[int, ...]) -> RatSeries:
+    """num / den / factors, made primitive; the factor tuples must already be
+    valid and sorted as the public constructor stores them."""
+    out = RatSeries.__new__(RatSeries)
+    g = gcd(den, *num.values())
+    out.num = {k: v // g for k, v in num.items()} if g > 1 else num
+    out.den = den // g
+    out.geom, out.cyclo = geom, cyclo
+    return out
+
+
 # ---------------------------------------------------------------------------
 # arithmetic
 
 
 def rs_scale(x: RatSeries, c: TatePoly | Scalar) -> RatSeries:
-    return RatSeries(_tnum_scale(x.num, _as_poly(c)), x.geom, x.cyclo)
+    num, den = _flatten({0: _as_poly(c)})
+    return _series(_sparse_mul(x.num, num, _add_keys), x.den * den, x.geom, x.cyclo)
+
+
+def _missing(have: tuple, want: tuple) -> list:
+    """The factors of the multiset ``want`` beyond those in ``have``."""
+    rest = list(have)
+    out = []
+    for f in want:
+        if f in rest:
+            rest.remove(f)
+        else:
+            out.append(f)
+    return out
 
 
 def rs_add(x: RatSeries, y: RatSeries) -> RatSeries:
     """Sum over the least common denominator of the two factor multisets."""
-    gl = Counter(x.geom) | Counter(y.geom)  # multiset max
-    cl = Counter(x.cyclo) | Counter(y.cyclo)
+    gx, cx = _missing(x.geom, y.geom), _missing(x.cyclo, y.cyclo)  # what x's numerator lacks
+    gy, cy = _missing(y.geom, x.geom), _missing(y.cyclo, x.cyclo)
+    den = lcm(x.den, y.den)
     nums = []
-    for z in (x, y):
+    for z, geom, cyclo in ((x, gx, cx), (y, gy, cy)):
         num = z.num
-        for a, b in sorted((gl - Counter(z.geom)).elements()):
-            num = _tnum_mul_geom(num, a, b)
-        for i, mult in sorted((cl - Counter(z.cyclo)).items()):
-            num = _tnum_scale(num, cyclotomic_unit(i) ** mult)
-        nums.append(num)
-    return RatSeries(_sparse_add(*nums), gl.elements(), cl.elements())
+        for a, b in geom:
+            num = _sparse_add(num, {(n + b, e + a): -v for (n, e), v in num.items()})  # times 1 - L^a T^b
+        for i in cyclo:
+            num = _sparse_mul(num, {(0, i): 1, (0, 0): -1}, _add_keys)  # times L^i - 1
+        scale = den // z.den
+        nums.append({k: v * scale for k, v in num.items()} if scale > 1 else num)
+    geom = tuple(sorted(x.geom + tuple(gx), key=_geom_order))
+    return _series(_sparse_add(*nums), den, geom, tuple(sorted(x.cyclo + tuple(cx))))
 
 
 def rs_mul(x: RatSeries, y: RatSeries) -> RatSeries:
-    return RatSeries(_sparse_mul(x.num, y.num), x.geom + y.geom, x.cyclo + y.cyclo)
+    geom = tuple(sorted(x.geom + y.geom, key=_geom_order))
+    return _series(_sparse_mul(x.num, y.num, _add_keys), x.den * y.den, geom, tuple(sorted(x.cyclo + y.cyclo)))
 
 
 def rs_equal(x: RatSeries, y: RatSeries) -> bool:
@@ -244,54 +271,36 @@ def rs_equal(x: RatSeries, y: RatSeries) -> bool:
     return (x - y).is_zero()
 
 
-def _tnum_mod_p(x: TNum) -> list[int] | None:
-    """The coefficients of N(_ELL, T) in F_P, dense in T; None when _P divides
-    a coefficient denominator."""
-    out = [0] * (max(x) + 1)
-    for n, c in x.items():
-        acc = 0
-        for e, v in c.c.items():
-            r = residue(v, _P)
-            if r is None:
-                return None
-            acc += r * _ell_pow(e)
-        out[n] = acc % _P
-    return out
-
-
 def rs_normalize(x: RatSeries) -> RatSeries:
     """Cancel denominator factors that divide the numerator exactly.
 
-    Value-preserving: only common factors are removed, the numerator is never
-    rescaled.  Factors are kept in canonical sorted order by the constructor.
-    The long division by a geometric factor (1 - L^a T^b) runs only when the
-    numerator's image at L = _ELL mod _P does not already prove it inexact:
-    that division only shifts and subtracts (its leading coefficient -L^a
-    is a unit), so an exact quotient reduces mod _P as well, and a nonzero
-    remainder of N(_ELL, T) mod T^b - _ELL^(-a) rules it out.
+    Value-preserving: only common factors are removed, in their sorted order.
+    The division by (1 - L^a T^b) only shifts and subtracts (its leading
+    coefficient -L^a is a unit), so an exact quotient reduces mod _P as well,
+    and a nonzero remainder of N(_ELL, T) mod T^b - _ELL^(-a) rules it out.
     """
-    num = x.num
-    image = _tnum_mod_p(num) if num else None
+    num, den = x.num, x.den
+    image = _image_mod_p(num, den) if num else None
     geom: list[tuple[int, int]] = []
     for a, b in x.geom:
         if num and (image is None or not poly_rem(image, _t_binomial(_ell_pow(-a), b), _P)):
-            q, exact = _tnum_divmod_geom(num, a, b)
-            if exact:
+            q = _div_binomial(num, a, b)
+            if q is not None:
                 num = q
-                image = _tnum_mod_p(num)
+                image = _image_mod_p(num, den)
                 continue
         geom.append((a, b))
     cyclo: list[int] = []
     for i in x.cyclo:
         if num:
-            q, exact = _tnum_div_cyclo(num, i)
-            if exact:
-                num = q
+            q = _div_binomial(num, i, 0)  # by 1 - L^i = -(L^i - 1)
+            if q is not None:
+                num = {k: -v for k, v in q.items()}
                 continue
         cyclo.append(i)
     if not num:
         return RatSeries.zero()
-    return RatSeries(num, geom, cyclo)
+    return _series(num, den, tuple(geom), tuple(cyclo))
 
 
 # ---------------------------------------------------------------------------
@@ -317,11 +326,12 @@ def rs_expand(x: RatSeries, order: int) -> TruncatedSeries:
     """Truncated expansion c_0..c_order with coefficients in Q[L, L^-1].
 
     Geometric factors expand termwise; each (L^i - 1) denominator factor must
-    then divide every coefficient exactly, else NonPolynomialCoefficient.
+    then divide every coefficient exactly, else `tate.NonPolynomialCoefficient`.
     """
     if order < 0:
         raise ValueError("order must be >= 0")
-    coeffs = [x.num.get(n, TatePoly.zero()) for n in range(order + 1)]
+    nested = _coeffs(x)
+    coeffs = [nested.get(n, TatePoly.zero()) for n in range(order + 1)]
     for a, b in x.geom:
         # multiply the truncated series by sum_{s>=0} L^(a s) T^(b s)
         out = [TatePoly.zero()] * (order + 1)
@@ -440,9 +450,9 @@ class RatFunc:
 
     @classmethod
     def from_binomials(
-        cls, num: Sequence[Fraction], factors: Iterable[tuple[Fraction, int]]
+        cls, num: Sequence[Fraction], factors: Iterable[tuple[Fraction, int]], scale: Fraction = Fraction(1)
     ) -> RatFunc:
-        """num / prod (1 - c T^b) over `factors` = [(c, b), ...], reduced.
+        """scale * num / prod (1 - c T^b) over `factors` = [(c, b), ...], reduced.
 
         Equal, tuple for tuple, to num / (prod of the factors) reduced by a
         full Euclidean gcd, without a gcd against the expanded product.  Since
@@ -457,7 +467,7 @@ class RatFunc:
         num = _trim(list(num))
         if not num:
             return cls((), (Fraction(1),))
-        n, scale = _zscale(num)
+        n, s = _zscale(num)
         den = [1]
         vprod = 1
         for c, b in factors:
@@ -480,7 +490,7 @@ class RatFunc:
             den = poly_mul(den, factor)
         d0 = den[0]
         return cls(
-            tuple(Fraction(x * vprod, scale * d0) for x in n),
+            tuple(Fraction(x * vprod * scale.numerator, s * d0 * scale.denominator) for x in n),
             tuple(Fraction(x, d0) for x in den),
         )
 
@@ -515,9 +525,11 @@ class RatFunc:
 def rs_specialize(x: RatSeries, q: Scalar) -> RatFunc:
     """Counting specialization L -> q, as a reduced rational function of T.
 
-    Each geometric factor (1 - L^a T^b) becomes the binomial (1 - q^a T^b),
-    and `RatFunc.from_binomials` cancels the numerator against them one
-    factor at a time; the expanded product denominator never enters a gcd.
+    At q = u/v with L-exponents lo..hi in the numerator, q^e is
+    u^(e - lo) v^(hi - e) q^lo / v^(hi - lo): the numerator is an integer
+    polynomial in T times one scalar, which also takes den and the (q^i - 1).
+    `RatFunc.from_binomials` reduces the integer polynomial against each
+    (1 - q^a T^b) and applies the scalar to the reduced numerator.
 
     Requires q not in {0, 1, -1}: those values kill a cyclotomic factor
     (q^i - 1) or the locus L = 0, and the specialization is not defined.
@@ -525,17 +537,23 @@ def rs_specialize(x: RatSeries, q: Scalar) -> RatFunc:
     q = Fraction(q)
     if q in (0, 1, -1):
         raise SpecializationPole(f"specialization undefined at q = {q}")
-    scalar = Fraction(1)
+    scalar = Fraction(x.den)
     for i in x.cyclo:
         v = q**i - 1
         if v == 0:  # unreachable for |q| > 1 or non-unit rationals; kept as a guard
             raise SpecializationPole(f"factor (L^{i} - 1) vanishes at q = {q}")
         scalar *= v
-    deg = max(x.num, default=0)
-    num = [Fraction(0)] * (deg + 1)
-    for n, c in x.num.items():
-        num[n] = c.eval(q) / scalar
-    return RatFunc.from_binomials(num, [(q**a, b) for a, b in x.geom])
+    factors = [(q**a, b) for a, b in x.geom]
+    if not x.num:
+        return RatFunc.from_binomials([], factors)
+    u, v = q.numerator, q.denominator
+    exps = {e for _, e in x.num}
+    lo, hi = min(exps), max(exps)
+    power = {e: u ** (e - lo) * v ** (hi - e) for e in exps}
+    num = [0] * (max(n for n, _ in x.num) + 1)
+    for (n, e), c in x.num.items():
+        num[n] += c * power[e]
+    return RatFunc.from_binomials(num, factors, q**lo / (v ** (hi - lo) * scalar))
 
 
 # ---------------------------------------------------------------------------
@@ -548,8 +566,8 @@ def rs_poles_in_L(x: RatSeries) -> set[Fraction]:
     Candidates come from denominator factors (1 - L^a T^b) with a != 0.  A
     candidate survives if the total multiplicity of vanishing denominator
     factors at T = L^alpha exceeds the vanishing order of the numerator
-    there, computed exactly over Q[L^(1/s)] with s the reduced denominator
-    of alpha.
+    there, computed exactly over Z[L^(1/s)] with s the reduced denominator
+    of alpha (den, a nonzero scalar, does not change a vanishing order).
     """
     candidates = sorted({Fraction(-a, b) for a, b in x.geom if a != 0})
     poles: set[Fraction] = set()
@@ -557,16 +575,17 @@ def rs_poles_in_L(x: RatSeries) -> set[Fraction]:
         p0, s = alpha.numerator, alpha.denominator
         mult = sum(1 for a, b in x.geom if a * s + b * p0 == 0)
         # Vanishing order of the numerator at T = L^alpha: substitute into
-        # successive T-derivatives over the ring Q[M, M^-1], M = L^(1/s).
+        # successive T-derivatives over the ring Z[M, M^-1], M = L^(1/s).
         order = 0
         num = x.num
         while order < mult:
-            sub: dict[int, Fraction] = {}
-            for n, c in num.items():
-                sub = _sparse_add(sub, {s * e + p0 * n: v for e, v in c.c.items()})
-            if sub:
+            sub: dict[int, int] = {}
+            for (n, e), v in num.items():
+                k = s * e + p0 * n
+                sub[k] = sub.get(k, 0) + v
+            if any(sub.values()):
                 break
-            num = {n - 1: c * n for n, c in num.items() if n >= 1}
+            num = {(n - 1, e): v * n for (n, e), v in num.items() if n >= 1}
             order += 1
         if order < mult:
             poles.add(alpha)
@@ -575,6 +594,14 @@ def rs_poles_in_L(x: RatSeries) -> set[Fraction]:
 
 # ---------------------------------------------------------------------------
 # rendering and serialization
+
+
+def _coeffs(x: RatSeries) -> dict[int, TatePoly]:
+    """The numerator as {T-exponent: TatePoly of Fraction(v, den)}, ascending in T, as every output writes it."""
+    rows: dict[int, dict[int, Fraction]] = {}
+    for (n, e), v in x.num.items():
+        rows.setdefault(n, {})[e] = Fraction(v, x.den)
+    return {n: _wrap(rows[n]) for n in sorted(rows)}
 
 
 def _bare(c: TatePoly) -> bool:
@@ -589,8 +616,7 @@ def _render(x: RatSeries, latex: bool) -> str:
     if not x.num:
         return "0"
     parts = []
-    for n in sorted(x.num):
-        c = x.num[n]
+    for n, c in _coeffs(x).items():
         body = style.laurent(c)
         if len(c.c) > 1 or (n and style.inline and not _bare(c)):
             body = style.group(body)
@@ -628,7 +654,7 @@ def rs_latex(x: RatSeries) -> str:
 def rs_to_json(x: RatSeries) -> dict:
     """JSON object with keys numerator, denomGeom, denomCyclo."""
     return {
-        "numerator": [[n, x.num[n].to_json()] for n in sorted(x.num)],
+        "numerator": [[n, c.to_json()] for n, c in _coeffs(x).items()],
         "denomGeom": [[a, b, mult] for (a, b), mult in Counter(x.geom).items()],
         "denomCyclo": [[i, mult] for i, mult in Counter(x.cyclo).items()],
     }
@@ -640,7 +666,7 @@ def rs_from_json(obj: Mapping) -> RatSeries:
     a repeated T- or L-exponent, or a multiplicity below 1."""
     if not isinstance(obj, Mapping):
         raise ValueError(f"series JSON must be an object, got {obj!r}")
-    num: TNum = {}
+    num: dict[int, TatePoly] = {}
     for n, c in json_rows(obj.get("numerator", []), 2, "numerator"):
         if json_value(n, int, "T-exponent") in num:
             raise ValueError(f"numerator lists T^{n} twice")

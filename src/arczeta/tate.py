@@ -6,30 +6,27 @@ powers of L, stored sparsely as a dict mapping exponent to a nonzero
 inverted factors (L^i - 1)^-1 are never stored inside a TatePoly but tracked
 as explicit denominator factors by `arczeta.ratseries.RatSeries`.
 
-Evaluation at a rational number q ("counting specialization") is
-`TatePoly.eval`.  Exact division, used when cancelling denominator factors,
-raises `NonPolynomialCoefficient` if the quotient would leave the ring.
+Exact division, used when expanding a series with (L^i - 1) denominator
+factors, raises `NonPolynomialCoefficient` if the quotient would leave the
+ring.
 
 `_sparse_add` and `_sparse_mul` are the one sparse kernel of the series
 layer: they add and multiply {exponent: nonzero coefficient} dicts, both for
-the Fraction coefficients of a TatePoly and for the TatePoly coefficients of
-a `RatSeries` numerator in T.  `_TEXT` and `_LATEX` hold the tokens of the
-two output formats; `_Style.laurent` is the one signed-term walk that renders
-a TatePoly in either.
+the Fraction coefficients of a TatePoly and for the int coefficients of a
+`RatSeries` numerator, keyed by (T-exponent, L-exponent) pairs.  `_TEXT` and
+`_LATEX` hold the tokens of the two output formats; `_Style.laurent` is the
+one signed-term walk that renders a TatePoly in either.
 """
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
-from typing import Iterable, Mapping, NamedTuple, Sequence, Union
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence, Union
 
 from .fq import _trim
 
 Scalar = Union[int, Fraction]
-
-
-class ZeroBase(ZeroDivisionError):
-    """A negative power of L was evaluated at q = 0."""
 
 
 class NonPolynomialCoefficient(ArithmeticError):
@@ -58,6 +55,19 @@ def json_value(value, kind: type, name: str):
     return value
 
 
+def json_rational(value, name: str) -> Fraction:
+    """A rational read from JSON as a string ("3/4", "1e-400") or an exact integer, else ValueError naming ``name``.
+
+    The parser has already rounded a JSON float (1e-400 reads as 0.0), and a bool is no number.
+    """
+    if type(value) not in (int, str):
+        raise ValueError(f"{name} must be a string or an integer, got {value!r}")
+    try:
+        return Fraction(value)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValueError(f"{name} must be a rational, got {value!r}") from exc
+
+
 def json_rows(value, width: int, name: str) -> list[list]:
     """``value`` read from JSON as a list of lists of ``width`` entries each, else ValueError naming ``name``."""
     for row in json_value(value, list, name):
@@ -69,8 +79,8 @@ def json_rows(value, width: int, name: str) -> list[list]:
 def _sparse_add(x: Mapping, y: Mapping) -> dict:
     """x + y over sparse {exponent: nonzero coefficient} dicts; zero sums drop.
 
-    Coefficients are Fractions (an element of Q[L, L^-1]) or TatePolys (a
-    polynomial in T over it); both are falsy exactly at zero.
+    Keys are opaque: L-exponents of a TatePoly or (T, L)-exponent pairs of a
+    series numerator.  Coefficients (Fractions or ints) are falsy exactly at zero.
     """
     out = dict(x)
     for e, v in y.items():
@@ -82,12 +92,14 @@ def _sparse_add(x: Mapping, y: Mapping) -> dict:
     return out
 
 
-def _sparse_mul(x: Mapping, y: Mapping) -> dict:
-    """x * y over sparse {exponent: nonzero coefficient} dicts."""
+def _sparse_mul(x: Mapping, y: Mapping, add: Callable = operator.add) -> dict:
+    """x * y over sparse {exponent: nonzero coefficient} dicts; ``add`` sums two exponents (ints or pairs)."""
     out: dict = {}
     for e1, v1 in x.items():
-        out = _sparse_add(out, {e1 + e2: v1 * v2 for e2, v2 in y.items()})
-    return out
+        for e2, v2 in y.items():
+            e = add(e1, e2)
+            out[e] = out[e] + v1 * v2 if e in out else v1 * v2
+    return {e: v for e, v in out.items() if v}
 
 
 class _Style(NamedTuple):
@@ -178,16 +190,6 @@ class TatePoly:
     def is_one(self) -> bool:
         return self.c == {0: Fraction(1)}
 
-    def min_exp(self) -> int:
-        if not self.c:
-            raise ValueError("zero polynomial has no valuation")
-        return min(self.c)
-
-    def max_exp(self) -> int:
-        if not self.c:
-            raise ValueError("zero polynomial has no degree")
-        return max(self.c)
-
     def __bool__(self) -> bool:
         return bool(self.c)
 
@@ -222,18 +224,6 @@ class TatePoly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int) -> TatePoly:
-        if n < 0:
-            raise ValueError("negative powers of a general TatePoly are not defined")
-        result = TatePoly.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
     def shift(self, k: int) -> TatePoly:
         """Multiply by L^k."""
         return _wrap({e + k: v for e, v in self.c.items()})
@@ -249,7 +239,7 @@ class TatePoly:
             raise NonPolynomialCoefficient("division by zero polynomial")
         if self.is_zero():
             return TatePoly.zero()
-        sv, ov = self.min_exp(), other.min_exp()
+        sv, ov = min(self.c), min(other.c)
         # dense coefficient lists of the shifted (ordinary) polynomials
         a = _dense(self, sv)
         b = _dense(other, ov)
@@ -258,17 +248,7 @@ class TatePoly:
             raise NonPolynomialCoefficient(f"{other} does not divide {self}")
         return TatePoly((i + sv - ov, v) for i, v in enumerate(q) if v)
 
-    # -- evaluation and rendering ---------------------------------------------
-
-    def eval(self, q: Scalar) -> Fraction:
-        """Evaluate at L = q.  Raises ZeroBase for negative exponents at q = 0."""
-        q = _coerce(q)
-        total = Fraction(0)
-        for e, v in self.c.items():
-            if e < 0 and q == 0:
-                raise ZeroBase("L^%d evaluated at q = 0" % e)
-            total += v * q**e
-        return total
+    # -- rendering --------------------------------------------------------------
 
     def __str__(self) -> str:
         return _TEXT.laurent(self)
@@ -279,12 +259,13 @@ class TatePoly:
 
     @classmethod
     def from_json(cls, data: list[list]) -> TatePoly:
-        """Inverse of `to_json`; ValueError on a row that is not a pair, or a non-integer or repeated L-exponent."""
+        """Inverse of `to_json`; ValueError on a row that is not a pair, a non-integer or repeated L-exponent, or a
+        coefficient that is not a rational string or an integer."""
         c: dict[int, Fraction] = {}
         for e, v in json_rows(data, 2, "L-coefficient"):
             if json_value(e, int, "L-exponent") in c:
                 raise ValueError(f"coefficient lists L^{e} twice")
-            c[e] = Fraction(str(v))
+            c[e] = json_rational(v, f"coefficient of L^{e}")
         return cls(c)
 
 
@@ -300,7 +281,7 @@ def _as_poly(value: TatePoly | Scalar) -> TatePoly:
 
 
 def _dense(p: TatePoly, base: int) -> list[Fraction]:
-    out = [Fraction(0)] * (p.max_exp() - base + 1)
+    out = [Fraction(0)] * (max(p.c) - base + 1)
     for e, v in p.c.items():
         out[e - base] = v
     return out

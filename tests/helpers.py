@@ -16,14 +16,17 @@ powers, the reference for window and exhaustive counts),
 :func:`ratfunc_from_polys` reduces num/den by a full Euclidean gcd over Q
 (the reference for `RatFunc.from_binomials`), :func:`ref_taylor` expands a
 `RatFunc` by the recurrence in Fractions (the reference for the integer
-recurrence of `RatFunc.taylor`), :func:`ref_normalize` tries the long
-division by every denominator factor (the reference for `rs_normalize`,
-which skips the divisions a residue mod a prime proves inexact),
-:func:`ref_equal` cross-multiplies by every denominator factor (the
-reference for `rs_equal`, which subtracts over the least common
-denominator), :func:`ref_text`, :func:`ref_latex` and :func:`ref_tate_text` render
-by separate text and LaTeX walks (the reference for the one renderer behind
-`rs_text`, `rs_latex` and `str(TatePoly)`),
+recurrence of `RatFunc.taylor`), :class:`RefSeries` is a series with the
+nested numerator {T-exponent: TatePoly} and :func:`ref_add`,
+:func:`ref_mul`, :func:`ref_scale`, :func:`ref_normalize` (which tries the
+long division by every denominator factor), :func:`ref_poles_in_L`,
+:func:`ref_specialize` (coefficients by :func:`ref_tate_eval`, one full
+gcd) and :func:`ref_to_json` are the arithmetic on it (the reference for the
+flat integer numerator of `RatSeries`), :func:`ref_equal` cross-multiplies by
+every denominator factor (the reference for `rs_equal`, which subtracts over
+the least common denominator), :func:`ref_text`, :func:`ref_latex` and
+:func:`ref_tate_text` render by separate text and LaTeX walks (the reference
+for the one renderer behind `rs_text`, `rs_latex` and `str(TatePoly)`),
 :func:`ref_cell_horizon` with :func:`ref_surviving_children` filter the
 children of a lifting cell point by point over Z (the reference for the F_p
 child test of `liftable`), and :func:`ref_count_liftable` walks the unpruned cell tree with direct
@@ -56,11 +59,11 @@ import numpy as np
 from arczeta import presburger as pb
 from arczeta.branch import BranchSpec
 from arczeta.counting import BudgetExceeded, CountReport, CountRow
-from arczeta.fq import Fq, _trim
+from arczeta.fq import Fq, _trim, poly_mul
 from arczeta.liftable import IntPoly, LiftResult
 from arczeta.ranges import IteratedRangeSystem, Piece
-from arczeta.ratseries import RatFunc, RatSeries, TruncatedSeries, _qgcd, _tnum_div_cyclo, _tnum_divmod_geom
-from arczeta.tate import Scalar, TatePoly, _qdivmod, cyclotomic_unit
+from arczeta.ratseries import RatFunc, RatSeries, TruncatedSeries, _qgcd
+from arczeta.tate import NonPolynomialCoefficient, Scalar, TatePoly, _qdivmod, cyclotomic_unit
 from arczeta.verifier import CompRow, Verdict
 
 
@@ -236,32 +239,50 @@ def ref_taylor(f: RatFunc, order: int) -> list[Fraction]:
     return out
 
 
-def ref_normalize(x: RatSeries) -> RatSeries:
-    """Cancel each denominator factor whose exact division of the numerator
-    succeeds, trying the long division for every factor."""
-    num = x.num
-    geom: list[tuple[int, int]] = []
-    for a, b in x.geom:
-        if num:
-            q, exact = _tnum_divmod_geom(num, a, b)
-            if exact:
-                num = q
-                continue
-        geom.append((a, b))
-    cyclo: list[int] = []
-    for i in x.cyclo:
-        if num:
-            q, exact = _tnum_div_cyclo(num, i)
-            if exact:
-                num = q
-                continue
-        cyclo.append(i)
-    if not num:
-        return RatSeries.zero()
-    return RatSeries(num, geom, cyclo)
+def ref_tate_eval(c: TatePoly, q: Scalar) -> Fraction:
+    """c at L = q, term by term in Fractions (the reference for the integer
+    power table of `rs_specialize`)."""
+    return sum((v * Fraction(q) ** e for e, v in c.c.items()), Fraction(0))
 
 
-Elem = tuple[int, ...]
+# The nested series model: the numerator as {T-exponent: TatePoly}, the layout
+# `RatSeries` had before its flat integer numerator, with the arithmetic it
+# ran on that layout.  `branch.p_ar` and `branch.p_geom` build a RefSeries
+# when `RatSeries`, `rs_add` and `rs_mul` in `arczeta.branch` are replaced by
+# RefSeries, `ref_add` and `ref_mul`.
+
+
+class RefSeries:
+    """num / prod (1 - L^a T^b) / prod (L^i - 1) with num {T-exponent: TatePoly};
+    built like `RatSeries(num, geom, cyclo)`: constants coerce, zero
+    coefficients drop, factors sort.  Equality is structural."""
+
+    def __init__(self, num, geom=(), cyclo=()):
+        items = num.items() if isinstance(num, Mapping) else num
+        coeffs = {n: c if isinstance(c, TatePoly) else TatePoly.const(c) for n, c in items}
+        self.num = {n: c for n, c in coeffs.items() if c}
+        self.geom = tuple(sorted(geom, key=lambda ab: (ab[1], ab[0])))
+        self.cyclo = tuple(sorted(cyclo))
+
+    @classmethod
+    def geometric(cls, a: int, b: int) -> RefSeries:
+        return cls({0: TatePoly.one()}, [(a, b)])
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, RefSeries) and (self.num, self.geom, self.cyclo) == (other.num, other.geom, other.cyclo)
+
+    def __repr__(self) -> str:
+        return f"RefSeries({self.num!r}, {self.geom!r}, {self.cyclo!r})"
+
+
+def ref_nested(x: RatSeries | RefSeries) -> RefSeries:
+    """The nested form of a series, each coefficient Fraction(v, den)."""
+    if isinstance(x, RefSeries):
+        return x
+    num: dict[int, dict[int, Fraction]] = {}
+    for (n, e), v in x.num.items():
+        num.setdefault(n, {})[e] = Fraction(v, x.den)
+    return RefSeries({n: TatePoly(c) for n, c in num.items()}, x.geom, x.cyclo)
 
 
 def _ref_tnum_add(x: dict[int, TatePoly], y: dict[int, TatePoly]) -> dict[int, TatePoly]:
@@ -275,15 +296,165 @@ def _ref_tnum_add(x: dict[int, TatePoly], y: dict[int, TatePoly]) -> dict[int, T
     return out
 
 
+def _ref_tnum_mul(x: dict[int, TatePoly], y: dict[int, TatePoly]) -> dict[int, TatePoly]:
+    out: dict[int, TatePoly] = {}
+    for n1, c1 in x.items():
+        out = _ref_tnum_add(out, {n1 + n2: c1 * c2 for n2, c2 in y.items()})
+    return out
+
+
+def _ref_tnum_scale(x: dict[int, TatePoly], c: TatePoly) -> dict[int, TatePoly]:
+    return {n: v * c for n, v in x.items()} if c else {}
+
+
 def _ref_tnum_mul_geom(x: dict[int, TatePoly], a: int, b: int) -> dict[int, TatePoly]:
     """x * (1 - L^a T^b), term by term."""
     return _ref_tnum_add(x, {n + b: -c.shift(a) for n, c in x.items()})
 
 
-def ref_equal(x: RatSeries, y: RatSeries) -> bool:
+def _ref_tnum_divmod_geom(x: dict[int, TatePoly], a: int, b: int) -> tuple[dict[int, TatePoly], bool]:
+    """Divide by (1 - L^a T^b) from the top T-degree down; returns (quotient, exact)."""
+    r = dict(x)
+    q: dict[int, TatePoly] = {}
+    while r:
+        n = max(r)
+        if n < b:
+            return q, False
+        shifted = r.pop(n).shift(-a)
+        q[n - b] = -shifted
+        s = r.get(n - b, TatePoly.zero()) + shifted
+        if s.is_zero():
+            r.pop(n - b, None)
+        else:
+            r[n - b] = s
+    return q, True
+
+
+def _ref_tnum_div_cyclo(x: dict[int, TatePoly], i: int) -> tuple[dict[int, TatePoly], bool]:
+    """Divide every coefficient by (L^i - 1); returns (quotient, exact)."""
+    out: dict[int, TatePoly] = {}
+    for n, c in x.items():
+        try:
+            out[n] = c.exact_div(cyclotomic_unit(i))
+        except NonPolynomialCoefficient:
+            return {}, False
+    return out, True
+
+
+def ref_add(x: RatSeries | RefSeries, y: RatSeries | RefSeries) -> RefSeries:
+    """x + y over the least common denominator, each numerator multiplied by
+    the factors the other has beyond its own."""
+    x, y = ref_nested(x), ref_nested(y)
+    gl = Counter(x.geom) | Counter(y.geom)
+    cl = Counter(x.cyclo) | Counter(y.cyclo)
+    nums = []
+    for z in (x, y):
+        num = z.num
+        for a, b in sorted((gl - Counter(z.geom)).elements()):
+            num = _ref_tnum_mul_geom(num, a, b)
+        for i, mult in sorted((cl - Counter(z.cyclo)).items()):
+            unit = TatePoly.one()
+            for _ in range(mult):
+                unit = unit * cyclotomic_unit(i)
+            num = _ref_tnum_scale(num, unit)
+        nums.append(num)
+    return RefSeries(_ref_tnum_add(*nums), gl.elements(), cl.elements())
+
+
+def ref_mul(x: RatSeries | RefSeries, y: RatSeries | RefSeries) -> RefSeries:
+    x, y = ref_nested(x), ref_nested(y)
+    return RefSeries(_ref_tnum_mul(x.num, y.num), x.geom + y.geom, x.cyclo + y.cyclo)
+
+
+def ref_scale(x: RatSeries | RefSeries, c: TatePoly | Scalar) -> RefSeries:
+    x = ref_nested(x)
+    return RefSeries(_ref_tnum_scale(x.num, c if isinstance(c, TatePoly) else TatePoly.const(c)), x.geom, x.cyclo)
+
+
+def ref_normalize(x: RatSeries | RefSeries) -> RefSeries:
+    """Cancel each denominator factor whose exact division of the numerator
+    succeeds, trying the long division for every factor (the reference for
+    `rs_normalize`, which skips the divisions a residue mod a prime proves
+    inexact)."""
+    x = ref_nested(x)
+    num = x.num
+    geom: list[tuple[int, int]] = []
+    for a, b in x.geom:
+        if num:
+            q, exact = _ref_tnum_divmod_geom(num, a, b)
+            if exact:
+                num = q
+                continue
+        geom.append((a, b))
+    cyclo: list[int] = []
+    for i in x.cyclo:
+        if num:
+            q, exact = _ref_tnum_div_cyclo(num, i)
+            if exact:
+                num = q
+                continue
+        cyclo.append(i)
+    if not num:
+        return RefSeries({})
+    return RefSeries(num, geom, cyclo)
+
+
+def ref_poles_in_L(x: RatSeries | RefSeries) -> set[Fraction]:
+    """Poles at T = L^alpha from successive T-derivatives of the nested
+    numerator, substituted coefficient by coefficient in Fractions."""
+    x = ref_nested(x)
+    poles = set()
+    for alpha in sorted({Fraction(-a, b) for a, b in x.geom if a != 0}):
+        p0, s = alpha.numerator, alpha.denominator
+        mult = sum(1 for a, b in x.geom if a * s + b * p0 == 0)
+        order, num = 0, x.num
+        while order < mult:
+            sub: dict[int, Fraction] = {}
+            for n, c in num.items():
+                for e, v in c.c.items():
+                    sub[s * e + p0 * n] = sub.get(s * e + p0 * n, Fraction(0)) + v
+            if any(sub.values()):
+                break
+            num = {n - 1: c * TatePoly.const(n) for n, c in num.items() if n >= 1}
+            order += 1
+        if order < mult:
+            poles.add(alpha)
+    return poles
+
+
+def ref_specialize(x: RatSeries | RefSeries, q: Scalar) -> RatFunc:
+    """x at L = q: every coefficient evaluated in Fractions, then one full
+    Euclidean gcd against the expanded denominator (the reference for
+    `rs_specialize`)."""
+    x, q = ref_nested(x), Fraction(q)
+    scalar = Fraction(1)
+    for i in x.cyclo:
+        scalar *= q**i - 1
+    num = [ref_tate_eval(x.num.get(n, TatePoly.zero()), q) / scalar for n in range(max(x.num, default=0) + 1)]
+    den = [Fraction(1)]
+    for a, b in x.geom:
+        den = poly_mul(den, [Fraction(1)] + [Fraction(0)] * (b - 1) + [-(q**a)])
+    return ratfunc_from_polys(num, den)
+
+
+def ref_to_json(x: RatSeries | RefSeries) -> dict:
+    """The JSON form of a nested series (the reference for `rs_to_json`)."""
+    x = ref_nested(x)
+    return {
+        "numerator": [[n, x.num[n].to_json()] for n in sorted(x.num)],
+        "denomGeom": [[a, b, mult] for (a, b), mult in Counter(x.geom).items()],
+        "denomCyclo": [[i, mult] for i, mult in Counter(x.cyclo).items()],
+    }
+
+
+Elem = tuple[int, ...]
+
+
+def ref_equal(x: RatSeries | RefSeries, y: RatSeries | RefSeries) -> bool:
     """Equality by cross-multiplication: x.num den(y) - y.num den(x) is zero
     (the reference for `rs_equal`, which subtracts over the least common
     denominator)."""
+    x, y = ref_nested(x), ref_nested(y)
     nx, ny = x.num, y.num
     for a, b in y.geom:
         nx = _ref_tnum_mul_geom(nx, a, b)
@@ -331,8 +502,9 @@ def _ref_coeff_text(c: TatePoly) -> str:
     return s if simple and "*" not in s and "/" not in s else f"({s})"
 
 
-def ref_text(x: RatSeries) -> str:
+def ref_text(x: RatSeries | RefSeries) -> str:
     """Plain text of a series (the reference for `rs_text`)."""
+    x = ref_nested(x)
     if not x.num:
         return "0"
     parts = []
@@ -391,8 +563,9 @@ def _ref_coeff_latex(c: TatePoly) -> str:
     return " ".join(parts)
 
 
-def ref_latex(x: RatSeries) -> str:
+def ref_latex(x: RatSeries | RefSeries) -> str:
     """LaTeX of a series (the reference for `rs_latex`)."""
+    x = ref_nested(x)
     if not x.num:
         return "0"
     parts = []
@@ -813,7 +986,7 @@ def ref_y_coeff(b: BranchSpec, j: int) -> Fraction:
 
 def ref_specialize_truncated(series: TruncatedSeries, q: Scalar) -> list[Fraction]:
     """The coefficients c_0..c_order of a truncated expansion at L = q."""
-    return [c.eval(q) for c in series.coeffs]
+    return [ref_tate_eval(c, q) for c in series.coeffs]
 
 
 def read_count_report(obj: Mapping | str) -> CountReport:

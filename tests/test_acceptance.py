@@ -99,14 +99,14 @@ def _rhs_series_m4():
     head = RatSeries.geometric(0, 1)  # 1/(1-T)
     unit = TatePoly.L(1) - TatePoly.one()  # L - 1
     lead = rs_scale(RatSeries.geometric(1, 1), unit)  # (L-1)/(1-L*T)
-    t4_block = rs_mul(RatSeries.monomial(1, 4), RatSeries.geometric(0, 4))  # T^4/(1-T^4)
+    t4_block = rs_mul(RatSeries({4: 1}), RatSeries.geometric(0, 4))  # T^4/(1-T^4)
     geom_rhs = rs_add(head, rs_mul(lead, t4_block))
 
     bracket = rs_scale(t4_block, Fraction(1, 4))
     for beta, jump in ((6, 2 - 1), (7, 4 - 2)):
         # L^(beta-4) T^beta / (1 - L^(beta-4) T^beta), weighted jump/4
         block = rs_mul(
-            RatSeries.monomial(TatePoly.L(beta - 4), beta),
+            RatSeries({beta: TatePoly.L(beta - 4)}),
             RatSeries.geometric(beta - 4, beta),
         )
         bracket = rs_add(bracket, rs_scale(block, Fraction(jump, 4)))

@@ -93,6 +93,27 @@ def test_branch_json_names_bad_field(obj, error):
         BranchSpec.from_json(obj)
 
 
+@pytest.mark.parametrize(
+    "text,error",
+    [
+        ('{"m": 2, "coeffs": [[3, 1e-400], [5, 1]]}', "coefficient a_3 must be a string or an integer, got 0.0"),
+        ('{"m": 2, "coeffs": [[3, 1.0000000000000001]]}', "coefficient a_3 must be a string or an integer, got 1.0"),
+        ('{"m": 2, "coeffs": [[3, 0.5]]}', "coefficient a_3 must be a string or an integer, got 0.5"),
+        ('{"m": 2, "coeffs": [[3, true]]}', "coefficient a_3 must be a string or an integer, got True"),
+    ],
+)
+def test_branch_json_rejects_inexact_coefficients(text, error):
+    # read as a float, 1e-400 would be 0.0 and the branch silently (2;5) instead of (2;3)
+    with pytest.raises(ValueError, match=error):
+        BranchSpec.from_json(text)
+
+
+def test_branch_json_reads_integer_and_exact_string_coefficients():
+    b = BranchSpec.from_json('{"m": 2, "coeffs": [[3, "1e-400"], [5, 1]]}')
+    assert b.coeffs == {3: Fraction(1, 10**400), 5: Fraction(1)}
+    assert characteristic_sequence(b).beta == (2, 3)
+
+
 def test_branch_rejects_exponent_below_multiplicity():
     with pytest.raises(ValueError):
         BranchSpec.make(4, {3: 1})

@@ -83,6 +83,15 @@ class TestBranchCommand:
         r = runner.invoke(main, ["branch", "--input", str(files["dir"] / "absent.json")])
         assert r.exit_code == 1
 
+    def test_float_coefficient_exits_1(self, runner, files):
+        # 1e-400 parses as the float 0.0; read as a coefficient it would turn (2;3) into (2;5)
+        bad = files["dir"] / "float.json"
+        bad.write_text('{"m": 2, "coeffs": [[3, 1e-400], [5, 1]]}')
+        r = runner.invoke(main, ["branch", "--input", str(bad)])
+        assert r.exit_code == 1
+        assert "coefficient a_3 must be a string or an integer" in message(r)
+        assert "beta" not in r.output
+
 
 class TestCountCommand:
     def test_branch_csv_nine_rows(self, runner, files):

@@ -1,6 +1,7 @@
 """Brute-force counting against an independent scalar-arithmetic oracle."""
 
 import itertools
+import math
 import json
 from fractions import Fraction
 
@@ -33,6 +34,7 @@ from helpers import (
     ref_branch_images,
     ref_count_images,
     ref_series_mul,
+    ref_tate_eval,
     report_counts,
 )
 
@@ -263,7 +265,7 @@ class TestFiberIdentity:
     def test_prime_beyond_modulus_table(self, b, p, n_max):
         c = characteristic_sequence(b)
         for n in range(n_max + 1):
-            strata = sum(chi_c_arc_class(c, n, ell)[1].eval(p) for ell in range(1, n // c.m + 1))
+            strata = sum(ref_tate_eval(chi_c_arc_class(c, n, ell)[1], p) for ell in range(1, n // c.m + 1))
             assert count_branch_image(b, p, 1, n) == 1 + strata, n
 
     @pytest.mark.parametrize("b,n,expect", [(CUSP, 2, 32769), (M3, 3, 65537)])
@@ -407,7 +409,7 @@ class TestIgusa:
     def test_t0_coefficient(self):
         for ks in [(1,), (2,), (1, 1), (2, 3, 1)]:
             coeff = rs_expand(igusa_monomial(ks), 1)[0]
-            assert coeff == (TatePoly.one() - TatePoly.L(-1)) ** len(ks)
+            assert coeff == math.prod([TatePoly.one() - TatePoly.L(-1)] * len(ks), start=TatePoly.one())
 
     def test_square_of_single(self):
         from arczeta.ratseries import rs_equal, rs_mul

@@ -1,5 +1,7 @@
+import json
+import random
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 import pytest
 from functools import reduce
@@ -8,7 +10,7 @@ from operator import mul
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from arczeta import ratseries
+from arczeta import branch, ratseries
 from arczeta.fq import poly_mul
 from arczeta.ratseries import (
     RatFunc,
@@ -30,17 +32,26 @@ from arczeta.ratseries import (
     rs_text,
     rs_to_json,
 )
-from arczeta.branch import BranchSpec, characteristic_sequence, chi_c_arc_class, p_ar
+from arczeta.branch import BranchSpec, characteristic_sequence, chi_c_arc_class, p_ar, p_geom
 from arczeta.tate import NonPolynomialCoefficient, TatePoly, cyclotomic_unit
 from helpers import (
+    RefSeries,
     ratfunc_from_polys,
+    ref_add,
     ref_equal,
     ref_latex,
+    ref_mul,
+    ref_nested,
     ref_normalize,
+    ref_poles_in_L,
+    ref_scale,
+    ref_specialize,
     ref_specialize_truncated,
+    ref_tate_eval,
     ref_tate_text,
     ref_taylor,
     ref_text,
+    ref_to_json,
 )
 
 L = TatePoly.L
@@ -75,7 +86,7 @@ def test_add_merges_denominators():
     # 1/(1-T) + 1/(1-T) = 2/(1-T), denominators must not duplicate
     x = rs_add(geom(0, 1), geom(0, 1))
     assert x.geom == ((0, 1),)
-    assert x.num == {0: TatePoly.const(2)}
+    assert (x.num, x.den) == ({(0, 0): 2}, 1)
 
 
 def test_add_and_mul_against_expansion():
@@ -107,7 +118,7 @@ def test_normalize_cancels_common_factor():
     x = RatSeries(num, geom=[(1, 1), (0, 1)])
     y = rs_normalize(x)
     assert y.geom == ((0, 1),)
-    assert y.num == {0: ONE}
+    assert (y.num, y.den) == ({(0, 0): 1}, 1)
     assert rs_equal(x, y)
 
 
@@ -115,7 +126,7 @@ def test_normalize_cancels_cyclotomic_content():
     x = RatSeries({0: TatePoly({3: 1, 0: -1})}, cyclo=[3])
     y = rs_normalize(x)
     assert y.cyclo == ()
-    assert y.num == {0: ONE}
+    assert (y.num, y.den) == ({(0, 0): 1}, 1)
 
 
 def test_specialize_reduced():
@@ -193,7 +204,8 @@ def test_specialize_cyclotomic_scalars_match_full_gcd():
     for q in (2, 3, Fraction(1, 3), 7):
         f = rs_specialize(x, q)
         scalar = (Fraction(q) - 1) * (Fraction(q) ** 2 - 1) ** 2
-        num = [x.num.get(n, TatePoly.zero()).eval(q) / scalar for n in range(max(x.num) + 1)]
+        nested = ref_nested(x).num
+        num = [ref_tate_eval(nested.get(n, TatePoly.zero()), q) / scalar for n in range(max(nested) + 1)]
         assert f == _reduced_both_ways(num, [(Fraction(q) ** a, b) for a, b in x.geom])
         assert len(f.den) - 1 == 5  # the (1 - L T) factor cancels
 
@@ -227,7 +239,7 @@ def test_p_ar_large_denominator_at_17():
     f = rs_specialize(series, 17)
     assert len(f.den) - 1 == 50
     strata = [
-        1 + sum(chi_c_arc_class(c, n, ell)[1].eval(17) for ell in range(1, n // c.m + 1))
+        1 + sum(ref_tate_eval(chi_c_arc_class(c, n, ell)[1], 17) for ell in range(1, n // c.m + 1))
         for n in range(25)
     ]
     assert f.taylor(24) == strata
@@ -280,7 +292,7 @@ def test_json_round_trip():
     )
     j = rs_to_json(x)
     y = rs_from_json(j)
-    assert y.num == x.num and y.geom == x.geom and y.cyclo == x.cyclo
+    assert (y.num, y.den, y.geom, y.cyclo) == (x.num, x.den, x.geom, x.cyclo)
     assert j["denomGeom"] == [[1, 1, 2], [0, 2, 1]]
     assert j["denomCyclo"] == [[2, 2], [5, 1]]
 
@@ -377,7 +389,7 @@ def test_equal_matches_cross_multiplication(x, y, unit):
 def test_render_matches_reference_walks(x):
     assert rs_text(x) == ref_text(x)
     assert rs_latex(x) == ref_latex(x)
-    assert all(str(c) == ref_tate_text(c) for c in x.num.values())
+    assert all(str(c) == ref_tate_text(c) for c in ref_nested(x).num.values())
 
 
 @pytest.mark.parametrize(
@@ -524,39 +536,111 @@ def series_with_geometric_content(draw):
     # M (1 - L^a T^b) over a denominator that may hold (1 - L^a T^b), a < 0 allowed
     m = draw(st.dictionaries(st.integers(0, 4), laurent_coeff, max_size=3))
     content = draw(st.lists(st.tuples(st.integers(-3, 3), st.integers(1, 3)), max_size=2))
-    num = RatSeries(m).num
+    product = RatSeries(m)
     for a, b in content:
-        num = rs_mul(RatSeries(num), RatSeries({0: ONE, b: -1 * L(a)})).num
+        product = rs_mul(product, RatSeries({0: ONE, b: -1 * L(a)}))
     others = draw(st.lists(st.tuples(st.integers(-3, 3), st.integers(1, 3)), max_size=2))
     cyclo = draw(st.lists(st.integers(1, 3), max_size=2))
-    return RatSeries(num, content[: draw(st.integers(0, len(content)))] + others, cyclo)
+    return RatSeries(ref_nested(product).num, content[: draw(st.integers(0, len(content)))] + others, cyclo)
 
 
 @settings(max_examples=150)
 @given(st.one_of(small_series, series_with_geometric_content()))
 def test_normalize_equals_trial_division(x):
-    got, want = rs_normalize(x), ref_normalize(x)
-    assert (got.num, got.geom, got.cyclo) == (want.num, want.geom, want.cyclo)
+    y = rs_normalize(x)
+    assert ref_nested(y) == ref_normalize(x)
+    assert y.den > 0 and gcd(y.den, *y.num.values()) == 1
 
 
 def test_normalize_skips_divisions_proven_inexact(monkeypatch):
     divisions = []
-    real = ratseries._tnum_divmod_geom
-    monkeypatch.setattr(ratseries, "_tnum_divmod_geom", lambda *a: divisions.append(a[1:]) or real(*a))
+    real = ratseries._div_binomial
+    monkeypatch.setattr(ratseries, "_div_binomial", lambda *a: divisions.append(a[1:]) or real(*a))
     # (1 - L^-2 T) / [(1 - L^-2 T)(1 - T)(1 - L T^2)]: only (-2, 1) may divide
     x = RatSeries({0: ONE, 1: -1 * L(-2)}, geom=[(-2, 1), (0, 1), (1, 2)])
     y = rs_normalize(x)
     assert divisions == [(-2, 1)]
-    assert y.geom == ((0, 1), (1, 2)) and y.num == {0: ONE}
+    assert y.geom == ((0, 1), (1, 2)) and (y.num, y.den) == ({(0, 0): 1}, 1)
 
 
 def test_normalize_divides_when_p_divides_a_denominator(monkeypatch):
     # coefficients 1/P have no residue mod P, so every long division runs
     divisions = []
-    real = ratseries._tnum_divmod_geom
-    monkeypatch.setattr(ratseries, "_tnum_divmod_geom", lambda *a: divisions.append(a[1:]) or real(*a))
+    real = ratseries._div_binomial
+    monkeypatch.setattr(ratseries, "_div_binomial", lambda *a: divisions.append(a[1:]) or real(*a))
     inv = Fraction(1, _P)
     x = RatSeries({0: TatePoly.const(inv), 1: L(1, -inv)}, geom=[(0, 1), (1, 1)])
     y = rs_normalize(x)
     assert divisions == [(0, 1), (1, 1)]
-    assert y.geom == ((0, 1),) and y.num == {0: TatePoly.const(inv)}
+    assert y.geom == ((0, 1),) and (y.num, y.den) == ({(0, 0): 1}, _P)
+
+
+def test_constructor_coerces_scalar_coefficients():
+    assert rs_text(RatSeries({0: 1})) == "1" and RatSeries({0: 1}) == RatSeries.one()
+    x = RatSeries([(0, Fraction(1, 2)), (2, -3)], geom=[(0, 1)])
+    assert (x.num, x.den) == ({(0, 0): 1, (2, 0): -6}, 2)
+    assert rs_text(x) == ref_text(x) == "(1/2 + (-3)*T^2) / [(1 - T)]"
+    for bad in (1.5, "1", None):
+        with pytest.raises(TypeError):
+            RatSeries({0: bad})
+
+
+# The flat integer numerator against the nested {T-exponent: TatePoly} model
+# it replaced (tests/helpers.py): every operation gives the same series.
+
+
+@settings(max_examples=150)
+@given(small_series, small_series, laurent_coeff)
+@example(MIXED, MIXED, TatePoly({1: Fraction(-2, 3), 0: 5}))
+@example(RatSeries({0: Fraction(1, 2)}), RatSeries({0: Fraction(1, 2)}), TatePoly.const(Fraction(2, 3)))
+def test_flat_arithmetic_equals_nested_reference(x, y, c):
+    results = [rs_add(x, y), rs_mul(x, y), rs_scale(x, c), x - y]
+    assert [ref_nested(z) for z in results] == [ref_add(x, y), ref_mul(x, y), ref_scale(x, c), ref_add(x, ref_scale(y, -1))]
+    assert all(z.den > 0 and gcd(z.den, *z.num.values()) == 1 for z in [x, y, *results])
+
+
+@settings(max_examples=100)
+@given(st.one_of(small_series, series_with_geometric_content()), st.sampled_from([2, 3, 5, Fraction(2, 3), -7]))
+@example(MIXED, 2)
+def test_flat_poles_and_specialization_equal_nested_reference(x, q):
+    assert rs_poles_in_L(x) == ref_poles_in_L(x)
+    f, want = rs_specialize(x, q), ref_specialize(x, q)
+    assert (f.num, f.den) == (want.num, want.den)
+    assert f.taylor(8) == ref_taylor(want, 8)
+
+
+def _random_branches(seed: int, count: int):
+    """Seeded branches with m <= 12 and rational coefficients; each characteristic
+    exponent is a multiple of a proper divisor of the running gcd, so g runs up to 3."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        m = rng.randint(1, 12)
+        coeffs, e, j = {}, m, m
+        while e > 1:
+            d = rng.choice([d for d in range(1, e) if e % d == 0])
+            j = (j // d + 1 + rng.randint(0, 2)) * d
+            j += d if j % e == 0 else 0
+            coeffs[j] = Fraction(rng.choice([-5, -2, -1, 1, 3, 7]), rng.randint(1, 6))
+            e = gcd(e, j)
+        out.append(characteristic_sequence(BranchSpec.make(m, coeffs)))
+    return out
+
+
+def test_branch_series_render_as_the_nested_reference(monkeypatch):
+    branches = _random_branches(22, 60)
+    flat = [(p_ar(c), p_geom(c)) for c in branches]
+    # the same closed forms, built on the nested model
+    monkeypatch.setattr(branch, "RatSeries", RefSeries)
+    monkeypatch.setattr(branch, "rs_add", ref_add)
+    monkeypatch.setattr(branch, "rs_mul", ref_mul)
+    nested = [(p_ar(c), p_geom(c)) for c in branches]
+    assert {c.g for c in branches} == {0, 1, 2, 3}
+    for pair, ref_pair in zip(flat, nested):
+        for x, ref in zip(pair, ref_pair):
+            assert isinstance(ref, RefSeries)
+            for got, want in ((x, ref), (rs_normalize(x), ref_normalize(ref))):
+                assert rs_text(got) == ref_text(want)
+                assert rs_latex(got) == ref_latex(want)
+                assert rs_to_json(got) == ref_to_json(want)
+                assert json.dumps(rs_to_json(got)) == json.dumps(ref_to_json(want))
