@@ -25,7 +25,7 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .fq import is_prime, residue
-from .ratseries import RatSeries, rs_add, rs_mul
+from .ratseries import RatSeries, _geom_order, _series, rs_add, rs_mul
 from .tate import TatePoly, json_rational, json_value
 
 __all__ = [
@@ -159,22 +159,27 @@ def characteristic_sequence(b: BranchSpec) -> CharSeq:
     return CharSeq(g=len(beta) - 1, beta=tuple(beta), e=tuple(e), n=tuple(n), N=tuple(N))
 
 
+def _term(num: dict[tuple[int, int], int], den: int, *geom: tuple[int, int]) -> RatSeries:
+    """num / den / prod (1 - L^a T^b), num a flat numerator {(T-exponent, L-exponent): nonzero int}."""
+    return _series(num, den, tuple(sorted(geom, key=_geom_order)), ())
+
+
 def p_geom(c: CharSeq) -> RatSeries:
     """1/(1-T) + (L-1)/(1-L*T) * T^m/(1-T^m), kept unnormalized."""
-    tail = RatSeries({c.m: TatePoly.L(1) - TatePoly.one()}, geom=[(1, 1), (0, c.m)])
-    return rs_add(RatSeries.geometric(0, 1), tail)
+    tail = _term({(c.m, 1): 1, (c.m, 0): -1}, 1, (1, 1), (0, c.m))
+    return rs_add(_term({(0, 0): 1}, 1, (0, 1)), tail)
 
 
 def p_ar(c: CharSeq) -> RatSeries:
     """The arithmetic Poincare series in the closed form quoted in the module doc."""
     m = c.m
-    bracket = RatSeries({m: Fraction(1, m)}, geom=[(0, m)])
+    bracket = _term({(m, 0): 1}, m, (0, m))
     for i in range(1, c.g + 1):
         bi = c.beta[i]
-        term = RatSeries({bi: TatePoly.L(bi - m, Fraction(c.N[i] - c.N[i - 1], m))}, geom=[(bi - m, bi)])
+        term = _term({(bi, bi - m): c.N[i] - c.N[i - 1]}, m, (bi - m, bi))
         bracket = rs_add(bracket, term)
-    tail = rs_mul(RatSeries({0: TatePoly.L(1) - TatePoly.one()}, geom=[(1, 1)]), bracket)
-    return rs_add(RatSeries.geometric(0, 1), tail)
+    tail = rs_mul(_term({(0, 1): 1, (0, 0): -1}, 1, (1, 1)), bracket)
+    return rs_add(_term({(0, 0): 1}, 1, (0, 1)), tail)
 
 
 def chi_c_arc_class(c: CharSeq, n: int, ell: int) -> tuple[TatePoly, TatePoly]:

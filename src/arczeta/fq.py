@@ -9,7 +9,7 @@ report downstream, are the same on every run and machine, for every p and d.
 
 `Fq` holds the field's parameters and the reduction table of u^d, ...,
 u^{2d-2}; the arithmetic itself runs vectorized over numpy arrays of such
-vectors (see :mod:`arczeta.counting`).  `residue`, `poly_mul`, `poly_rem`
+vectors (see :mod:`arczeta.grid`).  `residue`, `poly_mul`, `poly_rem`
 and `poly_gcd` are the one copy of rational residues and polynomial
 remainders and gcds mod p, which the series layer's F_P certificates use too.
 """

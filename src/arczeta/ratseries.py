@@ -9,8 +9,9 @@ exponent pairs; `rs_add` works over the least common denominator, and
 equality is `(x - y).is_zero()`.  The public constructor takes {T-exponent:
 TatePoly} and checks every factor; the arithmetic builds its results with
 `_series`, which trusts factor tuples that are already valid and sorted.  The
-outputs write each coefficient as Fraction(v, den); `rs_text` and `rs_latex`
-are one walk (`_render`) over two token tables.
+outputs write each coefficient as Fraction(v, den), `rs_to_json` straight
+from the pair; `rs_text` and `rs_latex` are one walk (`_render`) over two
+token tables.
 
 `_div_binomial` is the one exact division: by (1 - L^a T^b), whose leading
 coefficient -L^a is a unit, and, with b = 0, of each T-coefficient by
@@ -652,9 +653,15 @@ def rs_latex(x: RatSeries) -> str:
 
 
 def rs_to_json(x: RatSeries) -> dict:
-    """JSON object with keys numerator, denomGeom, denomCyclo."""
+    """JSON object with keys numerator, denomGeom, denomCyclo; a coefficient v / den
+    is written as its reduced "num/den" string, or the integer's digits, as
+    `TatePoly.to_json` writes a Fraction."""
+    rows: dict[int, list[list]] = {}
+    for (n, e), v in sorted(x.num.items()):
+        g = gcd(v, x.den)
+        rows.setdefault(n, []).append([e, str(v // g) if g == x.den else f"{v // g}/{x.den // g}"])
     return {
-        "numerator": [[n, c.to_json()] for n, c in _coeffs(x).items()],
+        "numerator": [[n, row] for n, row in rows.items()],
         "denomGeom": [[a, b, mult] for (a, b), mult in Counter(x.geom).items()],
         "denomCyclo": [[i, mult] for i, mult in Counter(x.cyclo).items()],
     }

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from arczeta import counting
+from arczeta import grid
 from arczeta.branch import BranchSpec, characteristic_sequence, chi_c_arc_class, p_ar, p_geom
 from arczeta.counting import (
     BadPrime,
@@ -23,8 +23,8 @@ from arczeta.counting import (
     igusa_monomial,
     measure_ord_locus,
 )
-from arczeta.counting import _distinct, _pack
 from arczeta.fq import Fq
+from arczeta.grid import _distinct, _pack
 from arczeta.ratseries import rs_expand, rs_specialize
 from arczeta.tate import TatePoly
 from helpers import (
@@ -96,9 +96,9 @@ def _series(F: RefFq, digits, n: int) -> TruncPow:
     return TruncPow(F, tuple(coeffs) + (F.zero,) * (n + 1 - len(coeffs)))
 
 
-def _on_grid(arrays: list[np.ndarray], grid: tuple[int, ...]) -> np.ndarray:
+def _on_grid(arrays: list[np.ndarray], shape: tuple[int, ...]) -> np.ndarray:
     """Digit arrays broadcast to the grid (*axes, d) and stacked, shape (grid points, len(arrays), d)."""
-    return np.stack([np.broadcast_to(v, grid) for v in arrays], axis=-2).reshape(-1, len(arrays), grid[-1])
+    return np.stack([np.broadcast_to(v, shape) for v in arrays], axis=-2).reshape(-1, len(arrays), shape[-1])
 
 
 class TestKernelAgainstTruncPow:
@@ -133,11 +133,11 @@ class TestKernelAgainstTruncPow:
                 if arcs > 70_000:
                     break
                 for h in sorted({1, min(2, c + 1), c + 1}):
-                    units = counting._units(np.arange(arcs // F.q ** (c + 1 - h)), h, c, F)
-                    x, y = counting._images(units, ell, n, b.m, coeff, F)
-                    grid = np.broadcast_shapes(*(u.shape for u in units))
-                    rows = _on_grid(units, grid)
-                    images = _on_grid(x + y, grid).reshape(len(rows), 2, n + 1, d)
+                    units = grid._units(np.arange(arcs // F.q ** (c + 1 - h)), h, c, F)
+                    x, y = grid._images(units, ell, n, b.m, coeff, F)
+                    shape = np.broadcast_shapes(*(u.shape for u in units))
+                    rows = _on_grid(units, shape)
+                    images = _on_grid(x + y, shape).reshape(len(rows), 2, n + 1, d)
                     assert (images == ref_branch_images(rows, ell, n, b, F)).all(), (ell, c, h)
                 if arcs > 256:  # scalar arithmetic only on the small strata
                     continue
@@ -185,7 +185,7 @@ class TestImageKeys:
         # the cusp at n = 5 has keys of 2 * 4 digits, and 257^8 > 2^63; its
         # ell = 1 stratum has 256 * 257^3 arcs, so only a huge budget reaches the width
         with pytest.raises(BudgetExceeded, match="8 base-257 digits"):
-            counting._stratum_keys(CUSP, {3: 1}, Fq(257), 5, 1, 3, budget=2**40)
+            grid._stratum_keys(CUSP, {3: 1}, Fq(257), 5, 1, 3, budget=2**40)
 
 
 class TestFrozenValues:
@@ -232,14 +232,14 @@ class TestWindowSoundness:
         inline = [case() for case in cases]
         pools = []
 
-        class Pool(counting.ThreadPoolExecutor):
+        class Pool(grid.ThreadPoolExecutor):
             def __init__(self, max_workers):
                 pools.append(max_workers)
                 super().__init__(max_workers)
 
-        monkeypatch.setattr(counting, "_CHUNK_ROWS", 1000)
-        monkeypatch.setattr(counting.os, "cpu_count", lambda: 3)
-        monkeypatch.setattr(counting, "ThreadPoolExecutor", Pool)
+        monkeypatch.setattr(grid, "_CHUNK_ROWS", 1000)
+        monkeypatch.setattr(grid.os, "cpu_count", lambda: 3)
+        monkeypatch.setattr(grid, "ThreadPoolExecutor", Pool)
         assert [case() for case in cases] == inline
         assert set(pools) == {3}
 

@@ -387,32 +387,39 @@ def _variables(nvars: int, k: int) -> list[IntPoly]:
     return [IntPoly.make(nvars, {tuple(int(i == j) for i in range(nvars)): 1}) for j in range(k)]
 
 
+def _seeded_sweep(p: int):
+    """The seeded systems of the cell-certificate sweep at p, as (polys, locus, n, depth, reference
+    result); a system whose reference tree needs more than 10 000 nodes is left out."""
+    for nvars in (2, 3):
+        rng = random.Random(100 * p + nvars)
+        small = p**nvars < 400  # else one level and a line as locus keep the reference tree small
+        for _ in range(12):
+            polys = _random_system(rng, p, nvars, rng.choice([1, 1, 2]))
+            locus = _variables(nvars, rng.choice([0, 1, nvars]) if small else nvars - 1)
+            n, depth = rng.randint(1, 3 if small else 1), rng.randint(0, 5)
+            try:
+                want = ref_count_liftable(polys, locus, p, n, depth, 10_000)
+            except BudgetExceeded:
+                continue
+            yield polys, locus, n, depth, want
+
+
 class TestCellCertificate:
     """Counting a smooth cell's residues at once, against the tree without it and a brute-force lift."""
 
     @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
     def test_seeded_sweep_matches_reference(self, p):
         fired = compared = 0
-        for nvars in (2, 3):
-            rng = random.Random(100 * p + nvars)
-            small = p**nvars < 400  # else one level and a line as locus keep the reference tree small
-            for _ in range(12):
-                polys = _random_system(rng, p, nvars, rng.choice([1, 1, 2]))
-                locus = _variables(nvars, rng.choice([0, 1, nvars]) if small else nvars - 1)
-                n, depth = rng.randint(1, 3 if small else 1), rng.randint(0, 5)
-                try:
-                    want = ref_count_liftable(polys, locus, p, n, depth, 10_000)
-                except BudgetExceeded:
-                    continue
-                got = count_liftable(polys, locus, p, n, depth)
-                assert (got.count, got.certified) == (want.count, want.certified), (polys, locus, n, depth)
-                compared += 1
-                # the reference branches where a certificate stops, so firing saves nodes
-                if len(polys) == 1 and ref_certified_cells(polys[0], locus, p, n, depth):
-                    fired += 1
-                    assert got.nodes < want.nodes
-                else:
-                    assert got.nodes <= want.nodes
+        for polys, locus, n, depth, want in _seeded_sweep(p):
+            got = count_liftable(polys, locus, p, n, depth)
+            assert (got.count, got.certified) == (want.count, want.certified), (polys, locus, n, depth)
+            compared += 1
+            # the reference branches where a certificate stops, so firing saves nodes
+            if len(polys) == 1 and ref_certified_cells(polys[0], locus, p, n, depth):
+                fired += 1
+                assert got.nodes < want.nodes
+            else:
+                assert got.nodes <= want.nodes
         assert compared >= 10 and fired >= 3, (compared, fired)
 
     @pytest.mark.parametrize("p", [2, 3, 5])
@@ -587,3 +594,29 @@ class TestChildTest:
         assume(H <= min(_ordp(v, p) for v in values) and H < K)  # the cell branches
         got = system.surviving_children(b, S, values, H, jets)
         assert got == ref_surviving_children(polys, p, K, b, S)
+
+
+class TestChildTestMemo:
+    """The child test, looked up by coefficient vector mod p after its first evaluation, against the
+    point-by-point filter on every branching cell of the seeded sweep."""
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+    def test_memo_matches_pointwise_filter_on_the_seeded_sweep(self, p, monkeypatch):
+        child_test = _System.surviving_children
+        systems: dict[int, _System] = {}
+        cells = 0
+
+        def checked(system, b, S, values, H, jets):
+            nonlocal cells
+            got = child_test(system, b, S, values, H, jets)
+            assert got == ref_surviving_children(polys, p, n + 1 + depth, b, S), (polys, b, S)
+            systems[id(system)] = system
+            cells += 1
+            return got
+
+        monkeypatch.setattr(_System, "surviving_children", checked)
+        for polys, locus, n, depth, want in _seeded_sweep(p):
+            got = count_liftable(polys, locus, p, n, depth)
+            assert (got.count, got.certified) == (want.count, want.certified)
+        vectors = sum(len(system.survivors) for system in systems.values())
+        assert 0 < vectors < cells, (vectors, cells)  # some cells were answered from the memo

@@ -5,13 +5,24 @@ and class of ``arczeta`` must be used somewhere else in ``src/`` or in
 ``perfbench/``.  A use is a name or attribute reference outside the name's
 own definition; imports and ``__all__`` entries do not count.  Click commands
 are reached through the command group and are skipped.
+
+numpy only where arcs are enumerated: ``arczeta.grid`` is the one module
+that imports numpy or ``concurrent.futures`` when it is loaded, so a fresh
+process that only asks for series, Igusa forms or Presburger sums never
+loads them; a count that enumerates loads them on first use.
 """
 
 from __future__ import annotations
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
+
+from arczeta.branch import BranchSpec
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "arczeta"
@@ -69,3 +80,76 @@ def test_public_code_in_src_has_a_caller_outside_tests():
 def test_every_exception_still_lacks_a_caller():
     # an exception that gains a caller leaves the list
     assert set(EXCEPTIONS) <= _uncalled()
+
+
+# modules that only the enumeration kernels need; arczeta.grid alone may load them
+HEAVY = ("numpy", "concurrent.futures")
+
+
+def _load_time_imports(tree: ast.Module) -> set[str]:
+    """Every module an import statement outside function bodies names, with each
+    ``from a import b`` also read as ``a.b``."""
+    names = set()
+    todo: list[ast.AST] = [tree]
+    while todo:
+        for node in ast.iter_child_nodes(todo.pop()):
+            if isinstance(node, ast.Import):
+                names |= {alias.name for alias in node.names}
+            elif isinstance(node, ast.ImportFrom):
+                module = "." * node.level + (node.module or "")
+                names |= {module, *(f"{module}.{alias.name}" for alias in node.names)}
+            elif not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                todo.append(node)
+    return names
+
+
+def test_only_the_grid_kernel_imports_numpy_at_load_time():
+    heavy = {
+        path.stem
+        for path in sorted(PACKAGE.glob("*.py"))
+        for name in _load_time_imports(ast.parse(path.read_text()))
+        if any(name == h or name.startswith(h + ".") for h in HEAVY)
+    }
+    assert heavy == {"grid"}
+
+
+# one fresh interpreter: the symbolic requests first, then an enumerating count
+_FRESH = """
+import json, sys
+from click.testing import CliRunner
+import arczeta.cli, arczeta.counting, arczeta.verifier
+from arczeta.branch import BranchSpec, characteristic_sequence, p_ar
+from arczeta.ratseries import rs_specialize
+
+branch = sys.argv[1]
+symbolic = [
+    ["branch", "--input", branch, "--format", "json"],
+    ["igusa", "-k", "1", "-k", "2"],
+    ["igusa", "-k", "2", "-p", "3", "--n-max", "3"],
+    ["presburger", "qe", "E y. x = 2*y + 1 & y >= 0"],
+    ["presburger", "sum", "--set", "n >= 2 & n == 0 mod 2 & l <= n & l >= 0", "--tweight", "n", "--lweight", "l"],
+]
+exits = [CliRunner().invoke(arczeta.cli.main, argv).exit_code for argv in symbolic]
+rs_specialize(p_ar(characteristic_sequence(BranchSpec.make(4, {6: 1, 7: 1}))), 5).taylor(6)
+before = "numpy" in sys.modules
+count = CliRunner().invoke(arczeta.cli.main, ["count", "--branch", branch, "-p", "5", "--n-max", "6"])
+after = "numpy" in sys.modules
+print(json.dumps({"exits": exits, "numpy_before": before, "count": count.stdout, "numpy_after": after}))
+"""
+
+
+def test_fresh_process_loads_numpy_only_to_enumerate(tmp_path):
+    branch = tmp_path / "std4.json"
+    branch.write_text(json.dumps(BranchSpec.make(4, {6: 1, 7: 1}).to_json()))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(PACKAGE.parent), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _FRESH, str(branch)], env=env, capture_output=True, text=True, check=True, timeout=120
+    )
+    got = json.loads(proc.stdout.splitlines()[-1])
+    assert got["exits"] == [0] * 5
+    assert not got["numpy_before"]
+    # the frozen counts of (4; 6, 7) at p = 5 (tests/test_counting.py), through the digit grid
+    assert [row.split(",")[:3] for row in got["count"].splitlines()[1:]] == [
+        [str(n), str(c), "truncated-window"] for n, c in enumerate([1, 1, 1, 1, 2, 6, 51])
+    ]
+    assert got["numpy_after"]
