@@ -220,7 +220,12 @@ def branch(path, fmt, normalize, out):
 @click.option("--window/--no-window", "window", default=True, help="Windowed enumeration (branch mode).")
 @click.option("--budget", type=click.IntRange(min=1), default=DEFAULT_BUDGET)
 @click.option("--depth", type=int, default=None, help=f"Lifting depth (poly mode); default {DEPTH_POLICY}.")
-@click.option("--timings", is_flag=True, help="Include wall-clock timings (non-deterministic output).")
+@click.option(
+    "--timings",
+    is_flag=True,
+    help="Include wall-clock seconds per row (non-deterministic output). A branch count enumerates once for"
+    " all rows: its top row carries the whole count and the lower rows read 0.",
+)
 @click.option("--format", "fmt", type=click.Choice(["csv", "json", "text"]), default="csv")
 @click.option("--out", default=None, metavar="FILE")
 @_guarded

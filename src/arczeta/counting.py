@@ -12,6 +12,15 @@ distinct image keys; this module imports `arczeta.grid` only in the entry
 points that enumerate, so a process that never counts arcs (a closed form,
 an Igusa series, a Presburger sum) never loads numpy.  `measure_ord_locus`
 and `igusa_monomial` work on plain ints and series.
+
+Image counts at n = 0..n_max come from one enumeration per stratum, at
+n_max (`_level_counts`): the image mod t^(n+1) is the truncation of the
+image mod t^(n_max+1), and a key holds the digits of x and y at
+t-positions m..n_max, most significant first, so truncating to level n is
+dividing the key by p^(2d(n_max - n)).  The division keeps sorted keys
+sorted, and a level's count is the number of distinct quotients.  Only the
+geometric count enumerates each level apart, because its filter, images
+over F_p, reads every digit up to the level.
 """
 
 from __future__ import annotations
@@ -103,16 +112,48 @@ def _checked(b: BranchSpec, p: int, d: int, n: int) -> tuple[Fq, dict[int, int]]
     return fld, coeff
 
 
-def _strata(b: BranchSpec, coeff: dict[int, int], fld: Fq, n: int, budget: int) -> dict[int, int]:
-    """`count_branch_strata` once the entry checks have passed."""
-    if b.m == 1:
+def _level_counts(
+    b: BranchSpec, coeff: dict[int, int], fld: Fq, n_max: int, window: bool, budget: int
+) -> tuple[list[int], list[dict[int, int]]]:
+    """Image counts at every level n = 0..n_max, each stratum enumerated once, at n_max.
+
+    Returns the count at each level and, in window mode, each level's count
+    per contact order ell <= n/m (exhaustive mode merges the strata, so its
+    rows are empty).  A level-n key is the top-level key divided by
+    p^(2d(n_max - n)), or by p^width, giving 0, below m; a level's count is
+    the number of distinct quotients.  Window mode adds to the zero arc's
+    image the quotients of each stratum ell <= n/m, and drops a stratum's
+    keys once its levels are read; exhaustive mode merges the keys of all
+    q^(n_max) arcs with w_0 = 0 and the zero key once.  The top level is
+    checked against the budget and the key width before any stratum is
+    enumerated.
+    """
+    q, m, levels = fld.q, b.m, range(n_max + 1)
+    if window and m == 1:
         # x = w recovers the arc, so every stratum maps injectively
-        return {ell: (fld.q - 1) * fld.q ** (n - ell) for ell in range(1, n + 1)}
+        return [q**n for n in levels], [{ell: (q - 1) * q ** (n - ell) for ell in range(1, n + 1)} for n in levels]
     from . import grid
 
-    return {
-        ell: len(grid._stratum_keys(b, coeff, fld, n, ell, n - ell * b.m, budget)) for ell in range(1, n // b.m + 1)
-    }
+    top = max(0, n_max + 1 - m)  # t-positions in a top-level key
+    drop = [2 * fld.d * (top - max(0, n + 1 - m)) for n in levels]  # base-p digits a level-n key lacks
+    step = m if window else 1  # the unit of stratum ell has n_max - ell*step digits after its first
+    ells = range(1, n_max // step + 1)
+
+    def keys(ell: int):
+        return grid._stratum_keys(b, coeff, fld, n_max, ell, n_max - ell * step, budget)
+
+    if not window and q**n_max > budget:
+        raise BudgetExceeded(f"exhaustive enumeration needs {q**n_max} arcs > budget {budget}")
+    if ells:
+        grid._admit(b, fld, n_max, 1, n_max - step, budget)  # stratum ell = 1 is the largest
+    strata: list[dict[int, int]] = [{} for _ in levels]
+    if window:
+        for ell in ells:
+            for n, count in enumerate(grid._quotient_counts(keys(ell), fld.p, drop[ell * m :]), ell * m):
+                strata[n][ell] = count
+        return [1 + sum(row.values()) for row in strata], strata
+    zero = grid._pack([], fld.p)  # the zero arc's image: every digit 0, the key 0
+    return grid._quotient_counts(grid._distinct([zero, *map(keys, ells)]), fld.p, drop), strata
 
 
 def count_branch_image(
@@ -131,19 +172,11 @@ def count_branch_image(
     arc, and merges their images by key; window mode enumerates each contact
     order ell <= n/m only over the coefficients w_ell .. w_{ell+c},
     c = n - ell*m, which provably determine the truncated image, sums the
-    strata and adds the zero arc.
+    strata and adds the zero arc.  This is the top row of
+    `count_branch_report` at n_max = n.
     """
     fld, coeff = _checked(b, p, d, n)
-    if window:
-        return 1 + sum(_strata(b, coeff, fld, n, budget).values())
-    total = fld.q**n
-    if total > budget:
-        raise BudgetExceeded(f"exhaustive enumeration needs {total} arcs > budget {budget}")
-    from . import grid
-
-    strata = [grid._stratum_keys(b, coeff, fld, n, ell, n - ell, budget) for ell in range(1, n + 1)]
-    zero = grid._pack([], p)  # the zero arc's image: every digit 0, the key 0
-    return len(grid._distinct([zero, *strata]))
+    return _level_counts(b, coeff, fld, n, window, budget)[0][-1]
 
 
 def count_branch_strata(
@@ -159,7 +192,7 @@ def count_branch_strata(
     together with the zero arc exhaust the image.
     """
     fld, coeff = _checked(b, p, d, n)
-    return _strata(b, coeff, fld, n, budget)
+    return _level_counts(b, coeff, fld, n, True, budget)[1][-1]
 
 
 def count_branch_report(
@@ -170,15 +203,28 @@ def count_branch_report(
     window: bool = True,
     budget: int = DEFAULT_BUDGET,
 ) -> CountReport:
+    """`count_branch_image` at every n = 0..n_max, from one enumeration of each stratum at n_max.
+
+    The image of an arc mod t^(n+1) is the truncation of its image mod
+    t^(n_max+1), and a key holds the digits of x and y at t-positions
+    m..n_max, most significant first: the key of the truncation to level n
+    is the top-level key divided by p^(2d(n_max - n)).  So every lower
+    level is read off the top level's sorted keys by that division, and a
+    report over budget at its top level raises before it enumerates
+    anything.  The enumeration is timed as a whole: the top row's
+    ``seconds`` carries it and the lower rows read 0.
+    """
+    fld, coeff = _checked(b, p, d, n_max)
     report = CountReport(name="branch-image", p=p, d=d)
     if b.m == 1 and window:
         report.assumptions.append(
             "m=1 strata counted without enumeration: x = w makes the parametrization injective"
         )
-    for n in range(n_max + 1):
-        t0 = time.perf_counter()
-        c = count_branch_image(b, p, d, n, window=window, budget=budget)
-        report.rows.append(CountRow(n, c, "truncated-window" if window else "exhaustive", time.perf_counter() - t0))
+    t0 = time.perf_counter()
+    counts, _ = _level_counts(b, coeff, fld, n_max, window, budget)
+    seconds = time.perf_counter() - t0
+    method = "truncated-window" if window else "exhaustive"
+    report.rows = [CountRow(n, c, method, seconds if n == n_max else 0.0) for n, c in enumerate(counts)]
     return report
 
 
@@ -197,7 +243,7 @@ def count_branch_image_geometric(
     fld, coeff = _checked(b, p, 1, n)
     if b.m == 1:
         # x = w, so an image over F_p comes from an arc over F_p
-        return 1 + sum(_strata(b, coeff, fld, n, budget).values())
+        return p**n
     from . import grid
 
     total = 1  # zero arc

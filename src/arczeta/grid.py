@@ -13,10 +13,14 @@ has w_0 = 0, so x and y vanish below t^m; only the digits of x and y at
 t-positions m..n and their key, all of them packed into one int64 (`_pack`),
 reach the full grid, and distinct images are distinct keys (`_distinct`, a
 sort).  A wider key would need a stratum of more than 2^30 arcs and is
-refused as over budget.  The worker count follows from the work: a stratum
-of more than `_CHUNK_ROWS` arcs is split into ranges of leading-digit
-prefixes that run on up to one thread per CPU, and a smaller one runs
-inline; no caller sets it.
+refused as over budget (`_admit`, which callers also run before they
+enumerate).  Digits are packed most significant first, so dividing a key
+by p^e drops its last e digits and keeps sorted keys sorted: the counts of
+truncated images are read off one stratum's keys (`_quotient_counts`).
+The worker count follows from the work: a stratum of more than
+`_CHUNK_ROWS` arcs is split into ranges of leading-digit prefixes that run
+on up to one thread per CPU, and a smaller one runs inline; no caller sets
+it.
 
 This is the one module of the package that imports numpy when it is
 loaded; `arczeta.counting` imports it only when a count enumerates, so the
@@ -126,6 +130,30 @@ def _distinct(parts: list[np.ndarray]) -> np.ndarray:
     return keys[fresh]
 
 
+def _quotient_counts(keys: np.ndarray, p: int, exponents: Iterable[int]) -> list[int]:
+    """Number of distinct keys // p^e for each e, from nonempty sorted distinct keys.
+
+    Division by p^e drops the last e base-p digits and keeps the keys
+    sorted, so equal quotients are neighbours.
+    """
+    counts = []
+    for e in exponents:
+        quot = keys // p**e if e else keys
+        counts.append(1 + int(np.count_nonzero(quot[1:] != quot[:-1])))
+    return counts
+
+
+def _admit(b: BranchSpec, fld: Fq, n: int, ell: int, c: int, budget: int, rational: bool = False) -> None:
+    """Raise BudgetExceeded unless the stratum of `_stratum_keys` fits the budget and its keys one int64."""
+    q, p = fld.q, fld.p
+    total = (q - 1) * q**c
+    if total > budget:
+        raise BudgetExceeded(f"stratum ell={ell} needs {total} arcs > budget {budget}")
+    width = 2 * max(0, n + 1 - b.m) * (1 if rational else fld.d)
+    if p**width > 2**63:
+        raise BudgetExceeded(f"image keys of {width} base-{p} digits do not fit one int64 word")
+
+
 def _stratum_keys(
     b: BranchSpec,
     coeff: dict[int, int],
@@ -153,12 +181,7 @@ def _stratum_keys(
     the array work, and each extra worker holds one more chunk's arrays.
     """
     q, p = fld.q, fld.p
-    total = (q - 1) * q**c
-    if total > budget:
-        raise BudgetExceeded(f"stratum ell={ell} needs {total} arcs > budget {budget}")
-    width = 2 * max(0, n + 1 - b.m) * (1 if rational else fld.d)
-    if p**width > 2**63:
-        raise BudgetExceeded(f"image keys of {width} base-{p} digits do not fit one int64 word")
+    _admit(b, fld, n, ell, c, budget, rational)
     h = next(h for h in range(1, c + 2) if q ** (c + 1 - h) <= _CHUNK_ROWS)
     prefixes = (q - 1) * q ** (h - 1)
     chunks = -(-prefixes // (_CHUNK_ROWS // q ** (c + 1 - h)))

@@ -17,11 +17,13 @@ the closed form:
 
 All four targets share one comparison loop (``_compare``): for each admissible
 prime it specializes the series once, expands it to ``T^{n_max}``, and pairs
-coefficient ``n`` with the target's counter at ``(p, n)``, which returns the
-count, an optional second count, and whether the count is certified.  A
-target supplies only its series, its counter and any extra assumptions; the
-table ``_TARGETS`` names its runner and the plan fields it reads, and a plan
-that sets any other field is rejected.
+coefficient ``n`` with row ``n`` of the target's counter at ``p``, which
+returns for every ``n <= n_max`` the count, an optional second count, and
+whether the count is certified.  So jet images are counted by one
+``count_branch_report`` per prime, which enumerates each stratum once, at
+``n_max``.  A target supplies only its series, its counter and any extra
+assumptions; the table ``_TARGETS`` names its runner and the plan fields it
+reads, and a plan that sets any other field is rejected.
 
 Verdicts list every ``(p, n)`` comparison, carry a machine-checkable summary
 (``pass`` / ``fail`` / ``uncertified``), and serialize deterministically:
@@ -38,8 +40,10 @@ from typing import Mapping, Sequence
 from .branch import BranchSpec, characteristic_sequence, p_ar, p_geom
 from .counting import (
     DEFAULT_BUDGET,
-    count_branch_image,
+    CountRow,
+    count_branch_image,  # unused here; perfbench/spans.py patches verifier.count_branch_image
     count_branch_image_geometric,
+    count_branch_report,
     igusa_monomial,
     measure_ord_locus,
 )
@@ -316,18 +320,23 @@ def _compare(
     assumptions: Sequence[str] = (),
     forced_fail: str | None = None,
 ) -> Verdict:
-    """The one comparison loop: coefficient n of ``series`` at L := p against ``count(p, n)``.
+    """The one comparison loop: coefficient n of ``series`` at L := p against ``count(p)[n]``.
 
-    ``count`` returns ``(counted, counted_alt, certified)``.  The excluded
-    primes lead the verdict's assumptions, followed by ``assumptions``.
+    ``count(p)`` returns ``(counted, counted_alt, certified)`` for each
+    n = 0..n_max.  The excluded primes lead the verdict's assumptions,
+    followed by ``assumptions``.
     """
     primes, excluded = admissible_primes(plan)
     rows = []
     for p in primes:
         coeffs = rs_specialize(series, p).taylor(plan.n_max + 1)
-        for n in range(plan.n_max + 1):
-            rows.append(CompRow(p, n, coeffs[n], *count(p, n)))
+        rows += [CompRow(p, n, coeffs[n], *counted) for n, counted in enumerate(count(p))]
     return Verdict.from_rows(plan.target, rows, assumptions=[*excluded, *assumptions], forced_fail=forced_fail)
+
+
+def _image_rows(plan: VerificationPlan, p: int) -> list[CountRow]:
+    """The jet-image counts over F_p at n = 0..n_max, one enumeration per stratum."""
+    return count_branch_report(plan.branch, p, 1, plan.n_max, window=plan.window, budget=plan.budget).rows
 
 
 def verify_branch_par(plan: VerificationPlan) -> Verdict:
@@ -339,8 +348,8 @@ def verify_branch_par(plan: VerificationPlan) -> Verdict:
     if plan.expect_series is not None and not rs_equal(series, rs_from_json(plan.expect_series)):
         forced = "computed symbolic series differs from the plan's expected series"
 
-    def count(p: int, n: int):
-        return Fraction(count_branch_image(b, p, 1, n, window=plan.window, budget=plan.budget)), None, True
+    def count(p: int):
+        return [(Fraction(r.count), None, True) for r in _image_rows(plan, p)]
 
     return _compare(plan, series, count, forced_fail=forced)
 
@@ -351,8 +360,12 @@ def verify_branch_pgeom(plan: VerificationPlan) -> Verdict:
     b = plan.branch
     series = p_geom(characteristic_sequence(b))
 
-    def count(p: int, n: int):
-        return Fraction(count_branch_image_geometric(b, p, n, budget=plan.budget)), None, False
+    def count(p: int):
+        # the F_p filter reads every digit up to the level, so each level is enumerated apart
+        return [
+            (Fraction(count_branch_image_geometric(b, p, n, budget=plan.budget)), None, False)
+            for n in range(plan.n_max + 1)
+        ]
 
     return _compare(plan, series, count, [GEOM_ASSUMPTION])
 
@@ -361,7 +374,9 @@ def verify_igusa(plan: VerificationPlan) -> Verdict:
     """Specialized monomial integral vs. exact Haar volumes, coefficientwise."""
     _check_target(plan, "igusa-monomial")
     ks = plan.exponents
-    return _compare(plan, igusa_monomial(ks), lambda p, n: (measure_ord_locus(ks, p, n), None, True))
+    return _compare(
+        plan, igusa_monomial(ks), lambda p: [(measure_ord_locus(ks, p, n), None, True) for n in range(plan.n_max + 1)]
+    )
 
 
 def verify_cross_method(plan: VerificationPlan) -> Verdict:
@@ -383,10 +398,12 @@ def verify_cross_method(plan: VerificationPlan) -> Verdict:
     f = plan.poly or ("x^2 - y^3",)
     W = plan.locus or ("x", "y")
 
-    def count(p: int, n: int):
-        lifted = count_liftable(f, W, p, n, plan.depth, budget=plan.budget)
-        image = count_branch_image(b, p, 1, n, window=plan.window, budget=plan.budget)
-        return Fraction(lifted.count), Fraction(image), lifted.certified
+    def count(p: int):
+        rows = []
+        for image in _image_rows(plan, p):
+            lifted = count_liftable(f, W, p, image.n, plan.depth, budget=plan.budget)
+            rows.append((Fraction(lifted.count), Fraction(image.count), lifted.certified))
+        return rows
 
     return _compare(plan, p_ar(c), count)
 

@@ -12,7 +12,9 @@ modulus and reduction table, :class:`TruncPow` builds F_q[t]/t^{n+1} on it
 :func:`ref_branch_images`, the row kernel it replaced: one row of digits
 per arc, each power u^j built by chained truncated :func:`ref_series_mul`;
 :func:`ref_count_images` counts the images of all q^n arcs with untruncated
-powers, the reference for window and exhaustive counts),
+powers, the reference for window and exhaustive counts, and
+:func:`ref_level_strata` enumerates the strata at each level apart, the
+reference for reading lower levels off the top level's keys),
 :func:`ratfunc_from_polys` reduces num/den by a full Euclidean gcd over Q
 (the reference for `RatFunc.from_binomials`), :func:`ref_taylor` expands a
 `RatFunc` by the recurrence in Fractions (the reference for the integer
@@ -56,6 +58,7 @@ from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
+from arczeta import grid
 from arczeta import presburger as pb
 from arczeta.branch import BranchSpec
 from arczeta.counting import BudgetExceeded, CountReport, CountRow
@@ -817,6 +820,26 @@ def ref_count_images(b: BranchSpec, p: int, d: int, n: int) -> int:
         y = (y + coeff.get(j, 0) * power) % p
     images = np.stack([x, y], axis=1).reshape(q**n, -1).astype(np.min_scalar_type(p))
     return len(np.unique(images, axis=0))
+
+
+def ref_level_strata(b: BranchSpec, p: int, d: int, n: int, window: bool = True) -> tuple[int, dict[int, int]]:
+    """The image count at level n and its per-stratum counts, enumerated at level n itself.
+
+    The per-level path the counting routes ran before they read every level
+    off one top-level enumeration: one `grid._stratum_keys` call per stratum
+    at this n, window strata summed with the zero arc, exhaustive strata
+    merged with the zero key (their per-stratum dict is empty).
+    """
+    fld = Fq(p, d)
+    coeff = {j: a.numerator * pow(a.denominator, -1, p) % p for j, a in b.coeffs.items()}
+    budget = 2**40
+    if not window:
+        keys = [grid._stratum_keys(b, coeff, fld, n, ell, n - ell, budget) for ell in range(1, n + 1)]
+        return len(grid._distinct([grid._pack([], p), *keys])), {}
+    strata = {
+        ell: len(grid._stratum_keys(b, coeff, fld, n, ell, n - ell * b.m, budget)) for ell in range(1, n // b.m + 1)
+    }
+    return 1 + sum(strata.values()), strata
 
 
 def _ref_ordp(value: int, p: int) -> int | float:

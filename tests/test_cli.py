@@ -202,6 +202,19 @@ class TestCountCommand:
         assert r.exit_code == 1
         assert r.stderr == "error: 6000001 Hasse derivatives exceed budget 4000000\n"
 
+    def test_timings_put_the_enumeration_on_the_top_row(self, runner, files):
+        args = ["count", "--branch", files["std4"], "-p", "5", "--n-max", "7", "--format", "json"]
+        plain, timed = (json.loads(runner.invoke(main, [*args, *extra]).output) for extra in ([], ["--timings"]))
+        assert [row[3] for row in plain["rows"]] == [0.0] * 8
+        assert [row[3] for row in timed["rows"][:-1]] == [0.0] * 7 and timed["rows"][-1][3] > 0
+        assert [row[:3] for row in timed["rows"]] == [row[:3] for row in plain["rows"]]
+
+    def test_over_budget_names_the_top_level_stratum(self, runner, files):
+        r = runner.invoke(main, ["count", "--branch", files["std4"], "-p", "13", "--n-max", "8", "--budget", "10000"])
+        assert r.exit_code == 1
+        assert r.stdout == ""
+        assert r.stderr == f"error: stratum ell=1 needs {12 * 13**4} arcs > budget 10000\n"
+
     def test_budget_exhaustion_is_input_error(self, runner, files):
         r = runner.invoke(
             main,

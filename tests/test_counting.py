@@ -3,6 +3,7 @@
 import itertools
 import math
 import json
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from arczeta import grid
+from arczeta import counting, grid
 from arczeta.branch import BranchSpec, characteristic_sequence, chi_c_arc_class, p_ar, p_geom
 from arczeta.counting import (
     BadPrime,
@@ -27,12 +28,14 @@ from arczeta.fq import Fq
 from arczeta.grid import _distinct, _pack
 from arczeta.ratseries import rs_expand, rs_specialize
 from arczeta.tate import TatePoly
+from arczeta.verifier import VerificationPlan, run_plan
 from helpers import (
     RefFq,
     TruncPow,
     read_count_report,
     ref_branch_images,
     ref_count_images,
+    ref_level_strata,
     ref_series_mul,
     ref_tate_eval,
     report_counts,
@@ -43,6 +46,9 @@ LINE2 = BranchSpec.make(1, {2: Fraction(1, 3), 3: 2})
 CUSP = BranchSpec.make(2, {3: 1})
 STD4 = BranchSpec.make(4, {6: 1, 7: 1})
 M3 = BranchSpec.make(3, {4: 2, 5: 1})
+C34 = BranchSpec.make(3, {4: 1})
+# rational coefficients on the characteristic exponents 6, 7 and a filler term a_9
+RAT4 = BranchSpec.make(4, {6: Fraction(1, 2), 7: Fraction(-3, 4), 9: Fraction(2, 3)})
 
 
 def naive_image_count(b: BranchSpec, p: int, d: int, n: int) -> int:
@@ -244,6 +250,133 @@ class TestWindowSoundness:
         assert set(pools) == {3}
 
 
+def _levels(b: BranchSpec, p: int, d: int, n_max: int, window: bool) -> tuple[list[int], list[dict[int, int]]]:
+    """Counts and per-stratum counts at every level, from one enumeration at n_max."""
+    fld, coeff = counting._checked(b, p, d, n_max)
+    return counting._level_counts(b, coeff, fld, n_max, window, counting.DEFAULT_BUDGET)
+
+
+class TestLevelsFromTopLevel:
+    """Every level read off the top level's keys, against counts made at that level alone."""
+
+    # F_5, F_7, F_13, F_8, F_25, F_125; every n_max reaches past the levels below m
+    BRUTE = [
+        (CUSP, 5, 1, 6),
+        (STD4, 5, 1, 7),
+        (RAT4, 5, 1, 7),
+        (C34, 7, 1, 5),
+        (RAT4, 7, 1, 5),
+        (CUSP, 13, 1, 4),
+        (C34, 13, 1, 4),
+        (CUSP, 2, 3, 5),
+        (C34, 2, 3, 4),
+        (CUSP, 5, 2, 3),
+        (C34, 5, 2, 3),
+        (CUSP, 5, 3, 2),
+    ]
+
+    @pytest.mark.parametrize("b,p,d,n_max", BRUTE)
+    def test_every_level_matches_all_arcs(self, b, p, d, n_max):
+        expect = [ref_count_images(b, p, d, n) for n in range(n_max + 1)]
+        for window in (True, False):
+            rep = count_branch_report(b, p, d, n_max, window=window)
+            assert [r.n for r in rep.rows] == list(range(n_max + 1))
+            assert [r.count for r in rep.rows] == expect, window
+
+    # the widest key the default budget admits at p = 257: the cusp at n = 3 packs
+    # 4 digits (n = 4 would need 256 * 257^2 arcs in its first stratum)
+    WIDE = [(CUSP, 257, 1, 3, True), (C34, 257, 1, 4, True), (CUSP, 257, 1, 2, False)]
+
+    @staticmethod
+    def _sweep(seed: int, cases: int) -> list[tuple[BranchSpec, int, int, int, bool]]:
+        """Seeded branches with m <= 5 and up to three terms, over fields up to F_13 and F_9,
+        at the largest n_max whose first stratum (window) or arc set (exhaustive) stays small."""
+        rng = random.Random(seed)
+        fields = [(2, 1), (3, 1), (5, 1), (7, 1), (13, 1), (2, 2), (3, 2), (2, 3)]
+        out = []
+        while len(out) < cases:
+            m = rng.randint(1, 5)
+            p, d = rng.choice(fields)
+            exponents = rng.sample(range(m, m + 9), rng.randint(0, 3))
+            coeffs = {j: Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3, 4))) for j in exponents}
+            if any(a.denominator % p == 0 for a in coeffs.values()):
+                continue
+            window = rng.random() < 0.6
+            q, n_max = p**d, 0
+            while (q - 1) * q ** (n_max + 1 - (m if window else 1)) <= 20_000:
+                n_max += 1
+            out.append((BranchSpec.make(m, coeffs), p, d, n_max, window))
+        return out
+
+    @pytest.mark.parametrize("b,p,d,n_max,window", WIDE + _sweep(24, 40))
+    def test_every_level_matches_per_level_enumeration(self, b, p, d, n_max, window):
+        counts, strata = _levels(b, p, d, n_max, window)
+        for n in range(n_max + 1):
+            count, by_stratum = ref_level_strata(b, p, d, n, window)
+            assert counts[n] == count, n
+            if window:
+                assert strata[n] == by_stratum, n
+        if window:
+            assert count_branch_strata(b, p, d, n_max) == strata[-1]
+        assert count_branch_image(b, p, d, n_max, window=window) == counts[-1]
+
+
+class TestTopLevelBudget:
+    """A report or plan over budget at its top level enumerates no stratum."""
+
+    @pytest.fixture()
+    def calls(self, monkeypatch):
+        made = []
+        enumerate_stratum = grid._stratum_keys
+
+        def counted(*args, **kwargs):
+            made.append(args[4])
+            return enumerate_stratum(*args, **kwargs)
+
+        monkeypatch.setattr(grid, "_stratum_keys", counted)
+        return made
+
+    CASES = {
+        # the first stratum at n_max = 8, 12 * 13^4 arcs; n = 7 alone would need 12 * 13^3
+        "window-arcs": (lambda: count_branch_report(STD4, 13, 1, 8, budget=10**4), f"stratum ell=1 needs {12 * 13**4}"),
+        "exhaustive-arcs": (
+            lambda: count_branch_report(STD4, 13, 1, 8, window=False, budget=10**6),
+            f"exhaustive enumeration needs {13**8}",
+        ),
+        # 2 * 4 digits of 257 at n_max = 5; the levels up to 4 would fit
+        "window-width": (lambda: count_branch_report(CUSP, 257, 1, 5, budget=2**40), "8 base-257 digits"),
+        "exhaustive-width": (
+            lambda: count_branch_report(CUSP, 257, 1, 5, window=False, budget=2**48),
+            "8 base-257 digits",
+        ),
+        "branch-par": (
+            lambda: run_plan(VerificationPlan("branch-par", branch=STD4, primes=(13,), n_max=8, budget=10**4)),
+            f"stratum ell=1 needs {12 * 13**4}",
+        ),
+        "cusp-cross-method": (
+            lambda: run_plan(VerificationPlan("cusp-cross-method", branch=CUSP, primes=(13,), n_max=7, budget=10**5)),
+            f"stratum ell=1 needs {12 * 13**5}",
+        ),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_raises_before_any_stratum(self, calls, case):
+        run, message = self.CASES[case]
+        with pytest.raises(BudgetExceeded, match=message):
+            run()
+        assert calls == []
+
+    def test_one_enumeration_per_stratum_per_prime(self, calls):
+        count_branch_report(STD4, 13, 1, 8)
+        assert calls == [1, 2]
+        calls.clear()
+        run_plan(VerificationPlan("branch-par", branch=STD4, primes=(5, 13), n_max=8))
+        assert calls == [1, 2, 1, 2]
+        calls.clear()
+        count_branch_report(CUSP, 5, 1, 6, window=False)
+        assert calls == [1, 2, 3, 4, 5, 6]
+
+
 class TestFiberIdentity:
     @pytest.mark.parametrize("p,n", [(5, 5), (5, 7), (5, 8), (13, 4), (13, 6)])
     def test_stratum_counts_match_formula(self, p, n):
@@ -331,6 +464,7 @@ class TestErrors:
     COUNTERS = {
         "image": lambda b, p, n: count_branch_image(b, p, 1, n),
         "strata": lambda b, p, n: count_branch_strata(b, p, 1, n),
+        "report": lambda b, p, n: count_branch_report(b, p, 1, n),
         "geometric": count_branch_image_geometric,
     }
 

@@ -6,6 +6,12 @@ and class of ``arczeta`` must be used somewhere else in ``src/`` or in
 own definition; imports and ``__all__`` entries do not count.  Click commands
 are reached through the command group and are skipped.
 
+One stratum enumerator by rule: ``grid._stratum_keys`` is called in exactly
+two places, ``counting._level_counts`` (every level of an image count, from
+one enumeration per stratum at the top level) and
+``counting.count_branch_image_geometric`` (whose F_p filter depends on the
+level).
+
 numpy only where arcs are enumerated: ``arczeta.grid`` is the one module
 that imports numpy or ``concurrent.futures`` when it is loaded, so a fresh
 process that only asks for series, Igusa forms or Presburger sums never
@@ -31,8 +37,8 @@ PACKAGE = ROOT / "src" / "arczeta"
 EXCEPTIONS = {
     "branch.chi_c_arc_class": "the stratum-set derivation of P_ar (ROADMAP direction 2) gives it a caller",
     "branch.order_gap": "the contact orders of acceptance criterion 8",
-    "counting.count_branch_strata": "the per-stratum counts whose sum is the window count; its body is the"
-    " `_strata` that count_branch_image runs, so it adds no second code path",
+    "counting.count_branch_strata": "the per-stratum counts whose sum is the window count; it reads the top"
+    " level of `_level_counts`, the routine behind count_branch_image, so it adds no second code path",
 }
 
 
@@ -80,6 +86,18 @@ def test_public_code_in_src_has_a_caller_outside_tests():
 def test_every_exception_still_lacks_a_caller():
     # an exception that gains a caller leaves the list
     assert set(EXCEPTIONS) <= _uncalled()
+
+
+def test_stratum_keys_has_two_call_sites():
+    sites = Counter()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            where = f"{path.stem}.{top.name}" if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else path.stem
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call):
+                    callee = node.func.attr if isinstance(node.func, ast.Attribute) else getattr(node.func, "id", None)
+                    sites[where] += callee == "_stratum_keys"
+    assert +sites == Counter({"counting._level_counts": 1, "counting.count_branch_image_geometric": 1})
 
 
 # modules that only the enumeration kernels need; arczeta.grid alone may load them
