@@ -193,10 +193,8 @@ def chi_c_arc_class(c: CharSeq, n: int, ell: int) -> tuple[TatePoly, TatePoly]:
     if ell < 1 or ell * m > n:
         raise OutOfRange(f"need 1 <= l <= n/m, got l={ell}, n={n}, m={m}")
     i = max(k for k in range(c.g + 1) if ell * c.beta[k] <= n)
-    unit = TatePoly.L(1) - TatePoly.one()
-    geo = unit.shift(n - ell * m)
-    ar = geo * TatePoly.const(Fraction(c.N[i], m))
-    return geo, ar
+    e, w = n - ell * m, Fraction(c.N[i], m)
+    return TatePoly({e + 1: 1, e: -1}), TatePoly({e + 1: w, e: -w})
 
 
 def puiseux_from_poles(alphas: Sequence[Fraction], m: int) -> list[int]:

@@ -32,8 +32,7 @@ from typing import Sequence
 
 from .branch import BranchSpec
 from .fq import Fq, residue
-from .ratseries import RatSeries, rs_mul, rs_scale
-from .tate import TatePoly
+from .ratseries import RatSeries, _series, rs_mul
 
 __all__ = [
     "BadPrime",
@@ -143,7 +142,7 @@ def _level_counts(
         return grid._stratum_keys(b, coeff, fld, n_max, ell, n_max - ell * step, budget)
 
     if not window and q**n_max > budget:
-        raise BudgetExceeded(f"exhaustive enumeration needs {q**n_max} arcs > budget {budget}")
+        raise BudgetExceeded(f"exhaustive enumeration needs {q}^{n_max} arcs > budget {budget}")
     if ells:
         grid._admit(b, fld, n_max, 1, n_max - step, budget)  # stratum ell = 1 is the largest
     strata: list[dict[int, int]] = [{} for _ in levels]
@@ -290,7 +289,7 @@ def igusa_monomial(exponents: Sequence[int]) -> RatSeries:
     if not ks or any(k < 1 for k in ks):
         raise ValueError("monomial exponents must be >= 1")
     out = RatSeries.one()
-    unit = TatePoly.one() - TatePoly.L(-1)
+    unit = _series({(0, 0): 1, (0, -1): -1}, 1, (), ())  # 1 - L^-1
     for k in ks:
-        out = rs_mul(out, rs_scale(RatSeries.geometric(-1, k), unit))
+        out = rs_mul(out, rs_mul(RatSeries.geometric(-1, k), unit))
     return out

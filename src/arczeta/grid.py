@@ -148,7 +148,7 @@ def _admit(b: BranchSpec, fld: Fq, n: int, ell: int, c: int, budget: int, ration
     q, p = fld.q, fld.p
     total = (q - 1) * q**c
     if total > budget:
-        raise BudgetExceeded(f"stratum ell={ell} needs {total} arcs > budget {budget}")
+        raise BudgetExceeded(f"stratum ell={ell} needs {q - 1}*{q}^{c} arcs > budget {budget}")
     width = 2 * max(0, n + 1 - b.m) * (1 if rational else fld.d)
     if p**width > 2**63:
         raise BudgetExceeded(f"image keys of {width} base-{p} digits do not fit one int64 word")

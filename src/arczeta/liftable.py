@@ -476,7 +476,7 @@ def count_liftable(
     if derivatives > budget:
         raise BudgetExceeded(f"{derivatives} Hasse derivatives exceed budget {budget}")
     if p**nvars > budget:
-        raise BudgetExceeded(f"root enumeration p^m = {p**nvars} exceeds budget {budget}")
+        raise BudgetExceeded(f"root enumeration p^m = {p}^{nvars} exceeds budget {budget}")
     K = n + 1 + max_depth
     sys = _System(fp, p, nvars)
     owner_mod = p ** (n + 1)

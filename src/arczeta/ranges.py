@@ -31,8 +31,8 @@ from typing import Iterator, Sequence
 
 from . import presburger as pb
 from .presburger import _NEGATE, LinTerm, _atoms, _fold, _le_forms
-from .ratseries import RatSeries, rs_add
-from .tate import TatePoly, _sparse_add
+from .ratseries import RatSeries, _geom_order, _series, rs_add
+from .tate import _sparse_add, _sparse_mul
 
 
 class UnsupportedShape(ValueError):
@@ -352,24 +352,18 @@ def _poly_from_affine(form: LinTerm) -> _Poly:
     return out
 
 
-def _poly_mul(a: _Poly, b: _Poly) -> _Poly:
-    out: _Poly = {}
-    for m1, c1 in a.items():
-        for m2, c2 in b.items():
-            d = dict(m1)
-            for v, e in m2:
-                d[v] = d.get(v, 0) + e
-            key = tuple(sorted(d.items()))
-            out[key] = out.get(key, Fraction(0)) + c1 * c2
-            if not out[key]:
-                del out[key]
-    return out
+def _mono_mul(m1: tuple[tuple[str, int], ...], m2: tuple[tuple[str, int], ...]) -> tuple[tuple[str, int], ...]:
+    """The product of two monomials, each a sorted tuple of (variable, power) pairs."""
+    d = dict(m1)
+    for v, e in m2:
+        d[v] = d.get(v, 0) + e
+    return tuple(sorted(d.items()))
 
 
 def _poly_pow(a: _Poly, e: int) -> _Poly:
     out: _Poly = {(): Fraction(1)}
     for _ in range(e):
-        out = _poly_mul(out, a)
+        out = _sparse_mul(out, a, _mono_mul)
     return out
 
 
@@ -377,7 +371,7 @@ def _binom_poly(form: LinTerm, k: int) -> _Poly:
     """C(form, k) = form (form-1) ... (form-k+1) / k! as a polynomial."""
     out: _Poly = {(): Fraction(1)}
     for j in range(k):
-        out = _poly_mul(out, _poly_from_affine(form.shift(-j)))
+        out = _sparse_mul(out, _poly_from_affine(form.shift(-j)), _mono_mul)
     return {m: c / Fraction(factorial(k)) for m, c in out.items()}
 
 
@@ -567,5 +561,5 @@ def _term_to_series(t: _Term) -> RatSeries:
         cyclo.extend([-a] * mult)
     if texp < 0:
         raise UnsupportedShape(f"negative T-exponent {texp}")
-    num = {texp: TatePoly({lexp: coef})}
-    return RatSeries(num, geom, cyclo)
+    num = {(texp, lexp): coef.numerator} if coef else {}
+    return _series(num, coef.denominator, tuple(sorted(geom, key=_geom_order)), tuple(sorted(cyclo)))

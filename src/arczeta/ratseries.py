@@ -6,19 +6,23 @@ nonzero int} over one positive integer `den`, kept primitive:
 gcd(den, *coefficients) = 1, Gauss's primitive part.  All arithmetic is exact
 and on plain ints, through the sparse kernel of `arczeta.tate` keyed by
 exponent pairs; `rs_add` works over the least common denominator, and
-equality is `(x - y).is_zero()`.  The public constructor takes {T-exponent:
-TatePoly} and checks every factor; the arithmetic builds its results with
-`_series`, which trusts factor tuples that are already valid and sorted.  The
-outputs write each coefficient as Fraction(v, den), `rs_to_json` straight
-from the pair; `rs_text` and `rs_latex` are one walk (`_render`) over two
-token tables.
+equality is `(x - y).is_zero()`.  `tate.TatePoly` is only the type in
+which a coefficient enters or leaves: the public constructor takes
+{T-exponent: TatePoly or constant} and checks every factor, and
+`rs_expand` returns TatePolys; every series operation in between runs on the
+flat numerator, and the arithmetic builds its results with `_series`, which
+trusts factor tuples that are already valid and sorted.  The outputs write
+each coefficient as Fraction(v, den), `rs_to_json` straight from the pair;
+`rs_text` and `rs_latex` are one walk (`_render`) over two token tables,
+which groups the numerator by T-power.
 
 `_div_binomial` is the one exact division: by (1 - L^a T^b), whose leading
 coefficient -L^a is a unit, and, with b = 0, of each T-coefficient by
 1 - L^i; both are exact over Z when they are exact over Q.  `rs_normalize`
-skips it whenever the numerator at L = _ELL, reduced mod P = 2^61 - 1 and
-mod (1 - _ELL^a T^b) by `fq.poly_rem`, leaves a remainder, which proves the
-division inexact.
+cancels factors with it, and `rs_expand` divides each expanded coefficient
+by (L^i - 1) with it.  `rs_normalize` skips the division whenever the
+numerator at L = _ELL, reduced mod P = 2^61 - 1 and mod (1 - _ELL^a T^b) by
+`fq.poly_rem`, leaves a remainder, which proves the division inexact.
 
 Specialization at q = u/v (`rs_specialize`) makes the numerator an integer
 polynomial in T and reduces it against one binomial 1 - q^a T^b at a time,
@@ -30,8 +34,8 @@ otherwise the Euclidean gcd over Q, made primitive, divides both exactly in
 Z[T] (Gauss's lemma).  The result is the reduced pair with den(0) = 1 that a
 full Euclidean gcd gives (the tests hold that reference).  `RatFunc.taylor`
 expands by an integer recurrence with one division per coefficient,
-`rs_expand` truncates over Q[L, L^-1], and `rs_poles_in_L` locates the poles
-in the T = L^alpha scale.
+`rs_expand` truncates the series over Q[L, L^-1] on the flat numerator, and
+`rs_poles_in_L` locates the poles in the T = L^alpha scale.
 """
 
 from __future__ import annotations
@@ -47,14 +51,12 @@ from .fq import _trim, poly_gcd, poly_mul, poly_rem
 from .tate import (
     _LATEX,
     _TEXT,
+    NonPolynomialCoefficient,
     Scalar,
     TatePoly,
-    _as_poly,
-    _qdivmod,
+    _coerce,
     _sparse_add,
     _sparse_mul,
-    _wrap,
-    cyclotomic_unit,
     json_rows,
     json_value,
 )
@@ -93,11 +95,28 @@ def _add_keys(k1: tuple[int, int], k2: tuple[int, int]) -> tuple[int, int]:
     return k1[0] + k2[0], k1[1] + k2[1]
 
 
-def _flatten(coeffs: Mapping[int, TatePoly]) -> tuple[Num, int]:
-    """{T-exponent: TatePoly} as a numerator over the lcm of its denominators (primitive already)."""
-    den = lcm(*(v.denominator for c in coeffs.values() for v in c.c.values()))
-    num = {(n, e): v.numerator * (den // v.denominator) for n, c in coeffs.items() for e, v in c.c.items()}
+def _laurent(c: TatePoly | Scalar) -> Mapping[int, Fraction]:
+    """The terms {L-exponent: nonzero Fraction} of an input coefficient; an
+    int or Fraction is a constant, anything else a TypeError."""
+    if isinstance(c, TatePoly):
+        return c.c
+    v = _coerce(c)
+    return {0: v} if v else {}
+
+
+def _flatten(coeffs: Mapping[int, Mapping[int, Fraction]]) -> tuple[Num, int]:
+    """{T-exponent: {L-exponent: Fraction}} as a numerator over the lcm of its denominators (primitive already)."""
+    den = lcm(*(v.denominator for c in coeffs.values() for v in c.values()))
+    num = {(n, e): v.numerator * (den // v.denominator) for n, c in coeffs.items() for e, v in c.items()}
     return num, den
+
+
+def _by_t_power(num: Num, den: int) -> dict[int, dict[int, Fraction]]:
+    """The inverse of `_flatten`: {T-exponent: {L-exponent: Fraction(v, den)}}, as the outputs write coefficients."""
+    rows: dict[int, dict[int, Fraction]] = {}
+    for (n, e), v in num.items():
+        rows.setdefault(n, {})[e] = Fraction(v, den)
+    return rows
 
 
 def _div_binomial(x: Num, a: int, b: int) -> Num | None:
@@ -156,7 +175,7 @@ class RatSeries:
         """sum_n num[n] T^n / factors, from {n: TatePoly} or its items; an int
         or Fraction coefficient reads as a constant, anything else is a TypeError."""
         items = num.items() if isinstance(num, Mapping) else num
-        coeffs = {int(n): c for n, c in ((n, _as_poly(c)) for n, c in items) if c}
+        coeffs = {int(n): c for n, c in ((n, _laurent(c)) for n, c in items) if c}
         if any(n < 0 for n in coeffs):
             raise ValueError("the numerator is a polynomial in T: exponents must be >= 0")
         g = []
@@ -179,12 +198,12 @@ class RatSeries:
 
     @classmethod
     def one(cls) -> RatSeries:
-        return cls({0: TatePoly.one()})
+        return cls({0: 1})
 
     @classmethod
     def geometric(cls, a: int, b: int) -> RatSeries:
         """1 / (1 - L^a T^b)."""
-        return cls({0: TatePoly.one()}, geom=[(a, b)])
+        return cls({0: 1}, geom=[(a, b)])
 
     def is_zero(self) -> bool:
         return not self.num
@@ -228,7 +247,7 @@ def _series(num: Num, den: int, geom: tuple[tuple[int, int], ...], cyclo: tuple[
 
 
 def rs_scale(x: RatSeries, c: TatePoly | Scalar) -> RatSeries:
-    num, den = _flatten({0: _as_poly(c)})
+    num, den = _flatten({0: _laurent(c)})
     return _series(_sparse_mul(x.num, num, _add_keys), x.den * den, x.geom, x.cyclo)
 
 
@@ -326,34 +345,44 @@ class TruncatedSeries:
 def rs_expand(x: RatSeries, order: int) -> TruncatedSeries:
     """Truncated expansion c_0..c_order with coefficients in Q[L, L^-1].
 
-    Geometric factors expand termwise; each (L^i - 1) denominator factor must
-    then divide every coefficient exactly, else `tate.NonPolynomialCoefficient`.
+    On the numerator, truncated at T^order: each geometric factor multiplies
+    it by sum_s L^(a s) T^(b s) up to T^order; each (L^i - 1) denominator
+    factor must then divide every T-coefficient exactly (`_div_binomial` by
+    1 - L^i, negated), else `tate.NonPolynomialCoefficient`.
     """
     if order < 0:
         raise ValueError("order must be >= 0")
-    nested = _coeffs(x)
-    coeffs = [nested.get(n, TatePoly.zero()) for n in range(order + 1)]
+    num = {k: v for k, v in x.num.items() if k[0] <= order}
     for a, b in x.geom:
-        # multiply the truncated series by sum_{s>=0} L^(a s) T^(b s)
-        out = [TatePoly.zero()] * (order + 1)
-        for n in range(order + 1):
-            acc = TatePoly.zero()
-            s = 0
-            while b * s <= n:
-                c = coeffs[n - b * s]
-                if not c.is_zero():
-                    acc = acc + c.shift(a * s)
-                s += 1
-            out[n] = acc
-        coeffs = out
+        series = {(b * s, a * s): 1 for s in range(order // b + 1)}
+        num = {k: v for k, v in _sparse_mul(num, series, _add_keys).items() if k[0] <= order}
     for i in x.cyclo:
-        unit = cyclotomic_unit(i)
-        coeffs = [c.exact_div(unit) for c in coeffs]
-    return TruncatedSeries(coeffs, order)
+        q = _div_binomial(num, i, 0)  # by 1 - L^i = -(L^i - 1)
+        if q is None:
+            raise NonPolynomialCoefficient(f"{_TEXT.power('L', i)} - 1 does not divide every coefficient up to T^{order}")
+        num = {k: -v for k, v in q.items()}
+    rows = _by_t_power(num, x.den)
+    return TruncatedSeries([TatePoly(rows.get(n, {})) for n in range(order + 1)], order)
 
 
 # ---------------------------------------------------------------------------
 # rational functions over Q (the specialized side)
+
+
+def _qdivmod(a: Sequence[Fraction], b: Sequence[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
+    """Quotient and trimmed remainder of dense Q[x] polynomials (ascending coefficients)."""
+    r, b = _trim(list(a)), _trim(list(b))
+    if not b:
+        raise ZeroDivisionError("division by zero polynomial")
+    q = [Fraction(0)] * max(0, len(r) - len(b) + 1)
+    support = [(j, bv) for j, bv in enumerate(b) if bv]
+    for i in range(len(r) - len(b), -1, -1):
+        c = r[i + len(b) - 1] / b[-1]
+        if c:
+            q[i] = c
+            for j, bv in support:
+                r[i + j] -= c * bv
+    return q, _trim(r)
 
 
 def _qgcd(a: Sequence[Fraction], b: Sequence[Fraction]) -> list[Fraction]:
@@ -597,17 +626,9 @@ def rs_poles_in_L(x: RatSeries) -> set[Fraction]:
 # rendering and serialization
 
 
-def _coeffs(x: RatSeries) -> dict[int, TatePoly]:
-    """The numerator as {T-exponent: TatePoly of Fraction(v, den)}, ascending in T, as every output writes it."""
-    rows: dict[int, dict[int, Fraction]] = {}
-    for (n, e), v in x.num.items():
-        rows.setdefault(n, {})[e] = Fraction(v, x.den)
-    return {n: _wrap(rows[n]) for n in sorted(rows)}
-
-
-def _bare(c: TatePoly) -> bool:
-    """c is one positive term read without grouping: an integer or a power of L."""
-    ((e, v),) = c.c.items()
+def _bare(c: Mapping[int, Fraction]) -> bool:
+    """The coefficient c is one positive term read without grouping: an integer or a power of L."""
+    ((e, v),) = c.items()
     return v > 0 and v.denominator == 1 and (e == 0 or v == 1)
 
 
@@ -616,14 +637,16 @@ def _render(x: RatSeries, latex: bool) -> str:
     style = _LATEX if latex else _TEXT
     if not x.num:
         return "0"
+    rows = _by_t_power(x.num, x.den)
     parts = []
-    for n, c in _coeffs(x).items():
+    for n in sorted(rows):
+        c = rows[n]
         body = style.laurent(c)
-        if len(c.c) > 1 or (n and style.inline and not _bare(c)):
+        if len(c) > 1 or (n and style.inline and not _bare(c)):
             body = style.group(body)
         if n == 0:
             parts.append(body)
-        elif c.is_one():
+        elif c == {0: 1}:
             parts.append(style.power("T", n))
         else:
             parts.append(body + style.times + style.power("T", n))

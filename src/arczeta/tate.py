@@ -2,29 +2,28 @@
 
 A `TatePoly` is a finite Q-linear combination of integer (possibly negative)
 powers of L, stored sparsely as a dict mapping exponent to a nonzero
-`Fraction`.  This is the coefficient ring for all symbolic series here;
-inverted factors (L^i - 1)^-1 are never stored inside a TatePoly but tracked
-as explicit denominator factors by `arczeta.ratseries.RatSeries`.
+`Fraction`.  It is the type in which a series coefficient enters and leaves
+the program: the `RatSeries` constructor and `rs_from_json` read it,
+`rs_expand` writes it.  It has no arithmetic here: every series is built and
+computed on the flat integer numerator of `arczeta.ratseries.RatSeries`,
+which tracks inverted factors (L^i - 1)^-1 as explicit denominator factors.
+`rs_expand` raises `NonPolynomialCoefficient` when such a factor does not
+divide an expanded coefficient, so the coefficient would leave Q[L, L^-1].
 
-Exact division, used when expanding a series with (L^i - 1) denominator
-factors, raises `NonPolynomialCoefficient` if the quotient would leave the
-ring.
-
-`_sparse_add` and `_sparse_mul` are the one sparse kernel of the series
-layer: they add and multiply {exponent: nonzero coefficient} dicts, both for
-the Fraction coefficients of a TatePoly and for the int coefficients of a
-`RatSeries` numerator, keyed by (T-exponent, L-exponent) pairs.  `_TEXT` and
-`_LATEX` hold the tokens of the two output formats; `_Style.laurent` is the
-one signed-term walk that renders a TatePoly in either.
+`_sparse_add` and `_sparse_mul` are the one sparse kernel of the symbolic
+side: they add and multiply {exponent: nonzero coefficient} dicts, for the
+int coefficients of a `RatSeries` numerator keyed by (T-exponent,
+L-exponent) pairs and for the Fraction coefficients of the index
+polynomials of `arczeta.ranges`, keyed by monomials.  `_TEXT` and `_LATEX`
+hold the tokens of the two output formats; `_Style.laurent` is the one
+signed-term walk that renders a Laurent polynomial {L-exponent: Fraction}
+in either, for `str(TatePoly)` and for each T-coefficient of a series.
 """
 
 from __future__ import annotations
 
-import operator
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, NamedTuple, Sequence, Union
-
-from .fq import _trim
+from typing import Callable, Iterable, Mapping, NamedTuple, Union
 
 Scalar = Union[int, Fraction]
 
@@ -79,8 +78,8 @@ def json_rows(value, width: int, name: str) -> list[list]:
 def _sparse_add(x: Mapping, y: Mapping) -> dict:
     """x + y over sparse {exponent: nonzero coefficient} dicts; zero sums drop.
 
-    Keys are opaque: L-exponents of a TatePoly or (T, L)-exponent pairs of a
-    series numerator.  Coefficients (Fractions or ints) are falsy exactly at zero.
+    Keys are opaque: (T, L)-exponent pairs of a series numerator or monomials
+    of an index polynomial.  Coefficients (ints or Fractions) are falsy exactly at zero.
     """
     out = dict(x)
     for e, v in y.items():
@@ -92,8 +91,9 @@ def _sparse_add(x: Mapping, y: Mapping) -> dict:
     return out
 
 
-def _sparse_mul(x: Mapping, y: Mapping, add: Callable = operator.add) -> dict:
-    """x * y over sparse {exponent: nonzero coefficient} dicts; ``add`` sums two exponents (ints or pairs)."""
+def _sparse_mul(x: Mapping, y: Mapping, add: Callable) -> dict:
+    """x * y over sparse {exponent: nonzero coefficient} dicts; ``add`` multiplies two monomials by combining
+    their exponents (adding ints or pairs, merging monomial tuples)."""
     out: dict = {}
     for e1, v1 in x.items():
         for e2, v2 in y.items():
@@ -120,12 +120,12 @@ class _Style(NamedTuple):
     def group(self, body: str) -> str:
         return self.left + body + self.right
 
-    def laurent(self, p: TatePoly) -> str:
-        """Signed terms of p, highest power of L first."""
-        if not p.c:
+    def laurent(self, c: Mapping[int, Fraction]) -> str:
+        """Signed terms of the Laurent polynomial {L-exponent: nonzero Fraction} c, highest power of L first."""
+        if not c:
             return "0"
         parts: list[str] = []
-        for e, v in sorted(p.c.items(), reverse=True):
+        for e, v in sorted(c.items(), reverse=True):
             mag = -v if v < 0 else v
             body = str(mag) if mag.denominator == 1 else self.ratio.format(mag.numerator, mag.denominator)
             if e and mag == 1:
@@ -148,7 +148,9 @@ _LATEX = _Style(
 
 
 class TatePoly:
-    """Element of Q[L, L^-1], immutable by convention."""
+    """Element of Q[L, L^-1], immutable by convention: the type in which a
+    series coefficient enters (`ratseries.rs_from_json`, the `RatSeries`
+    constructor) or leaves (`ratseries.rs_expand`) the program."""
 
     __slots__ = ("c",)
 
@@ -163,33 +165,6 @@ class TatePoly:
                     del c[int(e)]
         self.c = c
 
-    # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def zero(cls) -> TatePoly:
-        return cls()
-
-    @classmethod
-    def one(cls) -> TatePoly:
-        return cls({0: 1})
-
-    @classmethod
-    def const(cls, value: Scalar) -> TatePoly:
-        return cls({0: value})
-
-    @classmethod
-    def L(cls, exponent: int = 1, coeff: Scalar = 1) -> TatePoly:
-        """The monomial coeff * L^exponent."""
-        return cls({exponent: coeff})
-
-    # -- basic structure ----------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return not self.c
-
-    def is_one(self) -> bool:
-        return self.c == {0: Fraction(1)}
-
     def __bool__(self) -> bool:
         return bool(self.c)
 
@@ -197,61 +172,14 @@ class TatePoly:
         if isinstance(other, TatePoly):
             return self.c == other.c
         if isinstance(other, (int, Fraction)):
-            return self == TatePoly.const(other)
+            return self == TatePoly({0: other})
         return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self.c.items()))
 
     def __repr__(self) -> str:
         return f"TatePoly({self})"
 
-    # -- arithmetic ----------------------------------------------------------
-
-    def __add__(self, other: TatePoly | Scalar) -> TatePoly:
-        return _wrap(_sparse_add(self.c, _as_poly(other).c))
-
-    __radd__ = __add__
-
-    def __neg__(self) -> TatePoly:
-        return _wrap({e: -v for e, v in self.c.items()})
-
-    def __sub__(self, other: TatePoly | Scalar) -> TatePoly:
-        return self + (-_as_poly(other))
-
-    def __mul__(self, other: TatePoly | Scalar) -> TatePoly:
-        return _wrap(_sparse_mul(self.c, _as_poly(other).c))
-
-    __rmul__ = __mul__
-
-    def shift(self, k: int) -> TatePoly:
-        """Multiply by L^k."""
-        return _wrap({e + k: v for e, v in self.c.items()})
-
-    def exact_div(self, other: TatePoly) -> TatePoly:
-        """Exact quotient self / other in Q[L, L^-1].
-
-        Raises NonPolynomialCoefficient if other is zero or does not divide
-        self.  Laurent division reduces to ordinary polynomial division after
-        shifting both operands to valuation 0.
-        """
-        if other.is_zero():
-            raise NonPolynomialCoefficient("division by zero polynomial")
-        if self.is_zero():
-            return TatePoly.zero()
-        sv, ov = min(self.c), min(other.c)
-        # dense coefficient lists of the shifted (ordinary) polynomials
-        a = _dense(self, sv)
-        b = _dense(other, ov)
-        q, r = _qdivmod(a, b)
-        if r:
-            raise NonPolynomialCoefficient(f"{other} does not divide {self}")
-        return TatePoly((i + sv - ov, v) for i, v in enumerate(q) if v)
-
-    # -- rendering --------------------------------------------------------------
-
     def __str__(self) -> str:
-        return _TEXT.laurent(self)
+        return _TEXT.laurent(self.c)
 
     def to_json(self) -> list[list]:
         """JSON form: ascending [L-exponent, "num/den"] pairs."""
@@ -267,45 +195,3 @@ class TatePoly:
                 raise ValueError(f"coefficient lists L^{e} twice")
             c[e] = json_rational(v, f"coefficient of L^{e}")
         return cls(c)
-
-
-def _wrap(c: dict[int, Fraction]) -> TatePoly:
-    """A TatePoly on c, which must already hold only nonzero Fractions."""
-    out = TatePoly.__new__(TatePoly)
-    out.c = c
-    return out
-
-
-def _as_poly(value: TatePoly | Scalar) -> TatePoly:
-    return value if isinstance(value, TatePoly) else TatePoly.const(value)
-
-
-def _dense(p: TatePoly, base: int) -> list[Fraction]:
-    out = [Fraction(0)] * (max(p.c) - base + 1)
-    for e, v in p.c.items():
-        out[e - base] = v
-    return out
-
-
-def _qdivmod(a: Sequence[Fraction], b: Sequence[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
-    """Quotient and trimmed remainder of dense Q[x] polynomials (ascending coefficients)."""
-    r, b = _trim(list(a)), _trim(list(b))
-    if not b:
-        raise ZeroDivisionError("division by zero polynomial")
-    q = [Fraction(0)] * max(0, len(r) - len(b) + 1)
-    support = [(j, bv) for j, bv in enumerate(b) if bv]
-    for i in range(len(r) - len(b), -1, -1):
-        c = r[i + len(b) - 1] / b[-1]
-        if c:
-            q[i] = c
-            for j, bv in support:
-                r[i + j] -= c * bv
-    return q, _trim(r)
-
-
-def cyclotomic_unit(i: int) -> TatePoly:
-    """The denominator factor L^i - 1 (i >= 1)."""
-    if i < 1:
-        raise ValueError("cyclotomic index must be >= 1")
-    return TatePoly({i: 1, 0: -1})
-

@@ -18,13 +18,17 @@ reference for reading lower levels off the top level's keys),
 :func:`ratfunc_from_polys` reduces num/den by a full Euclidean gcd over Q
 (the reference for `RatFunc.from_binomials`), :func:`ref_taylor` expands a
 `RatFunc` by the recurrence in Fractions (the reference for the integer
-recurrence of `RatFunc.taylor`), :class:`RefSeries` is a series with the
-nested numerator {T-exponent: TatePoly} and :func:`ref_add`,
-:func:`ref_mul`, :func:`ref_scale`, :func:`ref_normalize` (which tries the
-long division by every denominator factor), :func:`ref_poles_in_L`,
-:func:`ref_specialize` (coefficients by :func:`ref_tate_eval`, one full
-gcd) and :func:`ref_to_json` are the arithmetic on it (the reference for the
-flat integer numerator of `RatSeries`), :func:`ref_equal` cross-multiplies by
+recurrence of `RatFunc.taylor`), :class:`RefTate` is the ring Q[L, L^-1]
+on `TatePoly` (sum, product, shift, exact division by
+:func:`cyclotomic_unit` and the like, which the library no longer runs),
+:class:`RefSeries` is a series with the nested numerator {T-exponent:
+RefTate} and :func:`ref_add`, :func:`ref_mul`, :func:`ref_scale`,
+:func:`ref_normalize` (which tries the long division by every denominator
+factor), :func:`ref_expand` (termwise geometric sums, then one exact
+division per coefficient), :func:`ref_poles_in_L`, :func:`ref_specialize`
+(coefficients by :func:`ref_tate_eval`, one full gcd) and
+:func:`ref_to_json` are the arithmetic on it (the reference for the flat
+integer numerator of `RatSeries`), :func:`ref_equal` cross-multiplies by
 every denominator factor (the reference for `rs_equal`, which subtracts over
 the least common denominator), :func:`ref_text`, :func:`ref_latex` and
 :func:`ref_tate_text` render by separate text and LaTeX walks (the reference
@@ -53,7 +57,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
 from math import inf, lcm
-from operator import mul
+from operator import add, mul
 from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -65,8 +69,8 @@ from arczeta.counting import BudgetExceeded, CountReport, CountRow
 from arczeta.fq import Fq, _trim, poly_mul
 from arczeta.liftable import IntPoly, LiftResult
 from arczeta.ranges import IteratedRangeSystem, Piece
-from arczeta.ratseries import RatFunc, RatSeries, TruncatedSeries, _qgcd
-from arczeta.tate import NonPolynomialCoefficient, Scalar, TatePoly, _qdivmod, cyclotomic_unit
+from arczeta.ratseries import RatFunc, RatSeries, TruncatedSeries, _qdivmod, _qgcd
+from arczeta.tate import NonPolynomialCoefficient, Scalar, TatePoly, _sparse_add, _sparse_mul
 from arczeta.verifier import CompRow, Verdict
 
 
@@ -194,14 +198,12 @@ def direct_weighted_sum(sys, lweight, tweight, tmax: int, clip: int = 400):
     variables).  A weight that is not an integer at a point raises
     ValueError.
     """
-    from arczeta.tate import TatePoly
-
-    coeffs = [TatePoly.zero() for _ in range(tmax + 1)]
+    coeffs = [RefTate.zero() for _ in range(tmax + 1)]
     for pt in ref_iter_points(sys, {v: clip for v in sys.order}):
         n = _int_value(tweight, pt)
         if 0 <= n <= tmax:
             e = _int_value(lweight, pt)
-            coeffs[n] = coeffs[n] + TatePoly.L(-e)
+            coeffs[n] = coeffs[n] + RefTate.L(-e)
     return coeffs
 
 
@@ -242,13 +244,113 @@ def ref_taylor(f: RatFunc, order: int) -> list[Fraction]:
     return out
 
 
+class RefTate(TatePoly):
+    """`TatePoly` with the ring Q[L, L^-1]: sum, difference, product, shift by
+    a power of L and exact division.  The library computes every series on
+    its flat integer numerator and keeps TatePoly as an input and output type;
+    this arithmetic is the nested series model's (below) and the tests'."""
+
+    __slots__ = ()
+
+    @classmethod
+    def zero(cls) -> RefTate:
+        return cls()
+
+    @classmethod
+    def one(cls) -> RefTate:
+        return cls({0: 1})
+
+    @classmethod
+    def const(cls, value: Scalar) -> RefTate:
+        return cls({0: value})
+
+    @classmethod
+    def L(cls, exponent: int = 1, coeff: Scalar = 1) -> RefTate:
+        """The monomial coeff * L^exponent."""
+        return cls({exponent: coeff})
+
+    def is_zero(self) -> bool:
+        return not self.c
+
+    def is_one(self) -> bool:
+        return self.c == {0: 1}
+
+    def __hash__(self) -> int:
+        return hash(frozenset(self.c.items()))
+
+    def __add__(self, other: TatePoly | Scalar) -> RefTate:
+        return _ref_wrap(_sparse_add(self.c, ref_tate(other).c))
+
+    __radd__ = __add__
+
+    def __neg__(self) -> RefTate:
+        return _ref_wrap({e: -v for e, v in self.c.items()})
+
+    def __sub__(self, other: TatePoly | Scalar) -> RefTate:
+        return self + (-ref_tate(other))
+
+    def __mul__(self, other: TatePoly | Scalar) -> RefTate:
+        return _ref_wrap(_sparse_mul(self.c, ref_tate(other).c, add))
+
+    __rmul__ = __mul__
+
+    def shift(self, k: int) -> RefTate:
+        """Multiply by L^k."""
+        return _ref_wrap({e + k: v for e, v in self.c.items()})
+
+    def exact_div(self, other: TatePoly) -> RefTate:
+        """Exact quotient self / other in Q[L, L^-1].
+
+        Raises NonPolynomialCoefficient if other is zero or does not divide
+        self.  Laurent division reduces to ordinary polynomial division after
+        shifting both operands to valuation 0.
+        """
+        if not other.c:
+            raise NonPolynomialCoefficient("division by zero polynomial")
+        if not self.c:
+            return RefTate.zero()
+        sv, ov = min(self.c), min(other.c)
+        q, r = _qdivmod(_dense(self, sv), _dense(other, ov))
+        if r:
+            raise NonPolynomialCoefficient(f"{other} does not divide {self}")
+        return RefTate((i + sv - ov, v) for i, v in enumerate(q) if v)
+
+
+def _ref_wrap(c: dict[int, Fraction]) -> RefTate:
+    """A RefTate on c, which must already hold only nonzero Fractions."""
+    out = RefTate.__new__(RefTate)
+    out.c = c
+    return out
+
+
+def ref_tate(value: TatePoly | Scalar) -> RefTate:
+    """A TatePoly (a library output, say) or a constant as a RefTate."""
+    if isinstance(value, RefTate):
+        return value
+    return _ref_wrap(dict(value.c)) if isinstance(value, TatePoly) else RefTate.const(value)
+
+
+def _dense(p: TatePoly, base: int) -> list[Fraction]:
+    out = [Fraction(0)] * (max(p.c) - base + 1)
+    for e, v in p.c.items():
+        out[e - base] = v
+    return out
+
+
+def cyclotomic_unit(i: int) -> RefTate:
+    """The denominator factor L^i - 1 (i >= 1)."""
+    if i < 1:
+        raise ValueError("cyclotomic index must be >= 1")
+    return RefTate({i: 1, 0: -1})
+
+
 def ref_tate_eval(c: TatePoly, q: Scalar) -> Fraction:
     """c at L = q, term by term in Fractions (the reference for the integer
     power table of `rs_specialize`)."""
     return sum((v * Fraction(q) ** e for e, v in c.c.items()), Fraction(0))
 
 
-# The nested series model: the numerator as {T-exponent: TatePoly}, the layout
+# The nested series model: the numerator as {T-exponent: RefTate}, the layout
 # `RatSeries` had before its flat integer numerator, with the arithmetic it
 # ran on that layout.  `branch.p_ar` and `branch.p_geom` build a RefSeries
 # when `RatSeries`, `rs_add` and `rs_mul` in `arczeta.branch` are replaced by
@@ -256,20 +358,20 @@ def ref_tate_eval(c: TatePoly, q: Scalar) -> Fraction:
 
 
 class RefSeries:
-    """num / prod (1 - L^a T^b) / prod (L^i - 1) with num {T-exponent: TatePoly};
+    """num / prod (1 - L^a T^b) / prod (L^i - 1) with num {T-exponent: RefTate};
     built like `RatSeries(num, geom, cyclo)`: constants coerce, zero
     coefficients drop, factors sort.  Equality is structural."""
 
     def __init__(self, num, geom=(), cyclo=()):
         items = num.items() if isinstance(num, Mapping) else num
-        coeffs = {n: c if isinstance(c, TatePoly) else TatePoly.const(c) for n, c in items}
+        coeffs = {n: ref_tate(c) for n, c in items}
         self.num = {n: c for n, c in coeffs.items() if c}
         self.geom = tuple(sorted(geom, key=lambda ab: (ab[1], ab[0])))
         self.cyclo = tuple(sorted(cyclo))
 
     @classmethod
     def geometric(cls, a: int, b: int) -> RefSeries:
-        return cls({0: TatePoly.one()}, [(a, b)])
+        return cls({0: RefTate.one()}, [(a, b)])
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, RefSeries) and (self.num, self.geom, self.cyclo) == (other.num, other.geom, other.cyclo)
@@ -285,13 +387,13 @@ def ref_nested(x: RatSeries | RefSeries) -> RefSeries:
     num: dict[int, dict[int, Fraction]] = {}
     for (n, e), v in x.num.items():
         num.setdefault(n, {})[e] = Fraction(v, x.den)
-    return RefSeries({n: TatePoly(c) for n, c in num.items()}, x.geom, x.cyclo)
+    return RefSeries({n: RefTate(c) for n, c in num.items()}, x.geom, x.cyclo)
 
 
-def _ref_tnum_add(x: dict[int, TatePoly], y: dict[int, TatePoly]) -> dict[int, TatePoly]:
+def _ref_tnum_add(x: dict[int, RefTate], y: dict[int, RefTate]) -> dict[int, RefTate]:
     out = dict(x)
     for n, c in y.items():
-        s = out.get(n, TatePoly.zero()) + c
+        s = out.get(n, RefTate.zero()) + c
         if s.is_zero():
             out.pop(n, None)
         else:
@@ -299,33 +401,33 @@ def _ref_tnum_add(x: dict[int, TatePoly], y: dict[int, TatePoly]) -> dict[int, T
     return out
 
 
-def _ref_tnum_mul(x: dict[int, TatePoly], y: dict[int, TatePoly]) -> dict[int, TatePoly]:
-    out: dict[int, TatePoly] = {}
+def _ref_tnum_mul(x: dict[int, RefTate], y: dict[int, RefTate]) -> dict[int, RefTate]:
+    out: dict[int, RefTate] = {}
     for n1, c1 in x.items():
         out = _ref_tnum_add(out, {n1 + n2: c1 * c2 for n2, c2 in y.items()})
     return out
 
 
-def _ref_tnum_scale(x: dict[int, TatePoly], c: TatePoly) -> dict[int, TatePoly]:
+def _ref_tnum_scale(x: dict[int, RefTate], c: RefTate) -> dict[int, RefTate]:
     return {n: v * c for n, v in x.items()} if c else {}
 
 
-def _ref_tnum_mul_geom(x: dict[int, TatePoly], a: int, b: int) -> dict[int, TatePoly]:
+def _ref_tnum_mul_geom(x: dict[int, RefTate], a: int, b: int) -> dict[int, RefTate]:
     """x * (1 - L^a T^b), term by term."""
     return _ref_tnum_add(x, {n + b: -c.shift(a) for n, c in x.items()})
 
 
-def _ref_tnum_divmod_geom(x: dict[int, TatePoly], a: int, b: int) -> tuple[dict[int, TatePoly], bool]:
+def _ref_tnum_divmod_geom(x: dict[int, RefTate], a: int, b: int) -> tuple[dict[int, RefTate], bool]:
     """Divide by (1 - L^a T^b) from the top T-degree down; returns (quotient, exact)."""
     r = dict(x)
-    q: dict[int, TatePoly] = {}
+    q: dict[int, RefTate] = {}
     while r:
         n = max(r)
         if n < b:
             return q, False
         shifted = r.pop(n).shift(-a)
         q[n - b] = -shifted
-        s = r.get(n - b, TatePoly.zero()) + shifted
+        s = r.get(n - b, RefTate.zero()) + shifted
         if s.is_zero():
             r.pop(n - b, None)
         else:
@@ -333,9 +435,9 @@ def _ref_tnum_divmod_geom(x: dict[int, TatePoly], a: int, b: int) -> tuple[dict[
     return q, True
 
 
-def _ref_tnum_div_cyclo(x: dict[int, TatePoly], i: int) -> tuple[dict[int, TatePoly], bool]:
+def _ref_tnum_div_cyclo(x: dict[int, RefTate], i: int) -> tuple[dict[int, RefTate], bool]:
     """Divide every coefficient by (L^i - 1); returns (quotient, exact)."""
-    out: dict[int, TatePoly] = {}
+    out: dict[int, RefTate] = {}
     for n, c in x.items():
         try:
             out[n] = c.exact_div(cyclotomic_unit(i))
@@ -356,7 +458,7 @@ def ref_add(x: RatSeries | RefSeries, y: RatSeries | RefSeries) -> RefSeries:
         for a, b in sorted((gl - Counter(z.geom)).elements()):
             num = _ref_tnum_mul_geom(num, a, b)
         for i, mult in sorted((cl - Counter(z.cyclo)).items()):
-            unit = TatePoly.one()
+            unit = RefTate.one()
             for _ in range(mult):
                 unit = unit * cyclotomic_unit(i)
             num = _ref_tnum_scale(num, unit)
@@ -371,7 +473,37 @@ def ref_mul(x: RatSeries | RefSeries, y: RatSeries | RefSeries) -> RefSeries:
 
 def ref_scale(x: RatSeries | RefSeries, c: TatePoly | Scalar) -> RefSeries:
     x = ref_nested(x)
-    return RefSeries(_ref_tnum_scale(x.num, c if isinstance(c, TatePoly) else TatePoly.const(c)), x.geom, x.cyclo)
+    return RefSeries(_ref_tnum_scale(x.num, ref_tate(c)), x.geom, x.cyclo)
+
+
+def ref_expand(x: RatSeries | RefSeries, order: int) -> TruncatedSeries:
+    """Truncated expansion c_0..c_order in RefTate arithmetic on the nested
+    numerator (the reference for `rs_expand`, which runs on the flat one).
+
+    Geometric factors expand termwise; each (L^i - 1) denominator factor must
+    then divide every coefficient exactly, else `tate.NonPolynomialCoefficient`.
+    """
+    if order < 0:
+        raise ValueError("order must be >= 0")
+    nested = ref_nested(x).num
+    coeffs = [nested.get(n, RefTate.zero()) for n in range(order + 1)]
+    for a, b in x.geom:
+        # multiply the truncated series by sum_{s>=0} L^(a s) T^(b s)
+        out = [RefTate.zero()] * (order + 1)
+        for n in range(order + 1):
+            acc = RefTate.zero()
+            s = 0
+            while b * s <= n:
+                c = coeffs[n - b * s]
+                if not c.is_zero():
+                    acc = acc + c.shift(a * s)
+                s += 1
+            out[n] = acc
+        coeffs = out
+    for i in x.cyclo:
+        unit = cyclotomic_unit(i)
+        coeffs = [c.exact_div(unit) for c in coeffs]
+    return TruncatedSeries(coeffs, order)
 
 
 def ref_normalize(x: RatSeries | RefSeries) -> RefSeries:
@@ -418,7 +550,7 @@ def ref_poles_in_L(x: RatSeries | RefSeries) -> set[Fraction]:
                     sub[s * e + p0 * n] = sub.get(s * e + p0 * n, Fraction(0)) + v
             if any(sub.values()):
                 break
-            num = {n - 1: c * TatePoly.const(n) for n, c in num.items() if n >= 1}
+            num = {n - 1: c * RefTate.const(n) for n, c in num.items() if n >= 1}
             order += 1
         if order < mult:
             poles.add(alpha)
@@ -433,7 +565,7 @@ def ref_specialize(x: RatSeries | RefSeries, q: Scalar) -> RatFunc:
     scalar = Fraction(1)
     for i in x.cyclo:
         scalar *= q**i - 1
-    num = [ref_tate_eval(x.num.get(n, TatePoly.zero()), q) / scalar for n in range(max(x.num, default=0) + 1)]
+    num = [ref_tate_eval(x.num.get(n, RefTate.zero()), q) / scalar for n in range(max(x.num, default=0) + 1)]
     den = [Fraction(1)]
     for a, b in x.geom:
         den = poly_mul(den, [Fraction(1)] + [Fraction(0)] * (b - 1) + [-(q**a)])
@@ -463,10 +595,10 @@ def ref_equal(x: RatSeries | RefSeries, y: RatSeries | RefSeries) -> bool:
         nx = _ref_tnum_mul_geom(nx, a, b)
     for a, b in x.geom:
         ny = _ref_tnum_mul_geom(ny, a, b)
-    scale_x = TatePoly.one()
+    scale_x = RefTate.one()
     for i in y.cyclo:
         scale_x = scale_x * cyclotomic_unit(i)
-    scale_y = TatePoly.one()
+    scale_y = RefTate.one()
     for i in x.cyclo:
         scale_y = scale_y * cyclotomic_unit(i)
     nx = {n: c * scale_x for n, c in nx.items()}

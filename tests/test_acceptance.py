@@ -52,7 +52,6 @@ from arczeta.ratseries import (
     rs_poles_in_L,
     rs_scale,
 )
-from arczeta.tate import TatePoly
 from arczeta.verifier import (
     NoAdmissiblePrime,
     VerificationPlan,
@@ -62,7 +61,7 @@ from arczeta.verifier import (
 
 import pytest
 
-from helpers import brute_eval, direct_weighted_sum, quantifier_window, ref_count_images
+from helpers import RefTate, brute_eval, direct_weighted_sum, quantifier_window, ref_count_images
 from test_presburger import QE_CORPUS
 from test_ranges import SUM_CORPUS
 
@@ -97,7 +96,7 @@ def _rhs_series_m4():
     path with the general recurrence in ``arczeta.branch``.
     """
     head = RatSeries.geometric(0, 1)  # 1/(1-T)
-    unit = TatePoly.L(1) - TatePoly.one()  # L - 1
+    unit = RefTate.L(1) - RefTate.one()  # L - 1
     lead = rs_scale(RatSeries.geometric(1, 1), unit)  # (L-1)/(1-L*T)
     t4_block = rs_mul(RatSeries({4: 1}), RatSeries.geometric(0, 4))  # T^4/(1-T^4)
     geom_rhs = rs_add(head, rs_mul(lead, t4_block))
@@ -106,7 +105,7 @@ def _rhs_series_m4():
     for beta, jump in ((6, 2 - 1), (7, 4 - 2)):
         # L^(beta-4) T^beta / (1 - L^(beta-4) T^beta), weighted jump/4
         block = rs_mul(
-            RatSeries({beta: TatePoly.L(beta - 4)}),
+            RatSeries({beta: RefTate.L(beta - 4)}),
             RatSeries.geometric(beta - 4, beta),
         )
         bracket = rs_add(bracket, rs_scale(block, Fraction(jump, 4)))

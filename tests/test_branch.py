@@ -36,7 +36,7 @@ from arczeta.ratseries import (
     rs_specialize,
 )
 from arczeta.tate import TatePoly
-from helpers import ref_y_coeff
+from helpers import RefTate, ref_y_coeff
 
 SMOOTH = BranchSpec.make(1, {})
 CUSP = BranchSpec.make(2, {3: 1})
@@ -207,7 +207,7 @@ def test_p_ar_smooth_normalizes_to_single_factor():
 def test_p_geom_std4_coefficients():
     exp = rs_expand(p_geom(characteristic_sequence(STD4)), 8)
     for n in range(4):
-        assert exp[n] == TatePoly.one()
+        assert exp[n] == RefTate.one()
     # T^5: 1 + (L-1)L = L^2 - L + 1
     assert exp[5] == TatePoly({2: 1, 1: -1, 0: 1})
 
@@ -221,9 +221,9 @@ def test_p_ar_std4_displayed_denominator():
 def test_p_ar_std4_t6_coefficient():
     exp = rs_expand(p_ar(characteristic_sequence(STD4)), 8)
     for n in range(4):
-        assert exp[n] == TatePoly.one()
+        assert exp[n] == RefTate.one()
     # 1 + (1/4)(L-1)L^2 + (1/4)(L-1)L^2
-    expected = TatePoly.one() + (TatePoly.L(1) - TatePoly.one()).shift(2) * TatePoly.const(Fraction(1, 2))
+    expected = RefTate.one() + (RefTate.L(1) - RefTate.one()).shift(2) * RefTate.const(Fraction(1, 2))
     assert exp[6] == expected
 
 
@@ -251,13 +251,13 @@ def test_p_ar_integer_coefficients_at_admissible_primes():
 
 def test_chi_c_examples():
     c = characteristic_sequence(STD4)
-    unit = TatePoly.L(1) - TatePoly.one()
+    unit = RefTate.L(1) - RefTate.one()
     geo, ar = chi_c_arc_class(c, 6, 1)
     assert geo == unit.shift(2)
-    assert ar == unit.shift(2) * TatePoly.const(Fraction(2, 4))
+    assert ar == unit.shift(2) * RefTate.const(Fraction(2, 4))
     geo, ar = chi_c_arc_class(c, 4, 1)
     assert geo == unit
-    assert ar == unit * TatePoly.const(Fraction(1, 4))
+    assert ar == unit * RefTate.const(Fraction(1, 4))
     # geometric part never depends on the index i
     geo8, _ = chi_c_arc_class(c, 8, 2)
     assert geo8 == unit.shift(0)
@@ -271,8 +271,8 @@ def test_chi_c_out_of_range():
         chi_c_arc_class(c, 6, 2)  # 2*4 > 6
 
 
-def _assembled_coefficient(c: CharSeq, n: int, which: int) -> TatePoly:
-    total = TatePoly.one()
+def _assembled_coefficient(c: CharSeq, n: int, which: int) -> RefTate:
+    total = RefTate.one()
     for ell in range(1, n // c.m + 1):
         total = total + chi_c_arc_class(c, n, ell)[which]
     return total

@@ -213,7 +213,7 @@ class TestCountCommand:
         r = runner.invoke(main, ["count", "--branch", files["std4"], "-p", "13", "--n-max", "8", "--budget", "10000"])
         assert r.exit_code == 1
         assert r.stdout == ""
-        assert r.stderr == f"error: stratum ell=1 needs {12 * 13**4} arcs > budget 10000\n"
+        assert r.stderr == "error: stratum ell=1 needs 12*13^4 arcs > budget 10000\n"
 
     def test_budget_exhaustion_is_input_error(self, runner, files):
         r = runner.invoke(
@@ -222,6 +222,26 @@ class TestCountCommand:
         )
         assert r.exit_code == 1
         assert "budget" in message(r)
+
+    # sizes of thousands of decimal digits, past Python's int-to-string limit, written as powers
+    @pytest.mark.parametrize(
+        "args,error",
+        [
+            (
+                ["--branch", "cusp", "-p", "5", "--n-max", "7000", "--no-window"],
+                "exhaustive enumeration needs 5^7000 arcs > budget 4000000",
+            ),
+            (["--branch", "cusp", "-p", "5", "--n-max", "14000"], "stratum ell=1 needs 4*5^13998 arcs > budget 4000000"),
+            (["--poly", "x20000-1", "-p", "2", "--n-max", "0"], "root enumeration p^m = 2^20000 exceeds budget 4000000"),
+        ],
+        ids=["exhaustive", "window", "poly"],
+    )
+    def test_budget_error_writes_a_huge_size_as_a_power(self, runner, files, args, error):
+        args = [files.get(a, a) for a in args]
+        r = runner.invoke(main, ["count", *args])
+        assert r.exit_code == 1
+        assert r.stdout == ""
+        assert r.stderr == f"error: {error}\n"
 
 
 class TestPresburgerCommand:

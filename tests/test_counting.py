@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 import json
 import random
 from fractions import Fraction
@@ -27,10 +28,10 @@ from arczeta.counting import (
 from arczeta.fq import Fq
 from arczeta.grid import _distinct, _pack
 from arczeta.ratseries import rs_expand, rs_specialize
-from arczeta.tate import TatePoly
 from arczeta.verifier import VerificationPlan, run_plan
 from helpers import (
     RefFq,
+    RefTate,
     TruncPow,
     read_count_report,
     ref_branch_images,
@@ -338,10 +339,10 @@ class TestTopLevelBudget:
 
     CASES = {
         # the first stratum at n_max = 8, 12 * 13^4 arcs; n = 7 alone would need 12 * 13^3
-        "window-arcs": (lambda: count_branch_report(STD4, 13, 1, 8, budget=10**4), f"stratum ell=1 needs {12 * 13**4}"),
+        "window-arcs": (lambda: count_branch_report(STD4, 13, 1, 8, budget=10**4), "stratum ell=1 needs 12*13^4 "),
         "exhaustive-arcs": (
             lambda: count_branch_report(STD4, 13, 1, 8, window=False, budget=10**6),
-            f"exhaustive enumeration needs {13**8}",
+            "exhaustive enumeration needs 13^8 ",
         ),
         # 2 * 4 digits of 257 at n_max = 5; the levels up to 4 would fit
         "window-width": (lambda: count_branch_report(CUSP, 257, 1, 5, budget=2**40), "8 base-257 digits"),
@@ -351,18 +352,18 @@ class TestTopLevelBudget:
         ),
         "branch-par": (
             lambda: run_plan(VerificationPlan("branch-par", branch=STD4, primes=(13,), n_max=8, budget=10**4)),
-            f"stratum ell=1 needs {12 * 13**4}",
+            "stratum ell=1 needs 12*13^4 ",
         ),
         "cusp-cross-method": (
             lambda: run_plan(VerificationPlan("cusp-cross-method", branch=CUSP, primes=(13,), n_max=7, budget=10**5)),
-            f"stratum ell=1 needs {12 * 13**5}",
+            "stratum ell=1 needs 12*13^5 ",
         ),
     }
 
     @pytest.mark.parametrize("case", CASES)
     def test_raises_before_any_stratum(self, calls, case):
         run, message = self.CASES[case]
-        with pytest.raises(BudgetExceeded, match=message):
+        with pytest.raises(BudgetExceeded, match=re.escape(message)):
             run()
         assert calls == []
 
@@ -543,7 +544,7 @@ class TestIgusa:
     def test_t0_coefficient(self):
         for ks in [(1,), (2,), (1, 1), (2, 3, 1)]:
             coeff = rs_expand(igusa_monomial(ks), 1)[0]
-            assert coeff == math.prod([TatePoly.one() - TatePoly.L(-1)] * len(ks), start=TatePoly.one())
+            assert coeff == math.prod([RefTate.one() - RefTate.L(-1)] * len(ks), start=RefTate.one())
 
     def test_square_of_single(self):
         from arczeta.ratseries import rs_equal, rs_mul
@@ -561,7 +562,7 @@ class TestIgusa:
     def test_odd_coefficients_vanish_for_square(self):
         coeffs = rs_expand(igusa_monomial([2]), 6)
         for n in (1, 3, 5):
-            assert coeffs[n].is_zero()
+            assert not coeffs[n]
 
     def test_bad_exponents(self):
         with pytest.raises(ValueError):

@@ -14,10 +14,9 @@ from arczeta.ranges import (
     weighted_sum,
 )
 from arczeta.ratseries import RatSeries, rs_equal, rs_expand
-from arczeta.tate import TatePoly
-from helpers import direct_weighted_sum, enumerate_solutions, ref_contains
+from helpers import RefTate, direct_weighted_sum, enumerate_solutions, ref_contains
 
-L = TatePoly.L
+L = RefTate.L
 A = LinTerm.make
 
 
@@ -141,7 +140,7 @@ def test_sum_single_progression_matches_geometric_term():
     # sum over {4 + 4s} of T^n = T^4 / (1 - T^4)
     sys = ranges_of("n >= 4 & n == 0 mod 4", ["n"])
     got = weighted_sum(sys, A({}), A({"n": 1}))
-    want = RatSeries({4: TatePoly.one()}, geom=[(0, 4)])
+    want = RatSeries({4: RefTate.one()}, geom=[(0, 4)])
     assert rs_equal(got, want)
 
 
@@ -162,7 +161,7 @@ def test_sum_triangle_counts():
     # sum over 0 <= a <= n of T^n = sum (n+1) T^n = 1/(1-T)^2
     sys = ranges_of("0 <= a & a <= n & n >= 0", ["n", "a"])
     got = weighted_sum(sys, A({}), A({"n": 1}))
-    want = RatSeries({0: TatePoly.one()}, geom=[(0, 1), (0, 1)])
+    want = RatSeries({0: RefTate.one()}, geom=[(0, 1), (0, 1)])
     assert rs_equal(got, want)
 
 
@@ -171,7 +170,7 @@ def test_sum_reversed_index():
     # the series 1 / ((1 - T)(1 - T^2)); the inner index must be reversed
     sys = ranges_of("0 <= a & a <= n & n >= 0", ["n", "a"])
     got = weighted_sum(sys, A({}), A({"n": 2, "a": -1}))
-    want = RatSeries({0: TatePoly.one()}, geom=[(0, 1), (0, 2)])
+    want = RatSeries({0: RefTate.one()}, geom=[(0, 1), (0, 2)])
     assert rs_equal(got, want)
 
 
@@ -258,4 +257,4 @@ def test_hand_built_piece_sum():
     sys = IteratedRangeSystem(("n",), (piece,))
     got = weighted_sum(sys, A({}), A({"n": 1}))
     coeffs = rs_expand(got, 8).coeffs
-    assert coeffs == [TatePoly.one()] * 6 + [TatePoly.zero()] * 3
+    assert coeffs == [RefTate.one()] * 6 + [RefTate.zero()] * 3

@@ -33,12 +33,15 @@ from arczeta.ratseries import (
     rs_to_json,
 )
 from arczeta.branch import BranchSpec, characteristic_sequence, chi_c_arc_class, p_ar, p_geom
-from arczeta.tate import NonPolynomialCoefficient, TatePoly, cyclotomic_unit
+from arczeta.tate import NonPolynomialCoefficient, TatePoly
 from helpers import (
     RefSeries,
+    RefTate,
+    cyclotomic_unit,
     ratfunc_from_polys,
     ref_add,
     ref_equal,
+    ref_expand,
     ref_latex,
     ref_mul,
     ref_nested,
@@ -54,8 +57,8 @@ from helpers import (
     ref_to_json,
 )
 
-L = TatePoly.L
-ONE = TatePoly.one()
+L = RefTate.L
+ONE = RefTate.one()
 
 
 def geom(a, b):
@@ -65,7 +68,7 @@ def geom(a, b):
 def test_expand_geometric():
     # 1/(1 - L T^2) = 1 + L T^2 + L^2 T^4 + ...
     s = rs_expand(geom(1, 2), 5)
-    assert s.coeffs == [ONE, TatePoly.zero(), L(1), TatePoly.zero(), L(2), TatePoly.zero()]
+    assert s.coeffs == [ONE, RefTate.zero(), L(1), RefTate.zero(), L(2), RefTate.zero()]
 
 
 def test_expand_with_cyclotomic_division():
@@ -93,14 +96,14 @@ def test_add_and_mul_against_expansion():
     x = geom(1, 1)  # 1/(1-LT)
     y = geom(0, 2)  # 1/(1-T^2)
     n = 8
-    ex, ey = rs_expand(x, n), rs_expand(y, n)
+    ex, ey = ([RefTate(c.c) for c in rs_expand(z, n).coeffs] for z in (x, y))
     s = rs_expand(rs_add(x, y), n)
     p = rs_expand(rs_mul(x, y), n)
     for k in range(n + 1):
-        assert s.coeffs[k] == ex.coeffs[k] + ey.coeffs[k]
-        conv = TatePoly.zero()
+        assert s.coeffs[k] == ex[k] + ey[k]
+        conv = RefTate.zero()
         for j in range(k + 1):
-            conv = conv + ex.coeffs[j] * ey.coeffs[k - j]
+            conv = conv + ex[j] * ey[k - j]
         assert p.coeffs[k] == conv
 
 
@@ -205,7 +208,7 @@ def test_specialize_cyclotomic_scalars_match_full_gcd():
         f = rs_specialize(x, q)
         scalar = (Fraction(q) - 1) * (Fraction(q) ** 2 - 1) ** 2
         nested = ref_nested(x).num
-        num = [ref_tate_eval(nested.get(n, TatePoly.zero()), q) / scalar for n in range(max(nested) + 1)]
+        num = [ref_tate_eval(nested.get(n, RefTate.zero()), q) / scalar for n in range(max(nested) + 1)]
         assert f == _reduced_both_ways(num, [(Fraction(q) ** a, b) for a, b in x.geom])
         assert len(f.den) - 1 == 5  # the (1 - L T) factor cancels
 
@@ -329,7 +332,7 @@ small_series = st.builds(
 
 # One of each shape small_series covers, as an explicit example.
 MIXED = RatSeries(
-    {0: TatePoly({1: 2, 0: Fraction(-1, 3)}), 1: L(2), 2: TatePoly({-1: Fraction(-5, 2)}), 3: TatePoly.const(4)},
+    {0: TatePoly({1: 2, 0: Fraction(-1, 3)}), 1: L(2), 2: TatePoly({-1: Fraction(-5, 2)}), 3: TatePoly({0: 4})},
     geom=[(0, 1), (0, 1), (-2, 3)],
     cyclo=[2, 2, 3],
 )
@@ -348,11 +351,15 @@ def test_ring_ops_commute_with_specialization(x, y, q):
     assert fp == conv
 
 
+def _cleared(x: RatSeries) -> RatSeries:
+    """x scaled by its (L^i - 1) factors, so that every expanded coefficient divides."""
+    return rs_scale(x, reduce(mul, map(cyclotomic_unit, x.cyclo), RefTate.one()))
+
+
 @settings(max_examples=60)
 @given(small_series, st.integers(min_value=2, max_value=5))
 def test_expand_commutes_with_specialization(x, q):
-    # scale by the (L^i - 1) factors, so that every expanded coefficient divides
-    x = rs_scale(x, reduce(mul, map(cyclotomic_unit, x.cyclo), TatePoly.one()))
+    x = _cleared(x)
     n = 6
     expanded = ref_specialize_truncated(rs_expand(x, n), q)
     assert expanded == rs_specialize(x, q).taylor(n)
@@ -569,7 +576,7 @@ def test_normalize_divides_when_p_divides_a_denominator(monkeypatch):
     real = ratseries._div_binomial
     monkeypatch.setattr(ratseries, "_div_binomial", lambda *a: divisions.append(a[1:]) or real(*a))
     inv = Fraction(1, _P)
-    x = RatSeries({0: TatePoly.const(inv), 1: L(1, -inv)}, geom=[(0, 1), (1, 1)])
+    x = RatSeries({0: RefTate.const(inv), 1: L(1, -inv)}, geom=[(0, 1), (1, 1)])
     y = rs_normalize(x)
     assert divisions == [(0, 1), (1, 1)]
     assert y.geom == ((0, 1),) and (y.num, y.den) == ({(0, 0): 1}, _P)
@@ -585,18 +592,34 @@ def test_constructor_coerces_scalar_coefficients():
             RatSeries({0: bad})
 
 
-# The flat integer numerator against the nested {T-exponent: TatePoly} model
+# The flat integer numerator against the nested {T-exponent: RefTate} model
 # it replaced (tests/helpers.py): every operation gives the same series.
 
 
 @settings(max_examples=150)
 @given(small_series, small_series, laurent_coeff)
 @example(MIXED, MIXED, TatePoly({1: Fraction(-2, 3), 0: 5}))
-@example(RatSeries({0: Fraction(1, 2)}), RatSeries({0: Fraction(1, 2)}), TatePoly.const(Fraction(2, 3)))
+@example(RatSeries({0: Fraction(1, 2)}), RatSeries({0: Fraction(1, 2)}), RefTate.const(Fraction(2, 3)))
 def test_flat_arithmetic_equals_nested_reference(x, y, c):
     results = [rs_add(x, y), rs_mul(x, y), rs_scale(x, c), x - y]
     assert [ref_nested(z) for z in results] == [ref_add(x, y), ref_mul(x, y), ref_scale(x, c), ref_add(x, ref_scale(y, -1))]
     assert all(z.den > 0 and gcd(z.den, *z.num.values()) == 1 for z in [x, y, *results])
+
+
+@settings(max_examples=200)
+@given(st.one_of(small_series, small_series.map(_cleared), series_with_geometric_content()))
+@example(MIXED)
+@example(_cleared(MIXED))
+def test_flat_expansion_equals_nested_reference(x):
+    # the same coefficients at every order, or NonPolynomialCoefficient from both
+    for order in range(13):
+        try:
+            want = ref_expand(x, order).coeffs
+        except NonPolynomialCoefficient:
+            with pytest.raises(NonPolynomialCoefficient):
+                rs_expand(x, order)
+        else:
+            assert rs_expand(x, order).coeffs == want
 
 
 @settings(max_examples=100)

@@ -12,6 +12,12 @@ one enumeration per stratum at the top level) and
 ``counting.count_branch_image_geometric`` (whose F_p filter depends on the
 level).
 
+One series representation: every series is built and computed on the flat
+integer numerator of ``RatSeries``, so ``TatePoly`` is only the type in which
+a coefficient enters or leaves; only ``tate`` (which defines it),
+``ratseries`` (which reads and writes it) and ``branch`` (whose stratum
+classes are TatePolys) may name it.
+
 numpy only where arcs are enumerated: ``arczeta.grid`` is the one module
 that imports numpy or ``concurrent.futures`` when it is loaded, so a fresh
 process that only asks for series, Igusa forms or Presburger sums never
@@ -98,6 +104,20 @@ def test_stratum_keys_has_two_call_sites():
                     callee = node.func.attr if isinstance(node.func, ast.Attribute) else getattr(node.func, "id", None)
                     sites[where] += callee == "_stratum_keys"
     assert +sites == Counter({"counting._level_counts": 1, "counting.count_branch_image_geometric": 1})
+
+
+def test_only_the_series_input_and_output_names_tatepoly():
+    """Every series is built on the flat numerator: a module that imports or
+    names TatePoly besides these three would be computing on the nested form."""
+    naming = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = [alias.name for alias in node.names] if isinstance(node, (ast.Import, ast.ImportFrom)) else []
+            names += [node.id] if isinstance(node, ast.Name) else [node.attr] if isinstance(node, ast.Attribute) else []
+            if "TatePoly" in names:
+                naming.add(path.stem)
+    assert naming <= {"tate", "ratseries", "branch"}
+    assert {"ratseries", "branch"} <= naming
 
 
 # modules that only the enumeration kernels need; arczeta.grid alone may load them
