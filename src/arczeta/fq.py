@@ -11,7 +11,8 @@ report downstream, are the same on every run and machine, for every p and d.
 u^{2d-2}; the arithmetic itself runs vectorized over numpy arrays of such
 vectors (see :mod:`arczeta.grid`).  `residue`, `poly_mul`, `poly_rem`
 and `poly_gcd` are the one copy of rational residues and polynomial
-remainders and gcds mod p, which the series layer's F_P certificates use too.
+remainders and gcds mod p; the series layer takes `poly_mul` alone, for the
+product of its denominator binomials.
 """
 
 from __future__ import annotations
@@ -73,8 +74,7 @@ def poly_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
 
 
 def _trim(r: list) -> list:
-    """r without its zero top coefficients, trimmed in place (any dense
-    coefficient list: ints here, Fractions in `tate` and `ratseries`)."""
+    """r without its zero top coefficients, trimmed in place."""
     while r and not r[-1]:
         r.pop()
     return r

@@ -18,36 +18,30 @@ which groups the numerator by T-power.
 
 `_div_binomial` is the one exact division: by (1 - L^a T^b), whose leading
 coefficient -L^a is a unit, and, with b = 0, of each T-coefficient by
-1 - L^i; both are exact over Z when they are exact over Q.  `rs_normalize`
-cancels factors with it, and `rs_expand` divides each expanded coefficient
-by (L^i - 1) with it.  `rs_normalize` skips the division whenever the
-numerator at L = _ELL, reduced mod P = 2^61 - 1 and mod (1 - _ELL^a T^b) by
-`fq.poly_rem`, leaves a remainder, which proves the division inexact.
+1 - L^i; both are exact over Z when they are exact over Q, and it returns
+None when they are not.  `rs_normalize` cancels each factor it divides
+exactly, and `rs_expand` divides each expanded coefficient by (L^i - 1)
+with it.
 
 Specialization at q = u/v (`rs_specialize`) makes the numerator an integer
-polynomial in T and reduces it against one binomial 1 - q^a T^b at a time,
-as gcd(N, A B) = gcd(N, A) * gcd(N / gcd(N, A), B), in Z[T]
-(`RatFunc.from_binomials`): 1 - (u/v) T^b becomes v - u T^b; a gcd of
-degree 0 mod P (`fq.poly_gcd`), with P dividing neither u nor v, proves the
-pair coprime over Q (Brown's modular gcd bound), so no rational Euclid runs;
-otherwise the Euclidean gcd over Q, made primitive, divides both exactly in
-Z[T] (Gauss's lemma).  The result is the reduced pair with den(0) = 1 that a
-full Euclidean gcd gives (the tests hold that reference).  `RatFunc.taylor`
-expands by an integer recurrence with one division per coefficient,
-`rs_expand` truncates the series over Q[L, L^-1] on the flat numerator, and
+polynomial in T times one scalar and the denominator the product of the
+integer binomials v' - u' T^b, one for each factor 1 - q^a T^b with
+q^a = u'/v'.  The quotient is not reduced: every consumer reads its Taylor
+coefficients, the N_{n,p} of the paper's claim, and `RatFunc.taylor` expands
+it by an integer recurrence with one division per coefficient.  `rs_expand`
+truncates the series over Q[L, L^-1] on the flat numerator, and
 `rs_poles_in_L` locates the poles in the T = L^alpha scale.
 """
 
 from __future__ import annotations
 
-import functools
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence
 
-from .fq import _trim, poly_gcd, poly_mul, poly_rem
+from .fq import poly_mul
 from .tate import (
     _LATEX,
     _TEXT,
@@ -67,24 +61,6 @@ class SpecializationPole(ZeroDivisionError):
 
 
 Num = dict[tuple[int, int], int]  # numerator: (T-exponent, L-exponent) -> nonzero int, over `den`
-
-# Modular certificates work in F_P for the Mersenne prime P = 2^61 - 1;
-# `rs_normalize` evaluates numerators there at L = _ELL (any unit is sound).
-_P = (1 << 61) - 1
-_ELL = 1_000_003
-
-
-@functools.cache
-def _ell_pow(e: int) -> int:
-    """_ELL^e in F_P; exponents repeat across every numerator, and a negative
-    one costs an inverse."""
-    return pow(_ELL, e, _P)
-
-
-def _t_binomial(w: int, b: int) -> list[int]:
-    """T^b - w over F_P, dense: monic, so `poly_rem` folds by it in one pass."""
-    return [-w % _P] + [0] * (b - 1) + [1]
-
 
 # ---------------------------------------------------------------------------
 # numerator helpers
@@ -143,18 +119,6 @@ def _div_binomial(x: Num, a: int, b: int) -> Num | None:
         if acc:
             return None
     return q
-
-
-def _image_mod_p(num: Num, den: int) -> list[int] | None:
-    """The coefficients of (num / den)(_ELL, T) in F_P, dense in T; None when
-    _P divides den."""
-    if not den % _P:
-        return None
-    out = [0] * (max(n for n, _ in num) + 1)
-    for (n, e), v in num.items():
-        out[n] += v * _ell_pow(e)
-    inv = pow(den, -1, _P)
-    return [c * inv % _P for c in out]
 
 
 def _geom_order(ab: tuple[int, int]) -> tuple[int, int]:
@@ -294,20 +258,16 @@ def rs_equal(x: RatSeries, y: RatSeries) -> bool:
 def rs_normalize(x: RatSeries) -> RatSeries:
     """Cancel denominator factors that divide the numerator exactly.
 
-    Value-preserving: only common factors are removed, in their sorted order.
-    The division by (1 - L^a T^b) only shifts and subtracts (its leading
-    coefficient -L^a is a unit), so an exact quotient reduces mod _P as well,
-    and a nonzero remainder of N(_ELL, T) mod T^b - _ELL^(-a) rules it out.
+    Value-preserving: only common factors are removed, in their sorted order,
+    each by one `_div_binomial`, which returns None when it is inexact.
     """
-    num, den = x.num, x.den
-    image = _image_mod_p(num, den) if num else None
+    num = x.num
     geom: list[tuple[int, int]] = []
     for a, b in x.geom:
-        if num and (image is None or not poly_rem(image, _t_binomial(_ell_pow(-a), b), _P)):
+        if num:
             q = _div_binomial(num, a, b)
             if q is not None:
                 num = q
-                image = _image_mod_p(num, den)
                 continue
         geom.append((a, b))
     cyclo: list[int] = []
@@ -320,7 +280,7 @@ def rs_normalize(x: RatSeries) -> RatSeries:
         cyclo.append(i)
     if not num:
         return RatSeries.zero()
-    return _series(num, den, tuple(geom), tuple(cyclo))
+    return _series(num, x.den, tuple(geom), tuple(cyclo))
 
 
 # ---------------------------------------------------------------------------
@@ -369,160 +329,19 @@ def rs_expand(x: RatSeries, order: int) -> TruncatedSeries:
 # rational functions over Q (the specialized side)
 
 
-def _qdivmod(a: Sequence[Fraction], b: Sequence[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
-    """Quotient and trimmed remainder of dense Q[x] polynomials (ascending coefficients)."""
-    r, b = _trim(list(a)), _trim(list(b))
-    if not b:
-        raise ZeroDivisionError("division by zero polynomial")
-    q = [Fraction(0)] * max(0, len(r) - len(b) + 1)
-    support = [(j, bv) for j, bv in enumerate(b) if bv]
-    for i in range(len(r) - len(b), -1, -1):
-        c = r[i + len(b) - 1] / b[-1]
-        if c:
-            q[i] = c
-            for j, bv in support:
-                r[i + j] -= c * bv
-    return q, _trim(r)
-
-
-def _qgcd(a: Sequence[Fraction], b: Sequence[Fraction]) -> list[Fraction]:
-    a, b = _trim(list(a)), _trim(list(b))
-    while b:
-        _, r = _qdivmod(a, b)
-        a, b = b, r
-    if a:
-        lead = a[-1]
-        a = [v / lead for v in a]
-    return a
-
-
-# Z[T] polynomials are dense ascending lists of ints, trimmed (no zero top
-# coefficient).
-
-
-def _zdiv_exact(a: Sequence[int], g: Sequence[int]) -> list[int]:
-    """a / g in Z[T]; ArithmeticError if g does not divide a there."""
-    r = list(a)
-    dg, lead = len(g) - 1, g[-1]
-    q = [0] * (len(a) - dg)
-    for i in range(len(q) - 1, -1, -1):
-        c, rem = divmod(r[i + dg], lead)
-        if rem:
-            raise ArithmeticError("inexact division in Z[T]")
-        if c:
-            q[i] = c
-            for j in range(dg + 1):
-                r[i + j] -= c * g[j]
-    if any(r[:dg]):
-        raise ArithmeticError("inexact division in Z[T]")
-    return q
-
-
-def _zscale(p: Sequence[Fraction]) -> tuple[list[int], int]:
+def _zscale(p: Sequence[Scalar]) -> tuple[list[int], int]:
     """(s p, s) for s the lcm of the coefficient denominators."""
     s = lcm(*(v.denominator for v in p))
     return [v.numerator * (s // v.denominator) for v in p], s
 
 
-def _primitive(g: Sequence[Fraction]) -> list[int]:
-    """The primitive Z[T] multiple of a nonzero Q[T] polynomial."""
-    z, _ = _zscale(g)
-    content = gcd(*z)
-    return [v // content for v in z]
-
-
-def _zrem_binomial(num: Sequence[int], u: int, v: int, b: int) -> list[int]:
-    """u^K (num mod (v - u T^b)) with K = deg(num) // b, which lies in Z[T].
-
-    T^(j + i b) = T^j (v/u)^i, so coefficient j is
-    sum_i num[j + i b] v^i u^(K - i), summed by Horner in v.
-    """
-    K = (len(num) - 1) // b
-    upow = [u ** (K - i) for i in range(K + 1)]
-    r = []
-    for j in range(b):
-        acc = 0
-        for i in range(K, -1, -1):
-            k = j + i * b
-            acc *= v
-            if k < len(num):
-                acc += num[k] * upow[i]
-        r.append(acc)
-    return r
-
-
-def _coprime_mod_p(num: Sequence[int], u: int, v: int, b: int) -> bool:
-    """True when gcd(num, v - u T^b) over F_P is a constant, with P dividing
-    neither u nor v; then the gcd over Q is 1 as well.
-
-    A primitive common factor g over Z has lc(g) | u, so P does not divide
-    lc(g) and g mod P, of the same degree, divides both reductions (Brown,
-    1971).  Over F_P the binomial is a unit times T^b - v/u, whose first
-    remainder step is one fold, T^b = v/u.
-    """
-    u, v = u % _P, v % _P
-    if not u or not v:
-        return False
-    return len(poly_gcd(num, _t_binomial(v * pow(u, -1, _P), b), _P)) == 1
-
-
 @dataclass
 class RatFunc:
-    """Reduced rational function num/den in Q(T) with den(0) = 1.
+    """Rational function num/den in Q(T) with den(0) != 0, not reduced: what
+    `rs_specialize` returns, read through `taylor`."""
 
-    The reduced pair is unique up to a scalar, and den(0) = 1 fixes that
-    scalar, so `from_binomials` returns the same tuples as a full Euclidean
-    gcd of num against the expanded denominator would.
-    """
-
-    num: tuple[Fraction, ...]
-    den: tuple[Fraction, ...]
-
-    @classmethod
-    def from_binomials(
-        cls, num: Sequence[Fraction], factors: Iterable[tuple[Fraction, int]], scale: Fraction = Fraction(1)
-    ) -> RatFunc:
-        """scale * num / prod (1 - c T^b) over `factors` = [(c, b), ...], reduced.
-
-        Equal, tuple for tuple, to num / (prod of the factors) reduced by a
-        full Euclidean gcd, without a gcd against the expanded product.  Since
-        gcd(N, A B) = gcd(N, A) * gcd(N / gcd(N, A), B), the numerator is
-        reduced against one factor at a time.  The work is in Z[T]: N = D num
-        with D the lcm of its denominators, and 1 - (u/v) T^b is the integer
-        binomial v - u T^b, so the value is N V / (D prod(binomials)) with V
-        the product of the v's.  `_coprime_mod_p` proves most factors coprime
-        to N; only the others take the Euclidean gcd over Q, made primitive
-        so that (Gauss) both divisions by it are exact in Z[T].
-        """
-        num = _trim(list(num))
-        if not num:
-            return cls((), (Fraction(1),))
-        n, s = _zscale(num)
-        den = [1]
-        vprod = 1
-        for c, b in factors:
-            if b < 1:
-                raise ValueError(f"binomial factor needs b >= 1, got b = {b}")
-            if not c:  # c = 0 makes the factor 1
-                continue
-            c = Fraction(c)
-            u, v = c.numerator, c.denominator
-            vprod *= v
-            factor = [v] + [0] * (b - 1) + [-u]
-            if not _coprime_mod_p(n, u, v, b):
-                # gcd(N, binomial) = gcd(binomial, N mod binomial)
-                rem = _zrem_binomial(n, u, v, b)
-                g = _qgcd([Fraction(x) for x in factor], [Fraction(x) for x in rem])
-                if len(g) > 1:
-                    g = _primitive(g)
-                    n = _zdiv_exact(n, g)
-                    factor = _zdiv_exact(factor, g)
-            den = poly_mul(den, factor)
-        d0 = den[0]
-        return cls(
-            tuple(Fraction(x * vprod * scale.numerator, s * d0 * scale.denominator) for x in n),
-            tuple(Fraction(x, d0) for x in den),
-        )
+    num: tuple[Scalar, ...]
+    den: tuple[Scalar, ...]
 
     def taylor(self, order: int) -> list[Fraction]:
         """Series coefficients c_0..c_order (requires den(0) != 0).
@@ -553,13 +372,13 @@ class RatFunc:
 
 
 def rs_specialize(x: RatSeries, q: Scalar) -> RatFunc:
-    """Counting specialization L -> q, as a reduced rational function of T.
+    """Counting specialization L -> q, as a rational function of T, not reduced.
 
     At q = u/v with L-exponents lo..hi in the numerator, q^e is
     u^(e - lo) v^(hi - e) q^lo / v^(hi - lo): the numerator is an integer
     polynomial in T times one scalar, which also takes den and the (q^i - 1).
-    `RatFunc.from_binomials` reduces the integer polynomial against each
-    (1 - q^a T^b) and applies the scalar to the reduced numerator.
+    Each factor 1 - q^a T^b, q^a = u'/v', enters the denominator as the
+    integer binomial v' - u' T^b, and its v' enters the scalar.
 
     Requires q not in {0, 1, -1}: those values kill a cyclotomic factor
     (q^i - 1) or the locus L = 0, and the specialization is not defined.
@@ -569,13 +388,14 @@ def rs_specialize(x: RatSeries, q: Scalar) -> RatFunc:
         raise SpecializationPole(f"specialization undefined at q = {q}")
     scalar = Fraction(x.den)
     for i in x.cyclo:
-        v = q**i - 1
-        if v == 0:  # unreachable for |q| > 1 or non-unit rationals; kept as a guard
-            raise SpecializationPole(f"factor (L^{i} - 1) vanishes at q = {q}")
-        scalar *= v
-    factors = [(q**a, b) for a, b in x.geom]
+        scalar *= q**i - 1
+    den = [1]
+    for a, b in x.geom:
+        c = q**a
+        scalar /= c.denominator
+        den = poly_mul(den, [c.denominator] + [0] * (b - 1) + [-c.numerator])
     if not x.num:
-        return RatFunc.from_binomials([], factors)
+        return RatFunc((), tuple(den))
     u, v = q.numerator, q.denominator
     exps = {e for _, e in x.num}
     lo, hi = min(exps), max(exps)
@@ -583,7 +403,8 @@ def rs_specialize(x: RatSeries, q: Scalar) -> RatFunc:
     num = [0] * (max(n for n, _ in x.num) + 1)
     for (n, e), c in x.num.items():
         num[n] += c * power[e]
-    return RatFunc.from_binomials(num, factors, q**lo / (v ** (hi - lo) * scalar))
+    scale = q**lo / (v ** (hi - lo) * scalar)
+    return RatFunc(tuple(c * scale for c in num), tuple(den))
 
 
 # ---------------------------------------------------------------------------

@@ -329,7 +329,7 @@ def _compare(
     primes, excluded = admissible_primes(plan)
     rows = []
     for p in primes:
-        coeffs = rs_specialize(series, p).taylor(plan.n_max + 1)
+        coeffs = rs_specialize(series, p).taylor(plan.n_max)
         rows += [CompRow(p, n, coeffs[n], *counted) for n, counted in enumerate(count(p))]
     return Verdict.from_rows(plan.target, rows, assumptions=[*excluded, *assumptions], forced_fail=forced_fail)
 

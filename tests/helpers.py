@@ -15,8 +15,7 @@ per arc, each power u^j built by chained truncated :func:`ref_series_mul`;
 powers, the reference for window and exhaustive counts, and
 :func:`ref_level_strata` enumerates the strata at each level apart, the
 reference for reading lower levels off the top level's keys),
-:func:`ratfunc_from_polys` reduces num/den by a full Euclidean gcd over Q
-(the reference for `RatFunc.from_binomials`), :func:`ref_taylor` expands a
+:func:`ref_taylor` expands a
 `RatFunc` by the recurrence in Fractions (the reference for the integer
 recurrence of `RatFunc.taylor`), :class:`RefTate` is the ring Q[L, L^-1]
 on `TatePoly` (sum, product, shift, exact division by
@@ -26,7 +25,8 @@ RefTate} and :func:`ref_add`, :func:`ref_mul`, :func:`ref_scale`,
 :func:`ref_normalize` (which tries the long division by every denominator
 factor), :func:`ref_expand` (termwise geometric sums, then one exact
 division per coefficient), :func:`ref_poles_in_L`, :func:`ref_specialize`
-(coefficients by :func:`ref_tate_eval`, one full gcd) and
+(coefficients by :func:`ref_tate_eval` over the expanded product of the
+denominator binomials, not reduced) and
 :func:`ref_to_json` are the arithmetic on it (the reference for the flat
 integer numerator of `RatSeries`), :func:`ref_equal` cross-multiplies by
 every denominator factor (the reference for `rs_equal`, which subtracts over
@@ -66,10 +66,10 @@ from arczeta import grid
 from arczeta import presburger as pb
 from arczeta.branch import BranchSpec
 from arczeta.counting import BudgetExceeded, CountReport, CountRow
-from arczeta.fq import Fq, _trim, poly_mul
+from arczeta.fq import Fq, poly_mul
 from arczeta.liftable import IntPoly, LiftResult
 from arczeta.ranges import IteratedRangeSystem, Piece
-from arczeta.ratseries import RatFunc, RatSeries, TruncatedSeries, _qdivmod, _qgcd
+from arczeta.ratseries import RatFunc, RatSeries, TruncatedSeries
 from arczeta.tate import NonPolynomialCoefficient, Scalar, TatePoly, _sparse_add, _sparse_mul
 from arczeta.verifier import CompRow, Verdict
 
@@ -214,22 +214,6 @@ def _int_value(term: pb.LinTerm, pt: dict[str, int]) -> int:
     return value.numerator
 
 
-def ratfunc_from_polys(num: Sequence[Fraction], den: Sequence[Fraction]) -> RatFunc:
-    """num/den reduced by one Euclidean gcd against the whole denominator,
-    normalized to den(0) = 1 when den(0) != 0, else to a monic den."""
-    num, den = _trim(list(num)), _trim(list(den))
-    if not den:
-        raise ZeroDivisionError("zero denominator")
-    if not num:
-        return RatFunc((), (Fraction(1),))
-    g = _qgcd(num, den)
-    if len(g) > 1:
-        num, _ = _qdivmod(num, g)
-        den, _ = _qdivmod(den, g)
-    scale = den[0] if den[0] else den[-1]
-    return RatFunc(tuple(v / scale for v in num), tuple(v / scale for v in den))
-
-
 def ref_taylor(f: RatFunc, order: int) -> list[Fraction]:
     """c_0..c_order of f.num / f.den from c_n = (num_n - sum_k den_k c_(n-k)) / den_0."""
     if not f.den or not f.den[0]:
@@ -310,8 +294,13 @@ class RefTate(TatePoly):
         if not self.c:
             return RefTate.zero()
         sv, ov = min(self.c), min(other.c)
-        q, r = _qdivmod(_dense(self, sv), _dense(other, ov))
-        if r:
+        r, d = _dense(self, sv), _dense(other, ov)
+        q = [Fraction(0)] * max(0, len(r) - len(d) + 1)
+        for i in range(len(q) - 1, -1, -1):  # long division; d[-1] != 0
+            q[i] = r[i + len(d) - 1] / d[-1]
+            for j, dv in enumerate(d):
+                r[i + j] -= q[i] * dv
+        if any(r):
             raise NonPolynomialCoefficient(f"{other} does not divide {self}")
         return RefTate((i + sv - ov, v) for i, v in enumerate(q) if v)
 
@@ -558,9 +547,9 @@ def ref_poles_in_L(x: RatSeries | RefSeries) -> set[Fraction]:
 
 
 def ref_specialize(x: RatSeries | RefSeries, q: Scalar) -> RatFunc:
-    """x at L = q: every coefficient evaluated in Fractions, then one full
-    Euclidean gcd against the expanded denominator (the reference for
-    `rs_specialize`)."""
+    """x at L = q: every coefficient evaluated in Fractions over the expanded
+    product of the (1 - q^a T^b), not reduced (the reference for
+    `rs_specialize`, compared through the Taylor coefficients)."""
     x, q = ref_nested(x), Fraction(q)
     scalar = Fraction(1)
     for i in x.cyclo:
@@ -569,7 +558,7 @@ def ref_specialize(x: RatSeries | RefSeries, q: Scalar) -> RatFunc:
     den = [Fraction(1)]
     for a, b in x.geom:
         den = poly_mul(den, [Fraction(1)] + [Fraction(0)] * (b - 1) + [-(q**a)])
-    return ratfunc_from_polys(num, den)
+    return RatFunc(tuple(num), tuple(den))
 
 
 def ref_to_json(x: RatSeries | RefSeries) -> dict:

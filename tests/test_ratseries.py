@@ -1,7 +1,7 @@
 import json
 import random
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
 import pytest
 from functools import reduce
@@ -11,14 +11,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from arczeta import branch, ratseries
-from arczeta.fq import poly_mul
+from arczeta.fq import is_prime, poly_mul
 from arczeta.ratseries import (
     RatFunc,
     RatSeries,
     SpecializationPole,
-    _P,
-    _coprime_mod_p,
-    _zdiv_exact,
     rs_add,
     rs_equal,
     rs_expand,
@@ -38,7 +35,6 @@ from helpers import (
     RefSeries,
     RefTate,
     cyclotomic_unit,
-    ratfunc_from_polys,
     ref_add,
     ref_equal,
     ref_expand,
@@ -133,11 +129,12 @@ def test_normalize_cancels_cyclotomic_content():
 
 
 def test_specialize_reduced():
-    # (1-T)/[(1-T)^2] -> 1/(1-T) at any q
+    # (1-T)/[(1-T)^2] has the coefficients of 1/(1-T) at any q; the quotient
+    # keeps both factors
     x = RatSeries({0: ONE, 1: -1 * ONE}, geom=[(0, 1), (0, 1)])
     f = rs_specialize(x, 5)
-    assert f.num == (Fraction(1),)
-    assert f.den == (Fraction(1), Fraction(-1))
+    assert f.taylor(6) == ref_taylor(ref_specialize(x, 5), 6) == [1] * 7
+    assert len(f.den) - 1 == 2
 
 
 def test_specialize_cyclo_and_taylor():
@@ -154,98 +151,117 @@ def test_specialize_guard():
             rs_specialize(x, q)
 
 
+def _binomials(pairs):
+    """The series prod (1 - L^a T^b) over ``pairs`` = [(a, b), ...]."""
+    return reduce(rs_mul, (RatSeries({0: ONE, b: -1 * L(a)}) for a, b in pairs), RatSeries.one())
+
+
+def _over(num, pairs):
+    """The series num / prod (1 - L^a T^b) over ``pairs``."""
+    return rs_mul(num, RatSeries({0: ONE}, geom=pairs))
+
+
 def _binomial_product(factors):
+    """prod (1 - c T^b) over ``factors`` = [(c, b), ...], expanded in Q[T]."""
     den = [Fraction(1)]
     for c, b in factors:
         den = poly_mul(den, [Fraction(1)] + [Fraction(0)] * (b - 1) + [-Fraction(c)])
     return den
 
 
-def _reduced_both_ways(num, factors):
-    """from_binomials, checked field for field against the full-gcd route."""
-    got = RatFunc.from_binomials(num, factors)
-    want = ratfunc_from_polys(num, _binomial_product(factors))
-    assert (got.num, got.den) == (want.num, want.den)
+def _same_coefficients(x, reduced, q, order=16):
+    """x and a hand-reduced form of it have the reference's coefficients at L = q."""
+    got = rs_specialize(x, q).taylor(order)
+    assert got == ref_taylor(ref_specialize(x, q), order) == rs_specialize(reduced, q).taylor(order)
     return got
 
 
 def test_binomials_partial_cancellation():
-    # (1 + 3T) / (1 - 9T^2) = 1 / (1 - 3T): the gcd is a proper factor of the binomial
-    f = _reduced_both_ways([1, 3], [(9, 2)])
-    assert f.num == (Fraction(1),)
-    assert f.den == (Fraction(1), Fraction(-3))
-    # (1 + T^2) against (1 - T^4)(1 - T): one quadratic factor cancels
-    f = _reduced_both_ways([1, 0, 1], [(1, 4), (1, 1)])
-    assert len(f.den) - 1 == 3
+    # (1 + L T) / (1 - L^2 T^2) = 1 / (1 - L T): a proper factor of the binomial cancels
+    x = RatSeries({0: ONE, 1: L(1)}, geom=[(2, 2)])
+    assert _same_coefficients(x, geom(1, 1), 3) == [3**n for n in range(17)]
+    # (1 + T^2) / [(1 - T^4)(1 - T)] = 1 / [(1 - T^2)(1 - T)]
+    x = RatSeries({0: ONE, 2: ONE}, geom=[(0, 4), (0, 1)])
+    _same_coefficients(x, RatSeries({0: ONE}, geom=[(0, 2), (0, 1)]), 2)
+    assert len(rs_specialize(x, 2).den) - 1 == 5
 
 
 def test_binomials_repeated_factors():
-    # (1 - 2T)^2 / [(1 - 2T)^3 (1 - 4T^2)] = 1 / [(1 - 2T)^2 (1 + 2T)]
-    f = _reduced_both_ways([1, -4, 4], [(2, 1)] * 3 + [(4, 2)])
-    assert f.num == (Fraction(1),)
-    assert f.den == tuple(poly_mul(_binomial_product([(2, 1), (2, 1)]), [Fraction(1), Fraction(2)]))
+    # (1 - L T)^2 / [(1 - L T)^3 (1 - L^2 T^2)] = 1 / [(1 - L T)^2 (1 + L T)]
+    x = _over(_binomials([(1, 1), (1, 1)]), [(1, 1)] * 3 + [(2, 2)])
+    reduced = _over(_binomials([(1, 1)]), [(1, 1), (1, 1), (2, 2)])
+    for q in (2, Fraction(-1, 3)):
+        _same_coefficients(x, reduced, q)
 
 
 def test_binomials_zero_numerator_and_unit_factor():
-    assert _reduced_both_ways([], [(2, 1)]) == RatFunc((), (Fraction(1),))
-    assert _reduced_both_ways([0, 0], [(3, 2), (3, 2)]) == RatFunc((), (Fraction(1),))
-    # c = 0 makes the factor 1
-    assert _reduced_both_ways([5, 1], [(0, 3)]) == RatFunc((Fraction(5), Fraction(1)), (Fraction(1),))
+    # the zero series over binomials: zero coefficients, the denominator kept whole
+    for q in (2, Fraction(3, 5)):
+        f = rs_specialize(RatSeries({}, geom=[(1, 1), (2, 2), (2, 2)]), q)
+        assert f.num == () and len(f.den) - 1 == 5 and f.taylor(6) == [0] * 7
+    # no geometric factor: the polynomial itself, over den = (1,)
+    f = rs_specialize(RatSeries({0: 5, 1: L(1)}), 3)
+    assert f.den == (1,) and f.taylor(3) == [5, 3, 0, 0]
 
 
 def test_binomials_reject_degree_zero():
-    with pytest.raises(ValueError):
-        RatFunc.from_binomials([1], [(2, 0)])
+    # a geometric factor needs b >= 1, from the constructor and from plan JSON
+    with pytest.raises(ValueError, match="b >= 1"):
+        RatSeries({0: 1}, geom=[(2, 0)])
+    for row in ([2, 0, 1], [2, -1, 1]):
+        with pytest.raises(ValueError, match="b >= 1"):
+            rs_from_json({"numerator": [[0, [[0, "1"]]]], "denomGeom": [row]})
 
 
 def test_specialize_cyclotomic_scalars_match_full_gcd():
-    # rational numerator coefficients from 1/[(q - 1)(q^2 - 1)^2], with cancellation
+    # rational numerator coefficients from 1/[(q - 1)(q^2 - 1)^2], with a
+    # (1 - L T) in numerator and denominator, which stays in the quotient
     x = rs_mul(
         RatSeries({0: ONE, 1: L(1), 2: L(2) - 1}, geom=[(1, 1), (2, 2), (0, 3)], cyclo=[1, 2, 2]),
         RatSeries({0: ONE, 1: -1 * L(1)}),
     )
+    reduced = RatSeries({0: ONE, 1: L(1), 2: L(2) - 1}, geom=[(2, 2), (0, 3)], cyclo=[1, 2, 2])
     for q in (2, 3, Fraction(1, 3), 7):
         f = rs_specialize(x, q)
         scalar = (Fraction(q) - 1) * (Fraction(q) ** 2 - 1) ** 2
         nested = ref_nested(x).num
         num = [ref_tate_eval(nested.get(n, RefTate.zero()), q) / scalar for n in range(max(nested) + 1)]
-        assert f == _reduced_both_ways(num, [(Fraction(q) ** a, b) for a, b in x.geom])
-        assert len(f.den) - 1 == 5  # the (1 - L T) factor cancels
+        want = ref_taylor(RatFunc(tuple(num), tuple(_binomial_product([(Fraction(q) ** a, b) for a, b in x.geom]))), 12)
+        assert f.taylor(12) == want == rs_specialize(reduced, q).taylor(12)
+        assert len(f.den) - 1 == 6
 
 
-binomial_factors = st.lists(
-    st.tuples(st.sampled_from([1, -1, 2, -2, 3, 4, 9, Fraction(1, 2), Fraction(1, 3), 8]), st.integers(1, 4)),
-    max_size=5,
-)
+geometric_factors = st.lists(st.tuples(st.integers(-2, 3), st.integers(1, 4)), max_size=5)
 
 
 @settings(max_examples=150)
 @given(
-    binomial_factors,
-    binomial_factors,
+    geometric_factors,
+    geometric_factors,
     st.lists(st.fractions(min_value=-5, max_value=5, max_denominator=4), max_size=4),
+    st.sampled_from([2, -2, 3, Fraction(1, 2), Fraction(-2, 3)]),
 )
-def test_binomials_equal_full_gcd(shared, den_only, cofactor):
+def test_binomials_equal_full_gcd(shared, den_only, cofactor, q):
     # numerator = cofactor * (some binomials that may also sit in the denominator)
-    num = [Fraction(v) for v in cofactor]
-    for c, b in shared:
-        num = poly_mul(num, [Fraction(1)] + [Fraction(0)] * (b - 1) + [-Fraction(c)])
-    _reduced_both_ways(num, den_only + shared[::2])
+    x = _over(rs_mul(RatSeries(enumerate(cofactor)), _binomials(shared)), den_only + shared[::2])
+    reduced = _over(rs_mul(RatSeries(enumerate(cofactor)), _binomials(shared[1::2])), den_only)
+    _same_coefficients(x, reduced, q)
+    assert len(rs_specialize(x, q).den) - 1 == sum(b for _, b in x.geom)
 
 
 def test_p_ar_large_denominator_at_17():
-    # P_ar of (8; 12, 14, 15): product denominator of T-degree 51, the gcd removes one degree
+    # P_ar of (8; 12, 14, 15): product denominator of T-degree 51, kept whole
     c = characteristic_sequence(BranchSpec.make(8, {12: 1, 14: 1, 15: 1}))
     assert (c.beta, c.e) == ((8, 12, 14, 15), (8, 4, 2, 1))
     series = p_ar(c)
     assert sum(b for _, b in series.geom) == 51
     f = rs_specialize(series, 17)
-    assert len(f.den) - 1 == 50
+    assert len(f.den) - 1 == 51
     strata = [
         1 + sum(ref_tate_eval(chi_c_arc_class(c, n, ell)[1], 17) for ell in range(1, n // c.m + 1))
         for n in range(25)
     ]
-    assert f.taylor(24) == strata
+    assert f.taylor(24) == strata == ref_taylor(ref_specialize(series, 17), 24)
 
 
 def test_poles_candidate_filtering():
@@ -435,79 +451,6 @@ def test_mixed_series_renders_as_before():
     )
 
 
-def _integer_numerator(num):
-    scale = lcm(*(v.denominator for v in num))
-    return [int(v * scale) for v in num]
-
-
-def _counting_qgcd(monkeypatch):
-    calls = []
-    real = ratseries._qgcd
-
-    def counted(a, b):
-        calls.append((a, b))
-        return real(a, b)
-
-    monkeypatch.setattr(ratseries, "_qgcd", counted)
-    return calls
-
-
-# An irreducible factor g of 1 - c T^b, as (c, b, g): 1 - T in 1 - T^b,
-# 1 + T in 1 - T^(2k), 1 + T + T^2 in 1 - T^(3k), and 1 - r T in 1 - r^b T^b
-# for an integer or rational r.
-shared_factor = st.one_of(
-    st.integers(1, 5).map(lambda b: (Fraction(1), b, [1, -1])),
-    st.integers(1, 3).map(lambda k: (Fraction(1), 2 * k, [1, 1])),
-    st.integers(1, 2).map(lambda k: (Fraction(1), 3 * k, [1, 1, 1])),
-    st.tuples(
-        st.sampled_from([2, -2, 3, -5, Fraction(1, 2), Fraction(-2, 3), Fraction(5, 4)]), st.integers(1, 4)
-    ).map(lambda rb: (Fraction(rb[0]) ** rb[1], rb[1], [1, -Fraction(rb[0])])),
-)
-
-
-@settings(max_examples=150)
-@given(
-    shared_factor,
-    st.lists(st.fractions(min_value=-6, max_value=6, max_denominator=5), min_size=1, max_size=5).filter(any),
-    binomial_factors,
-)
-def test_certificate_never_hides_a_common_factor(shared, cofactor, others):
-    # num = R g with g | 1 - c T^b: the F_P certificate must not call the pair
-    # coprime, and from_binomials must cancel g exactly as the full gcd does
-    c, b, g = shared
-    num = poly_mul([Fraction(v) for v in cofactor], [Fraction(v) for v in g])
-    assert not _coprime_mod_p(_integer_numerator(num), c.numerator, c.denominator, b)
-    factors = others + [(c, b)]
-    got = _reduced_both_ways(num, factors)
-    assert len(got.den) - 1 <= sum(bb for cc, bb in factors if cc) - (len(g) - 1)
-
-
-def test_certificate_proves_coprime_pairs(monkeypatch):
-    # (1 + 2T + 3T^2) against (1 - 5T^2)(1 - T/3): no rational gcd runs
-    calls = _counting_qgcd(monkeypatch)
-    _reduced_both_ways([1, 2, 3], [(5, 2), (Fraction(1, 3), 1)])
-    assert calls == []
-
-
-def test_certificate_unavailable_when_p_divides_u(monkeypatch):
-    # u = P: the binomial 1 - P T^2 vanishes mod P at the top, so the
-    # rational gcd decides, both without and with a common factor 1 - P T
-    calls = _counting_qgcd(monkeypatch)
-    assert not _coprime_mod_p([1, 1], _P, 1, 2)
-    f = _reduced_both_ways([1, 1], [(_P, 2)])
-    assert len(calls) == 1 and len(f.den) == 3
-    f = _reduced_both_ways(poly_mul([Fraction(2), Fraction(1, 7)], [Fraction(1), Fraction(-_P)]), [(_P**2, 2)])
-    assert len(calls) == 2 and f.den == (Fraction(1), Fraction(_P))
-
-
-def test_zdiv_exact_raises_on_a_remainder():
-    assert _zdiv_exact([2, 3, 1], [1, 1]) == [2, 1]
-    with pytest.raises(ArithmeticError):
-        _zdiv_exact([1, 0, 1], [1, 1])
-    with pytest.raises(ArithmeticError):
-        _zdiv_exact([1, 1], [2, 2])
-
-
 rational_coeffs = st.lists(st.fractions(min_value=-9, max_value=9, max_denominator=6), max_size=6)
 
 
@@ -559,27 +502,18 @@ def test_normalize_equals_trial_division(x):
     assert y.den > 0 and gcd(y.den, *y.num.values()) == 1
 
 
-def test_normalize_skips_divisions_proven_inexact(monkeypatch):
-    divisions = []
-    real = ratseries._div_binomial
-    monkeypatch.setattr(ratseries, "_div_binomial", lambda *a: divisions.append(a[1:]) or real(*a))
-    # (1 - L^-2 T) / [(1 - L^-2 T)(1 - T)(1 - L T^2)]: only (-2, 1) may divide
-    x = RatSeries({0: ONE, 1: -1 * L(-2)}, geom=[(-2, 1), (0, 1), (1, 2)])
-    y = rs_normalize(x)
-    assert divisions == [(-2, 1)]
-    assert y.geom == ((0, 1), (1, 2)) and (y.num, y.den) == ({(0, 0): 1}, 1)
-
-
 def test_normalize_divides_when_p_divides_a_denominator(monkeypatch):
-    # coefficients 1/P have no residue mod P, so every long division runs
+    # coefficients 1/P for the prime P = 2^61 - 1: every long division runs,
+    # and the quotient keeps den = P
+    P = (1 << 61) - 1
     divisions = []
     real = ratseries._div_binomial
     monkeypatch.setattr(ratseries, "_div_binomial", lambda *a: divisions.append(a[1:]) or real(*a))
-    inv = Fraction(1, _P)
+    inv = Fraction(1, P)
     x = RatSeries({0: RefTate.const(inv), 1: L(1, -inv)}, geom=[(0, 1), (1, 1)])
     y = rs_normalize(x)
     assert divisions == [(0, 1), (1, 1)]
-    assert y.geom == ((0, 1),) and (y.num, y.den) == ({(0, 0): 1}, _P)
+    assert y.geom == ((0, 1),) and (y.num, y.den) == ({(0, 0): 1}, P)
 
 
 def test_constructor_coerces_scalar_coefficients():
@@ -627,9 +561,7 @@ def test_flat_expansion_equals_nested_reference(x):
 @example(MIXED, 2)
 def test_flat_poles_and_specialization_equal_nested_reference(x, q):
     assert rs_poles_in_L(x) == ref_poles_in_L(x)
-    f, want = rs_specialize(x, q), ref_specialize(x, q)
-    assert (f.num, f.den) == (want.num, want.den)
-    assert f.taylor(8) == ref_taylor(want, 8)
+    assert rs_specialize(x, q).taylor(8) == ref_taylor(ref_specialize(x, q), 8)
 
 
 def _random_branches(seed: int, count: int):
@@ -667,3 +599,35 @@ def test_branch_series_render_as_the_nested_reference(monkeypatch):
                 assert rs_latex(got) == ref_latex(want)
                 assert rs_to_json(got) == ref_to_json(want)
                 assert json.dumps(rs_to_json(got)) == json.dumps(ref_to_json(want))
+
+
+# The characteristic exponents of the 14 branch shapes the series benchmark
+# draws on, from (2; 3) to (10; 15, 17).
+SHAPES = [
+    (2, 3), (2, 5), (3, 4), (3, 5), (4, 5), (4, 6, 7), (4, 6, 9), (6, 8, 9),
+    (6, 9, 10), (8, 10, 13), (8, 12, 14, 15), (9, 12, 14), (10, 14, 15), (10, 15, 17),
+]
+
+
+def _shape_series():
+    """(m, p_ar) and (m, p_geom) of each shape with seeded rational
+    characteristic coefficients, seeds 1-5 (the closed forms read only the
+    characteristic sequence, so the seeds vary the branch, not the series)."""
+    for beta in SHAPES:
+        for seed in range(1, 6):
+            rng = random.Random(seed)
+            coeffs = {b: Fraction(rng.choice([-5, -2, -1, 1, 3, 7]), rng.randint(1, 6)) for b in beta[1:]}
+            c = characteristic_sequence(BranchSpec.make(beta[0], coeffs))
+            assert c.beta == beta
+            yield c.m, p_ar(c)
+            yield c.m, p_geom(c)
+
+
+def test_specialize_sweep_equals_unreduced_reference():
+    # the quotient keeps every binomial: T-degree of den = sum of the b
+    for m, x in _shape_series():
+        p = next(p for p in range(m + 1, 100) if is_prime(p) and (p - 1) % m == 0)  # admissible
+        for q in (p, p**2, Fraction(1, p), Fraction(2, 3), -7):
+            f = rs_specialize(x, q)
+            assert f.taylor(40) == ref_taylor(ref_specialize(x, q), 40)
+            assert len(f.den) - 1 == sum(b for _, b in x.geom)

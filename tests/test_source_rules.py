@@ -18,6 +18,11 @@ a coefficient enters or leaves; only ``tate`` (which defines it),
 ``ratseries`` (which reads and writes it) and ``branch`` (whose stratum
 classes are TatePolys) may name it.
 
+No polynomial gcd in the series layer: ``arczeta.ratseries`` imports only
+``poly_mul`` from ``arczeta.fq``.  Specialization returns the unreduced
+quotient and every consumer reads its Taylor coefficients, so no gcd or F_P
+certificate has work there.
+
 numpy only where arcs are enumerated: ``arczeta.grid`` is the one module
 that imports numpy or ``concurrent.futures`` when it is loaded, so a fresh
 process that only asks for series, Igusa forms or Presburger sums never
@@ -41,7 +46,7 @@ PACKAGE = ROOT / "src" / "arczeta"
 
 # module.name -> why it may stay in src/ without a caller there
 EXCEPTIONS = {
-    "branch.chi_c_arc_class": "the stratum-set derivation of P_ar (ROADMAP direction 2) gives it a caller",
+    "branch.chi_c_arc_class": "the stratum-set derivation of P_ar (ROADMAP direction 4) gives it a caller",
     "branch.order_gap": "the contact orders of acceptance criterion 8",
     "counting.count_branch_strata": "the per-stratum counts whose sum is the window count; it reads the top"
     " level of `_level_counts`, the routine behind count_branch_image, so it adds no second code path",
@@ -118,6 +123,16 @@ def test_only_the_series_input_and_output_names_tatepoly():
                 naming.add(path.stem)
     assert naming <= {"tate", "ratseries", "branch"}
     assert {"ratseries", "branch"} <= naming
+
+
+def test_series_layer_takes_only_poly_mul_from_fq():
+    taken = set()
+    for node in ast.walk(ast.parse((PACKAGE / "ratseries.py").read_text())):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == "fq":
+            taken |= {alias.name for alias in node.names}
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):  # the module fq itself
+            taken |= {"fq" for alias in node.names if alias.name.split(".")[-1] == "fq"}
+    assert taken == {"poly_mul"}
 
 
 # modules that only the enumeration kernels need; arczeta.grid alone may load them
