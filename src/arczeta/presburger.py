@@ -24,7 +24,8 @@ Each basic fact is stated once, for this module and `arczeta.ranges`:
 t <= 0 (for the gcd tightening of `simplify`, the strict atoms of Cooper
 elimination and the range constraints); `_fold` is the one constant folder
 (`simplify` passes it the atom normaliser, the range decomposition a truth
-assignment); `_nnf_strict` is the one negation normal form.
+assignment, `membership` the truth of each atom at its point);
+`_nnf_strict` is the one negation normal form.
 
 Quantifier elimination is Cooper's algorithm: divisibility-aware, works
 directly on the boolean structure without a prior disjunctive normal form.
@@ -523,6 +524,8 @@ def membership(f: Formula, point: Mapping[str, int] | Sequence[int]) -> bool:
     `point` is a mapping from variable names, or a vector matching the sorted
     free-variable list.  Raises ArityMismatch on missing/extra assignments.
     """
+    if not is_quantifier_free(f):
+        raise ValueError("membership requires a quantifier-free formula")
     fv = sorted(free_vars(f))
     if not isinstance(point, Mapping):
         if len(point) != len(fv):
@@ -533,22 +536,11 @@ def membership(f: Formula, point: Mapping[str, int] | Sequence[int]) -> bool:
         if missing:
             raise ArityMismatch(f"missing assignment for: {', '.join(sorted(missing))}")
 
-    def ev(g: Formula) -> bool:
-        if isinstance(g, BoolConst):
-            return g.value
-        if isinstance(g, Cmp):
-            return _holds(g.term.eval(point), g.rel)
-        if isinstance(g, Cong):
-            return g.term.eval(point) % g.modulus == 0
-        if isinstance(g, Not):
-            return not ev(g.arg)
-        if isinstance(g, And):
-            return all(ev(a) for a in g.args)
-        if isinstance(g, Or):
-            return any(ev(a) for a in g.args)
-        raise ValueError("membership requires a quantifier-free formula")
+    def truth(a: Cmp | Cong) -> BoolConst:
+        v = a.term.eval(point)
+        return BoolConst(_holds(v, a.rel) if isinstance(a, Cmp) else v % a.modulus == 0)
 
-    return ev(f)
+    return _fold(f, truth).value
 
 
 # ---------------------------------------------------------------------------

@@ -3,29 +3,34 @@
 `to_iterated_ranges` rewrites a quantifier-free formula into finitely many
 disjoint pieces: it splits on the truth of one atom at a time, folding the
 formula with `presburger._fold` and reading each comparison through
-`presburger._le_forms`.  In a piece, each variable (in a fixed elimination
-order) ranges over an arithmetic progression {base + step*s : s >= 0},
-optionally capped, whose base/cap are affine in the outer variables.  Bases
-and caps are `presburger.LinTerm`s that may carry rational coefficients but
-are integer-valued on every admissible outer point (the decomposition
-introduces the congruences that guarantee it).  `_lin_from_affine` and
-`_affine_congruence` are the one place that scales such a term back to
-integer coefficients.
+`presburger._le_forms`.  The constraints it carries are presburger atoms,
+`Cmp(t, "<=")` and `Cong(t, n)`; the module defines no constraint type of
+its own (`tests/test_source_rules.py` checks it).  In a piece, each variable
+(in a fixed elimination order) ranges over an arithmetic progression
+{base + step*s : s >= 0}, optionally capped, whose base/cap are affine in
+the outer variables; `_extremes` is the one choice of the largest lower or
+smallest upper bound.  Bases and caps are `presburger.LinTerm`s that may
+carry rational coefficients but are integer-valued on every admissible outer
+point (the decomposition introduces the congruences that guarantee it).
+`_lin_from_affine` and `_affine_congruence` are the one place that scales
+such a term back to integer coefficients.
 
 `weighted_sum` then evaluates sum over all points of L^(-lweight) T^tweight
 (LinTerm weights over the variables of the order) in closed form, one
 variable at a time, using the geometric identity
-sum_{s>=0} x^(A+sB) = x^A/(1-x^B) and its polynomial-weight refinements
-(finite differences for sum s^g y^s, binomial reindexing for capped tails).
-The result is a RatSeries; factors (1 - L^a) without T become (L^a - 1)
-denominator units.
+sum_{s>=0} x^(A+sB) = x^A/(1-x^B) and its finite-difference refinement for
+sum s^g y^s.  `_substituted` is the one reindexing: a capped sum whose step
+diverges is reversed (s -> cnt-1-s), and a convergent one is the full sum
+minus its tail (s -> cnt+s).  The result is a RatSeries; factors (1 - L^a)
+without T become (L^a - 1) denominator units.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from itertools import product
 from math import comb, factorial, lcm
 from typing import Iterator, Sequence
 
@@ -71,32 +76,23 @@ class IteratedRangeSystem:
 # ---------------------------------------------------------------------------
 # decomposition: quantifier-free formula -> disjoint pieces
 #
-# internal constraint forms (integer coefficients):
-#   _Ineq(t): t <= 0        _Congr(t, n): t == 0 mod n
+# constraints are presburger atoms with integer coefficients:
+#   Cmp(t, "<="): t <= 0        Cong(t, n): t == 0 mod n
+
+_Constraint = pb.Cmp | pb.Cong
 
 
-@dataclass(frozen=True)
-class _Ineq:
-    t: LinTerm
-
-
-@dataclass(frozen=True)
-class _Congr:
-    t: LinTerm
-    n: int
-
-
-def _atom_constraints(atom: pb.Formula, value: bool) -> list[list[_Ineq | _Congr]]:
+def _atom_constraints(atom: pb.Formula, value: bool) -> list[list[_Constraint]]:
     """Disjoint alternatives of positive constraints expressing atom == value."""
     if isinstance(atom, pb.Cong):
         if value:
-            return [[_Congr(atom.term, atom.modulus)]]
-        return [[_Congr(atom.term.shift(r), atom.modulus)] for r in range(1, atom.modulus)]
+            return [[atom]]
+        return [[pb.Cong(atom.term.shift(r), atom.modulus)] for r in range(1, atom.modulus)]
     rel = atom.rel if value else _NEGATE[atom.rel]
-    return [[_Ineq(t) for t in alt] for alt in _le_forms(atom.term, rel)]
+    return [[pb.Cmp(t, "<=") for t in alt] for alt in _le_forms(atom.term, rel)]
 
 
-def _disjoint_conjunctions(f: pb.Formula) -> Iterator[list[_Ineq | _Congr]]:
+def _disjoint_conjunctions(f: pb.Formula) -> Iterator[list[_Constraint]]:
     """Yield constraint conjunctions whose solution sets partition that of f.
 
     Sign-pattern expansion over atoms in first-occurrence order: assigning an
@@ -129,9 +125,9 @@ def _lin_from_affine(form: LinTerm, shift: int = 0) -> LinTerm:
     return LinTerm.make({v: c.numerator for v, c in scaled.coeffs}, scaled.const.numerator)
 
 
-def _affine_congruence(form: LinTerm, residue: int, modulus: int) -> _Congr:
+def _affine_congruence(form: LinTerm, residue: int, modulus: int) -> pb.Cong:
     """Constraint: form == residue (mod modulus), scaled to integer coeffs."""
-    return _Congr(_lin_from_affine(form, -residue), modulus * form.denominator_lcm())
+    return pb.Cong(_lin_from_affine(form, -residue), modulus * form.denominator_lcm())
 
 
 def to_iterated_ranges(f: pb.Formula, order: Sequence[str]) -> IteratedRangeSystem:
@@ -152,46 +148,34 @@ def to_iterated_ranges(f: pb.Formula, order: Sequence[str]) -> IteratedRangeSyst
     if extra:
         raise ValueError(f"formula uses variables outside the order: {sorted(extra)}")
 
-    pieces: list[Piece] = []
-    for conj in _disjoint_conjunctions(f):
-        pieces.extend(_ranges_for_conjunction(list(conj), names))
+    pieces = [
+        Piece(tuple(assignment[v] for v in names))
+        for conj in _disjoint_conjunctions(f)
+        for assignment in _solve_vars(conj, names)
+    ]
     return IteratedRangeSystem(tuple(names), tuple(pieces))
 
 
-def _ranges_for_conjunction(
-    constraints: list[_Ineq | _Congr], names: list[str]
-) -> Iterator[Piece]:
-    for assignment in _solve_vars(constraints, names):
-        yield Piece(tuple(assignment[v] for v in names))
-
-
-def _solve_vars(
-    constraints: list[_Ineq | _Congr], names: list[str]
-) -> Iterator[dict[str, RangeVar]]:
+def _solve_vars(constraints: list[_Constraint], names: list[str]) -> Iterator[dict[str, RangeVar]]:
     """Assign a RangeVar to every name, innermost first, splitting as needed."""
     if not names:
         # only variable-free constraints may remain
         for c in constraints:
-            if isinstance(c, _Ineq):
-                if c.t.coeffs or c.t.const > 0:
-                    if c.t.coeffs:
-                        raise UnsupportedShape(f"constraint {c.t} <= 0 left unresolved")
-                    return  # constant false: dead piece
-            else:
-                if c.t.coeffs:
-                    raise UnsupportedShape(f"constraint {c.t} == 0 mod {c.n} left unresolved")
-                if c.t.const % c.n:
-                    return
+            if c.term.coeffs:
+                shape = "<= 0" if isinstance(c, pb.Cmp) else f"== 0 mod {c.modulus}"
+                raise UnsupportedShape(f"constraint {c.term} {shape} left unresolved")
+            if not pb.membership(c, {}):
+                return  # constant false: dead piece
         yield {}
         return
 
     var = names[-1]
     outer = names[:-1]
-    mine = [c for c in constraints if c.t.coeff(var)]
-    rest = [c for c in constraints if not c.t.coeff(var)]
+    mine = [c for c in constraints if c.term.coeff(var)]
+    rest = [c for c in constraints if not c.term.coeff(var)]
 
     for step, residue, extra1 in _congruence_split(mine, var):
-        ineqs = [c for c in mine if isinstance(c, _Ineq)]
+        ineqs = [c for c in mine if isinstance(c, pb.Cmp)]
         for lowers, uppers, extra2 in _bound_split(ineqs, var):
             for base, extra3 in _pick_base(lowers, step, residue):
                 for cap, extra4 in _pick_cap(uppers, base, step):
@@ -201,119 +185,98 @@ def _solve_vars(
                         yield {**inner, var: rv}
 
 
-def _congruence_split(
-    mine: list[_Ineq | _Congr], var: str
-) -> Iterator[tuple[int, int, list[_Congr]]]:
+def _congruence_split(mine: list[_Constraint], var: str) -> Iterator[tuple[int, int, list[pb.Cong]]]:
     """Split on var's residue: yields (step, residue, outer conditions)."""
-    congs = [c for c in mine if isinstance(c, _Congr)]
+    congs = [c for c in mine if isinstance(c, pb.Cong)]
     if not congs:
         yield 1, 0, []
         return
-    step = lcm(*(c.n for c in congs))
+    step = lcm(*(c.modulus for c in congs))
     for rho in range(step):
         conds = []
-        ok = True
         for c in congs:
-            coef = c.t.coeff(var)
-            shifted = c.t.drop_var(var).shift(coef * rho)
-            if not shifted.coeffs:
-                if shifted.const % c.n:
-                    ok = False
-                    break
-            else:
-                conds.append(_Congr(shifted, c.n))
-        if ok:
+            shifted = c.term.drop_var(var).shift(c.term.coeff(var) * rho)
+            if shifted.coeffs:
+                conds.append(pb.Cong(shifted, c.modulus))
+            elif shifted.const % c.modulus:
+                break  # this residue solves no congruence
+        else:
             yield step, rho, conds
 
 
 def _bound_split(
-    ineqs: list[_Ineq], var: str
-) -> Iterator[tuple[list[LinTerm], list[LinTerm], list[_Congr]]]:
+    ineqs: list[pb.Cmp], var: str
+) -> Iterator[tuple[list[LinTerm], list[LinTerm], list[pb.Cong]]]:
     """Turn c*var + t <= 0 atoms into exact affine lower/upper bounds.
 
     Non-unit |c| needs the value of t mod |c|; each residue choice adds a
-    congruence condition on the outer variables (disjoint alternatives).
+    congruence condition on the outer variables (disjoint alternatives, the
+    first atom's varying slowest).
     """
-    bounds: list[tuple[str, LinTerm, int]] = []  # (kind, u, d): var <=/>= u/d
+    alternatives = []  # per atom: (is_lower, bound, conditions) choices
     for c in ineqs:
-        coef = c.t.coeff(var)
-        t = c.t.drop_var(var)
-        if coef > 0:
-            bounds.append(("upper", t.scale(-1), coef))
-        else:
-            bounds.append(("lower", t, -coef))
-
-    def go(i: int, lowers: list, uppers: list, conds: list) -> Iterator:
-        if i == len(bounds):
-            yield lowers, uppers, conds
-            return
-        kind, u, d = bounds[i]
+        coef = c.term.coeff(var)
+        t = c.term.drop_var(var)
+        lower = coef < 0
+        u, d = (t, -coef) if lower else (t.scale(-1), coef)  # var >=/<= u/d
         if d == 1:
-            nl = lowers + [u] if kind == "lower" else lowers
-            nu = uppers + [u] if kind == "upper" else uppers
-            yield from go(i + 1, nl, nu, conds)
-            return
-        for r in range(d):
-            # u == r (mod d); lower: ceil(u/d) = (u - r)/d + (1 if r else 0)
-            cond = _affine_congruence(u, r, d)
-            bound = u.shift(-r).scale(Fraction(1, d))
-            if kind == "lower" and r:
-                bound = bound.shift(1)
-            nl = lowers + [bound] if kind == "lower" else list(lowers)
-            nu = uppers + [bound] if kind == "upper" else list(uppers)
-            yield from go(i + 1, nl, nu, conds + [cond])
+            alternatives.append([(lower, u, [])])
+            continue
+        # u == r (mod d); lower: ceil(u/d) = (u - r)/d + (1 if r else 0)
+        alternatives.append([
+            (lower, u.shift(-r).scale(Fraction(1, d)).shift(1 if lower and r else 0), [_affine_congruence(u, r, d)])
+            for r in range(d)
+        ])
+    for choice in product(*alternatives):
+        yield (
+            [bound for lower, bound, _ in choice if lower],
+            [bound for lower, bound, _ in choice if not lower],
+            [cond for _, _, conds in choice for cond in conds],
+        )
 
-    yield from go(0, [], [], [])
+
+def _extremes(bounds: list[LinTerm], sign: int) -> Iterator[tuple[LinTerm, list[pb.Cmp]]]:
+    """Disjoint cases of which bound is the largest (sign 1) or the smallest
+    (sign -1): it is strictly beyond the earlier bounds and at least the later ones."""
+    for i, b in enumerate(bounds):
+        yield b, [
+            pb.Cmp(_lin_from_affine(other.sub(b).scale(sign), 1 if j < i else 0), "<=")
+            for j, other in enumerate(bounds)
+            if j != i
+        ]
 
 
 def _pick_base(
     lowers: list[LinTerm], step: int, residue: int
-) -> Iterator[tuple[LinTerm, list[_Ineq | _Congr]]]:
+) -> Iterator[tuple[LinTerm, list[_Constraint]]]:
     """Choose the max lower bound (disjoint case split), then align it to the
     residue class; alignment needs the bound's value mod step."""
     if not lowers:
         raise UnsupportedShape("variable has no lower bound")
-    for i, b in enumerate(lowers):
-        conds: list[_Ineq | _Congr] = []
-        # b is the max: strictly greater than earlier ones, >= later ones
-        for j, other in enumerate(lowers):
-            if j == i:
-                continue
-            diff = other.sub(b)  # require diff <= 0 (or <= -1 for j < i)
-            conds.append(_Ineq(_lin_from_affine(diff, 1 if j < i else 0)))
+    for b, conds in _extremes(lowers, 1):
         if step == 1:
             yield b, conds
             continue
         for sigma in range(step):
-            cond = _affine_congruence(b, sigma, step)
-            base = b.shift((residue - sigma) % step)
-            yield base, conds + [cond]
+            yield b.shift((residue - sigma) % step), conds + [_affine_congruence(b, sigma, step)]
 
 
 def _pick_cap(
     uppers: list[LinTerm], base: LinTerm, step: int
-) -> Iterator[tuple[LinTerm | None, list[_Ineq | _Congr]]]:
-    """Choose the min upper bound (disjoint split), align to the progression,
-    and keep only the branch where the range is nonempty."""
+) -> Iterator[tuple[LinTerm | None, list[_Constraint]]]:
+    """Choose the min upper bound (disjoint split), align it to the
+    progression, and keep only the branch where the range is nonempty."""
     if not uppers:
         yield None, []
         return
-    for i, u in enumerate(uppers):
-        conds: list[_Ineq | _Congr] = []
-        for j, other in enumerate(uppers):
-            if j == i:
-                continue
-            diff = u.sub(other)  # require u <= other (strict for j < i)
-            conds.append(_Ineq(_lin_from_affine(diff, 1 if j < i else 0)))
+    for u, conds in _extremes(uppers, -1):
         if step == 1:
-            gap = base.sub(u)  # nonempty: base <= u
-            yield u, conds + [_Ineq(_lin_from_affine(gap))]
+            yield u, conds + [pb.Cmp(_lin_from_affine(base.sub(u)), "<=")]  # nonempty: base <= u
             continue
         for tau in range(step):
-            cond = _affine_congruence(u.sub(base), tau, step)
             cap = u.shift(-tau)
-            gap = base.sub(cap)
-            yield cap, conds + [cond, _Ineq(_lin_from_affine(gap))]
+            nonempty = pb.Cmp(_lin_from_affine(base.sub(cap)), "<=")
+            yield cap, conds + [_affine_congruence(u.sub(base), tau, step), nonempty]
 
 
 # ---------------------------------------------------------------------------
@@ -389,8 +352,7 @@ def _sum_one_var(terms: list[_Term], s: str, cnt: LinTerm | None) -> list[_Term]
         gamma = t.mono.pop(s, 0)
         bl = _int_coeff(t.lexp.coeff(s), "L-exponent")
         bt = _int_coeff(t.texp.coeff(s), "T-exponent")
-        al, at = t.lexp.drop_var(s), t.texp.drop_var(s)
-        base = _Term(t.coef, dict(t.mono), al, at, Counter(t.denom))
+        base = _Term(t.coef, dict(t.mono), t.lexp.drop_var(s), t.texp.drop_var(s), Counter(t.denom))
         if bl == 0 and bt == 0:
             if cnt is None:
                 raise DivergentSum(f"index {s} does not move the weights")
@@ -399,57 +361,28 @@ def _sum_one_var(terms: list[_Term], s: str, cnt: LinTerm | None) -> list[_Term]
                 out.append(_with_poly(base, mono, c))
             continue
         convergent = bt > 0 or (bt == 0 and bl < 0)
-        if cnt is None:
-            if not convergent:
-                raise DivergentSum(
-                    f"sum over {s} diverges: step exponent T^{bt} L^{bl}"
-                )
-            out.extend(_open_sum(base, gamma, bl, bt))
-            continue
         if not convergent:
-            # reverse the index: s -> (cnt-1) - s, making the step convergent
-            rev: list[_Term] = []
-            top_l = al.add(cnt.shift(-1).scale(bl))
-            top_t = at.add(cnt.shift(-1).scale(bt))
-            for j in range(gamma + 1):
-                cpoly = _poly_pow(_poly_from_affine(cnt.shift(-1)), gamma - j)
-                for mono, c in cpoly.items():
-                    nt = _with_poly(
-                        _Term(
-                            base.coef * comb(gamma, j) * (-1) ** j,
-                            dict(base.mono),
-                            top_l,
-                            top_t,
-                            Counter(base.denom),
-                        ),
-                        mono,
-                        c,
-                    )
-                    nt.mono[s] = nt.mono.get(s, 0) + j
-                    nt.lexp = nt.lexp.add(LinTerm.make({s: -bl}))
-                    nt.texp = nt.texp.add(LinTerm.make({s: -bt}))
-                    rev.append(nt)
-            out.extend(_sum_one_var(rev, s, cnt))
+            if cnt is None:
+                raise DivergentSum(f"sum over {s} diverges: step exponent T^{bt} L^{bl}")
+            # reverse the index, s -> (cnt-1) - s, making the step convergent
+            out.extend(_sum_one_var(_substituted(t, s, gamma, cnt.shift(-1), -1), s, cnt))
             continue
-        # convergent capped sum: full sum minus the tail starting at s = cnt
         out.extend(_open_sum(base, gamma, bl, bt))
-        for j in range(gamma + 1):
-            cpoly = _poly_pow(_poly_from_affine(cnt), gamma - j)
-            tail_l = al.add(cnt.scale(bl))
-            tail_t = at.add(cnt.scale(bt))
-            for mono, c in cpoly.items():
-                tail = _with_poly(
-                    _Term(
-                        -base.coef * comb(gamma, j),
-                        dict(base.mono),
-                        tail_l,
-                        tail_t,
-                        Counter(base.denom),
-                    ),
-                    mono,
-                    c,
-                )
-                out.extend(_open_sum(tail, j, bl, bt))
+        if cnt is not None:
+            # a capped sum is the full sum minus the tail s -> cnt + s
+            out.extend(_sum_one_var(_substituted(replace(t, coef=-t.coef), s, gamma, cnt, 1), s, None))
+    return out
+
+
+def _substituted(t: _Term, s: str, gamma: int, shift: LinTerm, sign: int) -> list[_Term]:
+    """t times s^gamma with shift + sign*s in place of s, one term per power
+    of s and monomial of the binomial expansion of (shift + sign*s)^gamma."""
+    repl = {s: shift.add(LinTerm.make({s: sign}))}
+    lexp, texp = t.lexp.subst(repl), t.texp.subst(repl)
+    out = []
+    for j in range(gamma + 1):
+        head = _Term(t.coef * comb(gamma, j) * sign**j, {**t.mono, s: j}, lexp, texp, t.denom)
+        out.extend(_with_poly(head, mono, c) for mono, c in _poly_pow(_poly_from_affine(shift), gamma - j).items())
     return out
 
 

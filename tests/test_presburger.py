@@ -151,6 +151,14 @@ def test_membership_basics():
         membership(g, [1, 2])
 
 
+def test_membership_refuses_quantified_input_at_every_point():
+    # a true first disjunct must not hide the quantifier behind it
+    f = parse_presburger("x >= 0 | E y. x = 2*y")
+    for x in (1, -1):
+        with pytest.raises(ValueError, match="quantifier-free"):
+            membership(f, {"x": x})
+
+
 def test_congruence_with_explicit_residue():
     f = parse_presburger("x == 3 mod 5")
     assert membership(f, {"x": 8}) and not membership(f, {"x": 9})

@@ -3,6 +3,7 @@ from itertools import product
 
 import pytest
 
+from arczeta import ranges
 from arczeta.presburger import LinTerm, parse_presburger
 from arczeta.ranges import (
     DivergentSum,
@@ -224,6 +225,35 @@ def test_sum_matches_direct_enumeration(text, order, lw, tw):
     expanded = rs_expand(got, tmax)
     direct = direct_weighted_sum(sys, lweight, tweight, tmax)
     assert expanded.coeffs == direct, text
+
+
+CHAIN3 = "0 <= b & b <= a & a <= n & n >= 0"
+CHAIN4 = "0 <= c & c <= b & b <= a & a <= n & n >= 0"
+
+
+@pytest.mark.parametrize(
+    "text,order,lw,tw,reached",
+    [
+        # (sign, gamma): -1 reverses a capped index, +1 subtracts a capped tail
+        (CHAIN3, ["n", "a", "b"], {"a": 1}, {"n": 3, "a": -1}, {(-1, 1), (1, 1)}),
+        (CHAIN3, ["n", "a", "b"], {}, {"n": 2, "a": 1}, {(1, 1)}),
+        (CHAIN4, ["n", "a", "b", "c"], {}, {"n": 2, "a": 1}, {(1, 2)}),
+    ],
+)
+def test_capped_sums_with_polynomial_weights(monkeypatch, text, order, lw, tw, reached):
+    # the index substitution of a capped sum expands (shift +- s)^gamma with gamma >= 1
+    seen = set()
+    substituted = ranges._substituted
+
+    def spy(t, s, gamma, shift, sign):
+        seen.add((sign, gamma))
+        return substituted(t, s, gamma, shift, sign)
+
+    monkeypatch.setattr(ranges, "_substituted", spy)
+    sys = ranges_of(text, order)
+    got = weighted_sum(sys, A(lw), A(tw))
+    assert rs_expand(got, 24).coeffs == direct_weighted_sum(sys, A(lw), A(tw), 24, clip=24)
+    assert reached <= seen
 
 
 def test_affine_form_string_and_eval():

@@ -23,6 +23,10 @@ No polynomial gcd in the series layer: ``arczeta.ratseries`` imports only
 quotient and every consumer reads its Taylor coefficients, so no gcd or F_P
 certificate has work there.
 
+One constraint vocabulary: the range decomposition carries presburger atoms
+(``Cmp`` and ``Cong``) as its constraints, so the classes ``arczeta.ranges``
+defines are exactly its errors, its range system and its summation term.
+
 numpy only where arcs are enumerated: ``arczeta.grid`` is the one module
 that imports numpy or ``concurrent.futures`` when it is loaded, so a fresh
 process that only asks for series, Igusa forms or Presburger sums never
@@ -133,6 +137,12 @@ def test_series_layer_takes_only_poly_mul_from_fq():
         elif isinstance(node, (ast.Import, ast.ImportFrom)):  # the module fq itself
             taken |= {"fq" for alias in node.names if alias.name.split(".")[-1] == "fq"}
     assert taken == {"poly_mul"}
+
+
+def test_ranges_defines_no_constraint_type_of_its_own():
+    tree = ast.parse((PACKAGE / "ranges.py").read_text())
+    classes = {node.name for node in ast.walk(tree) if isinstance(node, ast.ClassDef)}
+    assert classes == {"UnsupportedShape", "DivergentSum", "RangeVar", "Piece", "IteratedRangeSystem", "_Term"}
 
 
 # modules that only the enumeration kernels need; arczeta.grid alone may load them
