@@ -224,7 +224,8 @@ def branch(path, fmt, normalize, out):
     "--timings",
     is_flag=True,
     help="Include wall-clock seconds per row (non-deterministic output). A branch count enumerates once for"
-    " all rows: its top row carries the whole count and the lower rows read 0.",
+    " all rows and a poly count walks its cell tree once: the top row carries the whole count and the lower"
+    " rows read 0.",
 )
 @click.option("--format", "fmt", type=click.Choice(["csv", "json", "text"]), default="csv")
 @click.option("--out", default=None, metavar="FILE")
@@ -247,10 +248,11 @@ def count_cmd(branch_path, polys, locus, origin, prime, ext_degree, n_max, windo
             _fail("--origin and --locus are mutually exclusive")
         w = list(locus) if locus else ([f"x{i + 1}" for i in range(nvars)] if origin else [])
         report = CountReport(name="liftable-residues", p=prime, d=1)
-        for n in range(n_max + 1):
-            t0 = time.perf_counter()
-            res = count_liftable(parsed, w, prime, n, depth, budget=budget)
-            report.rows.append(CountRow(n, res.count, res.method, time.perf_counter() - t0))
+        t0 = time.perf_counter()
+        top = count_liftable(parsed, w, prime, n_max, depth, budget=budget)
+        seconds = time.perf_counter() - t0
+        rows = [*top.below, top]
+        report.rows = [CountRow(n, r.count, r.method, seconds if n == n_max else 0.0) for n, r in enumerate(rows)]
         report.assumptions.append(
             f"depth policy: {DEPTH_POLICY} unless --depth is given; uncertified rows mean the tree stabilized without certificates"
         )

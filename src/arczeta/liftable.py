@@ -76,11 +76,31 @@ certificate:
   it, is b mod p^{n+1}: its owner.  A cell whose owner is already certified
   is popped (and charged as a node) but not evaluated, since nothing below it
   can change the count or the certificates.
-* Hensel as one divisibility test.  With F0 = ord f(b) finite, the criterion
-  reads v <= vmax = min((F0-1)//2, F0-n-1), which holds exactly when some
-  maximal minor is nonzero mod p^{vmax+1}; when vmax < 0 the Jacobian is not
-  evaluated at all.  Its entries are the first-order jets, which the horizon
-  H then reuses, so each Hasse derivative is evaluated at most once per node.
+* Hensel by one minor order.  With F0 = ord f(b) finite, the criterion
+  reads v <= vmax = min((F0-1)//2, F0-n-1), v the minimal p-order of the
+  maximal minors, which is the order of their gcd.  v is read once per
+  node, and not at all when every level open there has vmax < 0.  The
+  minors' entries are the first-order jets, which the horizon H then reuses,
+  so each Hasse derivative is evaluated at most once per node.
+
+One walk for every level.  ``count_liftable(..., n)`` counts the levels
+0..n in one walk and returns the lower ones in ``below``.  A stack entry
+carries the levels still open at its cell.  The cell's f_i(b), F0, minor
+order and horizon do not depend on the level, so each is evaluated at most
+once, and so are its children, which depend on nothing but b, S, the f_i(b),
+H and the jets.  What does depend on the level is kept per level: the owner
+prune and the owners, vmax, K = n+1+maxDepth(n), the cell certificate
+S <= n, the bulk counts and the node charge with its budget check.  A child
+carries only the levels that branched at its parent.  Proof that each level
+gets exactly the count, certificate and node charge of a walk of that level
+alone: restricted to the entries carrying n, the stack is at every step the
+stack of that walk.  By induction, the top entry carrying n is the one that
+walk pops next, since only entries carrying n push entries carrying n, and
+they push them on top, the same children in the same order.  So the cells
+carrying n are exactly those of its own walk (a subtree of the union tree,
+closed under parents), and level n meets them in the same order, with the
+same owners already decided at each.  The call raises when any of its levels
+exceeds the node budget.
 """
 
 from __future__ import annotations
@@ -291,6 +311,7 @@ class LiftResult:
     count: int
     certified: bool
     nodes: int
+    below: tuple[LiftResult, ...] = ()  # the levels 0..n-1 of the same walk
 
     @property
     def method(self) -> str:
@@ -349,42 +370,39 @@ class _System:
     def values(self, b: tuple[int, ...]) -> list[int]:
         return [_eval(form, b) for form in self.forms]
 
-    def hensel(self, b: tuple[int, ...], F0: int, n: int) -> tuple[bool, list[list[int]] | None]:
-        """Hensel's criterion at b, whose f_i(b) have minimal order F0 < inf.
+    def hensel(self, b: tuple[int, ...]) -> tuple[float | int, list[list[int]] | None]:
+        """v = the minimal p-order of the maximal minors of the Jacobian at b (inf with none to test).
 
-        Some maximal minor of the Jacobian must have order v with F0 > 2v and
-        F0 - v >= n+1, that is v <= vmax = min((F0-1)//2, F0-n-1): a minor
-        nonzero mod p^{vmax+1}.  Also returns the Jacobian rows, the
-        first-order jets by f_i in the order of ``jets``, when they were
-        evaluated (None when vmax < 0 or there are no minors to test).
+        Hensel's criterion at a level n holds when F0 > 2v and F0 - v >= n+1,
+        F0 the minimal order of the f_i(b).  Also returns the Jacobian rows,
+        the first-order jets by f_i in the order of ``jets`` (None when there
+        are no minors to test).
         """
-        vmax = min((F0 - 1) // 2, F0 - n - 1)
-        if vmax < 0 or not self.minors:
-            return False, None
+        if not self.minors:
+            return _INF, None
         grad = [
             [_eval(form, b) for _, _, form in group[: len(cols)]]
             for group, cols in zip(self.jets, self.gradient_vars)
         ]
-        modulus = self.p ** (vmax + 1)
         if len(grad) == 1:  # the 1 x 1 minors are the gradient entries
-            return any(value % modulus for value in grad[0]), grad
-        rows = [[0] * self.nvars for _ in grad]
-        for row, cols, values in zip(rows, self.gradient_vars, grad):
-            for j, value in zip(cols, values):
-                row[j] = value
-        for cols in self.minors:
-            sub = [[row[j] for j in cols] for row in rows]
-            if len(cols) == 2:
-                det = sub[0][0] * sub[1][1] - sub[0][1] * sub[1][0]
-            else:
-                det = (
-                    sub[0][0] * (sub[1][1] * sub[2][2] - sub[1][2] * sub[2][1])
-                    - sub[0][1] * (sub[1][0] * sub[2][2] - sub[1][2] * sub[2][0])
-                    + sub[0][2] * (sub[1][0] * sub[2][1] - sub[1][1] * sub[2][0])
-                )
-            if det % modulus:
-                return True, grad
-        return False, grad
+            dets = grad[0]
+        else:
+            rows = [[0] * self.nvars for _ in grad]
+            for row, cols, values in zip(rows, self.gradient_vars, grad):
+                for j, value in zip(cols, values):
+                    row[j] = value
+            dets = []
+            for cols in self.minors:
+                sub = [[row[j] for j in cols] for row in rows]
+                if len(cols) == 2:
+                    dets.append(sub[0][0] * sub[1][1] - sub[0][1] * sub[1][0])
+                else:
+                    dets.append(
+                        sub[0][0] * (sub[1][1] * sub[2][2] - sub[1][2] * sub[2][1])
+                        - sub[0][1] * (sub[1][0] * sub[2][2] - sub[1][2] * sub[2][0])
+                        + sub[0][2] * (sub[1][0] * sub[2][1] - sub[1][1] * sub[2][0])
+                    )
+        return _ordp(math.gcd(*dets), self.p), grad  # the order of a gcd is the least order
 
     def horizon(
         self, b: tuple[int, ...], S: int, grad: list[list[int]] | None = None
@@ -441,6 +459,31 @@ class _System:
         return [tuple([x + step * v for x, v in zip(b, off)]) for off in survivors]
 
 
+class _Level:
+    """What one level n of the walk keeps apart: its K and depth, owners, bulk count and node charge."""
+
+    __slots__ = ("n", "depth", "K", "budget", "owners", "bulk_count", "bulk_certified", "nodes")
+
+    def __init__(self, n: int, depth: int, budget: int):
+        self.n = n
+        self.depth = depth
+        self.K = n + 1 + depth
+        self.budget = budget
+        self.owners: dict[tuple[int, ...], bool] = {}
+        self.bulk_count = 0
+        self.bulk_certified = True
+        self.nodes = 0
+
+    def charge(self, nodes: int) -> None:
+        self.nodes += nodes
+        if self.nodes > self.budget:
+            raise BudgetExceeded(f"cell tree exceeded budget of {self.budget} nodes")
+
+    def result(self, below: tuple[LiftResult, ...] = ()) -> LiftResult:
+        certified = self.bulk_certified and all(self.owners.values())
+        return LiftResult(count=self.bulk_count + len(self.owners), certified=certified, nodes=self.nodes, below=below)
+
+
 DEPTH_POLICY = "max(6, 2n)"
 
 
@@ -460,11 +503,16 @@ def count_liftable(
     max_depth: int | None = None,
     budget: int = DEFAULT_NODE_BUDGET,
 ) -> LiftResult:
-    """Count residues mod p^{n+1} solving f, inside W mod p, liftable to depth max_depth (default ``default_depth(n)``)."""
-    max_depth = default_depth(n) if max_depth is None else max_depth
+    """Count residues mod p^{n+1} solving f, inside W mod p, liftable to depth max_depth (default ``default_depth(n)``).
+
+    One walk of the cell tree counts every level 0..n; the result's ``below``
+    holds the levels 0..n-1, each as a call at that level alone returns it.
+    Each level is charged its own nodes against ``budget``, and the call
+    raises if any of its levels exceeds it.
+    """
     if not is_prime(p):
         raise ValueError(f"p = {p} is not prime")
-    if n < 0 or max_depth < 0:
+    if n < 0 or (max_depth is not None and max_depth < 0):
         raise ValueError("n and max_depth must be >= 0")
     polys = [poly if isinstance(poly, IntPoly) else IntPoly.parse(poly) for poly in [*f, *W]]
     nvars = max([poly.nvars for poly in polys] + [1])
@@ -477,67 +525,64 @@ def count_liftable(
         raise BudgetExceeded(f"{derivatives} Hasse derivatives exceed budget {budget}")
     if p**nvars > budget:
         raise BudgetExceeded(f"root enumeration p^m = {p}^{nvars} exceeds budget {budget}")
-    K = n + 1 + max_depth
     sys = _System(fp, p, nvars)
-    owner_mod = p ** (n + 1)
     roots = [
         b
         for b in itertools.product(range(p), repeat=nvars)
         if all(poly.eval(b) % p == 0 for poly in polys)
     ]
+    levels = tuple(_Level(k, default_depth(k) if max_depth is None else max_depth, budget) for k in range(n + 1))
 
-    owners: dict[tuple[int, ...], bool] = {}
-    bulk_count = 0
-    bulk_certified = True
-    charge = 0
-
-    stack: list[tuple[tuple[int, ...], int]] = [(b, 1) for b in roots]
+    stack: list[tuple[tuple[int, ...], int, tuple[_Level, ...]]] = [(b, 1, levels) for b in roots]
     while stack:
-        b, S = stack.pop()
-        charge += 1
-        if charge > budget:
-            raise BudgetExceeded(f"cell tree exceeded budget of {budget} nodes")
-        single = S >= n + 1
-        if single:
-            # every point of the cell, and so of every descendant, is b mod p^{n+1}
-            owner = tuple([x % owner_mod for x in b])
-            if owners.get(owner):
-                continue
-        values = sys.values(b)
-        F0 = min([_ordp(value, p) for value in values], default=_INF)
-        grad = None
-        if single:
-            if F0 == _INF:  # every f_i(b) == 0: an exact integer zero
-                owners[owner] = True
-                continue
-            certified, grad = sys.hensel(b, F0, n)
-            if certified:
-                owners[owner] = True
-                continue
-        H, jets = sys.horizon(b, S, grad)
-        effective = min(F0, H)
-        if effective >= K:
+        b, S, open_levels = stack.pop()
+        # what does not depend on the level is read once, by the first level that needs it; levels
+        # come by ascending n, so vmax falls and the minor order, if read, comes before the horizon
+        values = v = H = None
+        branching = []
+        for level in open_levels:
+            level.charge(1)
+            single = S > level.n
             if single:
-                owners.setdefault(owner, False)
+                # every point of the cell, and so of every descendant, is b mod p^{n+1}
+                mod = p ** (level.n + 1)
+                owner = tuple([x % mod for x in b])
+                if level.owners.get(owner):
+                    continue
+            if values is None:
+                values = sys.values(b)
+                F0 = min([_ordp(value, p) for value in values], default=_INF)
+                grad = None
+            if single:
+                if F0 == _INF:  # every f_i(b) == 0: an exact integer zero
+                    level.owners[owner] = True
+                    continue
+                vmax = min((F0 - 1) // 2, F0 - level.n - 1)
+                if vmax >= 0:
+                    if v is None:
+                        v, grad = sys.hensel(b)
+                    if v <= vmax:
+                        level.owners[owner] = True
+                        continue
+            if H is None:
+                H, jets = sys.horizon(b, S, grad)
+            if min(F0, H) >= level.K:
+                if single:
+                    level.owners.setdefault(owner, False)
+                else:
+                    level.bulk_count += p ** ((level.n + 1 - S) * nvars)
+                    level.bulk_certified = level.bulk_certified and F0 == _INF and H == _INF
+            elif F0 < H:
+                pass  # f has order exactly F0 < K on the whole cell: dead
+            elif len(fp) == 1 and S <= level.n and H < 2 * S and H - S <= level.depth:
+                # a cell certificate: p^{(m-1)(n+1-S)} residues, each of a Z_p-point
+                level.bulk_count += p ** ((level.n + 1 - S) * (nvars - 1))
             else:
-                width = p ** ((n + 1 - S) * nvars)
-                bulk_count += width
-                bulk_certified = bulk_certified and F0 == _INF and H == _INF
-            continue
-        if F0 < H:
-            continue  # f has order exactly F0 < K on the whole cell: dead
-        if len(fp) == 1 and S <= n and H < 2 * S and H - S <= max_depth:
-            # a cell certificate: p^{(m-1)(n+1-S)} residues, each of a Z_p-point
-            bulk_count += p ** ((n + 1 - S) * (nvars - 1))
-            continue
-        # branch (F0 >= H, H < K), keeping the children where every f_i has order > H
-        charge += p**nvars
-        if charge > budget:
-            raise BudgetExceeded(f"cell tree exceeded budget of {budget} nodes")
-        for child in sys.surviving_children(b, S, values, H, jets):
-            stack.append((child, S + 1))
+                # branch (F0 >= H, H < K), keeping the children where every f_i has order > H
+                level.charge(p**nvars)
+                branching.append(level)
+        if branching:
+            branched = tuple(branching)
+            stack.extend((child, S + 1, branched) for child in sys.surviving_children(b, S, values, H, jets))
 
-    count = bulk_count + len(owners)
-    certified = bulk_certified and all(owners.values())
-    return LiftResult(count=count, certified=certified, nodes=charge)
-
+    return levels[-1].result(tuple(level.result() for level in levels[:-1]))

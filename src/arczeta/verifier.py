@@ -399,11 +399,12 @@ def verify_cross_method(plan: VerificationPlan) -> Verdict:
     W = plan.locus or ("x", "y")
 
     def count(p: int):
-        rows = []
-        for image in _image_rows(plan, p):
-            lifted = count_liftable(f, W, p, image.n, plan.depth, budget=plan.budget)
-            rows.append((Fraction(lifted.count), Fraction(image.count), lifted.certified))
-        return rows
+        images = _image_rows(plan, p)
+        lifted = count_liftable(f, W, p, plan.n_max, plan.depth, budget=plan.budget)  # one walk, every level
+        return [
+            (Fraction(row.count), Fraction(image.count), row.certified)
+            for row, image in zip([*lifted.below, lifted], images)
+        ]
 
     return _compare(plan, p_ar(c), count)
 

@@ -203,11 +203,13 @@ class TestCountCommand:
         assert r.stderr == "error: 6000001 Hasse derivatives exceed budget 4000000\n"
 
     def test_timings_put_the_enumeration_on_the_top_row(self, runner, files):
-        args = ["count", "--branch", files["std4"], "-p", "5", "--n-max", "7", "--format", "json"]
-        plain, timed = (json.loads(runner.invoke(main, [*args, *extra]).output) for extra in ([], ["--timings"]))
-        assert [row[3] for row in plain["rows"]] == [0.0] * 8
-        assert [row[3] for row in timed["rows"][:-1]] == [0.0] * 7 and timed["rows"][-1][3] > 0
-        assert [row[:3] for row in timed["rows"]] == [row[:3] for row in plain["rows"]]
+        # a branch count enumerates once and a poly count walks its cell tree once, for all 8 rows
+        for source in (["--branch", files["std4"]], ["--poly", "x^2 - y^3", "--origin"]):
+            args = ["count", *source, "-p", "5", "--n-max", "7", "--format", "json"]
+            plain, timed = (json.loads(runner.invoke(main, [*args, *extra]).output) for extra in ([], ["--timings"]))
+            assert [row[3] for row in plain["rows"]] == [0.0] * 8
+            assert [row[3] for row in timed["rows"][:-1]] == [0.0] * 7 and timed["rows"][-1][3] > 0
+            assert [row[:3] for row in timed["rows"]] == [row[:3] for row in plain["rows"]]
 
     def test_over_budget_names_the_top_level_stratum(self, runner, files):
         r = runner.invoke(main, ["count", "--branch", files["std4"], "-p", "13", "--n-max", "8", "--budget", "10000"])

@@ -1,8 +1,10 @@
 """Cell-tree lifting counter against exhaustive enumeration and cross-method oracles."""
 
+import dataclasses
 import itertools
 import math
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import Phase, assume, given, settings
@@ -10,7 +12,7 @@ from hypothesis import strategies as st
 
 from arczeta.branch import BranchSpec
 from arczeta.counting import BudgetExceeded, count_branch_image
-from arczeta.liftable import IntPoly, _ordp, _System, count_liftable
+from arczeta.liftable import IntPoly, _ordp, _System, count_liftable, default_depth
 from arczeta.presburger import FormulaSyntaxError
 
 from helpers import (
@@ -448,15 +450,48 @@ class TestCellCertificate:
                     checked += 1
 
 
+class TestOneWalk:
+    """Every level of one call against the reference tree of that level alone."""
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+    def test_seeded_sweep_rows_match_reference(self, p):
+        compared = Counter()
+        for nvars in (2, 3):
+            rng = random.Random(1000 * p + nvars)
+            small = p**nvars < 400  # else n = 1 and, with a locus, a line
+            for equations, fixed, with_locus in itertools.product((1, 2, 3), (False, True), (False, True)):
+                polys = _random_system(rng, p, nvars, equations)
+                locus = _variables(nvars, (rng.choice([1, nvars]) if small else nvars - 1) if with_locus else 0)
+                n = rng.randint(1, 3) if small else 1
+                depth = rng.randint(0, 5) if fixed else None
+                try:
+                    top = count_liftable(polys, locus, p, n, depth, budget=10_000)
+                    want = [
+                        ref_count_liftable(polys, locus, p, k, default_depth(k) if depth is None else depth, 10_000)
+                        for k in range(n + 1)
+                    ]
+                except BudgetExceeded:
+                    continue
+                rows = [*top.below, top]
+                assert [(r.count, r.certified) for r in rows] == [(w.count, w.certified) for w in want], (
+                    polys, locus, n, depth
+                )
+                assert all(r.below == () for r in top.below)
+                assert rows[-2] == dataclasses.replace(count_liftable(polys, locus, p, n - 1, depth), below=())
+                compared[equations, fixed, with_locus] += 1
+        for i, kinds in enumerate([{1, 2, 3}, {False, True}, {False, True}]):  # equations, fixed depth, locus
+            assert {key[i] for key in compared} == kinds, compared
+        assert sum(compared.values()) >= 8, compared
+
+
 class TestHensel:
-    """The divisibility form of Hensel's criterion against the p-orders of the Jacobian minors."""
+    """The minimal order of the Jacobian minors, and the Jacobian it is read from, against the reference."""
 
     @settings(max_examples=300)
     @given(st.data())
     def test_matches_minor_orders(self, data):
         p = data.draw(st.sampled_from([2, 3, 5, 7]), label="p")
         nvars = data.draw(st.integers(1, 3), label="nvars")
-        n = data.draw(st.integers(0, 4), label="n")
         b = tuple(data.draw(st.integers(0, p**4 - 1)) for _ in range(nvars))
         polys = []
         for _ in range(data.draw(st.integers(1, 4), label="polys")):
@@ -464,17 +499,11 @@ class TestHensel:
             for _ in range(data.draw(st.integers(1, 3))):
                 expo = tuple(data.draw(st.integers(0, 2)) for _ in range(nvars))
                 terms[expo] = data.draw(st.sampled_from([1, -1, 2])) * p ** data.draw(st.integers(0, 3))
-            # the constant term puts f(b) at a drawn order
-            origin = (0,) * nvars
-            terms.pop(origin, None)
-            rest = IntPoly.make(nvars, terms).eval(b)
-            terms[origin] = data.draw(st.sampled_from([1, -1, 2])) * p ** data.draw(st.integers(0, 9)) - rest
             polys.append(IntPoly.make(nvars, terms))
-        F0 = min(_ordp(poly.eval(b), p) for poly in polys)
         v = ref_hensel_bound([ref_gradient(poly) for poly in polys], nvars, p, b)
         system = _System(polys, p, nvars)
-        certified, grad = system.hensel(b, F0, n)
-        assert certified == (v != math.inf and F0 > 2 * v and F0 - v >= n + 1)
+        got, grad = system.hensel(b)
+        assert got == v
         if grad is not None:  # the Jacobian at b, entry by entry
             rows = [[0] * nvars for _ in polys]
             for row, cols, values in zip(rows, system.gradient_vars, grad):
@@ -494,11 +523,9 @@ class TestCuspCrossMethod:
 
     @pytest.mark.parametrize("p", [7, 11])
     def test_depth_12_tree_is_pinned(self, p):
-        got = []
-        for n in range(len(self.TREE[p])):
-            r = count_liftable(["x^2 - y^3"], ["x", "y"], p, n, 12)
-            got.append((r.count, r.certified, r.nodes))
-        assert got == self.TREE[p]
+        # every level from the one walk at n_max, each exactly as the walk of that level alone
+        top = count_liftable(["x^2 - y^3"], ["x", "y"], p, len(self.TREE[p]) - 1, 12)
+        assert [(r.count, r.certified, r.nodes) for r in [*top.below, top]] == self.TREE[p]
 
     @pytest.mark.parametrize("p", [7, 11])
     def test_matches_branch_image_certified(self, p):
@@ -530,6 +557,14 @@ class TestBudget:
     def test_tree_budget(self):
         with pytest.raises(BudgetExceeded):
             count_liftable(["x^2 - y^3"], ["x", "y"], 11, 5, 10, budget=1000)
+
+    def test_each_level_is_charged_its_own_nodes(self):
+        # the cusp at p = 7, depth 12 takes 1, 57, 449, 841, 2451 and 6329 nodes at n = 0..5
+        with pytest.raises(BudgetExceeded, match="^cell tree exceeded budget of 3000 nodes$"):
+            count_liftable(["x^2 - y^3"], ["x", "y"], 7, 5, 12, budget=3000)
+        # levels 0..4 fit one by one, though together they take 3799 nodes
+        top = count_liftable(["x^2 - y^3"], ["x", "y"], 7, 4, 12, budget=3000)
+        assert [r.nodes for r in [*top.below, top]] == [1, 57, 449, 841, 2451]
 
     def test_derivative_budget(self):
         # (2 + 1)(3 + 1) - 1 = 11 derivatives of x^2 y^3, 7 of x^7: 18 in all, charged before any is taken

@@ -103,7 +103,8 @@ def test_every_exception_still_lacks_a_caller():
     assert set(EXCEPTIONS) <= _uncalled()
 
 
-def test_stratum_keys_has_two_call_sites():
+def _call_sites(name: str) -> Counter:
+    """The calls of ``name`` (as a function or a method) in the package, by enclosing top-level definition."""
     sites = Counter()
     for path in sorted(PACKAGE.glob("*.py")):
         for top in ast.parse(path.read_text()).body:
@@ -111,8 +112,19 @@ def test_stratum_keys_has_two_call_sites():
             for node in ast.walk(top):
                 if isinstance(node, ast.Call):
                     callee = node.func.attr if isinstance(node.func, ast.Attribute) else getattr(node.func, "id", None)
-                    sites[where] += callee == "_stratum_keys"
-    assert +sites == Counter({"counting._level_counts": 1, "counting.count_branch_image_geometric": 1})
+                    sites[where] += callee == name
+    return +sites
+
+
+def test_stratum_keys_has_two_call_sites():
+    assert _call_sites("_stratum_keys") == Counter(
+        {"counting._level_counts": 1, "counting.count_branch_image_geometric": 1}
+    )
+
+
+def test_one_cell_tree_walk():
+    """Children are taken at one place only, so every level of a lift comes from the one walk."""
+    assert _call_sites("surviving_children") == Counter({"liftable.count_liftable": 1})
 
 
 def test_only_the_series_input_and_output_names_tatepoly():
