@@ -15,10 +15,12 @@ and `igusa_monomial` work on plain ints and series.
 
 Image counts at n = 0..n_max come from one enumeration per stratum, at
 n_max (`_level_counts`): the image mod t^(n+1) is the truncation of the
-image mod t^(n_max+1), and a key holds the digits of x and y at
-t-positions m..n_max, most significant first, so truncating to level n is
-dividing the key by p^(2d(n_max - n)).  The division keeps sorted keys
-sorted, and a level's count is the number of distinct quotients.  Only the
+image mod t^(n_max+1), and a key holds the digits of y and of x keyed by
+its leading digit (x_t / x_(ell*m) past t^(ell*m), see `arczeta.grid`) at
+t-positions m..n_max, most significant first.  Each digit at t reads the
+image at positions <= t only, so truncating to level n is dividing the key
+by p^(2d(n_max - n)).  The division keeps sorted keys sorted, and a
+level's count is the number of distinct quotients.  Only the
 geometric count enumerates each level apart, because its filter, images
 over F_p, reads every digit up to the level.
 """
@@ -118,7 +120,9 @@ def _level_counts(
 
     Returns the count at each level and, in window mode, each level's count
     per contact order ell <= n/m (exhaustive mode merges the strata, so its
-    rows are empty).  A level-n key is the top-level key divided by
+    rows are empty).  A key holds, at each t-position m..n_max, the digits
+    of x keyed by its leading digit and of y, each read off the image at
+    positions <= t, so a level-n key is the top-level key divided by
     p^(2d(n_max - n)), or by p^width, giving 0, below m; a level's count is
     the number of distinct quotients.  Window mode adds to the zero arc's
     image the quotients of each stratum ell <= n/m, and drops a stratum's
@@ -205,8 +209,9 @@ def count_branch_report(
     """`count_branch_image` at every n = 0..n_max, from one enumeration of each stratum at n_max.
 
     The image of an arc mod t^(n+1) is the truncation of its image mod
-    t^(n_max+1), and a key holds the digits of x and y at t-positions
-    m..n_max, most significant first: the key of the truncation to level n
+    t^(n_max+1), and a key holds the digits of y and of x keyed by its
+    leading digit at t-positions m..n_max, most significant first, each read
+    off the image at positions <= t: the key of the truncation to level n
     is the top-level key divided by p^(2d(n_max - n)).  So every lower
     level is read off the top level's sorted keys by that division, and a
     report over budget at its top level raises before it enumerates

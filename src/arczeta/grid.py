@@ -2,25 +2,33 @@
 
 `_stratum_keys` enumerates the arcs w = t^ell u with units
 u = w_ell + ... + w_{ell+c} t^c, w_ell != 0.  They form the digit grid
-F_q^* x F_q^c, one numpy axis per digit of u, each digit a vector of d
-base-p coordinates (`_units`).  Coefficient k of u^j depends on u_0..u_k
-only, so it is an array over the first k+1 axes, built once per digit
-prefix: coef_k(u^j) = sum_i u_i coef_(k-i)(u^(j-1)) by broadcasting, with
-products in F_q reduced through the modulus of :class:`~arczeta.fq.Fq`
-(`_images`).  The term w^j = t^(j*ell) u^j only needs u^j mod
-t^(n+1-j*ell), so every power is truncated to those positions.  Such an arc
-has w_0 = 0, so x and y vanish below t^m; only the digits of x and y at
-t-positions m..n and their key, all of them packed into one int64 (`_pack`),
-reach the full grid, and distinct images are distinct keys (`_distinct`, a
-sort).  A wider key would need a stratum of more than 2^30 arcs and is
-refused as over budget (`_admit`, which callers also run before they
-enumerate).  Digits are packed most significant first, so dividing a key
-by p^e drops its last e digits and keeps sorted keys sorted: the counts of
-truncated images are read off one stratum's keys (`_quotient_counts`).
-The worker count follows from the work: a stratum of more than
-`_CHUNK_ROWS` arcs is split into ranges of leading-digit prefixes that run
-on up to one thread per CPU, and a smaller one runs inline; no caller sets
-it.
+F_q^* x F_q^c, one numpy axis per digit, each digit a vector of d base-p
+coordinates (`_units`).  A grid point (u_0, v_1, ..., v_c) stands for the
+unit u = u_0 V with V = 1 + v_1 t + ... + v_c t^c, a bijection onto the
+units, so a stratum has the same arcs and images as with the digits of u.
+Every coefficient of u^j is u_0^j times one of V^j, and coefficient k of
+V^j depends on v_1..v_k only, so it is an array over the axes of those
+digits, built once per digit prefix and never over the (q-1)-fold u_0
+axis: coef_k(V^j) = sum_i v_i coef_(k-i)(V^(j-1)), v_0 = 1, by
+broadcasting, with products in F_q reduced through the modulus of
+:class:`~arczeta.fq.Fq` (`_images`).  The term w^j = t^(j*ell) u_0^j V^j
+only needs V^j mod t^(n+1-j*ell), so every power is truncated to those
+positions.  Such an arc has w_0 = 0, so x and y vanish below t^m; y_t sums
+a_j u_0^j coef_(t-j*ell)(V^j), and x is kept divided by its leading digit
+x_(ell*m) = u_0^m, which is coef_(t-ell*m)(V^m) past it, so x never
+multiplies on the full grid.  The digits of x and y at t-positions m..n and
+their key, all of them packed into one int64 (`_pack`), reach the full
+grid, and distinct keys are distinct images (`_distinct`, a sort): the
+digit of x at t reads x at positions <= t only, so keying x by its leading
+digit is a bijection of the truncated images at every level.  A wider key
+would need a stratum of more than 2^30 arcs and is refused as over budget
+(`_admit`, which callers also run before they enumerate).  Digits are
+packed most significant first, so dividing a key by p^e drops its last e
+digits and keeps sorted keys sorted: the counts of truncated images are
+read off one stratum's keys (`_quotient_counts`).  The worker count
+follows from the work: a stratum of more than `_CHUNK_ROWS` arcs is split
+into ranges of leading-digit prefixes that run on up to one thread per
+CPU, and a smaller one runs inline; no caller sets it.
 
 This is the one module of the package that imports numpy when it is
 loaded; `arczeta.counting` imports it only when a count enumerates, so the
@@ -49,12 +57,12 @@ _CHUNK_ROWS = 1 << 18
 
 
 def _units(idx: np.ndarray, h: int, c: int, fld: Fq) -> list[np.ndarray]:
-    """Digit arrays of u_0, ..., u_c over a grid of units u = u_0 + ... + u_c t^c, u_0 != 0.
+    """Digit arrays of u_0, v_1, ..., v_c over a grid of points of F_q^* x F_q^c (the units u_0 V, `_images`).
 
     Grid axis 0 runs over the prefixes numbered idx of the first h digits:
-    u_0 = 1 + idx // q^(h-1), and u_1, ..., u_(h-1) are the base-q digits of
+    u_0 = 1 + idx // q^(h-1), and v_1, ..., v_(h-1) are the base-q digits of
     idx mod q^(h-1), least significant first.  Axis i - h + 1 runs over all q
-    values of u_i, i >= h.  Each array has shape (*grid, d), of length 1 on
+    values of v_i, i >= h.  Each array has shape (*grid, d), of length 1 on
     the axes its digit does not depend on.
     """
     q, p, d = fld.q, fld.p, fld.d
@@ -69,47 +77,80 @@ def _units(idx: np.ndarray, h: int, c: int, fld: Fq) -> list[np.ndarray]:
 def _images(
     units: list[np.ndarray], ell: int, n: int, m: int, coeff: dict[int, int], fld: Fq
 ) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Digit arrays of x_t and y_t, t = 0..n, of the images (w^m, sum a_j w^j) of the arcs w = t^ell u.
+    """Digit arrays of x_t and y_t, t = 0..n, of the images of the arcs w = t^ell u_0 V, x by its leading digit.
 
-    ``coeff`` maps each exponent j to the residue of a_j mod p.
+    A grid point (u_0, v_1, ..., v_c) of ``units`` stands for the unit
+    u_0 V, V = 1 + v_1 t + ... + v_c t^c: a bijection of F_q^* x F_q^c onto
+    the units, so a stratum has the same arcs and images as with the digits
+    of u.  The image is (w^m, sum a_j w^j); ``coeff`` maps each exponent j
+    to the residue of a_j mod p.  Coefficient k of V^j depends on v_1..v_k
+    only, so it is an array over the grid axes of those digits, never over
+    the u_0 axis once the prefix axis holds u_0 alone:
+    coef_k(V^j) = sum_i v_i coef_(k-i)(V^(j-1)), where v_0 = coef_0 = 1 make
+    the terms i = 0 and i = k adds.  The term w^j = t^(j*ell) u_0^j V^j
+    needs only V^j mod t^(n+1-j*ell); that length falls as j grows, so every
+    power on the way to j is truncated to it, and terms from j*ell > n on
+    vanish.  So y_t = sum_j a_j u_0^j coef_(t-j*ell)(V^j), with a_j u_0^j on
+    the u_0 axis alone.  Digit vectors multiply through the table of
+    a * u^s, s < d, that the field's reduction rows give.
 
-    Coefficient k of u^j depends on u_0..u_k only, so it is an array over the
-    grid axes of those digits: coef_k(u^j) = sum_i u_i coef_(k-i)(u^(j-1)),
-    summing the terms i = 1..k, which miss an axis each, before the term
-    i = 0.  Digit vectors multiply through the table of u_i * u^s, s < d,
-    that the field's reduction rows give.  The term w^j = t^(j*ell) u^j needs
-    only u^j mod t^(n+1-j*ell); that length falls as j grows, so every power
-    on the way to j is truncated to it, and terms from j*ell > n on vanish.
+    x is returned keyed by its leading digit: x_(ell*m) = u_0^m itself, and
+    x_t / x_(ell*m) = coef_(t-ell*m)(V^m) for t > ell*m, so x never
+    multiplies on the full grid.  The divided digit at t reads x at
+    positions <= t only, so the map is a bijection of the truncated x at
+    every level; the positions below ell*m stay 0, so strata stay apart, and
+    x lies over F_p exactly when x_(ell*m) and the divided digits do.
+
+    Every digit is reduced mod p before it multiplies.  A product of two
+    digit vectors sums d products of two digits, a digit of V^j sums at most
+    n such products and two digits, and y_t at most n+1 of them, one per j:
+    every sum stays below (n+2)*d*(p-1)^2, which the guard keeps in int64.
     """
     p, d = fld.p, fld.d
-    # a coefficient sums at most n+1 products of digit vectors, each d products of two digits
     if (n + 2) * d * (p - 1) ** 2 >= 2**63:
         raise ValueError(f"digit sums at p = {p} do not fit a 64-bit integer")
     basis = [*np.eye(d, dtype=np.int64), *np.array(fld.reduction, dtype=np.int64)]
-    table = np.array([basis[a : a + d] for a in range(d)])  # table[a, s]: digits of u^(a+s)
-    mul = [np.tensordot(u, table, axes=(-1, 0)) % p for u in units]
+    table = np.array([np.concatenate(basis[a : a + d]) for a in range(d)])  # row a: digits of u^(a+s), s < d
+
+    def times(a: np.ndarray) -> np.ndarray:
+        """Digits of a * u^s, s < d, on the last two axes."""
+        return (a @ table).reshape(*a.shape[:-1], d, d) % p
+
+    def product(ma: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Digits of a * b, unreduced, from ma = times(a)."""
+        return functools.reduce(np.add, (ma[..., s, :] * b[..., s, None] for s in range(d)))
+
+    one, v = basis[0], units[1:]
+    mul_u0, mul = times(units[0]), [times(vi) for vi in v]
 
     def coef(power: list[np.ndarray], k: int) -> np.ndarray:
-        terms = [i for i in [*range(1, k + 1), 0] if i < len(mul) and k - i < len(power)]
-        products = (mul[i][..., s, :] * power[k - i][..., s, None] for i in terms for s in range(d))
-        return functools.reduce(np.add, products) % p
+        # the products i = 1..k-1, then the adds i = k (v_k) and i = 0 (coef_k of the power)
+        terms = [product(mul[i - 1], power[k - i]) for i in range(max(1, k + 1 - len(power)), min(k, len(v) + 1))]
+        return functools.reduce(np.add, [*terms, *v[k - 1 : k], *power[k : k + 1]]) % p
 
     x = [np.zeros(d, dtype=np.int64)] * (n + 1)
     y = list(x)
-    power, e = units, 1
+    power, e, lead = [one, *v], 1, units[0]  # V^e and u_0^e
     for target in sorted({m, *coeff}):
         L = n + 1 - target * ell
         if L <= 0:
             break
         while e < target:
-            power = [coef(power, k) for k in range(min(L, len(power) + len(mul) - 1))]
+            power = [one, *(coef(power, k) for k in range(1, min(L, len(power) + len(v))))]
+            lead = product(mul_u0, lead) % p
             e += 1
-        for t, v in enumerate(power[:L], target * ell):
-            if target == m:
-                x[t] = v
-            if coeff.get(target):
-                y[t] = y[t] + coeff[target] * v
-    return x, [v % p for v in y]
+        at = target * ell
+        if target == m:
+            x[at] = lead
+            for t, v_k in enumerate(power[1:L], at + 1):
+                x[t] = v_k
+        if coeff.get(target):
+            scale = coeff[target] * lead % p
+            mul_scale = times(scale)
+            y[at] = y[at] + scale
+            for t, v_k in enumerate(power[1:L], at + 1):
+                y[t] = y[t] + product(mul_scale, v_k)
+    return x, [digit % p for digit in y]
 
 
 # ---------------------------------------------------------------------------
@@ -167,11 +208,12 @@ def _stratum_keys(
     """Distinct image keys of the arcs t^ell (w_ell + ... + w_{ell+c} t^c), w_ell != 0.
 
     Such an arc has w_0 = 0, so x and y vanish below t^m: a key packs the
-    base-p digits of x and y at t-positions m..n into one int64.  With
-    ``rational`` only images whose digits all lie in F_p are kept, keyed by
-    their F_p digits.  ``coeff`` holds the residues a_j mod p.  Digits
-    w_(ell+k) with k > n - ell*m never reach the image, so the keys have
-    length 1 on their axes: arcs that differ only there share one key.
+    base-p digits of x keyed by its leading digit (`_images`) and of y at
+    t-positions m..n into one int64.  With ``rational`` only images whose
+    digits all lie in F_p are kept, keyed by their F_p digits.  ``coeff``
+    holds the residues a_j mod p.  Grid digits v_k with k > n - ell*m never
+    reach the image, so the keys have length 1 on their axes: arcs that
+    differ only there share one key.
 
     A grid of more than `_CHUNK_ROWS` units is cut into the fewest equal
     ranges of leading-digit prefixes whose grids hold at most `_CHUNK_ROWS`;

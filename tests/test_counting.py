@@ -25,7 +25,7 @@ from arczeta.counting import (
     igusa_monomial,
     measure_ord_locus,
 )
-from arczeta.fq import Fq
+from arczeta.fq import Fq, residue
 from arczeta.grid import _distinct, _pack
 from arczeta.ratseries import rs_expand, rs_specialize
 from arczeta.verifier import VerificationPlan, run_plan
@@ -108,14 +108,26 @@ def _on_grid(arrays: list[np.ndarray], shape: tuple[int, ...]) -> np.ndarray:
     return np.stack([np.broadcast_to(v, shape) for v in arrays], axis=-2).reshape(-1, len(arrays), shape[-1])
 
 
+def _by_leading_digit(images: np.ndarray, lead: int, F: RefFq) -> np.ndarray:
+    """Image digit rows (rows, 2, n+1, d) with each x_t, t > lead, divided by x_lead through RefFq inverses."""
+    out = images.copy()
+    if lead + 1 < images.shape[2]:
+        inverse = np.array([F.zero, *(F.inv(F.decode(code)) for code in range(1, F.q))])
+        x_lead = inverse[images[:, 0, lead] @ F.p ** np.arange(F.d)]
+        out[:, 0, lead + 1 :] = ref_series_mul(x_lead[:, None], images[:, 0, lead + 1 :], F, images.shape[2] - lead - 1)
+    return out
+
+
 class TestKernelAgainstTruncPow:
     """The digit grid digit for digit against the row kernel it replaced and scalar TruncPow arithmetic.
 
-    The grid only holds arcs w = t^ell u with u_0 != 0 (every arc the
-    stratum enumerator builds), so the inputs are every arc of such strata,
-    for every ell = 1..n and every unit length c + 1 small enough: large ell
-    leaves x = 0 (m*ell > n) or only the lower y terms in range.  A grid
-    whose first h digits share the prefix axis is the one a chunk holds.
+    The grid only holds arcs w = t^ell u_0 V, u_0 != 0 and V = 1 + v_1 t +
+    ... + v_c t^c (every arc the stratum enumerator builds), so the inputs
+    are every arc of such strata, for every ell = 1..n and every unit length
+    c + 1 small enough: large ell leaves x = 0 (m*ell > n) or only the lower
+    y terms in range.  A grid whose first h digits share the prefix axis is
+    the one a chunk holds.  The kernel returns x divided by its leading
+    digit x_(ell*m) past t^(ell*m), so the reference's x is divided likewise.
     """
 
     ROWS = [
@@ -135,6 +147,7 @@ class TestKernelAgainstTruncPow:
         coeff = {j: a.numerator * pow(a.denominator, -1, p) % p for j, a in b.coeffs.items()}
         amod = {j: F.scalar(a) for j, a in coeff.items()}
         for ell in range(1, n + 1):
+            lead = ell * b.m
             for c in range(n + 1):
                 arcs = (F.q - 1) * F.q**c
                 if arcs > 70_000:
@@ -143,18 +156,42 @@ class TestKernelAgainstTruncPow:
                     units = grid._units(np.arange(arcs // F.q ** (c + 1 - h)), h, c, F)
                     x, y = grid._images(units, ell, n, b.m, coeff, F)
                     shape = np.broadcast_shapes(*(u.shape for u in units))
-                    rows = _on_grid(units, shape)
+                    points = _on_grid(units, shape)  # (u_0, v_1, ..., v_c) per grid point
+                    ones = np.concatenate([np.broadcast_to(F.one, points[:, :1].shape), points[:, 1:]], axis=1)
+                    rows = ref_series_mul(points[:, :1], ones, F, c + 1)  # the unit u_0 V
                     images = _on_grid(x + y, shape).reshape(len(rows), 2, n + 1, d)
-                    assert (images == ref_branch_images(rows, ell, n, b, F)).all(), (ell, c, h)
+                    expect = _by_leading_digit(ref_branch_images(rows, ell, n, b, F), lead, F)
+                    assert (images == expect).all(), (ell, c, h)
                 if arcs > 256:  # scalar arithmetic only on the small strata
                     continue
                 for row, unit in zip(images, rows):
                     w = _series(F, [(0,) * d] * ell + list(unit), n)
+                    expect_x = (w**b.m).coeffs
+                    if lead < n:
+                        inverse = F.inv(expect_x[lead])
+                        expect_x = expect_x[: lead + 1] + tuple(F.mul(inverse, a) for a in expect_x[lead + 1 :])
                     expect_y = TruncPow.zero(F, n)
                     for j, aj in amod.items():
                         expect_y = expect_y + (w**j).scale(aj)
-                    assert _series(F, row[0], n) == w**b.m, (ell, c)
+                    assert _series(F, row[0], n).coeffs == expect_x, (ell, c)
                     assert _series(F, row[1], n) == expect_y, (ell, c)
+
+    @pytest.mark.parametrize("b,p,d,n", ROWS)
+    def test_divided_x_never_spans_the_leading_digit_axis(self, b, p, d, n):
+        # with u_0 alone on the prefix axis (h = 1), the powers of V and so the
+        # digits of x past its leading digit lie on the axes of v_1..v_c only
+        F = Fq(p, d)
+        coeff = {j: a.numerator * pow(a.denominator, -1, p) % p for j, a in b.coeffs.items()}
+        for ell in range(1, n // b.m + 1):
+            lead = ell * b.m
+            for c in range(n + 1 - lead):
+                if (F.q - 1) * F.q**c > 70_000:
+                    break
+                x, _ = grid._images(grid._units(np.arange(F.q - 1), 1, c, F), ell, n, b.m, coeff, F)
+                # axis 0 of each digit array once broadcast to the grid's c + 1 axes and the digit axis
+                lengths = [((1,) * (c + 2 - v.ndim) + v.shape)[0] for v in x]
+                assert lengths[lead] == F.q - 1, (ell, c)
+                assert lengths[lead + 1 :] == [1] * (n - lead), (ell, c)
 
     @pytest.mark.parametrize("p,d", sorted({(p, d) for _, p, d, _ in ROWS}))
     def test_series_mul_matches_truncpow(self, p, d):
@@ -169,6 +206,103 @@ class TestKernelAgainstTruncPow:
             for row, a, bb in zip(prod, A, B):
                 expect = (_series(F, a, N) * _series(F, bb, N)).coeffs[:L]
                 assert _series(F, row, L - 1).coeffs == expect, (la, lb, L)
+
+
+def _all_units(F: Fq, c: int) -> np.ndarray:
+    """Every unit u_0 + u_1 t + ... + u_c t^c, u_0 != 0, one row of digits each: shape ((q-1) q^c, c+1, d)."""
+    q = F.q
+    idx = np.arange((q - 1) * q**c)
+    codes = np.stack([1 + idx % (q - 1), *(idx // (q - 1) // q**i % q for i in range(c))], axis=1)
+    return codes[..., None] // F.p ** np.arange(F.d) % F.p
+
+
+def _distinct_rows(images: np.ndarray, n: int) -> int:
+    """Number of distinct image digit rows (rows, 2, *, d) truncated to t-positions 0..n."""
+    return len(np.unique(images[:, :, : n + 1].reshape(len(images), -1), axis=0))
+
+
+class TestKeysAgainstTrueImages:
+    """Counts read off the image keys, level by level, against the distinct true images of the same arcs.
+
+    The keys of each stratum are enumerated once at the top level and every
+    level is read off them by `_quotient_counts`, as the counting routes do;
+    the reference truncates each arc's image from `ref_branch_images` to the
+    level and counts distinct digit rows.  Window strata are counted one by
+    one, exhaustive strata merged with the zero key, and the F_p filter on
+    the union over the fields F_(p^d) of a prime, at each level apart, as
+    the geometric count enumerates it.  A chunk of 40 arcs puts several
+    digits on the prefix axis and cuts every grid into several chunks.
+    """
+
+    FIELDS = {2: (1, 2, 3), 3: (1, 2), 5: (1, 2), 257: (1,)}  # F_2, F_4, F_8, F_3, F_9, F_5, F_25, F_257
+    ARCS = {2: 3000, 3: 3000, 5: 3000, 257: 70_000}  # 256 * 257 arcs reach a unit digit past u_0
+
+    @staticmethod
+    def _branches(p: int) -> list[BranchSpec]:
+        rng = random.Random(p)
+        out = []
+        for m in (2, 3, 4):
+            exponents = rng.sample(range(m, 3 * m + 2), rng.randint(1, 3))
+            dens = [k for k in (1, 2, 3, 4) if k % p]
+            out.append(BranchSpec.make(m, {j: Fraction(rng.randint(-9, 9), rng.choice(dens)) for j in exponents}))
+        return out
+
+    @staticmethod
+    def _n_max(b: BranchSpec, F: Fq, window: bool) -> int:
+        """The largest n whose first stratum (window) or arc set (exhaustive) has at most ARCS[p] arcs."""
+        q, n = F.q, 0
+        while ((q - 1) * q ** (n + 1 - b.m) if window else q ** (n + 1)) <= TestKeysAgainstTrueImages.ARCS[F.p]:
+            n += 1
+        return n
+
+    @pytest.fixture(params=[grid._CHUNK_ROWS, 40], ids=["one-chunk", "chunked"])
+    def chunk(self, request, monkeypatch):
+        monkeypatch.setattr(grid, "_CHUNK_ROWS", request.param)
+
+    @pytest.mark.parametrize("p", sorted(FIELDS))
+    def test_window_and_exhaustive_levels(self, p, chunk):
+        for b in self._branches(p):
+            coeff = {j: residue(a, p) for j, a in b.coeffs.items()}
+            for d in self.FIELDS[p]:
+                F = Fq(p, d)
+                for window in (True, False):
+                    n_max = self._n_max(b, F, window)
+                    levels = range(n_max + 1)
+                    kept = [2 * d * max(0, n + 1 - b.m) for n in levels]  # base-p digits of a level-n key
+                    drop = [kept[-1] - k for k in kept]
+                    step = b.m if window else 1
+                    strata = {}
+                    for ell in range(1, n_max // step + 1):
+                        c = n_max - ell * step
+                        keys = grid._stratum_keys(b, coeff, F, n_max, ell, c, budget=10**6)
+                        strata[ell] = (keys, ref_branch_images(_all_units(F, c), ell, n_max, b, F))
+                    where = (b, p, d, window)
+                    if window:
+                        for ell, (keys, images) in strata.items():
+                            counts = grid._quotient_counts(keys, p, drop[ell * b.m :])
+                            assert counts == [_distinct_rows(images, n) for n in levels[ell * b.m :]], (*where, ell)
+                        continue
+                    keys = grid._distinct([grid._pack([], p), *(k for k, _ in strata.values())])
+                    zero = np.zeros((1, 2, n_max + 1, d), dtype=np.int64)  # the zero arc's image
+                    images = np.concatenate([zero, *(i for _, i in strata.values())])
+                    assert grid._quotient_counts(keys, p, drop) == [_distinct_rows(images, n) for n in levels], where
+
+    @pytest.mark.parametrize("p", sorted(FIELDS))
+    def test_rational_keys_over_every_field(self, p, chunk):
+        for b in self._branches(p):
+            coeff = {j: residue(a, p) for j, a in b.coeffs.items()}
+            fields = [Fq(p, d) for d in self.FIELDS[p]]
+            for n in range(self._n_max(b, fields[-1], True) + 1):
+                for ell in range(1, n // b.m + 1):
+                    c = n - ell * b.m
+                    keys, rows = [], []
+                    for F in fields:
+                        keys.append(grid._stratum_keys(b, coeff, F, n, ell, c, budget=10**6, rational=True))
+                        images = ref_branch_images(_all_units(F, c), ell, n, b, F)
+                        over_p = images[(images[..., 1:] == 0).all(axis=(1, 2, 3))][..., :1]
+                        assert len(keys[-1]) == _distinct_rows(over_p, n), (b, F.q, n, ell)
+                        rows.append(over_p)
+                    assert len(grid._distinct(keys)) == _distinct_rows(np.concatenate(rows), n), (b, p, n, ell)
 
 
 class TestImageKeys:
