@@ -13,7 +13,12 @@ decides whole cells at once:
   If some f_i(b) has order F0 < H, every point of the cell has order exactly
   F0 -- the cell is dead past level F0 and all residues inside are excluded
   with proof.  If min(F0, H) >= K = n+1+maxDepth, every point of the cell
-  solves f mod p^K and all residues inside are counted.
+  solves f mod p^K and all residues inside are counted.  Only the jets with
+  0 < |a| < K (K of the top level, and the first-order ones always) are
+  taken: a jet with |a| >= K has scaled order >= S|a| >= K, so it moves no
+  decision below K, and it is 0 in the child test below, where S|a| > H.
+  A counted cell is all exact zeros when every f_i is the zero polynomial,
+  which with every jet taken is F0 = H = inf by Taylor's formula.
 * Otherwise F0 >= H and H < K, and the cell splits into p^m children
   b + p^S v at scale S+1.  A child where some f_i has order exactly H is dead
   outright, because child jets always gain at least one order per scale
@@ -69,8 +74,8 @@ v <= maxDepth as K - v >= n+1 (which with v < S <= n also gives K > 2v).
 
 Systems of two or more equations keep the descent.
 
-Two shortcuts keep the per-node work small without changing any count or
-certificate:
+Three shortcuts keep the per-node work small without changing any count,
+certificate or node charge:
 
 * Owner prune.  Once S >= n+1 every point of a cell, and of every cell below
   it, is b mod p^{n+1}: its owner.  A cell whose owner is already certified
@@ -82,6 +87,25 @@ certificate:
   node, and not at all when every level open there has vmax < 0.  The
   minors' entries are the first-order jets, which the horizon H then reuses,
   so each Hasse derivative is evaluated at most once per node.
+* Dead children at their parent.  With g_i(v) = f_i(b + p^S v) / p^H, a
+  polynomial over Z_p whose reduction is the child test's polynomial, the
+  child test also reports whether every d g_i / d v_k vanishes mod p at the
+  child (flat).  A flat child b' = b + p^S v with min_i ord f_i(b') = H+1,
+  read by one exact evaluation, is charged one node at each level that
+  branched at the parent and is not pushed, when H+2 <= K at the lowest of
+  them (K ascends with n).  Proof that its pop would do nothing else: the
+  child's jets scaled at S+1 are p^{|a|} times D^[a]f_i(b') p^{S|a|}, a sum
+  of parent jet terms of order >= H, so those with |a| >= 2 have order
+  >= H+2; the first-order ones are p * p^H d_k g_i(v), of order >= H+2 when
+  flat.  So H' >= H+2 > F0' = H+1, and F0' < K at every branched level: the
+  child is dead there.  Flatness forces H >= 2S, since below 2S every jet
+  with |a| >= 2 is 0 in the child test, so the g_i are affine mod p and the
+  f_i whose first-order jet attains H has a nonzero constant slope.  Every
+  Jacobian entry D^[e_k]f_i(b') then has order >= H+1-S > H//2 >= vmax,
+  so Hensel's test cannot certify the child's owner, and an owner already
+  certified would only have the pop charged.  The other stack entries keep
+  their order, so every owner, count, certificate, per-level node total and
+  budget error is that of the walk that pops the child.
 
 One walk for every level.  ``count_liftable(..., n)`` counts the levels
 0..n in one walk and returns the lower ones in ``below``.  A stack entry
@@ -319,21 +343,24 @@ class LiftResult:
 
 
 class _System:
-    def __init__(self, polys: list[IntPoly], p: int, nvars: int):
+    def __init__(self, polys: list[IntPoly], p: int, nvars: int, K: int):
         self.p = p
         self.nvars = nvars
         self.forms = [_sparse(poly) for poly in polys]
-        # nonzero Hasse derivatives D^[a]f_i, a != 0, grouped by f_i with the
-        # first-order ones (the gradient) leading, as (column of v^a in the
-        # monomial table, |a|, sparse form of D^[a]f_i)
+        # every f_i is the zero polynomial: a cell that stabilizes is then all exact zeros
+        self.zero = all(poly.is_zero() for poly in polys)
+        # nonzero Hasse derivatives D^[a]f_i with 0 < |a| < K, the top level's K (first-order ones
+        # always, for Hensel's test), grouped by f_i with the gradient leading, as (column of v^a in
+        # the monomial table, |a|, sparse form of D^[a]f_i)
+        top = max(K, 2)
         columns: dict[tuple[int, ...], int] = {}
         self.jets: list[list[tuple[int, int, _Sparse]]] = []
         # the variable of each first-order jet of f_i: its Jacobian column
         self.gradient_vars: list[list[int]] = []
         for poly in polys:
             group = []
-            for alpha in itertools.product(*(range(e + 1) for e in poly.max_exponents())):
-                if sum(alpha) == 0:
+            for alpha in itertools.product(*(range(min(e, top - 1) + 1) for e in poly.max_exponents())):
+                if not 0 < sum(alpha) < top:
                     continue
                 dp = poly.hasse_deriv(alpha)
                 if not dp.is_zero():
@@ -349,23 +376,28 @@ class _System:
         if (len(columns) + 1) * (p - 1) ** 2 >= 1 << 63:
             raise ValueError(f"{len(columns)} jets at p = {p} overflow the int64 child test")
         self.columns = columns
-        # the surviving child offsets v of each coefficient vector mod p seen so far
-        self.survivors: dict[tuple[int, ...], list[list[int]]] = {}
+        # the surviving child offsets v of each coefficient vector mod p seen so far, each with its flat flag
+        self.survivors: dict[tuple[int, ...], list[tuple[list[int], bool]]] = {}
 
     @functools.cached_property
     def tables(self) -> tuple:
-        """The p^m child offsets v and the monomials v^a mod p of each (column 0 is v^0 = 1), as
-        int64 arrays; built on the first coefficient vector the child test has not seen."""
+        """The p^m child offsets v, the monomials v^a mod p of each (column 0 is v^0 = 1), and one
+        derivative map per variable v_k (column a -> a_k * column a - e_k), as int64 arrays; built on
+        the first coefficient vector the child test has not seen."""
         import numpy as np
 
         p = self.p
         offsets = np.array(list(itertools.product(range(p), repeat=self.nvars)), dtype=np.int64)
         monomials = np.ones((len(offsets), len(self.columns) + 1), dtype=np.int64)
+        derivatives = np.zeros((self.nvars, len(self.columns) + 1, len(self.columns) + 1), dtype=np.int64)
+        cols = {(0,) * self.nvars: 0, **self.columns}
         for alpha, col in self.columns.items():
             for i, e in enumerate(alpha):
                 powers = np.array([pow(x, e, p) for x in range(p)], dtype=np.int64)
                 monomials[:, col] = monomials[:, col] * powers[offsets[:, i]] % p
-        return offsets, monomials
+                if e:
+                    derivatives[i, cols[alpha[:i] + (e - 1,) + alpha[i + 1 :]], col] = e % p
+        return offsets, monomials, derivatives
 
     def values(self, b: tuple[int, ...]) -> list[int]:
         return [_eval(form, b) for form in self.forms]
@@ -429,15 +461,17 @@ class _System:
 
     def surviving_children(
         self, b: tuple[int, ...], S: int, values: list[int], H: int, jets: list[list[int]]
-    ) -> list[tuple[int, ...]]:
-        """Children b + p^S v of a branching cell (F0 >= H, H < K) where every f_i has order > H.
+    ) -> list[tuple[tuple[int, ...], bool]]:
+        """Children b + p^S v of a branching cell (F0 >= H, H < K) where every f_i has order > H,
+        each with its flat flag: whether every d/dv_k of every f_i(b + p^S v) / p^H vanishes mod p.
 
         ``values`` are the f_i(b) and ``jets`` the unscaled jets of ``horizon``.
         Every Taylor term of f_i(b + p^S v) = f_i(b) + sum_a D^[a]f_i(b) p^{S|a|} v^a
         has order >= H, so f_i(b + p^S v) / p^H mod p is the F_p polynomial in v
         with coefficients f_i(b) / p^H and D^[a]f_i(b) / p^{H - S|a|} mod p,
         the latter 0 when S|a| > H.  The surviving offsets v of each such
-        coefficient vector are evaluated once and kept in ``survivors``.
+        coefficient vector and their flat flags are evaluated once and kept in
+        ``survivors``.
         """
         p, r = self.p, len(values)
         # coefficient of v^a (column col) in f_i at position col * r + i
@@ -452,11 +486,14 @@ class _System:
         if survivors is None:
             import numpy as np
 
-            offsets, monomials = self.tables
-            forms = monomials @ np.array(coeffs, dtype=np.int64).reshape(-1, r) % p
-            survivors = self.survivors[key] = offsets[~forms.any(axis=1)].tolist()
+            offsets, monomials, derivatives = self.tables
+            forms = np.array(coeffs, dtype=np.int64).reshape(-1, r)
+            alive = ~(monomials @ forms % p).any(axis=1)
+            slopes = derivatives @ forms % p  # the coefficients of d/dv_k f_i, by k
+            flat = ~(monomials[alive] @ slopes % p).any(axis=(0, 2))
+            survivors = self.survivors[key] = list(zip(offsets[alive].tolist(), flat.tolist()))
         step = p**S
-        return [tuple([x + step * v for x, v in zip(b, off)]) for off in survivors]
+        return [(tuple([x + step * v for x, v in zip(b, off)]), flat) for off, flat in survivors]
 
 
 class _Level:
@@ -519,19 +556,20 @@ def count_liftable(
     polys = [poly.widen(nvars) for poly in polys]
     fp = polys[: len(f)]
 
-    # _System takes prod(e_i + 1) - 1 Hasse derivatives of each equation
+    # an equation has prod(e_i + 1) - 1 Hasse derivatives, charged as its input size; _System takes
+    # only those of order below K
     derivatives = sum(math.prod(e + 1 for e in poly.max_exponents()) - 1 for poly in fp)
     if derivatives > budget:
         raise BudgetExceeded(f"{derivatives} Hasse derivatives exceed budget {budget}")
     if p**nvars > budget:
         raise BudgetExceeded(f"root enumeration p^m = {p}^{nvars} exceeds budget {budget}")
-    sys = _System(fp, p, nvars)
+    levels = tuple(_Level(k, default_depth(k) if max_depth is None else max_depth, budget) for k in range(n + 1))
+    sys = _System(fp, p, nvars, levels[-1].K)
     roots = [
         b
         for b in itertools.product(range(p), repeat=nvars)
         if all(poly.eval(b) % p == 0 for poly in polys)
     ]
-    levels = tuple(_Level(k, default_depth(k) if max_depth is None else max_depth, budget) for k in range(n + 1))
 
     stack: list[tuple[tuple[int, ...], int, tuple[_Level, ...]]] = [(b, 1, levels) for b in roots]
     while stack:
@@ -571,7 +609,7 @@ def count_liftable(
                     level.owners.setdefault(owner, False)
                 else:
                     level.bulk_count += p ** ((level.n + 1 - S) * nvars)
-                    level.bulk_certified = level.bulk_certified and F0 == _INF and H == _INF
+                    level.bulk_certified = level.bulk_certified and sys.zero
             elif F0 < H:
                 pass  # f has order exactly F0 < K on the whole cell: dead
             elif len(fp) == 1 and S <= level.n and H < 2 * S and H - S <= level.depth:
@@ -583,6 +621,14 @@ def count_liftable(
                 branching.append(level)
         if branching:
             branched = tuple(branching)
-            stack.extend((child, S + 1, branched) for child in sys.surviving_children(b, S, values, H, jets))
+            # K ascends with n, so H + 2 <= K at the lowest branched level holds at every one
+            skip = H + 2 <= branched[0].K
+            for child, flat in sys.surviving_children(b, S, values, H, jets):
+                if flat and skip and any(value % p ** (H + 2) for value in sys.values(child)):
+                    # flat with min ord f_i(child) = H+1: dead at every branched level (module docstring)
+                    for level in branched:
+                        level.charge(1)
+                else:
+                    stack.append((child, S + 1, branched))
 
     return levels[-1].result(tuple(level.result() for level in levels[:-1]))

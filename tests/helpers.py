@@ -34,8 +34,9 @@ the least common denominator), :func:`ref_text`, :func:`ref_latex` and
 :func:`ref_tate_text` render by separate text and LaTeX walks (the reference
 for the one renderer behind `rs_text`, `rs_latex` and `str(TatePoly)`),
 :func:`ref_cell_horizon` with :func:`ref_surviving_children` filter the
-children of a lifting cell point by point over Z (the reference for the F_p
-child test of `liftable`), and :func:`ref_count_liftable` walks the unpruned cell tree with direct
+children of a lifting cell point by point over Z, and :func:`ref_flat_children`
+reads their gradients there (the reference for the F_p child test of
+`liftable` and its flat flags), and :func:`ref_count_liftable` walks the unpruned cell tree with direct
 `IntPoly.eval` and a Hensel bound from the p-orders of the Jacobian minors
 (the reference for `count_liftable`); :func:`ref_certified_cells` walks that
 tree to the cells the cell certificate counts, and :func:`ref_lifts` lifts a
@@ -996,6 +997,19 @@ def ref_surviving_children(
         if min([min(_ref_ordp(poly.eval(child), p), K) for poly in polys] + [K]) >= threshold:
             out.append(child)
     return out
+
+
+def ref_flat_children(
+    polys: Sequence[IntPoly], p: int, K: int, b: tuple[int, ...], S: int
+) -> list[bool]:
+    """For each child of :func:`ref_surviving_children`, whether every
+    p^S D^[e_k]f_i(child) is 0 mod p^{H+1}, H the cell's horizon: the flat
+    flag, evaluated over Z."""
+    mod = p ** (ref_cell_horizon(polys, p, b, S) + 1)
+    return [
+        all(p**S * d.eval(child) % mod == 0 for poly in polys for d in ref_gradient(poly))
+        for child in ref_surviving_children(polys, p, K, b, S)
+    ]
 
 
 def ref_gradient(poly: IntPoly) -> list[IntPoly]:

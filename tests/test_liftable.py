@@ -12,13 +12,14 @@ from hypothesis import strategies as st
 
 from arczeta.branch import BranchSpec
 from arczeta.counting import BudgetExceeded, count_branch_image
-from arczeta.liftable import IntPoly, _ordp, _System, count_liftable, default_depth
+from arczeta.liftable import IntPoly, _Level, _ordp, _System, count_liftable, default_depth
 from arczeta.presburger import FormulaSyntaxError
 
 from helpers import (
     ref_cell_horizon,
     ref_certified_cells,
     ref_count_liftable,
+    ref_flat_children,
     ref_gradient,
     ref_hensel_bound,
     ref_lifts,
@@ -484,6 +485,80 @@ class TestOneWalk:
         assert sum(compared.values()) >= 8, compared
 
 
+class TestDeadChildSkip:
+    """Flat children of order exactly H+1, charged at their parent and never pushed: each is dead at
+    every level that branched at the parent, by direct evaluation over Z."""
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_every_skipped_child_is_dead(self, p, monkeypatch):
+        child_test, charge = _System.surviving_children, _Level.charge
+        parent = None  # (b, S, H) of the cell whose children the walk is taking
+        child = None  # the child the walk is deciding
+        skipped: dict = {}  # (child, S + 1) -> (H, the levels it was charged to)
+
+        def children(system, b, S, values, H, jets):
+            nonlocal parent, child
+            parent = (b, S, H)
+            for child, flat in child_test(system, b, S, values, H, jets):
+                yield child, flat
+            child = None
+
+        def charged(level, nodes):
+            if child is not None:  # a charge while a child is decided: the walk skipped it
+                assert nodes == 1
+                skipped.setdefault((child, parent[1] + 1), (parent[2], []))[1].append(level.n)
+            charge(level, nodes)
+
+        monkeypatch.setattr(_System, "surviving_children", children)
+        monkeypatch.setattr(_Level, "charge", charged)
+        checked = 0
+        for nvars in (2, 3):
+            rng = random.Random(7000 * p + nvars)
+            for _ in range(12):
+                # a diagonal singularity sum c_i X_i^{a_i}, a_i >= 2, plus terms divisible by p, at a
+                # drawn point s (X = x - s), sometimes with a second equation; the locus is s mod p
+                terms = {}
+                for i in range(nvars):
+                    terms[tuple(rng.randint(2, 4) * (j == i) for j in range(nvars))] = rng.choice([1, -1, 2, 3])
+                for _ in range(rng.randint(0, 2)):
+                    expo = tuple(rng.randint(0, 3) for _ in range(nvars))
+                    terms[expo] = terms.get(expo, 0) + rng.choice([1, -1]) * p ** rng.randint(1, 2)
+                s = tuple(rng.randint(-9, 9) for _ in range(nvars))
+                polys = [_shifted(nvars, terms, s)] + _random_system(rng, p, nvars, int(rng.random() < 0.3))
+                units = [tuple(int(i == j) for i in range(nvars)) for j in range(rng.choice([0, 1, nvars]))]
+                locus = [_shifted(nvars, {unit: 1}, s) for unit in units]
+                n, depth = rng.randint(1, 3 if p**nvars < 400 else 1), rng.choice([None, rng.randint(0, 5)])
+                skipped.clear()
+                try:
+                    count_liftable(polys, locus, p, n, depth, budget=20_000)
+                except BudgetExceeded:
+                    continue
+                jacobian = [ref_gradient(poly) for poly in polys]
+                for (b, S), (H, levels) in skipped.items():
+                    F0 = min(_ordp(poly.eval(b), p) for poly in polys)
+                    assert F0 == H + 1 < ref_cell_horizon(polys, p, b, S), (polys, b, S)
+                    assert F0 <= 2 * ref_hensel_bound(jacobian, nvars, p, b)  # Hensel fails at every level
+                    for k in levels:
+                        assert F0 < k + 1 + (default_depth(k) if depth is None else depth)
+                    checked += 1
+        assert checked >= 10, checked
+
+    def test_cusp_work(self, monkeypatch):
+        """The cusp at p = 7, n = 5, depth 12 reads the horizon of 155 cells (497 when every child is
+        popped), and its node rows stay those of the full walk."""
+        horizon, calls = _System.horizon, 0
+
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            return horizon(*args)
+
+        monkeypatch.setattr(_System, "horizon", counted)
+        top = count_liftable(["x^2 - y^3"], ["x", "y"], 7, 5, 12)
+        assert [(r.count, r.certified, r.nodes) for r in [*top.below, top]] == TestCuspCrossMethod.TREE[7]
+        assert calls <= 160, calls
+
+
 class TestHensel:
     """The minimal order of the Jacobian minors, and the Jacobian it is read from, against the reference."""
 
@@ -501,7 +576,8 @@ class TestHensel:
                 terms[expo] = data.draw(st.sampled_from([1, -1, 2])) * p ** data.draw(st.integers(0, 3))
             polys.append(IntPoly.make(nvars, terms))
         v = ref_hensel_bound([ref_gradient(poly) for poly in polys], nvars, p, b)
-        system = _System(polys, p, nvars)
+        # the derivative cut at K keeps the gradient even at K = 1
+        system = _System(polys, p, nvars, data.draw(st.integers(1, 4), label="K"))
         got, grad = system.hensel(b)
         assert got == v
         if grad is not None:  # the Jacobian at b, entry by entry
@@ -572,6 +648,20 @@ class TestBudget:
             count_liftable(["x^2 * y^3", "x^7"], [], 2, 0, 0, budget=17)
         assert count_liftable(["x^2 * y^3", "x^7"], [], 2, 0, 0, budget=18).count == 2  # x = 0, any y
 
+    def test_high_degree_takes_only_the_jets_below_K(self):
+        # 40 001 Hasse derivatives of x^20000 are within the budget; only the 7 with |a| < K = 7 are taken
+        r = count_liftable(["x^20000 - y"], [], 7, 0)
+        assert (r.count, r.certified, r.nodes) == (7, True, 7)
+
+    @pytest.mark.parametrize("f,p,n,depth", [("x^10", 2, 1, 1), ("x^4 - 4*y^6", 3, 1, 0), ("x^5*y^4", 3, 1, 0)])
+    def test_dropped_jets_do_not_certify_a_stabilized_cell(self, f, p, n, depth):
+        # the cells stabilize with every kept jet 0; only an all-zero system makes that exact
+        polys = [IntPoly.parse(f).widen(2)]
+        want = ref_count_liftable(polys, [], p, n, depth, 10**5)
+        got = count_liftable(polys, [], p, n, depth)
+        assert (got.count, got.certified) == (want.count, want.certified)
+        assert not got.certified
+
     def test_root_budget(self):
         with pytest.raises(BudgetExceeded):
             count_liftable(["x1 + x2 + x3 + x4"], [], 13, 1, 1, budget=20_000)
@@ -594,7 +684,8 @@ class TestBudget:
 
 
 class TestChildTest:
-    """The F_p child test of a branching cell against the point-by-point filter over Z."""
+    """The F_p child test of a branching cell and its flat flags against the point-by-point filter
+    and gradients over Z."""
 
     @settings(max_examples=300)
     @given(st.data())
@@ -622,31 +713,35 @@ class TestChildTest:
             target = 0 if e is None else data.draw(st.sampled_from([-1, 1, 2, p - 1])) * p**e
             terms[origin] = target - rest
             polys.append(IntPoly.make(nvars, terms))
-        system = _System(polys, p, nvars)
+        system = _System(polys, p, nvars, K)
         values = system.values(b)
         H, jets = system.horizon(b, S)
-        assert H == ref_cell_horizon(polys, p, b, S)
+        # the jets of order |a| >= K are not taken; they have scaled order >= K
+        assert min(H, K) == min(ref_cell_horizon(polys, p, b, S), K)
         assume(H <= min(_ordp(v, p) for v in values) and H < K)  # the cell branches
         got = system.surviving_children(b, S, values, H, jets)
-        assert got == ref_surviving_children(polys, p, K, b, S)
+        assert got == list(zip(ref_surviving_children(polys, p, K, b, S), ref_flat_children(polys, p, K, b, S)))
 
 
 class TestChildTestMemo:
-    """The child test, looked up by coefficient vector mod p after its first evaluation, against the
-    point-by-point filter on every branching cell of the seeded sweep."""
+    """The child test and its flat flags, looked up by coefficient vector mod p after their first
+    evaluation, against the point-by-point filter on every branching cell of the seeded sweep."""
 
     @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
     def test_memo_matches_pointwise_filter_on_the_seeded_sweep(self, p, monkeypatch):
         child_test = _System.surviving_children
         systems: dict[int, _System] = {}
-        cells = 0
+        cells = flat = 0
 
         def checked(system, b, S, values, H, jets):
-            nonlocal cells
+            nonlocal cells, flat
             got = child_test(system, b, S, values, H, jets)
-            assert got == ref_surviving_children(polys, p, n + 1 + depth, b, S), (polys, b, S)
+            K = n + 1 + depth
+            want = list(zip(ref_surviving_children(polys, p, K, b, S), ref_flat_children(polys, p, K, b, S)))
+            assert got == want, (polys, b, S)
             systems[id(system)] = system
             cells += 1
+            flat += sum(is_flat for _, is_flat in got)
             return got
 
         monkeypatch.setattr(_System, "surviving_children", checked)
@@ -655,3 +750,4 @@ class TestChildTestMemo:
             assert (got.count, got.certified) == (want.count, want.certified)
         vectors = sum(len(system.survivors) for system in systems.values())
         assert 0 < vectors < cells, (vectors, cells)  # some cells were answered from the memo
+        assert flat > 0, cells
